@@ -31,7 +31,6 @@ from .mms import (
     check_mms_decomposition,
     mms_bounds,
     mms_exact,
-    mms_per_type,
     mms_report,
     per_type_share,
 )
@@ -45,7 +44,6 @@ from .allocator import (
     RoundRobinPolicy,
     RunTrace,
     SeededMixturePolicy,
-    allocate_next,
     bi_value_merges,
     make_policy,
     round_up_pow2,

@@ -12,11 +12,14 @@ Pressures are stored scaled by (n-1): every reachable pressure value is an
 integer multiple of 1/(n-1), so the scaled values are plain ints and the
 argmin over them is exact and fast. Public accessors expose Fractions.
 
-A bi-value variant skips the power-of-two rounding: when an agent reveals a
+:class:`PressureState` is the one pressure engine; the policies differ only
+in how an agent's values map to types. Pressure-greedy rounds up to powers
+of two. The bi-value variant skips the rounding: when an agent reveals a
 second distinct value, the two values are merged into a single type when the
 smaller-to-larger ratio exceeds (sqrt(3)-1)/2, and kept separate otherwise.
 If a third distinct value ever appears the variant falls back to the rounded
-greedy rule, rebuilding pressures from the allocation history.
+rule, rebuilding its pressures by replaying the allocation history through
+that rule.
 """
 
 from __future__ import annotations
@@ -62,44 +65,45 @@ class PressureState:
         self.receipts: list[list[int]] = [[] for _ in range(n)]
         self.sightings: list[list[int]] = [[] for _ in range(n)]
 
+    def add_type(self, agent: int) -> int:
+        """Open a zero-pressure type slot for ``agent``; returns its index."""
+        self.scaled[agent - 1].append(0)
+        self.receipts[agent - 1].append(0)
+        self.sightings[agent - 1].append(0)
+        return len(self.scaled[agent - 1])
+
     def register(self, agent: int, value: Fraction) -> int:
         """Type index of ``value`` for ``agent``, adding a fresh type if new."""
         reg = self.registry[agent - 1]
         u = reg.get(value)
         if u is None:
-            u = len(reg) + 1
-            reg[value] = u
-            self.scaled[agent - 1].append(0)
-            self.receipts[agent - 1].append(0)
-            self.sightings[agent - 1].append(0)
+            u = reg[value] = self.add_type(agent)
         return u
 
     def pressure(self, agent: int, u: int) -> Fraction:
         return Fraction(self.scaled[agent - 1][u - 1], self.n - 1)
-
-    def type_count(self, agent: int) -> int:
-        return len(self.registry[agent - 1])
-
-    def max_type_count(self) -> int:
-        return max(len(r) for r in self.registry)
 
     def snapshot(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(
             tuple(Fraction(s, self.n - 1) for s in row) for row in self.scaled
         )
 
-    def step(self, types: tuple[int, ...]) -> int:
-        """Pick argmin pressure over the touched types and apply the update."""
+    def step(self, types: tuple[int, ...], agent: int | None = None) -> int:
+        """Apply one item's update to ``agent``, or by default to the argmin
+        pressure over the touched types (ties to the lowest index)."""
         n = self.n
         scaled = self.scaled
         sightings = self.sightings
-        winner = 0
-        best = scaled[0][types[0] - 1]
-        for i in range(1, n):
-            s = scaled[i][types[i] - 1]
-            if s < best:
-                best = s
-                winner = i
+        if agent is None:
+            winner = 0
+            best = scaled[0][types[0] - 1]
+            for i in range(1, n):
+                s = scaled[i][types[i] - 1]
+                if s < best:
+                    best = s
+                    winner = i
+        else:
+            winner = agent - 1
         for i in range(n):
             u = types[i] - 1
             sightings[i][u] += 1
@@ -107,14 +111,6 @@ class PressureState:
         scaled[winner][types[winner] - 1] += n
         self.receipts[winner][types[winner] - 1] += 1
         return winner + 1
-
-
-def allocate_next(state: PressureState, raw_d) -> tuple[int, PressureState]:
-    """One greedy-over-pressure step: round, register types, pick, update."""
-    types = tuple(
-        state.register(i, round_up_pow2(raw_d[i - 1])) for i in range(1, state.n + 1)
-    )
-    return state.step(types), state
 
 
 @dataclass(frozen=True)
@@ -213,6 +209,12 @@ class Policy:
 
 
 class PressureGreedyPolicy(Policy):
+    """Greedy over pressures, with values rounded up to powers of two.
+
+    The value-to-type rule is the ``_classify`` hook; :class:`BiValuePolicy`
+    swaps in its merge rule and keeps everything else.
+    """
+
     name = "pressure-greedy"
 
     def start(self, n: int) -> None:
@@ -231,19 +233,24 @@ class PressureGreedyPolicy(Policy):
             self._rounded_cache[v] = r
         return r
 
-    def choose(self, raw) -> int:
+    def _classify(self, raw: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+        """Effective values and type indices of one item (registering new types)."""
+        effective = tuple(self._round(v) for v in raw)
         if self.state is None:  # n == 1: no pressure accounting
-            self._effective = tuple(self._round(v) for v in raw)
-            self._types = (1,)
-            return 1
+            return effective, (1,)
+        return effective, tuple(
+            self.state.register(i, effective[i - 1]) for i in range(1, self.n + 1)
+        )
+
+    def choose(self, raw) -> int:
         # Repeated raw vectors (the common case in long typed streams) skip
-        # re-rounding and re-registration; types cannot change on a repeat.
+        # re-classification; types cannot change on a repeat.
         if raw != self._last_raw:
-            self._last_raw = tuple(raw)
-            self._effective = tuple(self._round(v) for v in self._last_raw)
-            self._types = tuple(
-                self.state.register(i, self._effective[i - 1]) for i in range(1, self.n + 1)
-            )
+            raw = tuple(raw)
+            self._effective, self._types = self._classify(raw)
+            self._last_raw = raw
+        if self.state is None:
+            return 1
         winner = self.state.step(self._types)
         touched = self.state.scaled[winner - 1][self._types[winner - 1] - 1]
         if touched > self._max_scaled:
@@ -279,132 +286,63 @@ class BiValuePromiseViolated(FairdivError):
     """An agent revealed a third distinct disutility value."""
 
 
-class BiValuePolicy(Policy):
-    """Greedy-over-pressure specialized to at-most-two values per agent.
+class BiValuePolicy(PressureGreedyPolicy):
+    """Pressure-greedy with the bi-value type rule instead of rounding.
 
     No rounding is applied. When an agent's second distinct value arrives it
     is merged into type 1 if the smaller-to-larger ratio exceeds
     (sqrt(3)-1)/2, else registered as type 2; the merged type's reported
     value is the larger of the pair. On a third distinct value the policy
-    falls back to the rounded greedy rule from that item onward, rebuilding
-    pressures from the closed form over the realized history.
+    sets ``fell_back`` and switches to the rounded rule: it rebuilds its
+    pressure state by replaying the realized history through that rule, and
+    continues from there.
     """
 
     name = "bi-value"
 
     def start(self, n: int) -> None:
         super().start(n)
-        self.state = PressureState(n) if n >= 2 else None
-        self.values_seen: list[list[Fraction]] = [[] for _ in range(n)]
-        self.type_of_value: list[dict[Fraction, int]] = [dict() for _ in range(n)]
         self.representative: list[dict[int, Fraction]] = [dict() for _ in range(n)]
         self.history: list[tuple[tuple[Fraction, ...], int]] = []
-        self.fallback: PressureGreedyPolicy | None = None
-        self._types: tuple[int, ...] = ()
-        self._effective: tuple[Fraction, ...] = ()
-        self._max_scaled = 0
+        self.fell_back = False
 
     def register_value(self, agent: int, value: Fraction) -> int:
         """Type index for one agent's raw value under the bi-value rule."""
-        known = self.type_of_value[agent - 1]
-        if value in known:
-            return known[value]
-        seen = self.values_seen[agent - 1]
-        if len(seen) == 0:
-            seen.append(value)
-            known[value] = 1
-            self.representative[agent - 1][1] = value
-            if self.state is not None:
-                self._new_type_slot(agent)
-            return 1
-        if len(seen) == 1:
-            v1 = seen[0]
-            seen.append(value)
-            if bi_value_merges(v1, value):
-                known[value] = 1
-                self.representative[agent - 1][1] = max(v1, value)
-                return 1
-            known[value] = 2
-            self.representative[agent - 1][2] = value
-            if self.state is not None:
-                self._new_type_slot(agent)
-            return 2
-        raise BiValuePromiseViolated(f"agent {agent}: third distinct value {value}")
+        known = self.state.registry[agent - 1]
+        u = known.get(value)
+        if u is None:
+            if len(known) == 2:
+                raise BiValuePromiseViolated(f"agent {agent}: third distinct value {value}")
+            reps = self.representative[agent - 1]
+            if known and bi_value_merges(reps[1], value):  # reps[1] is the one known value
+                u = 1
+                reps[1] = max(reps[1], value)
+            else:
+                u = self.state.add_type(agent)
+                reps[u] = value
+            known[value] = u
+        return u
 
-    def _new_type_slot(self, agent: int) -> None:
-        self.state.scaled[agent - 1].append(0)
-        self.state.receipts[agent - 1].append(0)
-        self.state.sightings[agent - 1].append(0)
-
-    def _activate_fallback(self) -> None:
-        fb = PressureGreedyPolicy()
-        fb.start(self.n)
-        if fb.state is not None:
-            for raw, agent in self.history:
-                rounded = tuple(fb._round(v) for v in raw)
-                types = tuple(fb.state.register(i, rounded[i - 1]) for i in range(1, self.n + 1))
-                for i in range(1, self.n + 1):
-                    u = types[i - 1]
-                    fb.state.sightings[i - 1][u - 1] += 1
-                    if i == agent:
-                        fb.state.receipts[i - 1][u - 1] += 1
-            # Pressures re-derived from the closed form over rounded values:
-            # (n-1)*H = n*receipts - sightings.
-            for i in range(self.n):
-                for u in range(len(fb.state.scaled[i])):
-                    fb.state.scaled[i][u] = (
-                        self.n * fb.state.receipts[i][u] - fb.state.sightings[i][u]
-                    )
-                    fb._max_scaled = max(fb._max_scaled, fb.state.scaled[i][u])
-        self.fallback = fb
+    def _classify(self, raw):
+        if self.fell_back:
+            return super()._classify(raw)
+        if self.state is None:  # n == 1: effective values stay raw
+            return raw, (1,)
+        types = tuple(self.register_value(i, raw[i - 1]) for i in range(1, self.n + 1))
+        return tuple(self.representative[i][u] for i, u in enumerate(types)), types
 
     def choose(self, raw) -> int:
-        raw = tuple(raw)
-        if self.fallback is not None:
-            agent = self.fallback.choose(raw)
-            self.history.append((raw, agent))
-            self._types = self.fallback.last_types()
-            self._effective = self.fallback.last_effective(raw)
-            return agent
-        if self.state is None:
-            self.history.append((raw, 1))
-            self._types = (1,)
-            self._effective = raw
-            return 1
         try:
-            types = tuple(self.register_value(i, raw[i - 1]) for i in range(1, self.n + 1))
+            agent = super().choose(raw)
         except BiValuePromiseViolated:
-            self._activate_fallback()
-            return self.choose(raw)
-        self._types = types
-        self._effective = tuple(
-            self.representative[i - 1][types[i - 1]] for i in range(1, self.n + 1)
-        )
-        agent = self.state.step(types)
-        touched = self.state.scaled[agent - 1][types[agent - 1] - 1]
-        if touched > self._max_scaled:
-            self._max_scaled = touched
-        self.history.append((raw, agent))
+            self.fell_back = True
+            self.state = PressureState(self.n)
+            for past, past_agent in self.history:
+                self.state.step(self._classify(past)[1], past_agent)
+            self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))
+            agent = super().choose(raw)
+        self.history.append((tuple(raw), agent))
         return agent
-
-    def last_effective(self, raw):
-        return self._effective
-
-    def last_types(self):
-        return self._types
-
-    def pressure_snapshot(self):
-        if self.fallback is not None:
-            return self.fallback.pressure_snapshot()
-        return None if self.state is None else self.state.snapshot()
-
-    def max_pressure_seen(self):
-        if self.n == 1:
-            return None
-        own = Fraction(self._max_scaled, self.n - 1)
-        if self.fallback is not None and self.fallback.max_pressure_seen() is not None:
-            return max(own, self.fallback.max_pressure_seen())
-        return own
 
 
 class RoundRobinPolicy(Policy):
@@ -474,7 +412,10 @@ def make_policy(name: str) -> Policy:
     if name == "dump-to-one":
         return DumpToOnePolicy()
     if name.startswith("mixture:"):
-        return SeededMixturePolicy(int(name.split(":", 1)[1]))
+        try:
+            return SeededMixturePolicy(int(name.split(":", 1)[1]))
+        except ValueError:
+            raise FairdivError(f"policy {name!r}: mixture seed must be an integer") from None
     raise FairdivError(f"unknown policy {name!r}")
 
 
@@ -595,7 +536,6 @@ __all__ = [
     "POLICY_NAMES",
     "round_up_pow2",
     "PressureState",
-    "allocate_next",
     "TraceStep",
     "RunTrace",
     "trace_from_jsonl",

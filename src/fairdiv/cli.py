@@ -88,6 +88,8 @@ def cmd_mms(args) -> int:
 
 
 def cmd_adversary_run(args) -> int:
+    if args.n < 2:
+        raise FairdivError(f"--n must be at least 2, got {args.n}")
     eps = parse_rational(args.eps)
     policy = make_policy(args.policy)
     if args.n == 2:

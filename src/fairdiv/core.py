@@ -68,7 +68,7 @@ class Instance:
     items: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ParseError(f"agent count must be a positive integer, got {self.n!r}")
         for j, d in enumerate(self.items, start=1):
             if len(d) != self.n:
@@ -108,7 +108,7 @@ class Allocation:
 
     def __post_init__(self):
         for j, a in enumerate(self.assignment, start=1):
-            if not isinstance(a, int) or a < 1:
+            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise ParseError(f"item {j}: invalid agent index {a!r}")
 
     @property
@@ -172,7 +172,7 @@ def load_instance(data) -> Instance:
     if not isinstance(obj, dict) or "n" not in obj or "items" not in obj:
         raise ParseError('instance file must be {"n": ..., "items": [...]}')
     n = obj["n"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError(f"n must be an integer, got {n!r}")
     items = []
     if not isinstance(obj["items"], list):
@@ -198,7 +198,7 @@ def load_allocation(data) -> Allocation:
     if not isinstance(obj, dict) or "assignment" not in obj or not isinstance(obj["assignment"], list):
         raise ParseError('allocation file must be {"assignment": [...]}')
     for a in obj["assignment"]:
-        if not isinstance(a, int):
+        if not isinstance(a, int) or isinstance(a, bool):
             raise ParseError(f"agent indices must be integers, got {a!r}")
     return Allocation(assignment=tuple(obj["assignment"]))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, FairdivError, Instance, ceil_div, format_rational
+from .core import FairdivError, Instance, ceil_div, format_rational
 
 
 class InstanceTooLarge(FairdivError):
@@ -138,12 +138,6 @@ def agent_type_shares(values, n: int) -> list[TypeShare]:
     return [TypeShare(value=v, count=c, share=per_type_share(c, v, n)) for v, c in counts.items()]
 
 
-def mms_per_type(counts_and_values, n: int) -> list[TypeShare]:
-    """Per-type shares for explicit (count, value) pairs."""
-    return [TypeShare(value=Fraction(v), count=c, share=per_type_share(c, Fraction(v), n))
-            for c, v in counts_and_values]
-
-
 def witness_max_bundle(inst: Instance, agent: int, partition) -> Fraction:
     """Largest bundle disutility of a partition, under one agent's valuation.
 
@@ -261,21 +255,6 @@ def check_mms_decomposition(inst: Instance) -> list[DecompositionCheck]:
     return out
 
 
-def allocation_ratios(inst: Instance, alloc: Allocation):
-    """Per-agent realized-vs-MMS ratio, exact or as a certified interval.
-
-    Yields ``(agent, d_A, kind, value)`` where kind is ``"exact"`` (value is
-    the exact ratio) or ``"interval"`` (value is ``(low, high)`` bracketing
-    the true ratio via the MMS bounds).
-    """
-    for entry in mms_report(inst):
-        d_a = alloc.bundle_disutility(inst, entry.agent)
-        if entry.exact is not None:
-            yield entry.agent, d_a, "exact", d_a / entry.exact
-        else:
-            yield entry.agent, d_a, "interval", (d_a / entry.upper, d_a / entry.lower)
-
-
 __all__ = [
     "InstanceTooLarge",
     "exact_search_limit",
@@ -283,7 +262,6 @@ __all__ = [
     "TypeShare",
     "per_type_share",
     "agent_type_shares",
-    "mms_per_type",
     "witness_max_bundle",
     "mms_bounds",
     "AgentMms",
@@ -292,5 +270,4 @@ __all__ = [
     "mms_report_to_obj",
     "DecompositionCheck",
     "check_mms_decomposition",
-    "allocation_ratios",
 ]

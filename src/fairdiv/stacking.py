@@ -30,8 +30,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import FairdivError, InvariantViolation, format_rational, parse_rational
-from .allocator import RunTrace
+from .core import FairdivError, InvariantViolation, ParseError, format_rational, parse_rational
+from .allocator import PressureState, RunTrace
 
 HALF = Fraction(1, 2)
 
@@ -89,15 +89,6 @@ class StackingFunction:
 
     def max_value(self) -> Fraction:
         return self.pieces[-1][2]
-
-    def value_at(self, x: Fraction) -> Fraction:
-        """f(x) for x in (-1/2, 1/2] (left-open right-closed pieces)."""
-        if not (-HALF < x <= HALF):
-            raise FairdivError(f"x={x} outside (-1/2, 1/2]")
-        for left, right, value in self.pieces:
-            if left < x <= right:
-                return value
-        raise AssertionError("unreachable: pieces cover the interval")
 
     def breakpoints(self) -> list[Fraction]:
         pts = [self.pieces[0][0]]
@@ -397,18 +388,6 @@ class GridGame:
                 return False
         return suffix == 0
 
-    def bound_margin(self, beta) -> Fraction:
-        beta = Fraction(beta)
-        margin = beta * self.k - Fraction(self.values[-1], self.scale)
-        suffix = 0
-        for i in range(self.Q, 0, -1):
-            suffix += self.values[i - 1]
-            x = -HALF + Fraction(i - 1, self.Q)
-            slack = (beta * self.k / 4 - beta * self.k * x * x) - Fraction(suffix, self.scale * self.Q)
-            if -HALF < x:
-                margin = min(margin, slack)
-        return margin
-
     def to_function(self) -> StackingFunction:
         pieces = []
         for c, v in enumerate(self.values):
@@ -482,7 +461,7 @@ def allocator_to_stacking(trace: RunTrace, n: int, k: int | None = None) -> Redu
     game = GridGame(k=result_k, cells_per_unit=n, scale=n - 1)
     cell_of: dict[tuple[int, int], int] = {}
     holder: dict[int, tuple[int, int]] = {}
-    scaled: dict[tuple[int, int], int] = {}
+    state = PressureState(n)
 
     for step in trace.steps:
         for i in range(1, n + 1):
@@ -493,12 +472,13 @@ def allocator_to_stacking(trace: RunTrace, n: int, k: int | None = None) -> Redu
                     raise InvariantViolation("fresh pressure assigned to a nonzero cell")
                 cell_of[(i, u)] = free
                 holder[free] = (i, u)
-                scaled[(i, u)] = 0
+                while len(state.scaled[i - 1]) < u:
+                    state.add_type(i)
 
         touched = [cell_of[(i, step.types[i - 1])] for i in range(1, n + 1)]
         chosen_key = (step.agent, step.types[step.agent - 1])
         c_star = min(touched)
-        if game.values[c_star] != scaled[chosen_key]:
+        if game.values[c_star] != state.scaled[step.agent - 1][chosen_key[1] - 1]:
             raise InvariantViolation(
                 "leftmost touched cell does not carry the minimum pressure"
             )
@@ -523,11 +503,9 @@ def allocator_to_stacking(trace: RunTrace, n: int, k: int | None = None) -> Redu
         holder = {new_pos[c]: key for c, key in holder.items()}
         cell_of = {key: new_pos[c] for key, c in cell_of.items()}
 
-        for i in range(1, n + 1):
-            key = (i, step.types[i - 1])
-            scaled[key] += (n - 1) if i == step.agent else -1
-
-        want = sorted(scaled.values()) + [0] * (Q - len(scaled))
+        state.step(step.types, step.agent)
+        pressures = [s for row in state.scaled for s in row]
+        want = pressures + [0] * (Q - len(pressures))
         if sorted(game.values) != sorted(want):
             raise InvariantViolation("pressure multiset != cell value multiset")
         if not game.is_sorted() or not game.integral_is_zero():
@@ -563,19 +541,41 @@ class ReplayReport:
     failures: tuple[str, ...]
 
 
+_RECORD_KEYS = ("a", "b", "A", "B", "pieces_after")
+
+
+def _parse_stacking_record(line: str):
+    """The move (a, b, A, B) and the recorded pieces of one trace line."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(rec, dict) or any(key not in rec for key in _RECORD_KEYS):
+        raise ParseError("a stacking record needs the keys " + ", ".join(_RECORD_KEYS))
+    A = tuple((parse_rational(l), parse_rational(r)) for l, r in rec["A"])
+    B = tuple((parse_rational(l), parse_rational(r)) for l, r in rec["B"])
+    recorded = tuple(
+        (parse_rational(l), parse_rational(r), parse_rational(v))
+        for l, r, v in rec["pieces_after"]
+    )
+    return parse_rational(rec["a"]), parse_rational(rec["b"]), A, B, recorded
+
+
 def replay_stacking_trace(text: str) -> ReplayReport:
-    """Re-verify a stacking trace file: invariants, bound, recorded pieces."""
+    """Re-verify a stacking trace file: invariants, bound, recorded pieces.
+
+    A malformed line raises :class:`ParseError` naming the line.
+    """
     f = StackingFunction.zero()
     failures = []
     count = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        a = parse_rational(rec["a"])
-        b = parse_rational(rec["b"])
-        A = tuple((parse_rational(l), parse_rational(r)) for l, r in rec["A"])
-        B = tuple((parse_rational(l), parse_rational(r)) for l, r in rec["B"])
+        try:
+            a, b, A, B, recorded = _parse_stacking_record(line)
+        except (ParseError, TypeError, ValueError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
         measure = _intervals_measure(A) + _intervals_measure(B)
         if measure <= 0 or (1 / measure).denominator != 1:
             failures.append(f"line {lineno}: |A|+|B| = {measure} is not 1/k for integer k")
@@ -588,10 +588,6 @@ def replay_stacking_trace(text: str) -> ReplayReport:
             failures.append(f"line {lineno}: {exc}")
             break
         count += 1
-        recorded = tuple(
-            (parse_rational(l), parse_rational(r), parse_rational(v))
-            for l, r, v in rec["pieces_after"]
-        )
         if recorded != f.pieces:
             failures.append(f"line {lineno}: recorded pieces do not match replay")
         if a + b <= 2:

@@ -8,7 +8,6 @@ from fairdiv import (
     FairdivError,
     Instance,
     PressureState,
-    allocate_next,
     bi_value_merges,
     make_policy,
     round_up_pow2,
@@ -54,7 +53,8 @@ def test_rounding_sandwich(d):
 
 def test_first_item_three_agents():
     state = PressureState(3)
-    agent, state = allocate_next(state, (Fraction(2), Fraction(3), Fraction(5)))
+    raw = (Fraction(2), Fraction(3), Fraction(5))
+    agent = state.step(tuple(state.register(i, round_up_pow2(raw[i - 1])) for i in (1, 2, 3)))
     assert agent == 1  # all pressures zero, lowest index wins
     assert state.pressure(1, 1) == 1
     assert state.pressure(2, 1) == Fraction(-1, 2)
@@ -174,9 +174,9 @@ def test_bi_value_promise_violation_falls_back():
     inst = Instance(2, tuple((v, Fraction(1)) for v in vals) + ((Fraction(3), Fraction(1)),))
     pol = BiValuePolicy()
     alloc, trace = run_online(inst, pol)
-    assert pol.fallback is not None
+    assert pol.fell_back
     # rebuilt pressures satisfy the closed form over rounded values
-    state = pol.fallback.state
+    state = pol.state
     for i in range(2):
         for u in range(len(state.scaled[i])):
             assert state.scaled[i][u] == 2 * state.receipts[i][u] - state.sightings[i][u]
@@ -192,7 +192,7 @@ def test_bi_value_fallback_matches_closed_form_replay():
         inst = random_instance(rng, n=n, m=m, k=3)  # three values break the promise
         pol = BiValuePolicy()
         alloc, _ = run_online(inst, pol)
-        if pol.fallback is None:
+        if not pol.fell_back:
             continue
         rounded = [tuple(round_up_pow2(v) for v in item) for item in inst.items]
         registries = [dict() for _ in range(n)]
@@ -204,7 +204,7 @@ def test_bi_value_fallback_matches_closed_form_replay():
                 sightings[i][u] = sightings[i].get(u, 0) + 1
                 if alloc.assignment[j] == i + 1:
                     receipts[i][u] = receipts[i].get(u, 0) + 1
-        state = pol.fallback.state
+        state = pol.state
         for i in range(n):
             assert registries[i] == state.registry[i]
             for u in range(1, len(registries[i]) + 1):
@@ -218,5 +218,6 @@ def test_policy_factory():
         pol.start(3)
         agent = pol.choose((Fraction(1), Fraction(1), Fraction(1)))
         assert 1 <= agent <= 3
-    with pytest.raises(FairdivError):
-        make_policy("nope")
+    for name in ["nope", "mixture:abc"]:
+        with pytest.raises(FairdivError):
+            make_policy(name)

@@ -51,6 +51,17 @@ def test_float_rejected():
         parse_rational("0.5")
 
 
+def test_json_booleans_rejected_as_integers():
+    with pytest.raises(ParseError):
+        load_instance('{"n": true, "items": [{"d": ["1"]}]}')
+    with pytest.raises(ParseError):
+        load_allocation('{"assignment": [true]}')
+    with pytest.raises(ParseError):
+        Instance(True, ((Fraction(1),),))
+    with pytest.raises(ParseError):
+        Allocation((1, True))
+
+
 def test_int_entries_accepted():
     inst = load_instance('{"n": 2, "items": [{"d": [1, 3]}]}')
     assert inst.items[0] == (Fraction(1), Fraction(3))

@@ -231,3 +231,30 @@ def test_cli_stacking_replay(tmp_path):
 def test_cli_usage_error():
     assert main(["run", "--policy", "pressure-greedy"]) == 2  # missing --in
     assert main(["gen", "--n", "2", "--m", "4", "--k", "3", "--D", "2", "--out", "-"]) == 2
+
+
+def _one_line_error(capsys, argv) -> str:
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_cli_bad_mixture_seed_is_a_usage_error(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(Instance(2, ((F(1), F(1)),))))
+    err = _one_line_error(capsys, ["run", "--in", str(inst_path), "--policy", "mixture:abc"])
+    assert "mixture:abc" in err
+
+
+def test_cli_stacking_replay_malformed_line(tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    good = '{"A":[["-1/2","0"]],"B":[["0","1/2"]],"a":"1","b":"1","pieces_after":[]}'
+    for bad in ['{"a": "1"}', "{not json"]:
+        trace_path.write_text(good + "\n" + bad + "\n")
+        assert "line 2: " in _one_line_error(capsys, ["stacking", "replay", "--in", str(trace_path)])
+
+
+def test_cli_adversary_rejects_one_agent(capsys):
+    err = _one_line_error(capsys, ["adversary", "run", "--n", "1", "--budget", "5"])
+    assert "--n" in err

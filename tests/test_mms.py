@@ -10,7 +10,6 @@ from fairdiv import (
     check_mms_decomposition,
     mms_bounds,
     mms_exact,
-    mms_per_type,
     per_type_share,
 )
 from fairdiv.mms import agent_mms, witness_max_bundle
@@ -58,8 +57,6 @@ def test_per_type_closed_form():
     assert per_type_share(7, Fraction(2), 3) == 6  # ceil(7/3) * 2
     assert per_type_share(0, Fraction(5), 4) == 0
     assert per_type_share(3, Fraction(5), 3) == 5
-    [ts] = mms_per_type([(7, 2)], 3)
-    assert ts.share == 6
 
 
 def test_single_type_equivalence():
