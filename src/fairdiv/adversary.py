@@ -34,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .allocator import Policy, RunTrace, TraceStep
+from .allocator import Policy, RunTrace
 from .core import Allocation, FairdivError, Instance, ceil_div, format_rational
-from .mms import InstanceTooLarge, mms_exact, witness_max_bundle
+from .mms import InstanceTooLarge, lpt_partition, mms_exact, witness_max_bundle
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,15 @@ def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate
     return cert.ratio_lower == cert.d_A / cert.mms_upper
 
 
+def _exact_candidates(values, n: int) -> list:
+    """The exact MMS as the one candidate, or none when the search guard refuses."""
+    try:
+        exact, positions = mms_exact(values, n)
+    except InstanceTooLarge:
+        return []
+    return [(exact, [[p + 1 for p in bundle] for bundle in positions], "exact")]
+
+
 def _build_certificate(agent, d_a, candidates) -> RatioCertificate:
     """Pick the candidate (mms_upper, witness, source) with the least upper bound."""
     mms_upper, witness, source = min(candidates, key=lambda c: c[0])
@@ -99,20 +108,6 @@ def _build_certificate(agent, d_a, candidates) -> RatioCertificate:
         mms_source=source,
         ratio_lower=d_a / mms_upper,
     )
-
-
-def lpt_partition(values, n: int) -> list[list[int]]:
-    """Balanced partition witness: largest item to the least-loaded bundle."""
-    order = sorted(range(len(values)), key=lambda p: values[p], reverse=True)
-    loads = [Fraction(0)] * n
-    bundles: list[list[int]] = [[] for _ in range(n)]
-    for p in order:
-        b = min(range(n), key=loads.__getitem__)
-        loads[b] += values[p]
-        bundles[b].append(p + 1)
-    for bundle in bundles:
-        bundle.sort()
-    return bundles
 
 
 def type_union_partition(values, n: int) -> list[list[int]]:
@@ -148,33 +143,37 @@ def greedy_bin_packing(values, positions, n: int, capacity: Fraction):
     return bins
 
 
-def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[RatioCertificate]:
-    """Certified per-agent ratio lower bounds for a finished allocation.
+def mms_upper_bounds(inst: Instance, witnesses=None) -> list[tuple]:
+    """One ``(upper, witness, source)`` per agent: the least certified MMS upper bound.
 
-    Uses the exact MMS when the search is feasible; otherwise the best of
-    the supplied witness partitions, a balanced (largest-first) partition,
-    and the union of per-type round-robin partitions.
+    The exact MMS ("exact") when the search guard allows it, otherwise the
+    least of the largest-first, type-union and supplied witness partitions
+    ("witness"); ties go to the first. Allocation-independent: compute once
+    per instance.
     """
-    if inst.m == 0:
-        return [TRIVIAL_CERTIFICATE]
     out = []
     for agent in range(1, inst.n + 1):
         values = list(inst.agent_values(agent))
-        d_a = alloc.bundle_disutility(inst, agent)
-        candidates = []
-        try:
-            exact, positions = mms_exact(values, inst.n)
-            witness = [[p + 1 for p in bundle] for bundle in positions]
-            candidates.append((exact, witness, "exact"))
-        except InstanceTooLarge:
-            pass
-        for part in [lpt_partition(values, inst.n), type_union_partition(values, inst.n)]:
+        candidates = _exact_candidates(values, inst.n)
+        parts = [lpt_partition(values, inst.n), type_union_partition(values, inst.n)]
+        for part in parts + list(witnesses or ()):
             candidates.append((witness_max_bundle(inst, agent, part), part, "witness"))
-        if witnesses:
-            for part in witnesses:
-                candidates.append((witness_max_bundle(inst, agent, part), part, "witness"))
-        out.append(_build_certificate(agent, d_a, candidates))
+        out.append(min(candidates, key=lambda c: c[0]))
     return out
+
+
+def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[RatioCertificate]:
+    """Certified per-agent ratio lower bounds for a finished allocation.
+
+    Pairs each agent's disutility under ``alloc`` with its bound from
+    :func:`mms_upper_bounds`; an empty instance gets the trivial certificate.
+    """
+    if inst.m == 0:
+        return [TRIVIAL_CERTIFICATE]
+    return [
+        _build_certificate(agent, alloc.bundle_disutility(inst, agent), [bound])
+        for agent, bound in enumerate(mms_upper_bounds(inst, witnesses), start=1)
+    ]
 
 
 # Two-agent game -------------------------------------------------------------
@@ -241,12 +240,7 @@ class TwoAgentAdversary:
         inst = self.instance()
         values = list(inst.agent_values(agent))
         d_a = sum((values[r] for r in range(self.round) if self.takes[r] == agent), Fraction(0))
-        candidates = []
-        try:
-            exact, positions = mms_exact(values, 2)
-            candidates.append((exact, [[p + 1 for p in b] for b in positions], "exact"))
-        except InstanceTooLarge:
-            pass
+        candidates = _exact_candidates(values, 2)
         for part in extra_witnesses:
             candidates.append((witness_max_bundle(inst, agent, part), part, "witness"))
         return _build_certificate(agent, d_a, candidates)
@@ -467,14 +461,9 @@ class RecursiveAdversary:
         capacity = (1 + 2 * self.eps_own) * self.V
         bins = greedy_bin_packing(values, mine, self.n_total, capacity)
         if bins is None:
-            bins = [[] for _ in range(self.n_total)]
-            loads = [Fraction(0)] * self.n_total
-            for p in sorted(mine, key=lambda p: values[p], reverse=True):
-                b = min(range(self.n_total), key=loads.__getitem__)
-                bins[b].append(p)
-                loads[b] += values[p]
+            bins = [[j - 1 for j in b] for b in lpt_partition(values, self.n_total, mine)]
         loads = [sum((values[p] for p in b), Fraction(0)) for b in bins]
-        heaviest = max(range(self.n_total), key=loads.__getitem__)
+        heaviest = loads.index(max(loads))
         bins[heaviest].extend(skipped)
         witness = [sorted(p + 1 for p in b) for b in bins]
         mms_upper = max(
@@ -495,7 +484,7 @@ class RecursiveAdversary:
         agent = sub_cert.agent
         values = [e[agent - 1] for e in self.emissions[: self.round]]
         loads = [sum((values[j - 1] for j in bundle), Fraction(0)) for bundle in witness]
-        heaviest = max(range(len(witness)), key=loads.__getitem__)
+        heaviest = loads.index(max(loads))
         witness[heaviest] = list(range(1, shift + 1)) + witness[heaviest]
         mms_upper = max(
             sum((values[j - 1] for j in bundle), Fraction(0)) for bundle in witness
@@ -662,22 +651,8 @@ def play_game(adversary, policy: Policy, budget: int, target_ratio=None) -> Game
         record = adversary.record() if isinstance(adversary, RecursiveAdversary) else None
         return GameResult(inst, alloc, cert, certified, trace.m, exhausted, trace, record)
 
-    for j in range(1, budget + 1):
-        d = adversary.next_item()
-        agent = policy.choose(d)
-        if not (1 <= agent <= n):
-            raise FairdivError(f"policy chose invalid agent {agent}")
-        adversary.observe(agent)
-        trace.steps.append(
-            TraceStep(
-                item=j,
-                raw=tuple(d),
-                effective=policy.last_effective(d),
-                types=policy.last_types(),
-                agent=agent,
-                pressures=policy.pressure_snapshot(),
-            )
-        )
+    for _ in range(budget):
+        adversary.observe(trace.feed(policy, adversary.next_item()))
         cert = adversary.certificate()
         if cert is not None and cert.ratio_lower > target_ratio:
             return result(cert, True, False)
@@ -693,6 +668,7 @@ __all__ = [
     "lpt_partition",
     "type_union_partition",
     "greedy_bin_packing",
+    "mms_upper_bounds",
     "certify_ratio",
     "TwoAgentAdversary",
     "WindowEvent",

@@ -136,6 +136,23 @@ class RunTrace:
     def allocation(self) -> Allocation:
         return Allocation(tuple(s.agent for s in self.steps))
 
+    def feed(self, policy: Policy, raw, record_pressures: bool = True) -> int:
+        """Offer the next item to ``policy``, check its choice, record the step."""
+        agent = policy.choose(raw)
+        if not (1 <= agent <= self.n):
+            raise FairdivError(f"policy chose invalid agent {agent}")
+        self.steps.append(
+            TraceStep(
+                item=len(self.steps) + 1,
+                raw=tuple(raw),
+                effective=policy.last_effective(raw),
+                types=policy.last_types(),
+                agent=agent,
+                pressures=policy.pressure_snapshot() if record_pressures else None,
+            )
+        )
+        return agent
+
     def max_type_count(self) -> int:
         k = 0
         for s in self.steps:
@@ -423,20 +440,8 @@ def run_online(inst: Instance, policy: Policy, record_pressures: bool = True) ->
     """Feed the instance's items in arrival order through a policy."""
     policy.start(inst.n)
     trace = RunTrace(n=inst.n, policy=policy.name)
-    for j, raw in enumerate(inst.items, start=1):
-        agent = policy.choose(raw)
-        if not (1 <= agent <= inst.n):
-            raise FairdivError(f"policy chose invalid agent {agent}")
-        trace.steps.append(
-            TraceStep(
-                item=j,
-                raw=tuple(raw),
-                effective=policy.last_effective(raw),
-                types=policy.last_types(),
-                agent=agent,
-                pressures=policy.pressure_snapshot() if record_pressures else None,
-            )
-        )
+    for raw in inst.items:
+        trace.feed(policy, raw, record_pressures)
     return trace.allocation(), trace
 
 

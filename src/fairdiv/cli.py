@@ -21,7 +21,7 @@ from .adversary import (
     TwoAgentAdversary,
     verify_certificate,
 )
-from .allocator import make_policy, run_online
+from .allocator import RunTrace, make_policy, run_online  # run_online: patched here by perfbench/tracer.py
 from .core import (
     FairdivError,
     allocation_to_json,
@@ -64,14 +64,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    """Run one policy, once, inside ``run_experiment``; ``--out`` and ``--trace``
+    come from that run (empty for an empty instance, which has no run)."""
     inst = load_instance(_read(args.infile))
     policy = make_policy(args.policy)
-    alloc, trace = run_online(inst, policy)
+    report = run_experiment(inst, policies=[policy])
+    trace = report.runs[0].trace if report.runs else RunTrace(n=inst.n, policy=policy.name)
     if args.out:
-        _write(args.out, allocation_to_json(alloc) + "\n")
+        _write(args.out, allocation_to_json(trace.allocation()) + "\n")
     if args.trace:
         _write(args.trace, trace.to_jsonl())
-    report = run_experiment(inst, policies=[make_policy(args.policy)])
     if args.report:
         text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
         _write(args.report, text)
@@ -90,6 +92,8 @@ def cmd_mms(args) -> int:
 def cmd_adversary_run(args) -> int:
     if args.n < 2:
         raise FairdivError(f"--n must be at least 2, got {args.n}")
+    if args.budget < 1:
+        raise FairdivError(f"--budget must be at least 1, got {args.budget}")
     eps = parse_rational(args.eps)
     policy = make_policy(args.policy)
     if args.n == 2:

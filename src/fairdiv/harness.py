@@ -8,19 +8,20 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .adversary import certify_ratio
+from .adversary import certify_ratio, mms_upper_bounds  # certify_ratio: patched here by perfbench/tracer.py
 from .allocator import (
     BiValuePolicy,
     DumpToOnePolicy,
     Policy,
     PressureGreedyPolicy,
     RoundRobinPolicy,
+    RunTrace,
     SeededMixturePolicy,
     run_online,
     validate_pressure_trace,
 )
 from .core import FairdivError, Instance, format_rational, instance_digest, instance_stats
-from .mms import exact_search_limit, mms_exact
+from .mms import mms_bounds, mms_exact  # mms_exact: patched here by perfbench/tracer.py
 from .stacking import BoundProfile, allocator_to_stacking, check_bound
 
 GRID_NAMES = ("powers-of-two", "uniform-rational", "adversarial-near-threshold")
@@ -144,6 +145,7 @@ class RunReport:
     max_pressure: Fraction | None
     stacking_margin: Fraction | None
     checks: dict[str, bool]
+    trace: RunTrace  # the run's step trace; not part of the serialized report
 
     @property
     def passed(self) -> bool:
@@ -235,12 +237,15 @@ def leq_two_plus_sqrt3(d: Fraction, mms: Fraction) -> bool:
 def run_experiment(inst: Instance, policies=None, checks=("bounds", "stacking")) -> ExperimentReport:
     """Run policies over one instance and flag every theoretical-bound check.
 
-    Per-agent ratios are exact when the exact MMS search is feasible and
-    certified intervals otherwise. For the rounded greedy policy the checks
-    include the trace invariants and the stacking reduction's consistency;
-    bound checks compare realized disutility against (8k+2)*MMS for the
-    rounded greedy rule, n*MMS for dump-to-one, and (2+sqrt(3))*MMS for the
-    bi-value rule on bi-valued instances.
+    Each agent's MMS bound comes from one :func:`mms_upper_bounds` call per
+    instance, shared by every policy. Per-agent ratios are exact when that
+    bound is the exact MMS; otherwise they are the certified interval
+    [d_A/upper, d_A/lower], with lower the average/max-item bound of
+    :func:`mms_bounds`. For the rounded greedy policy the checks include the
+    trace invariants and the stacking reduction's consistency; bound checks,
+    made only when every MMS is exact, compare realized disutility against
+    (8k+2)*MMS for the rounded greedy rule, n*MMS for dump-to-one, and
+    (2+sqrt(3))*MMS for the bi-value rule on bi-valued instances.
     """
     if policies is None:
         policies = [PressureGreedyPolicy(), BiValuePolicy(), RoundRobinPolicy(), DumpToOnePolicy()]
@@ -248,30 +253,20 @@ def run_experiment(inst: Instance, policies=None, checks=("bounds", "stacking"))
     if inst.m == 0:
         return report
     stats = instance_stats(inst)
-    exact_ok = inst.m <= exact_search_limit(inst.n)
-    agent_mms_exact: dict[int, Fraction] = {}
-    if exact_ok:
-        for i in range(1, inst.n + 1):
-            agent_mms_exact[i] = mms_exact(inst.agent_values(i), inst.n)[0]
+    bounds = mms_upper_bounds(inst)
+    exact_mms = {i: upper for i, (upper, _, source) in enumerate(bounds, 1) if source == "exact"}
+    lower = {i: mms_bounds(inst, i)[0] for i in range(1, inst.n + 1) if i not in exact_mms}
+    all_exact = len(exact_mms) == inst.n
 
     for policy in policies:
         alloc, trace = run_online(inst, policy)
         outcomes = []
-        certs = certify_ratio(inst, alloc)
-        for cert in certs:
-            if cert.mms_source == "trivial":
-                continue
-            i = cert.agent
-            if i in agent_mms_exact:
-                outcomes.append(
-                    AgentOutcome(i, cert.d_A, "exact", cert.d_A / agent_mms_exact[i], None, None)
-                )
+        for i, (upper, _, _) in enumerate(bounds, 1):
+            d_a = alloc.bundle_disutility(inst, i)
+            if i in exact_mms:
+                outcomes.append(AgentOutcome(i, d_a, "exact", d_a / upper, None, None))
             else:
-                low = cert.d_A / cert.mms_upper
-                # The average and max-item lower bounds cap the ratio from above.
-                vals = inst.agent_values(i)
-                lower = max(sum(vals, Fraction(0)) / inst.n, max(vals))
-                outcomes.append(AgentOutcome(i, cert.d_A, "interval", None, low, cert.d_A / lower))
+                outcomes.append(AgentOutcome(i, d_a, "interval", None, d_a / upper, d_a / lower[i]))
         run_checks: dict[str, bool] = {}
         max_pressure = policy.max_pressure_seen()
         stacking_margin = None
@@ -289,21 +284,21 @@ def run_experiment(inst: Instance, policies=None, checks=("bounds", "stacking"))
                         ).margin
                 except FairdivError:
                     run_checks["stacking-consistency"] = False
-            if "bounds" in checks and exact_ok:
+            if "bounds" in checks and all_exact:
                 k_rounded = tc.game_k
                 run_checks["ratio-bound-8k+2"] = all(
-                    o.d_A <= (8 * k_rounded + 2) * agent_mms_exact[o.agent] for o in outcomes
+                    o.d_A <= (8 * k_rounded + 2) * exact_mms[o.agent] for o in outcomes
                 )
         if policy.name == "bi-value" and inst.n >= 2 and "bounds" in checks:
             if max_pressure is not None and stats.k <= 2:
                 run_checks["bi-value-pressure"] = max_pressure <= 2 + Fraction(1, inst.n - 1)
-            if exact_ok and stats.k <= 2:
+            if all_exact and stats.k <= 2:
                 run_checks["ratio-bound-2+sqrt3"] = all(
-                    leq_two_plus_sqrt3(o.d_A, agent_mms_exact[o.agent]) for o in outcomes
+                    leq_two_plus_sqrt3(o.d_A, exact_mms[o.agent]) for o in outcomes
                 )
-        if policy.name == "dump-to-one" and "bounds" in checks and exact_ok:
+        if policy.name == "dump-to-one" and "bounds" in checks and all_exact:
             run_checks["ratio-bound-n"] = all(
-                o.d_A <= inst.n * agent_mms_exact[o.agent] for o in outcomes
+                o.d_A <= inst.n * exact_mms[o.agent] for o in outcomes
             )
         report.runs.append(
             RunReport(
@@ -313,6 +308,7 @@ def run_experiment(inst: Instance, policies=None, checks=("bounds", "stacking"))
                 max_pressure=max_pressure,
                 stacking_margin=stacking_margin,
                 checks=run_checks,
+                trace=trace,
             )
         )
     return report

@@ -30,6 +30,25 @@ def exact_search_limit(n: int) -> int:
     return _EXACT_LIMITS.get(n, _EXACT_LIMIT_DEFAULT)
 
 
+def lpt_partition(values, n: int, positions=None) -> list[list[int]]:
+    """n sorted bundles of 1-based indices: largest item first to the least-loaded.
+
+    ``positions`` (0-based, default all) selects the items. Ties: a stable
+    descending sort, and the lowest-indexed least-loaded bundle.
+    """
+    if positions is None:
+        positions = range(len(values))
+    loads = [Fraction(0)] * n
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    for p in sorted(positions, key=values.__getitem__, reverse=True):
+        b = min(range(n), key=loads.__getitem__)
+        loads[b] += values[p]
+        bundles[b].append(p + 1)
+    for bundle in bundles:
+        bundle.sort()
+    return bundles
+
+
 def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
     """Exact MMS of a value list, plus one witness partition attaining it.
 
@@ -63,15 +82,10 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
     smallest_bundle = sorted(vals)[: ceil_div(m, n)]
     lower = max(total / n, svals[0], sum(smallest_bundle, Fraction(0)))
 
-    # Greedy (largest item to least-loaded bundle) seeds the incumbent.
-    loads = [Fraction(0)] * n
-    greedy_assign = []
-    for v in svals:
-        b = min(range(n), key=loads.__getitem__)
-        loads[b] += v
-        greedy_assign.append(b)
-    best = max(loads)
-    best_assign = list(greedy_assign)
+    # The largest-first greedy partition seeds the incumbent.
+    greedy = lpt_partition(vals, n)
+    best = max(sum((vals[j - 1] for j in bundle), Fraction(0)) for bundle in greedy)
+    best_assign = None
 
     assign = [0] * m
 
@@ -102,12 +116,12 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
 
     search(0, (Fraction(0),) * n, Fraction(0))
 
-    partition: list[list[int]] = [[] for _ in range(n)]
-    for t, b in enumerate(best_assign):
-        partition[b].append(order[t])
-    for bundle in partition:
-        bundle.sort()
-    return best, tuple(tuple(bundle) for bundle in partition)
+    partition = [[j - 1 for j in bundle] for bundle in greedy]
+    if best_assign is not None:  # the search beat the greedy incumbent
+        partition = [[] for _ in range(n)]
+        for t, b in enumerate(best_assign):
+            partition[b].append(order[t])
+    return best, tuple(tuple(sorted(bundle)) for bundle in partition)
 
 
 @dataclass(frozen=True)
@@ -196,6 +210,9 @@ class AgentMms:
 
 
 def agent_mms(inst: Instance, agent: int) -> AgentMms:
+    if inst.m == 0:  # n empty bundles: every bound is 0
+        zero = Fraction(0)
+        return AgentMms(agent=agent, lower=zero, upper=zero, exact=zero, witness=((),) * inst.n)
     lower, upper = mms_bounds(inst, agent)
     try:
         exact, positions = mms_exact(inst.agent_values(agent), inst.n)
@@ -258,6 +275,7 @@ def check_mms_decomposition(inst: Instance) -> list[DecompositionCheck]:
 __all__ = [
     "InstanceTooLarge",
     "exact_search_limit",
+    "lpt_partition",
     "mms_exact",
     "TypeShare",
     "per_type_share",

@@ -5,8 +5,14 @@ the pressure-recording JSONL trace of pressure-greedy and bi-value, the
 ``run_experiment`` report JSON (default four policies), and the stacking
 trace of the pressure-greedy reduction. The corpus covers n = 1..4, bi-value
 merges near the (sqrt(3)-1)/2 threshold, bi-value runs that see a third
-value and fall back to the rounded rule, and an n = 1 bi-value run whose
-effective values stay raw.
+value and fall back to the rounded rule, an n = 1 bi-value run whose
+effective values stay raw, and one instance past the exact-MMS search guard,
+whose report holds interval outcomes.
+
+Some cases add the ``certify_ratio`` certificates of the pressure-greedy
+allocation (optionally with one extra witness partition), or the four files
+``fairdiv run`` writes (allocation, trace, JSON report, CSV report) for one
+policy.
 
 Re-record (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -16,13 +22,17 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
 
-from fairdiv import Instance, run_experiment, run_online
+from fairdiv import Instance, certify_ratio, instance_to_json, run_experiment, run_online
 from fairdiv.allocator import BiValuePolicy, PressureGreedyPolicy
+from fairdiv.cli import main
 from fairdiv.harness import GeneratorConfig, generate_instance
 from fairdiv.stacking import allocator_to_stacking, stacking_trace_to_jsonl
 
@@ -52,6 +62,22 @@ CORPUS = {
     "n3-k3-fallback": lambda: _random(3, 10, 3, 3),
     "n4-near-threshold": lambda: _generated(4, 10, 2, 4, "adversarial-near-threshold", 21),
     "n4-k3-fallback": lambda: _random(4, 10, 3, 1),
+    # m = 15 is one past the n = 4 exact-search guard
+    "n4-past-guard": lambda: _random(4, 15, 2, 9),
+}
+
+# Cases whose pressure-greedy allocation is certified, mapped to the extra
+# witness partitions (1-based item indices) passed to certify_ratio.
+CERTIFIED = {
+    "n2-k3-fallback": [[[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]],
+    "n4-past-guard": None,
+    # beats the largest-first and type-union witnesses for agent 3 (30/13 < 31/13)
+    "n4-past-guard+witness": [[[2, 9], [1, 3, 11], [4, 5, 6, 7, 8], [10, 12, 13, 14, 15]]],
+}
+
+# Cases run through ``fairdiv run``, with the policy each one uses.
+CLI_RUNS = {
+    "n3-near-threshold": ("pressure-greedy", "bi-value"),
 }
 
 GOLDEN = {
@@ -70,6 +96,7 @@ GOLDEN = {
     'n2-k3-fallback:stacking': 'fdede18e4776811a1db97ed8648f4766269de57fab032278d69af8231c640a65',
     'n2-k3-fallback:trace/bi-value': 'ad4d9ac376a4872e590e68d3f3c6e8418a71fc0ad530630d3d6d23075a1f8c17',
     'n2-k3-fallback:report': '37c2730defbc7b36e53bafe9020e38ca5817a4765e39578e9fa97015ca3420cf',
+    'n2-k3-fallback:certificates': '83399e7d463446d9d194184e8e8e2be8e0361143cc81daf135c4fcbbb32ae240',
     'n2-k3-late-fallback:trace/pressure-greedy': 'cb8604162e28e19ba3bee743e5efcfa7d2a6baac505f82b733268fd16b0cd43b',
     'n2-k3-late-fallback:stacking': 'ac01896f27df42a04b76b16be80c684b8188a6840d0f5a8d464d102b649ff8ba',
     'n2-k3-late-fallback:trace/bi-value': '7420c7399edef3ab1009dc9a8017adf35b742b544f0202cc80cbe9a06d2a7c51',
@@ -86,6 +113,14 @@ GOLDEN = {
     'n3-near-threshold:stacking': 'f474f9af7e3c0906fc006047793f27f0262f5517e2d4df789760fe66f8580481',
     'n3-near-threshold:trace/bi-value': '46095bd70016ed2e3c09da6af345509e4b1924734c124a5e805e9bd08ef5f046',
     'n3-near-threshold:report': '274934e3b2f9f8f7431762204039895f2a3d331ca3ecebb76de33230a48ce25a',
+    'n3-near-threshold:cli/pressure-greedy/allocation': '0f5afdd1325c09c83c4240758c28f19cfffd4a4d5abc696e56cc00f314b309c1',
+    'n3-near-threshold:cli/pressure-greedy/trace': '33d6efe8f271d6b532790966288f48ca1390b53d03c86ff7be8a0f6ade689bca',
+    'n3-near-threshold:cli/pressure-greedy/report.json': '293c263b7606de4e40e9edd8e8e8486676db147ef95f36c4a317c54ccc42d3a1',
+    'n3-near-threshold:cli/pressure-greedy/report.csv': 'c8a56b1b86ec491243c926b693f0198eff93e14f3ce906493ea1002b6f8fa87b',
+    'n3-near-threshold:cli/bi-value/allocation': '3d058e682116037d41b216418f0439b14baa31f3c885e496d1054b332f205ab8',
+    'n3-near-threshold:cli/bi-value/trace': '46095bd70016ed2e3c09da6af345509e4b1924734c124a5e805e9bd08ef5f046',
+    'n3-near-threshold:cli/bi-value/report.json': '0a304d2746e552182231d5b0ce88a9ea4b07c7041122fe4f7a11b1ba6be50ca0',
+    'n3-near-threshold:cli/bi-value/report.csv': '07b8e14165ff95e48e003dfe876e337da15509e65942fc56af82297d061b7e96',
     'n3-uniform-k3-fallback:trace/pressure-greedy': 'd0612fee8b54aa13217d21c6d84bc9d841e0a26fd7f46f212e77eb128e25bec6',
     'n3-uniform-k3-fallback:stacking': 'd87981bc5752e306ffd4bf878c43ee3dcd2b48d1b143cd3796645f54fe75b5b5',
     'n3-uniform-k3-fallback:trace/bi-value': '361cf6f9b8b1a3bba3efbd05250047a922d7083e617e9fddef0230e2491c2983',
@@ -102,6 +137,12 @@ GOLDEN = {
     'n4-k3-fallback:stacking': '6c65f39b61f4f2571bd85b249068d5e8399159cd4cf4983f77de9c92595c74b1',
     'n4-k3-fallback:trace/bi-value': 'c8fc060715e852c65a6b2f0a75f79c5ef129fac9261dd6db2a207dc69936e96a',
     'n4-k3-fallback:report': '64320a071e888cfc3a2eebda1f7479990be0c84b4e0c3f9b14be6a0ed9f41a4b',
+    'n4-past-guard:trace/pressure-greedy': 'e3a14669d523c4cb1a65d4449c5cc29c28cf363bcf472ec91acb52f5939128aa',
+    'n4-past-guard:stacking': '3c24792d3c24e5ed15682c8fa7d2b79e9dbe9c18b7a6df989d0cb987a71097f9',
+    'n4-past-guard:trace/bi-value': '7459dee0235f50094b8736ec661032af30b49f88aaac2b7795efcd6b6ab7b27d',
+    'n4-past-guard:report': '6fc48d344e2bd79c499bafcd25371e98df3cafb2d1b254b75170ddc3c2171933',
+    'n4-past-guard:certificates': 'aa3b3b1d5115dfa8d4d1a02f4c94ec94abcaa4065b145b9e6144176f68c18dc8',
+    'n4-past-guard:certificates+witness': 'c3360afcb59812b0943a4090dbec44c7b2354b64b9165f43227f16cf51a5ed87',
 }
 
 
@@ -115,7 +156,29 @@ def _artifacts(case: str) -> dict[str, str]:
         if policy.name == "pressure-greedy" and inst.n >= 2:
             out["stacking"] = stacking_trace_to_jsonl(allocator_to_stacking(trace, inst.n).steps)
     out["report"] = run_experiment(inst).to_json()
+    for name in (c for c in CERTIFIED if c.split("+")[0] == case):
+        alloc, _ = run_online(inst, PressureGreedyPolicy())
+        certs = certify_ratio(inst, alloc, CERTIFIED[name])
+        out["certificates" + name[len(case):]] = json.dumps([c.to_obj() for c in certs], sort_keys=True)
+    for policy in CLI_RUNS.get(case, ()):
+        out.update({f"cli/{policy}/{f}": text for f, text in _cli_run(inst, policy).items()})
     return out
+
+
+def _cli_run(inst, policy: str) -> dict[str, str]:
+    """The files ``fairdiv run`` writes for one policy, JSON report and CSV report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {f: os.path.join(tmp, f) for f in ("instance", "allocation", "trace", "report.json", "report.csv")}
+        with open(path["instance"], "w", encoding="utf-8") as fh:
+            fh.write(instance_to_json(inst) + "\n")
+        common = ["run", "--in", path["instance"], "--policy", policy]
+        main(common + ["--out", path["allocation"], "--trace", path["trace"], "--report", path["report.json"]])
+        main(common + ["--report", path["report.csv"], "--format", "csv"])
+        out = {}
+        for f in ("allocation", "trace", "report.json", "report.csv"):
+            with open(path[f], encoding="utf-8") as fh:
+                out[f] = fh.read()
+        return out
 
 
 def _digest(key: str) -> str:

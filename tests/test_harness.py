@@ -8,6 +8,7 @@ from fairdiv import (
     GeneratorConfig,
     Instance,
     generate_instance,
+    instance_digest,
     instance_stats,
     instance_to_json,
     leq_two_plus_sqrt3,
@@ -258,3 +259,31 @@ def test_cli_stacking_replay_malformed_line(tmp_path, capsys):
 def test_cli_adversary_rejects_one_agent(capsys):
     err = _one_line_error(capsys, ["adversary", "run", "--n", "1", "--budget", "5"])
     assert "--n" in err
+
+
+def test_cli_adversary_rejects_budget_below_one(capsys):
+    for budget in ("0", "-5"):
+        err = _one_line_error(capsys, ["adversary", "run", "--n", "2", "--budget", budget])
+        assert "--budget" in err
+
+
+def test_cli_run_and_mms_accept_an_empty_instance(tmp_path):
+    inst = Instance(3, ())
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text('{"n":3,"items":[]}')
+    out = {name: tmp_path / name for name in ("alloc.json", "trace.jsonl", "report.json", "mms.json")}
+    assert main([
+        "run", "--in", str(inst_path), "--out", str(out["alloc.json"]),
+        "--trace", str(out["trace.jsonl"]), "--report", str(out["report.json"]),
+    ]) == 0
+    assert out["alloc.json"].read_text() == '{"assignment":[]}\n'
+    assert out["trace.jsonl"].read_text() == ""
+    assert out["report.json"].read_text() == (
+        '{"instance":"%s","m":0,"n":3,"runs":[]}\n' % instance_digest(inst)
+    )
+    assert main(["mms", "--in", str(inst_path), "--out", str(out["mms.json"])]) == 0
+    entries = json.loads(out["mms.json"].read_text())
+    assert [e["agent"] for e in entries] == [1, 2, 3]
+    for e in entries:
+        assert e["lower_bound"] == e["upper_bound"] == e["exact_mms"] == "0"
+        assert e["witness_partition"] == [[], [], []]

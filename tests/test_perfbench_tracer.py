@@ -1,0 +1,87 @@
+"""The benchmark's tracer installs on the library and counts work done once.
+
+``perfbench/tracer.py`` swaps names in the fairdiv modules that call them, so
+it breaks when a patched name disappears. These tests install it on a fresh
+import of fairdiv, as ``perfbench/run.py`` does, and check that an experiment
+searches each agent's MMS once and that ``fairdiv run`` runs its policy once.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import os
+import random
+import sys
+
+import pytest
+
+from conftest import random_instance
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def fresh_fairdiv():
+    """A namespace of freshly imported fairdiv modules; the old ones come back after."""
+    tracer = _load_tracer()
+
+    def ours(name):
+        return name == "fairdiv" or name.startswith("fairdiv.")
+
+    saved = {name: mod for name, mod in sys.modules.items() if ours(name)}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        modules = {m: importlib.import_module(f"fairdiv.{m}") for m in tracer.MODULES}
+        yield tracer, type("Fairdiv", (), modules)
+    finally:
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def _traced(tracer_module, fd, fn) -> dict:
+    tracer = tracer_module.Tracer(fd)
+    tracer.install()
+    try:
+        fn()
+    finally:
+        tracer.remove()
+    return {name: value for name, (value, _) in tracer.layer_metrics().items()}
+
+
+def test_experiment_searches_each_agent_mms_once(fresh_fairdiv):
+    tracer, fd = fresh_fairdiv
+    inst = random_instance(random.Random(5), n=3, m=8, k=2)
+    inst = fd.core.Instance(inst.n, inst.items)
+    assert inst.m <= fd.mms.exact_search_limit(inst.n)
+    metrics = _traced(tracer, fd, lambda: fd.harness.run_experiment(inst))
+    assert metrics["harness.run_experiment.calls"] == 1
+    assert metrics["allocator.run_online.calls"] == 4
+    assert metrics["mms.mms_exact.calls"] == 3
+    assert metrics["mms.mms_exact.useful_ratio"] == 1.0
+
+
+def test_cli_run_runs_its_policy_once(fresh_fairdiv, tmp_path):
+    tracer, fd = fresh_fairdiv
+    inst = random_instance(random.Random(6), n=3, m=8, k=2)
+    path = tmp_path / "instance.json"
+    path.write_text(fd.core.instance_to_json(fd.core.Instance(inst.n, inst.items)) + "\n")
+    codes = []
+    argv = ["run", "--in", str(path), "--trace", str(tmp_path / "trace.jsonl"),
+            "--report", str(tmp_path / "report.json")]
+    metrics = _traced(tracer, fd, lambda: codes.append(fd.cli.main(argv)))
+    assert codes == [0]
+    assert metrics["cli.main.calls"] == 1
+    assert metrics["allocator.run_online.calls"] == 1
+    assert metrics["allocator.RunTrace.to_jsonl.calls"] == 1
