@@ -31,7 +31,6 @@ from .mms import (
     check_mms_decomposition,
     mms_bounds,
     mms_exact,
-    mms_report,
     per_type_share,
 )
 from .allocator import (
@@ -70,6 +69,7 @@ from .adversary import (
     certify_ratio,
     check_O1_O2,
     make_recursive_adversary,
+    mms_report,
     play_game,
     verify_certificate,
 )

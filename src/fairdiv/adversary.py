@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .allocator import Policy, RunTrace
 from .core import Allocation, FairdivError, Instance, ceil_div, format_rational
-from .mms import InstanceTooLarge, lpt_partition, mms_exact, witness_max_bundle
+from .mms import AgentMms, InstanceTooLarge, lpt_partition, mms_bounds, mms_exact, witness_max_bundle
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,8 @@ def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate
     return cert.ratio_lower == cert.d_A / cert.mms_upper
 
 
-def _exact_candidates(values, n: int) -> list:
-    """The exact MMS as the one candidate, or none when the search guard refuses."""
-    try:
-        exact, positions = mms_exact(values, n)
-    except InstanceTooLarge:
-        return []
-    return [(exact, [[p + 1 for p in bundle] for bundle in positions], "exact")]
-
-
-def _build_certificate(agent, d_a, candidates) -> RatioCertificate:
-    """Pick the candidate (mms_upper, witness, source) with the least upper bound."""
-    mms_upper, witness, source = min(candidates, key=lambda c: c[0])
+def _build_certificate(agent, d_a, mms_upper, witness, source="witness") -> RatioCertificate:
+    """The certificate d_A / mms_upper, with ``witness`` attaining mms_upper."""
     return RatioCertificate(
         agent=agent,
         d_A=d_a,
@@ -143,36 +133,64 @@ def greedy_bin_packing(values, positions, n: int, capacity: Fraction):
     return bins
 
 
-def mms_upper_bounds(inst: Instance, witnesses=None) -> list[tuple]:
-    """One ``(upper, witness, source)`` per agent: the least certified MMS upper bound.
+def _add_to_heaviest(values, bundles, items) -> tuple[Fraction, list[list[int]]]:
+    """Add ``items`` to the first heaviest bundle: (its new load, the sorted bundles).
 
-    The exact MMS ("exact") when the search guard allows it, otherwise the
-    least of the largest-first, type-union and supplied witness partitions
-    ("witness"); ties go to the first. Allocation-independent: compute once
-    per instance.
+    Indices are 1-based into ``values``. With positive values the grown
+    bundle is the heaviest, so its load is the partition's max bundle.
     """
+    loads = [sum((values[j - 1] for j in bundle), Fraction(0)) for bundle in bundles]
+    heaviest = loads.index(max(loads))
+    bundles = [sorted(bundle) for bundle in bundles]
+    bundles[heaviest] = sorted(bundles[heaviest] + list(items))
+    return loads[heaviest] + sum((values[j - 1] for j in items), Fraction(0)), bundles
+
+
+def mms_report(inst: Instance, witnesses=None) -> list[AgentMms]:
+    """Each agent's certified MMS bounds, computed once per instance.
+
+    ``lower`` is the average/max-item bound of :func:`mms_bounds`. ``upper``
+    is the exact MMS ("exact") when the search guard allows it, otherwise
+    the least of the largest-first, type-union and supplied witness
+    partitions ("witness"), ties to the first; ``witness`` attains it. Only
+    supplied witnesses are checked by :func:`witness_max_bundle`: the
+    largest-first bundles are summed directly, and the type-union partition
+    attains the per-type share sum of :func:`mms_bounds`.
+    """
+    if inst.m == 0:  # n empty bundles: every bound is 0
+        zero = Fraction(0)
+        return [AgentMms(agent, zero, zero, zero, ((),) * inst.n) for agent in range(1, inst.n + 1)]
     out = []
     for agent in range(1, inst.n + 1):
-        values = list(inst.agent_values(agent))
-        candidates = _exact_candidates(values, inst.n)
-        parts = [lpt_partition(values, inst.n), type_union_partition(values, inst.n)]
-        for part in parts + list(witnesses or ()):
-            candidates.append((witness_max_bundle(inst, agent, part), part, "witness"))
-        out.append(min(candidates, key=lambda c: c[0]))
+        values = inst.agent_values(agent)
+        lower, type_union_upper = mms_bounds(inst, agent)
+        supplied = [(witness_max_bundle(inst, agent, w), w) for w in witnesses or ()]
+        try:
+            exact, positions = mms_exact(values, inst.n)
+        except InstanceTooLarge:
+            exact = None
+            lpt = lpt_partition(values, inst.n)
+            lpt_upper = max(sum((values[j - 1] for j in bundle), Fraction(0)) for bundle in lpt)
+            candidates = [(lpt_upper, lpt), (type_union_upper, type_union_partition(values, inst.n))]
+            upper, witness = min(candidates + supplied, key=lambda c: c[0])
+        else:
+            upper, witness = exact, [[p + 1 for p in bundle] for bundle in positions]
+        out.append(AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness)))
     return out
 
 
 def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[RatioCertificate]:
     """Certified per-agent ratio lower bounds for a finished allocation.
 
-    Pairs each agent's disutility under ``alloc`` with its bound from
-    :func:`mms_upper_bounds`; an empty instance gets the trivial certificate.
+    Pairs each agent's record from :func:`mms_report` with the agent's
+    disutility under ``alloc``: ``ratio_lower = d_A / upper``, sourced as the
+    record is. An empty instance gets the trivial certificate.
     """
     if inst.m == 0:
         return [TRIVIAL_CERTIFICATE]
     return [
-        _build_certificate(agent, alloc.bundle_disutility(inst, agent), [bound])
-        for agent, bound in enumerate(mms_upper_bounds(inst, witnesses), start=1)
+        _build_certificate(r.agent, alloc.bundle_disutility(inst, r.agent), r.upper, r.witness, r.source)
+        for r in mms_report(inst, witnesses)
     ]
 
 
@@ -240,10 +258,14 @@ class TwoAgentAdversary:
         inst = self.instance()
         values = list(inst.agent_values(agent))
         d_a = sum((values[r] for r in range(self.round) if self.takes[r] == agent), Fraction(0))
-        candidates = _exact_candidates(values, 2)
-        for part in extra_witnesses:
-            candidates.append((witness_max_bundle(inst, agent, part), part, "witness"))
-        return _build_certificate(agent, d_a, candidates)
+        candidates = [(witness_max_bundle(inst, agent, part), part, "witness") for part in extra_witnesses]
+        try:
+            exact, positions = mms_exact(values, 2)
+        except InstanceTooLarge:
+            pass
+        else:  # the exact MMS comes first, so it wins ties
+            candidates.insert(0, (exact, [[p + 1 for p in bundle] for bundle in positions], "exact"))
+        return _build_certificate(agent, d_a, *min(candidates, key=lambda c: c[0]))
 
     def certificate(self) -> RatioCertificate | None:
         """Fires exactly when one of the construction's end states is reached."""
@@ -307,15 +329,6 @@ def record_max_gap(record: RecGameRecord) -> int:
             prev = r
         gap = max(gap, record.rounds - prev)
     return gap
-
-
-@dataclass
-class LocalCert:
-    agent: int
-    d_a: Fraction
-    mms_upper: Fraction
-    witness: list[list[int]]  # partition of this level's local items
-    kind: str
 
 
 class RecursiveAdversary:
@@ -438,78 +451,55 @@ class RecursiveAdversary:
 
     # certificates -------------------------------------------------------
 
-    def _own_target_certificate(self) -> LocalCert | None:
+    def _own_target_certificate(self) -> RatioCertificate | None:
         if self.level == 1:
             m, c = self.round, self.take_count
             if m == 0 or Fraction(c) <= (self.n_total - self.eps) * ceil_div(m, self.n_total):
                 return None
-            witness = [list(range(b + 1, m + 1, self.n_total)) for b in range(self.n_total)]
-            return LocalCert(
-                agent=1,
-                d_a=Fraction(c),
-                mms_upper=Fraction(ceil_div(m, self.n_total)),
-                witness=witness,
-                kind="base-window",
-            )
+            witness = [range(b + 1, m + 1, self.n_total) for b in range(self.n_total)]
+            return _build_certificate(1, Fraction(c), Fraction(ceil_div(m, self.n_total)), witness)
         if self.j_dagger is None or self.round != self.j_dagger:
             return None
         # Agent `level` crossed n*V: bin-pack her bundle at (1+2*eps_own)*V,
         # then dump every skipped item into the heaviest bin.
         values = [e[self.level - 1] for e in self.emissions[: self.round]]
         mine = [r for r in range(self.round) if self.takes[r] == self.level]
-        skipped = [r for r in range(self.round) if self.takes[r] != self.level]
+        skipped = [r + 1 for r in range(self.round) if self.takes[r] != self.level]
         capacity = (1 + 2 * self.eps_own) * self.V
         bins = greedy_bin_packing(values, mine, self.n_total, capacity)
         if bins is None:
-            bins = [[j - 1 for j in b] for b in lpt_partition(values, self.n_total, mine)]
-        loads = [sum((values[p] for p in b), Fraction(0)) for b in bins]
-        heaviest = loads.index(max(loads))
-        bins[heaviest].extend(skipped)
-        witness = [sorted(p + 1 for p in b) for b in bins]
-        mms_upper = max(
-            sum((values[p - 1] for p in b), Fraction(0)) for b in witness
-        )
-        return LocalCert(
-            agent=self.level,
-            d_a=self.own_taken_sum,
-            mms_upper=mms_upper,
-            witness=witness,
-            kind="bin-packing",
-        )
+            bins = lpt_partition(values, self.n_total, mine)
+        else:
+            bins = [[p + 1 for p in b] for b in bins]
+        return _build_certificate(self.level, self.own_taken_sum, *_add_to_heaviest(values, bins, skipped))
 
-    def _lift(self, sub_cert: LocalCert) -> LocalCert:
+    def _lift(self, sub_cert: RatioCertificate) -> RatioCertificate:
         """Translate a sub-game certificate into this level's frame."""
         shift = self.j_star
-        witness = [[jj + shift for jj in bundle] for bundle in sub_cert.witness]
         agent = sub_cert.agent
         values = [e[agent - 1] for e in self.emissions[: self.round]]
-        loads = [sum((values[j - 1] for j in bundle), Fraction(0)) for bundle in witness]
-        heaviest = loads.index(max(loads))
-        witness[heaviest] = list(range(1, shift + 1)) + witness[heaviest]
-        mms_upper = max(
-            sum((values[j - 1] for j in bundle), Fraction(0)) for bundle in witness
-        )
+        shifted = [[j + shift for j in bundle] for bundle in sub_cert.witness]
         d_a = sum((values[r] for r in range(self.round) if self.takes[r] == agent), Fraction(0))
-        return LocalCert(agent=agent, d_a=d_a, mms_upper=mms_upper, witness=witness, kind="lifted")
+        return _build_certificate(agent, d_a, *_add_to_heaviest(values, shifted, range(1, shift + 1)))
 
-    def local_certificate(self) -> LocalCert | None:
+    def local_certificate(self) -> RatioCertificate | None:
         """Best certificate visible at this level, already strict-checked."""
+        target = self.n_total - self.eps
         candidates = []
         own = self._own_target_certificate()
         if own is not None:
-            strict = own.d_a > (self.n_total - self.eps) * own.mms_upper
+            strict = own.ratio_lower > target
             if not self._own_reported:
                 self._own_reported = True
-                self.event_log.append(
-                    WindowEvent(self.level, own.kind, own.agent, self.round, strict)
-                )
+                kind = "base-window" if self.level == 1 else "bin-packing"
+                self.event_log.append(WindowEvent(self.level, kind, own.agent, self.round, strict))
             if strict:
                 candidates.append(own)
         if self.level > 1:
             sub_cert = self.sub.local_certificate()
             if sub_cert is not None:
                 lifted = self._lift(sub_cert)
-                strict = lifted.d_a > (self.n_total - self.eps) * lifted.mms_upper
+                strict = lifted.ratio_lower > target
                 if self._last_reported_sub is not self.sub:
                     self._last_reported_sub = self.sub
                     self.event_log.append(
@@ -519,23 +509,13 @@ class RecursiveAdversary:
                     candidates.append(lifted)
         if not candidates:
             return None
-        return max(candidates, key=lambda c: c.d_a / c.mms_upper)
+        return max(candidates, key=lambda c: c.ratio_lower)
 
     def instance(self) -> Instance:
         return Instance(n=self.level, items=tuple(self.emissions[: self.round]))
 
     def certificate(self) -> RatioCertificate | None:
-        cert = self.local_certificate()
-        if cert is None:
-            return None
-        return RatioCertificate(
-            agent=cert.agent,
-            d_A=cert.d_a,
-            mms_upper=cert.mms_upper,
-            witness=tuple(tuple(b) for b in cert.witness),
-            mms_source="witness",
-            ratio_lower=cert.d_a / cert.mms_upper,
-        )
+        return self.local_certificate()
 
     def record(self) -> RecGameRecord:
         if self.level < 2:
@@ -668,11 +648,10 @@ __all__ = [
     "lpt_partition",
     "type_union_partition",
     "greedy_bin_packing",
-    "mms_upper_bounds",
+    "mms_report",
     "certify_ratio",
     "TwoAgentAdversary",
     "WindowEvent",
-    "LocalCert",
     "RecursiveAdversary",
     "make_recursive_adversary",
     "O1O2Report",

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Allocation, FairdivError, Instance, ceil_div, format_rational, parse_rational
+from .core import Allocation, FairdivError, Instance, ParseError, ceil_div, format_rational, parse_rational
 
 POLICY_NAMES = ("pressure-greedy", "bi-value", "round-robin", "dump-to-one")
 
@@ -175,25 +175,50 @@ class RunTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+_TRACE_KEYS = ("item", "raw", "effective", "types", "agent")
+
+
+def _is_positive_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _parse_trace_step(line: str, n: int) -> TraceStep:
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(rec, dict) or any(key not in rec for key in _TRACE_KEYS):
+        raise ParseError("a trace record needs the keys " + ", ".join(_TRACE_KEYS))
+    if not _is_positive_int(rec["agent"]) or rec["agent"] > n:
+        raise ParseError(f"agent {rec['agent']!r} is not in 1..{n}")
+    for key in ("raw", "effective", "types"):
+        if not isinstance(rec[key], list) or len(rec[key]) != n:
+            raise ParseError(f"{key} must be a list of {n} entries")
+    if not all(_is_positive_int(u) for u in rec["types"]):
+        raise ParseError(f"types must be positive integers, got {rec['types']!r}")
+    pressures = None
+    if "pressures" in rec:
+        pressures = tuple(tuple(parse_rational(h) for h in row) for row in rec["pressures"])
+    return TraceStep(
+        item=rec["item"],
+        raw=tuple(parse_rational(v) for v in rec["raw"]),
+        effective=tuple(parse_rational(v) for v in rec["effective"]),
+        types=tuple(rec["types"]),
+        agent=rec["agent"],
+        pressures=pressures,
+    )
+
+
 def trace_from_jsonl(text: str, n: int, policy: str = "external") -> RunTrace:
+    """Parse a JSONL trace of ``n`` agents; a malformed line raises :class:`ParseError`."""
     trace = RunTrace(n=n, policy=policy)
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        pressures = None
-        if "pressures" in rec:
-            pressures = tuple(tuple(parse_rational(h) for h in row) for row in rec["pressures"])
-        trace.steps.append(
-            TraceStep(
-                item=rec["item"],
-                raw=tuple(parse_rational(v) for v in rec["raw"]),
-                effective=tuple(parse_rational(v) for v in rec["effective"]),
-                types=tuple(rec["types"]),
-                agent=rec["agent"],
-                pressures=pressures,
-            )
-        )
+        try:
+            trace.steps.append(_parse_trace_step(line, n))
+        except (ParseError, TypeError, ValueError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
     return trace
 
 

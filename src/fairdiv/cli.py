@@ -17,6 +17,7 @@ import sys
 from .adversary import (
     check_O1_O2,
     make_recursive_adversary,
+    mms_report,
     play_game,
     TwoAgentAdversary,
     verify_certificate,
@@ -30,7 +31,7 @@ from .core import (
     parse_rational,
 )
 from .harness import GeneratorConfig, generate_instance, run_experiment
-from .mms import mms_report, mms_report_to_obj
+from .mms import mms_report_to_obj
 from .stacking import replay_stacking_trace
 
 

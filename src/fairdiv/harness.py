@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .adversary import certify_ratio, mms_upper_bounds  # certify_ratio: patched here by perfbench/tracer.py
+from .adversary import certify_ratio, mms_report  # certify_ratio: patched here by perfbench/tracer.py
 from .allocator import (
     BiValuePolicy,
     DumpToOnePolicy,
@@ -21,7 +21,7 @@ from .allocator import (
     validate_pressure_trace,
 )
 from .core import FairdivError, Instance, format_rational, instance_digest, instance_stats
-from .mms import mms_bounds, mms_exact  # mms_exact: patched here by perfbench/tracer.py
+from .mms import mms_exact  # mms_exact: patched here by perfbench/tracer.py
 from .stacking import BoundProfile, allocator_to_stacking, check_bound
 
 GRID_NAMES = ("powers-of-two", "uniform-rational", "adversarial-near-threshold")
@@ -237,15 +237,15 @@ def leq_two_plus_sqrt3(d: Fraction, mms: Fraction) -> bool:
 def run_experiment(inst: Instance, policies=None, checks=("bounds", "stacking")) -> ExperimentReport:
     """Run policies over one instance and flag every theoretical-bound check.
 
-    Each agent's MMS bound comes from one :func:`mms_upper_bounds` call per
-    instance, shared by every policy. Per-agent ratios are exact when that
-    bound is the exact MMS; otherwise they are the certified interval
-    [d_A/upper, d_A/lower], with lower the average/max-item bound of
-    :func:`mms_bounds`. For the rounded greedy policy the checks include the
-    trace invariants and the stacking reduction's consistency; bound checks,
-    made only when every MMS is exact, compare realized disutility against
-    (8k+2)*MMS for the rounded greedy rule, n*MMS for dump-to-one, and
-    (2+sqrt(3))*MMS for the bi-value rule on bi-valued instances.
+    Each agent's MMS record comes from one :func:`mms_report` call per
+    instance, shared by every policy. Per-agent ratios are exact when the
+    record holds the exact MMS; otherwise they are the certified interval
+    [d_A/upper, d_A/lower] of the record's bounds. For the rounded greedy
+    policy the checks include the trace invariants and the stacking
+    reduction's consistency; bound checks, made only when every MMS is
+    exact, compare realized disutility against (8k+2)*MMS for the rounded
+    greedy rule, n*MMS for dump-to-one, and (2+sqrt(3))*MMS for the
+    bi-value rule on bi-valued instances.
     """
     if policies is None:
         policies = [PressureGreedyPolicy(), BiValuePolicy(), RoundRobinPolicy(), DumpToOnePolicy()]
@@ -253,20 +253,19 @@ def run_experiment(inst: Instance, policies=None, checks=("bounds", "stacking"))
     if inst.m == 0:
         return report
     stats = instance_stats(inst)
-    bounds = mms_upper_bounds(inst)
-    exact_mms = {i: upper for i, (upper, _, source) in enumerate(bounds, 1) if source == "exact"}
-    lower = {i: mms_bounds(inst, i)[0] for i in range(1, inst.n + 1) if i not in exact_mms}
-    all_exact = len(exact_mms) == inst.n
+    records = mms_report(inst)
+    exact_mms = [r.exact for r in records]
+    all_exact = None not in exact_mms
 
     for policy in policies:
         alloc, trace = run_online(inst, policy)
         outcomes = []
-        for i, (upper, _, _) in enumerate(bounds, 1):
-            d_a = alloc.bundle_disutility(inst, i)
-            if i in exact_mms:
-                outcomes.append(AgentOutcome(i, d_a, "exact", d_a / upper, None, None))
+        for r in records:
+            d_a = alloc.bundle_disutility(inst, r.agent)
+            if r.exact is not None:
+                outcomes.append(AgentOutcome(r.agent, d_a, "exact", d_a / r.exact, None, None))
             else:
-                outcomes.append(AgentOutcome(i, d_a, "interval", None, d_a / upper, d_a / lower[i]))
+                outcomes.append(AgentOutcome(r.agent, d_a, "interval", None, d_a / r.upper, d_a / r.lower))
         run_checks: dict[str, bool] = {}
         max_pressure = policy.max_pressure_seen()
         stacking_margin = None
@@ -287,18 +286,18 @@ def run_experiment(inst: Instance, policies=None, checks=("bounds", "stacking"))
             if "bounds" in checks and all_exact:
                 k_rounded = tc.game_k
                 run_checks["ratio-bound-8k+2"] = all(
-                    o.d_A <= (8 * k_rounded + 2) * exact_mms[o.agent] for o in outcomes
+                    o.d_A <= (8 * k_rounded + 2) * exact_mms[o.agent - 1] for o in outcomes
                 )
         if policy.name == "bi-value" and inst.n >= 2 and "bounds" in checks:
             if max_pressure is not None and stats.k <= 2:
                 run_checks["bi-value-pressure"] = max_pressure <= 2 + Fraction(1, inst.n - 1)
             if all_exact and stats.k <= 2:
                 run_checks["ratio-bound-2+sqrt3"] = all(
-                    leq_two_plus_sqrt3(o.d_A, exact_mms[o.agent]) for o in outcomes
+                    leq_two_plus_sqrt3(o.d_A, exact_mms[o.agent - 1]) for o in outcomes
                 )
         if policy.name == "dump-to-one" and "bounds" in checks and all_exact:
             run_checks["ratio-bound-n"] = all(
-                o.d_A <= inst.n * exact_mms[o.agent] for o in outcomes
+                o.d_A <= inst.n * exact_mms[o.agent - 1] for o in outcomes
             )
         report.runs.append(
             RunReport(

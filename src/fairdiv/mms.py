@@ -4,11 +4,13 @@ The MMS of an agent is the minimum over n-way partitions of the item set of
 the largest bundle disutility under that agent's valuation. Exact values are
 computed by branch and bound over partitions; when that is infeasible the
 module produces certified lower/upper bounds instead, so downstream ratio
-reports never state an exact number without an exact benchmark.
+reports never state an exact number without an exact benchmark. Each agent's
+:class:`AgentMms` record is assembled by :func:`fairdiv.adversary.mms_report`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,9 +148,7 @@ def per_type_share(count: int, value: Fraction, n: int) -> Fraction:
 
 def agent_type_shares(values, n: int) -> list[TypeShare]:
     """Group a value stream by distinct value (first-appearance order)."""
-    counts: dict[Fraction, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
+    counts = Counter(values)
     return [TypeShare(value=v, count=c, share=per_type_share(c, v, n)) for v, c in counts.items()]
 
 
@@ -163,6 +163,8 @@ def witness_max_bundle(inst: Instance, agent: int, partition) -> Fraction:
     for bundle in partition:
         s = Fraction(0)
         for j in bundle:
+            if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= inst.m:
+                raise FairdivError(f"witness partition names item {j!r} outside 1..{inst.m}")
             if j in seen:
                 raise FairdivError(f"witness partition repeats item {j}")
             seen.add(j)
@@ -173,34 +175,43 @@ def witness_max_bundle(inst: Instance, agent: int, partition) -> Fraction:
     return worst
 
 
-def mms_bounds(inst: Instance, agent: int, witness=None) -> tuple[Fraction, Fraction]:
+def mms_bounds(inst: Instance, agent: int) -> tuple[Fraction, Fraction]:
     """Certified (lower, upper) bounds on one agent's MMS.
 
     lower = max(average disutility, largest single item): the average is a
     bound because some bundle carries at least its share of the total, and
-    some bundle must hold the largest item. upper = the per-type share sum
-    (valid because the per-type optimal partitions can be unioned), improved
-    by an explicit witness partition when one is supplied.
+    some bundle must hold the largest item. upper = the per-type share sum,
+    the max bundle of the type-union partition (the per-type optimal
+    partitions unioned).
     """
     if inst.m == 0:
         raise FairdivError("mms_bounds: empty instance")
     vals = inst.agent_values(agent)
-    lower = max(sum(vals, Fraction(0)) / inst.n, max(vals))
-    upper = sum((ts.share for ts in agent_type_shares(vals, inst.n)), Fraction(0))
-    if witness is not None:
-        upper = min(upper, witness_max_bundle(inst, agent, witness))
+    shares = agent_type_shares(vals, inst.n)
+    lower = max(sum(vals, Fraction(0)) / inst.n, max(ts.value for ts in shares))
+    upper = sum((ts.share for ts in shares), Fraction(0))
     return lower, upper
 
 
 @dataclass(frozen=True)
 class AgentMms:
-    """Exact MMS when tractable, certified bounds always."""
+    """One agent's certified MMS bounds: lower <= MMS <= upper.
+
+    ``witness`` is a partition (1-based item indices) whose max bundle is
+    ``upper``. ``exact`` is the MMS when the search found it, and then
+    equals ``upper``; otherwise None.
+    """
 
     agent: int
     lower: Fraction
     upper: Fraction
-    exact: Fraction | None = None
-    witness: tuple[tuple[int, ...], ...] | None = None  # 1-based item indices
+    exact: Fraction | None
+    witness: tuple[tuple[int, ...], ...]
+
+    @property
+    def source(self) -> str:
+        """Where ``upper`` comes from: "exact" or "witness"."""
+        return "witness" if self.exact is None else "exact"
 
     def __post_init__(self):
         if self.exact is not None and not (self.lower <= self.exact <= self.upper):
@@ -209,37 +220,18 @@ class AgentMms:
             )
 
 
-def agent_mms(inst: Instance, agent: int) -> AgentMms:
-    if inst.m == 0:  # n empty bundles: every bound is 0
-        zero = Fraction(0)
-        return AgentMms(agent=agent, lower=zero, upper=zero, exact=zero, witness=((),) * inst.n)
-    lower, upper = mms_bounds(inst, agent)
-    try:
-        exact, positions = mms_exact(inst.agent_values(agent), inst.n)
-    except InstanceTooLarge:
-        return AgentMms(agent=agent, lower=lower, upper=upper)
-    witness = tuple(tuple(p + 1 for p in bundle) for bundle in positions)
-    return AgentMms(agent=agent, lower=lower, upper=min(upper, exact), exact=exact, witness=witness)
-
-
-def mms_report(inst: Instance) -> list[AgentMms]:
-    return [agent_mms(inst, i) for i in range(1, inst.n + 1)]
-
-
 def mms_report_to_obj(report) -> list[dict]:
-    out = []
-    for entry in report:
-        obj = {
+    """The ``fairdiv mms`` JSON records; ``source`` is not written."""
+    return [
+        {
             "agent": entry.agent,
             "lower_bound": format_rational(entry.lower),
             "upper_bound": format_rational(entry.upper),
             "exact_mms": None if entry.exact is None else format_rational(entry.exact),
-            "witness_partition": None
-            if entry.witness is None
-            else [list(bundle) for bundle in entry.witness],
+            "witness_partition": [list(bundle) for bundle in entry.witness],
         }
-        out.append(obj)
-    return out
+        for entry in report
+    ]
 
 
 @dataclass(frozen=True)
@@ -283,8 +275,6 @@ __all__ = [
     "witness_max_bundle",
     "mms_bounds",
     "AgentMms",
-    "agent_mms",
-    "mms_report",
     "mms_report_to_obj",
     "DecompositionCheck",
     "check_mms_decomposition",

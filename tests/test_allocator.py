@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from fairdiv import (
     FairdivError,
     Instance,
+    ParseError,
     PressureState,
     bi_value_merges,
     make_policy,
@@ -117,6 +119,32 @@ def test_trace_jsonl_roundtrip():
     _, trace = run_online(inst, PressureGreedyPolicy())
     again = trace_from_jsonl(trace.to_jsonl(), n=3)
     assert again.to_jsonl() == trace.to_jsonl()
+
+
+_STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1], "agent": 1}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("{", "invalid JSON"),
+        ('{"item":1}', "needs the keys"),
+        ("[1, 2]", "needs the keys"),
+        (json.dumps({**_STEP, "agent": True}), "agent True"),
+        (json.dumps({**_STEP, "agent": 3}), "agent 3"),
+        (json.dumps({**_STEP, "agent": 0}), "agent 0"),
+        (json.dumps({**_STEP, "raw": ["1"]}), "raw must be a list of 2"),
+        (json.dumps({**_STEP, "effective": ["1", "2", "3"]}), "effective must be a list of 2"),
+        (json.dumps({**_STEP, "types": [1]}), "types must be a list of 2"),
+        (json.dumps({**_STEP, "types": [0, 1]}), "types must be positive"),
+        (json.dumps({**_STEP, "types": [1, False]}), "types must be positive"),
+        (json.dumps({**_STEP, "raw": ["1", 0.5]}), "not a rational"),
+    ],
+)
+def test_trace_from_jsonl_rejects_malformed_lines(line, message):
+    text = json.dumps(_STEP) + "\n\n" + line + "\n"
+    with pytest.raises(ParseError, match=f"^line 3: .*{message}"):
+        trace_from_jsonl(text, n=2)
 
 
 def test_n1_degenerate():

@@ -9,10 +9,14 @@ value and fall back to the rounded rule, an n = 1 bi-value run whose
 effective values stay raw, and one instance past the exact-MMS search guard,
 whose report holds interval outcomes.
 
-Some cases add the ``certify_ratio`` certificates of the pressure-greedy
-allocation (optionally with one extra witness partition), or the four files
-``fairdiv run`` writes (allocation, trace, JSON report, CSV report) for one
-policy.
+Every case within the exact-MMS search guard adds its ``fairdiv mms``
+report. Some cases add the ``certify_ratio`` certificates of the
+pressure-greedy allocation (optionally with one extra witness partition), or
+the four files ``fairdiv run`` writes (allocation, trace, JSON report, CSV
+report) for one policy.
+
+A second corpus of short adversary games pins each game's certificate JSON
+and, for the recursive game, its window events.
 
 Re-record (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -30,10 +34,20 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import Instance, certify_ratio, instance_to_json, run_experiment, run_online
-from fairdiv.allocator import BiValuePolicy, PressureGreedyPolicy
+from fairdiv import (
+    Instance,
+    TwoAgentAdversary,
+    certify_ratio,
+    instance_to_json,
+    make_recursive_adversary,
+    play_game,
+    run_experiment,
+    run_online,
+)
+from fairdiv.allocator import BiValuePolicy, ExternalPolicy, PressureGreedyPolicy, make_policy
 from fairdiv.cli import main
 from fairdiv.harness import GeneratorConfig, generate_instance
+from fairdiv.mms import exact_search_limit
 from fairdiv.stacking import allocator_to_stacking, stacking_trace_to_jsonl
 
 from conftest import random_instance
@@ -80,35 +94,57 @@ CLI_RUNS = {
     "n3-near-threshold": ("pressure-greedy", "bi-value"),
 }
 
+# Adversary games: (adversary, policy, budget). Each runs in well under 0.05 s.
+GAMES = {
+    # base-window, lifted twice; 3 rounds
+    "n3-dump-to-one": lambda: (make_recursive_adversary(3, 1, 1000), make_policy("dump-to-one"), 1000),
+    # lifted at level 3; 15 rounds
+    "n3-mixture7": lambda: (make_recursive_adversary(3, 1, 1000), make_policy("mixture:7"), 1000),
+    # bin-packing at level 3; 39 rounds
+    "n3-own-target": lambda: (make_recursive_adversary(3, 1, 1), ExternalPolicy(lambda d: 3), 200),
+    # bin-packing at level 2; 122 rounds
+    "n2-own-target": lambda: (make_recursive_adversary(2, 1, 100), ExternalPolicy(lambda d: 2), 1000),
+    # budget exhausted: certify_ratio past the exact-search guard
+    "n3-exhausted": lambda: (make_recursive_adversary(3, 1, 60), PressureGreedyPolicy(), 60),
+    "two-agent": lambda: (TwoAgentAdversary(Fraction(1, 2)), PressureGreedyPolicy(), 10000),
+}
+
 GOLDEN = {
     'n1-three-values:trace/pressure-greedy': '6522d8c6e95e10f4296c439bafb657f8274f258f0998adf74a6fd9f8315718a3',
     'n1-three-values:trace/bi-value': '1ba4d21ba5ac6122e56497bd542bb39800d43865f9e0ff0236e83b368ab24081',
     'n1-three-values:report': '5c97cbe87c881ba95c638156fb892beee270a5c70bfdd1a76bfdc4bf9e32df57',
+    'n1-three-values:mms': 'f111877988ee31db9025074cfccfdcbe96e1f5343f57a238d340b5b19cb0a3c6',
     'n2-near-threshold:trace/pressure-greedy': '8af89d6fe32a7eb9209dbcc66e590c3e38a26cc383a4ef48a2f0b41b52064ae7',
     'n2-near-threshold:stacking': '004e6c094caf1dec6aac270673b5904ffc78184cc1cdd7094809ebf7afc4bc47',
     'n2-near-threshold:trace/bi-value': 'c28b10d3670c074f7df2b7f1c0d343ab4336efe214b3aea8b9ac8b1fb3c09c54',
     'n2-near-threshold:report': 'da8d498bd33806c9f57d0d462329387fb3a0c0f1109f88b715deb8de52d50761',
+    'n2-near-threshold:mms': 'b885fdff6ffc97dddb6bba28718d219643139098cbb247d3ec1226cb5667a1be',
     'n2-pow2-k2:trace/pressure-greedy': '0a8df0a0583096b68c4db4430a911f099f5e2fe566f447f1a1521255de12541a',
     'n2-pow2-k2:stacking': '5f62d2f46cd314ac1d131f981f9e986dcc719ea1f2caaae52a9317163de596ea',
     'n2-pow2-k2:trace/bi-value': '5d530ab169dab148a350a04829d6e706586a5f85b03fbb1b4718e7869c3c8458',
     'n2-pow2-k2:report': '2356995a17028ad013a66f49d8f8064e60557f2a80af01504f4cc2ff526f8605',
+    'n2-pow2-k2:mms': '7789ea6309075e2738aa6ac8ac4d5398ebd3c09e49d819e8933eb4604b13d908',
     'n2-k3-fallback:trace/pressure-greedy': '4843231954ed201be187116203dd91f29f5cc16d11972a3ebe5ce11e3d6f300f',
     'n2-k3-fallback:stacking': 'fdede18e4776811a1db97ed8648f4766269de57fab032278d69af8231c640a65',
     'n2-k3-fallback:trace/bi-value': 'ad4d9ac376a4872e590e68d3f3c6e8418a71fc0ad530630d3d6d23075a1f8c17',
     'n2-k3-fallback:report': '37c2730defbc7b36e53bafe9020e38ca5817a4765e39578e9fa97015ca3420cf',
     'n2-k3-fallback:certificates': '83399e7d463446d9d194184e8e8e2be8e0361143cc81daf135c4fcbbb32ae240',
+    'n2-k3-fallback:mms': '66f039591a52cf5dab3b344054220cfd8e0970b3ff19037ae821a1a9e1aaf784',
     'n2-k3-late-fallback:trace/pressure-greedy': 'cb8604162e28e19ba3bee743e5efcfa7d2a6baac505f82b733268fd16b0cd43b',
     'n2-k3-late-fallback:stacking': 'ac01896f27df42a04b76b16be80c684b8188a6840d0f5a8d464d102b649ff8ba',
     'n2-k3-late-fallback:trace/bi-value': '7420c7399edef3ab1009dc9a8017adf35b742b544f0202cc80cbe9a06d2a7c51',
     'n2-k3-late-fallback:report': '6d88e6e2d26c9c2c677ceba3a13ce4886dc5212c3f3748ae3427dc3143aa932e',
+    'n2-k3-late-fallback:mms': '655ffd36991147cd6b8f14aaac4908fd9ba66d399705635e39f5a908f94fc711',
     'n2-k3-replay-peak:trace/pressure-greedy': '1e17bcd7917a79b4d77124ea92de759b2ddf8bd069f2b57904d027796d264ce5',
     'n2-k3-replay-peak:stacking': '514d8cc43d69b2658f4ecb74953584b07ba21309bb886cc7b56e89a1d5c853bf',
     'n2-k3-replay-peak:trace/bi-value': '08126255eb493208a26954110ed02d06ac4c4aca0ac6313eb8b11719199fb918',
     'n2-k3-replay-peak:report': 'f7d675cd1d1f53ed4639af47cec941619d40f5e0a3532a1c074ee1056d1ed414',
+    'n2-k3-replay-peak:mms': '43eb5715b2ead676b45ca22dedbc675adc55e752ce3f1a347a27cff2a5378f2e',
     'n3-k3-late-fallback:trace/pressure-greedy': '562617a93adf86b45e8138e486989e0a3d199be4c6f3cdf093eeb3a67369b7a9',
     'n3-k3-late-fallback:stacking': '8be486d54f0781718648d10b468f8e5f8c56e1feea1e36ef3703294bc197ebfa',
     'n3-k3-late-fallback:trace/bi-value': '0adbe790291e6f27ba89408a58b4b914e3037b34e133ab88ca3508fe22b6a3fa',
     'n3-k3-late-fallback:report': '007e659b1103dd5d1f50e20b6569d314e65362b9b452edb6472974a147bd737e',
+    'n3-k3-late-fallback:mms': '06acbdee3a9ce7e23b8c9e64d18399e2bcff376645520de2d029c2e6ce1af67f',
     'n3-near-threshold:trace/pressure-greedy': '33d6efe8f271d6b532790966288f48ca1390b53d03c86ff7be8a0f6ade689bca',
     'n3-near-threshold:stacking': 'f474f9af7e3c0906fc006047793f27f0262f5517e2d4df789760fe66f8580481',
     'n3-near-threshold:trace/bi-value': '46095bd70016ed2e3c09da6af345509e4b1924734c124a5e805e9bd08ef5f046',
@@ -121,28 +157,44 @@ GOLDEN = {
     'n3-near-threshold:cli/bi-value/trace': '46095bd70016ed2e3c09da6af345509e4b1924734c124a5e805e9bd08ef5f046',
     'n3-near-threshold:cli/bi-value/report.json': '0a304d2746e552182231d5b0ce88a9ea4b07c7041122fe4f7a11b1ba6be50ca0',
     'n3-near-threshold:cli/bi-value/report.csv': '07b8e14165ff95e48e003dfe876e337da15509e65942fc56af82297d061b7e96',
+    'n3-near-threshold:mms': 'be05709d5a3d31f624a356706b274c6a4dc88b94ed7922dc61b39411d50b639b',
     'n3-uniform-k3-fallback:trace/pressure-greedy': 'd0612fee8b54aa13217d21c6d84bc9d841e0a26fd7f46f212e77eb128e25bec6',
     'n3-uniform-k3-fallback:stacking': 'd87981bc5752e306ffd4bf878c43ee3dcd2b48d1b143cd3796645f54fe75b5b5',
     'n3-uniform-k3-fallback:trace/bi-value': '361cf6f9b8b1a3bba3efbd05250047a922d7083e617e9fddef0230e2491c2983',
     'n3-uniform-k3-fallback:report': '1393d85551f61958f0da038f446d3ebed4428a1b632a33f05fa16970edda281d',
+    'n3-uniform-k3-fallback:mms': 'cb1f04a111ebb883f2d47c5d25565fb3b9d59b8452b3f6027be71aadc3a2fad5',
     'n3-k3-fallback:trace/pressure-greedy': '86d3d478eb7a4b14660e0d5224a205a3f4998ac4238ebbab17f282b26a2294ab',
     'n3-k3-fallback:stacking': 'f5a4db75d81fac3e7c705b6b5d920127a0cf8dbdc892e74e7d10dd305223438e',
     'n3-k3-fallback:trace/bi-value': '9d356bca0d45ea5d7561c4ddc4ea5a27260421abfa17e9d8fa6227ba2438e0aa',
     'n3-k3-fallback:report': 'cad2b0867f045a2417cf203cc4b1a2aed62bae3d90b2e7a05c63d9e0be690c1c',
+    'n3-k3-fallback:mms': '7e1a2240db84516dd6ff341c84900f3dfdb728396ec4d94ce5c1636374cd51b9',
     'n4-near-threshold:trace/pressure-greedy': 'e6f1a287c68a8d0d781b732fbd3172f50c73d932d24e7d0990d76641db3d000d',
     'n4-near-threshold:stacking': '34012a6733617613ee93ccd852c4879edbd32bf9149c4cd5cc51938ca84d576c',
     'n4-near-threshold:trace/bi-value': 'ad97669cc507cff318b78a5147f1835055e0f0066663ac053130e0cffa0a21f8',
     'n4-near-threshold:report': '338dd1843599b6cbea191da3e0537e52f57427f3715f4ea7a519444bcf266cdb',
+    'n4-near-threshold:mms': 'ee01cb74b1eb32db5d9136c4ff3db6abfe4e22784e02a141a534a5c1cd8b17f9',
     'n4-k3-fallback:trace/pressure-greedy': '86f0266c90f774a697c1d6e58e11f52c24b37fab28bdc7845573d6cd660f848d',
     'n4-k3-fallback:stacking': '6c65f39b61f4f2571bd85b249068d5e8399159cd4cf4983f77de9c92595c74b1',
     'n4-k3-fallback:trace/bi-value': 'c8fc060715e852c65a6b2f0a75f79c5ef129fac9261dd6db2a207dc69936e96a',
     'n4-k3-fallback:report': '64320a071e888cfc3a2eebda1f7479990be0c84b4e0c3f9b14be6a0ed9f41a4b',
+    'n4-k3-fallback:mms': '6fae568d65ae378dce4e0c92ae2149b254aeb4680dc40836ab07f4a779a45bb6',
     'n4-past-guard:trace/pressure-greedy': 'e3a14669d523c4cb1a65d4449c5cc29c28cf363bcf472ec91acb52f5939128aa',
     'n4-past-guard:stacking': '3c24792d3c24e5ed15682c8fa7d2b79e9dbe9c18b7a6df989d0cb987a71097f9',
     'n4-past-guard:trace/bi-value': '7459dee0235f50094b8736ec661032af30b49f88aaac2b7795efcd6b6ab7b27d',
     'n4-past-guard:report': '6fc48d344e2bd79c499bafcd25371e98df3cafb2d1b254b75170ddc3c2171933',
     'n4-past-guard:certificates': 'aa3b3b1d5115dfa8d4d1a02f4c94ec94abcaa4065b145b9e6144176f68c18dc8',
     'n4-past-guard:certificates+witness': 'c3360afcb59812b0943a4090dbec44c7b2354b64b9165f43227f16cf51a5ed87',
+    'game/n3-dump-to-one:certificate': '57ca9d90f864a0089164e7681975a882e905cfefdf2aa77e6bed935d358755eb',
+    'game/n3-dump-to-one:events': 'c72411011528b7eddca3359ea6e7ef18aeb108b4c644356f27f2e12466d9f2ba',
+    'game/n3-mixture7:certificate': 'aea38c9c4edd39a4ccd6aab34db6e73a5e4cd0b6eeb2d3b846e5601fc426af1f',
+    'game/n3-mixture7:events': '2efe2775842247019ce3d838ab47731206a7d467bb1492f7ad07dcd795e48d02',
+    'game/n3-own-target:certificate': 'bc6970df5b8506db0a69516f45e94f7c0b4597a0791c1b2c39b83dd876f44e2a',
+    'game/n3-own-target:events': '334e1819ecea95352829a3e603b90e19f107b7b0c4e17bda4f31c1a9be2702c3',
+    'game/n2-own-target:certificate': '6c34b8fb40839f4d2ec6cec739decae5de1cbb97b85c1199c331d0b9e1289f2a',
+    'game/n2-own-target:events': 'ec2cf19b73f7db52772245f0c1b869bcb340077972fe90073d00ad3f5f353602',
+    'game/n3-exhausted:certificate': 'd4c90474280a0afa497918d291c71a29ee18870890a802630212ff40885bce1c',
+    'game/n3-exhausted:events': '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',
+    'game/two-agent:certificate': '6dca2bc985eb4f3ddbb8ad7d8a8cb5ce2b5a1312de6a7bf39ade9e7f3745e2db',
 }
 
 
@@ -162,7 +214,31 @@ def _artifacts(case: str) -> dict[str, str]:
         out["certificates" + name[len(case):]] = json.dumps([c.to_obj() for c in certs], sort_keys=True)
     for policy in CLI_RUNS.get(case, ()):
         out.update({f"cli/{policy}/{f}": text for f, text in _cli_run(inst, policy).items()})
+    if inst.m <= exact_search_limit(inst.n):
+        out["mms"] = _cli_mms(inst)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _game_artifacts(name: str) -> dict[str, str]:
+    adversary, policy, budget = GAMES[name]()
+    result = play_game(adversary, policy, budget)
+    out = {"certificate": json.dumps(result.certificate.to_obj(), sort_keys=True)}
+    if result.record is not None:
+        events = [(e.level, e.kind, e.agent, e.round_local, e.strict) for e in result.record.events]
+        out["events"] = json.dumps(events)
+    return out
+
+
+def _cli_mms(inst) -> str:
+    """The report ``fairdiv mms`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = os.path.join(tmp, "instance"), os.path.join(tmp, "mms.json")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(instance_to_json(inst) + "\n")
+        main(["mms", "--in", src, "--out", dst])
+        with open(dst, encoding="utf-8") as fh:
+            return fh.read()
 
 
 def _cli_run(inst, policy: str) -> dict[str, str]:
@@ -183,11 +259,16 @@ def _cli_run(inst, policy: str) -> dict[str, str]:
 
 def _digest(key: str) -> str:
     case, artifact = key.split(":", 1)
-    return hashlib.sha256(_artifacts(case)[artifact].encode("utf-8")).hexdigest()
+    if case.startswith("game/"):
+        text = _game_artifacts(case[len("game/"):])[artifact]
+    else:
+        text = _artifacts(case)[artifact]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _all_keys() -> list[str]:
-    return [f"{case}:{artifact}" for case in CORPUS for artifact in _artifacts(case)]
+    keys = [f"{case}:{artifact}" for case in CORPUS for artifact in _artifacts(case)]
+    return keys + [f"game/{name}:{artifact}" for name in GAMES for artifact in _game_artifacts(name)]
 
 
 def test_corpus_is_fully_recorded():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,11 @@ from fairdiv import (
     instance_to_json,
     leq_two_plus_sqrt3,
     load_instance,
+    parse_rational,
     run_experiment,
 )
 from fairdiv.cli import main
+from fairdiv.mms import exact_search_limit, witness_max_bundle
 from fairdiv.harness import NEAR_THRESHOLD_ABOVE, NEAR_THRESHOLD_BELOW, policy_zoo
 
 F = Fraction
@@ -173,6 +176,23 @@ def test_cli_gen_run_mms_roundtrip(tmp_path):
     assert report["runs"][0]["policy"] == "pressure-greedy"
     assert trace_path.read_text().count("\n") == 9
     assert main(["mms", "--in", str(inst_path), "--out", "-"]) == 0
+
+
+def test_cli_mms_agrees_with_run_past_the_guard(tmp_path):
+    rng = random.Random(4)
+    inst = Instance(2, tuple((F(rng.randint(1, 99)), F(rng.randint(1, 99))) for _ in range(23)))
+    assert inst.m > exact_search_limit(2)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(inst) + "\n")
+    assert main(["mms", "--in", str(inst_path), "--out", str(tmp_path / "mms.json")]) == 0
+    assert main(["run", "--in", str(inst_path), "--report", str(tmp_path / "report.json")]) == 0
+    records = json.loads((tmp_path / "mms.json").read_text())
+    outcomes = json.loads((tmp_path / "report.json").read_text())["runs"][0]["agents"]
+    for record, outcome in zip(records, outcomes, strict=True):
+        assert record["exact_mms"] is None and outcome["ratio_kind"] == "interval"
+        upper = parse_rational(record["upper_bound"])
+        assert upper == parse_rational(outcome["d_A"]) / parse_rational(outcome["ratio_low"])
+        assert witness_max_bundle(inst, record["agent"], record["witness_partition"]) == upper
 
 
 def test_cli_adversary_run(tmp_path):

@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairdiv import (
+    Allocation,
+    FairdivError,
     Instance,
     InstanceTooLarge,
+    certify_ratio,
     check_mms_decomposition,
     mms_bounds,
     mms_exact,
+    mms_report,
     per_type_share,
+    verify_certificate,
 )
-from fairdiv.mms import agent_mms, witness_max_bundle
+from fairdiv.adversary import RatioCertificate
+from fairdiv.mms import witness_max_bundle
 
 from conftest import brute_force_mms, random_instance
 
@@ -82,9 +88,8 @@ def test_bounds_with_witness():
         (Fraction(1), Fraction(1)),
         (Fraction(1), Fraction(1)),
     ))
-    lower, upper = mms_bounds(inst, 1, witness=[[1], [2, 3]])
-    assert lower == 4  # max(6/2, 4)
-    assert upper == 4  # witness attains it: exact
+    assert mms_bounds(inst, 1)[0] == 4  # max(6/2, 4)
+    assert mms_report(inst, [[[1], [2, 3]]])[0].upper == 4  # witness attains it: exact
 
 
 def test_bounds_single_item():
@@ -132,9 +137,23 @@ def test_agent_mms_witness_consistent():
     rng = random.Random(23)
     inst = random_instance(rng, n=3, m=8, k=3)
     for agent in range(1, 4):
-        entry = agent_mms(inst, agent)
+        entry = mms_report(inst)[agent - 1]
         assert entry.exact is not None
         assert witness_max_bundle(inst, agent, entry.witness) == entry.exact
+
+
+def test_witness_rejects_items_outside_the_instance():
+    inst = Instance(2, ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(100), Fraction(100))))
+    alloc = Allocation((1, 1, 2))
+    # item -2 would wrap around to item 2 and leave item 3 uncounted: ratio 100/2
+    forged = RatioCertificate(2, Fraction(100), Fraction(2), ((-2,), (1, 2)), "witness", Fraction(50))
+    with pytest.raises(FairdivError, match="outside 1..3"):
+        verify_certificate(inst, alloc, forged)
+    for bad in ([[-2], [1, 2]], [[4], [1, 2, 3]], [[0], [1, 2, 3]], [[True], [2, 3]], [[1.0], [2, 3]]):
+        with pytest.raises(FairdivError, match="outside 1..3"):
+            witness_max_bundle(inst, 1, bad)
+        with pytest.raises(FairdivError, match="outside 1..3"):
+            certify_ratio(inst, alloc, [bad])
 
 
 @settings(max_examples=60)

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` swaps names in the fairdiv modules that call them, so
 it breaks when a patched name disappears. These tests install it on a fresh
 import of fairdiv, as ``perfbench/run.py`` does, and check that an experiment
-searches each agent's MMS once and that ``fairdiv run`` runs its policy once.
+searches each agent's MMS once, that ``fairdiv run`` runs its policy once,
+and that past the search guard the built-in witnesses are not re-summed.
 """
 
 from __future__ import annotations
@@ -85,3 +86,18 @@ def test_cli_run_runs_its_policy_once(fresh_fairdiv, tmp_path):
     assert metrics["cli.main.calls"] == 1
     assert metrics["allocator.run_online.calls"] == 1
     assert metrics["allocator.RunTrace.to_jsonl.calls"] == 1
+
+
+def test_cli_run_past_the_guard_sums_no_witness(fresh_fairdiv, tmp_path):
+    tracer, fd = fresh_fairdiv
+    inst = random_instance(random.Random(7), n=3, m=17, k=3)
+    assert inst.m > fd.mms.exact_search_limit(inst.n)
+    path = tmp_path / "instance.json"
+    path.write_text(fd.core.instance_to_json(fd.core.Instance(inst.n, inst.items)) + "\n")
+    codes = []
+    argv = ["run", "--in", str(path), "--report", str(tmp_path / "report.json")]
+    metrics = _traced(tracer, fd, lambda: codes.append(fd.cli.main(argv)))
+    assert codes == [0]
+    assert metrics["mms.mms_exact.calls"] == 3
+    assert metrics["mms.mms_exact.refused"] == 3
+    assert metrics["mms.witness_max_bundle.calls"] == 0
