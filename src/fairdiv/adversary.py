@@ -609,19 +609,16 @@ class GameResult:
     record: RecGameRecord | None = None
 
 
-def play_game(adversary, policy: Policy, budget: int, target_ratio=None) -> GameResult:
+def play_game(adversary, policy: Policy, budget: int) -> GameResult:
     """Run the adaptive loop until a certificate beats the target or budget ends.
 
-    The default target is what the construction promises: 2 - eps for the
-    two-agent game and n - eps for the recursive one. On budget exhaustion
+    The target is what the construction promises: 2 - eps for the two-agent
+    game and n - eps for the recursive one. On budget exhaustion
     the best certificate obtainable from the realized instance is returned,
     flagged as uncertified.
     """
     n = adversary.n if isinstance(adversary, TwoAgentAdversary) else adversary.level
-    if target_ratio is None:
-        target_ratio = Fraction(n) - adversary.eps
-    else:
-        target_ratio = Fraction(target_ratio)
+    target_ratio = Fraction(n) - adversary.eps
     policy.start(n)
     trace = RunTrace(n=n, policy=policy.name)
 

@@ -28,9 +28,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Allocation, FairdivError, Instance, ParseError, ceil_div, format_rational, parse_rational
-
-POLICY_NAMES = ("pressure-greedy", "bi-value", "round-robin", "dump-to-one")
+from .core import (
+    Allocation, FairdivError, Instance, ParseError, ceil_div, format_rational,
+    is_positive_int, parse_json, parse_jsonl, parse_rational,
+)
 
 
 def round_up_pow2(d: Fraction) -> Fraction:
@@ -52,8 +53,7 @@ class PressureState:
 
     ``registry[i]`` maps an agent's effective item value to its type index
     (1-based, in first-appearance order); ``scaled[i][u-1]`` is the pressure
-    H_i^u multiplied by (n-1). Receipt and sighting counts per type back the
-    closed-form identity (n-1)*H_i^u = n*receipts - sightings.
+    H_i^u multiplied by (n-1).
     """
 
     def __init__(self, n: int):
@@ -62,14 +62,10 @@ class PressureState:
         self.n = n
         self.registry: list[dict[Fraction, int]] = [dict() for _ in range(n)]
         self.scaled: list[list[int]] = [[] for _ in range(n)]
-        self.receipts: list[list[int]] = [[] for _ in range(n)]
-        self.sightings: list[list[int]] = [[] for _ in range(n)]
 
     def add_type(self, agent: int) -> int:
         """Open a zero-pressure type slot for ``agent``; returns its index."""
         self.scaled[agent - 1].append(0)
-        self.receipts[agent - 1].append(0)
-        self.sightings[agent - 1].append(0)
         return len(self.scaled[agent - 1])
 
     def register(self, agent: int, value: Fraction) -> int:
@@ -93,7 +89,6 @@ class PressureState:
         pressure over the touched types (ties to the lowest index)."""
         n = self.n
         scaled = self.scaled
-        sightings = self.sightings
         if agent is None:
             winner = 0
             best = scaled[0][types[0] - 1]
@@ -105,11 +100,8 @@ class PressureState:
         else:
             winner = agent - 1
         for i in range(n):
-            u = types[i] - 1
-            sightings[i][u] += 1
-            scaled[i][u] -= 1
+            scaled[i][types[i] - 1] -= 1
         scaled[winner][types[winner] - 1] += n
-        self.receipts[winner][types[winner] - 1] += 1
         return winner + 1
 
 
@@ -178,47 +170,36 @@ class RunTrace:
 _TRACE_KEYS = ("item", "raw", "effective", "types", "agent")
 
 
-def _is_positive_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
-
-
-def _parse_trace_step(line: str, n: int) -> TraceStep:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(rec, dict) or any(key not in rec for key in _TRACE_KEYS):
-        raise ParseError("a trace record needs the keys " + ", ".join(_TRACE_KEYS))
-    if not _is_positive_int(rec["agent"]) or rec["agent"] > n:
+def _parse_trace_step(line, n: int, item: int) -> TraceStep:
+    """One trace record, which must be the ``item``-th record of its trace."""
+    rec = parse_json(line, _TRACE_KEYS, "a trace record")
+    if not is_positive_int(rec["agent"]) or rec["agent"] > n:
         raise ParseError(f"agent {rec['agent']!r} is not in 1..{n}")
     for key in ("raw", "effective", "types"):
         if not isinstance(rec[key], list) or len(rec[key]) != n:
             raise ParseError(f"{key} must be a list of {n} entries")
-    if not all(_is_positive_int(u) for u in rec["types"]):
+    if not all(is_positive_int(u) for u in rec["types"]):
         raise ParseError(f"types must be positive integers, got {rec['types']!r}")
+    raw = tuple(parse_rational(v) for v in rec["raw"])
+    effective = tuple(parse_rational(v) for v in rec["effective"])
+    if not is_positive_int(rec["item"]) or rec["item"] != item:
+        raise ParseError(f"item {rec['item']!r} is not the record's position {item}")
     pressures = None
     if "pressures" in rec:
-        pressures = tuple(tuple(parse_rational(h) for h in row) for row in rec["pressures"])
-    return TraceStep(
-        item=rec["item"],
-        raw=tuple(parse_rational(v) for v in rec["raw"]),
-        effective=tuple(parse_rational(v) for v in rec["effective"]),
-        types=tuple(rec["types"]),
-        agent=rec["agent"],
-        pressures=pressures,
-    )
+        rows = rec["pressures"]
+        if not isinstance(rows, list) or len(rows) != n or not all(isinstance(r, list) for r in rows):
+            raise ParseError(f"pressures must be a list of {n} lists")
+        pressures = tuple(tuple(parse_rational(h) for h in row) for row in rows)
+    return TraceStep(item, raw, effective, tuple(rec["types"]), rec["agent"], pressures)
 
 
-def trace_from_jsonl(text: str, n: int, policy: str = "external") -> RunTrace:
-    """Parse a JSONL trace of ``n`` agents; a malformed line raises :class:`ParseError`."""
+def trace_from_jsonl(text, n: int, policy: str = "external") -> RunTrace:
+    """Parse a JSONL trace (``str`` or ``bytes``) of ``n`` agents with items
+    numbered 1..m; a malformed line raises :class:`ParseError`."""
     trace = RunTrace(n=n, policy=policy)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            trace.steps.append(_parse_trace_step(line, n))
-        except (ParseError, TypeError, ValueError) as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+    # parse_jsonl is lazy, so each record is parsed after its predecessors are appended
+    for _, step in parse_jsonl(text, lambda line: _parse_trace_step(line, n, trace.m + 1)):
+        trace.steps.append(step)
     return trace
 
 
@@ -563,7 +544,6 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
 
 
 __all__ = [
-    "POLICY_NAMES",
     "round_up_pow2",
     "PressureState",
     "TraceStep",

@@ -35,10 +35,11 @@ from .mms import mms_report_to_obj
 from .stacking import replay_stacking_trace
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> bytes:
+    """The raw bytes of a file (or stdin); the loaders decode them."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
         return fh.read()
 
 

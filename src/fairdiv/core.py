@@ -11,6 +11,7 @@ accessors, matching the usual notation for allocation problems.
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import json
 import re
@@ -32,6 +33,11 @@ class InvariantViolation(FairdivError):
     """A structural or theoretical invariant failed at runtime."""
 
 
+def is_positive_int(x) -> bool:
+    """A JSON-style positive integer: an ``int`` >= 1 that is not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
@@ -48,12 +54,21 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, str):
         if not _RATIONAL_RE.match(text):
             raise ParseError(f"not a rational string: {text!r}")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError:  # past the interpreter's int/str digit limit
+            return Fraction(*(int(decimal.Decimal(part)) for part in text.split("/")))
     raise ParseError(f"not a rational: {text!r}")
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """``"p"`` or ``"p/q"`` in lowest terms, for rationals of any length."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:  # past the interpreter's int/str digit limit
+        p, q = decimal.Decimal(x.numerator), decimal.Decimal(x.denominator)
+        return f"{p}" if q == 1 else f"{p}/{q}"
 
 
 @dataclass(frozen=True)
@@ -68,7 +83,7 @@ class Instance:
     items: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        if not is_positive_int(self.n):
             raise ParseError(f"agent count must be a positive integer, got {self.n!r}")
         for j, d in enumerate(self.items, start=1):
             if len(d) != self.n:
@@ -79,7 +94,7 @@ class Instance:
                 if not isinstance(v, Fraction):
                     raise ParseError(f"item {j}, agent {i}: not a rational: {v!r}")
                 if v <= 0:
-                    raise ParseError(f"item {j}, agent {i}: non-positive disutility {v}")
+                    raise ParseError(f"item {j}, agent {i}: non-positive disutility {format_rational(v)}")
 
     @property
     def m(self) -> int:
@@ -108,7 +123,7 @@ class Allocation:
 
     def __post_init__(self):
         for j, a in enumerate(self.assignment, start=1):
-            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+            if not is_positive_int(a):
                 raise ParseError(f"item {j}: invalid agent index {a!r}")
 
     @property
@@ -161,27 +176,48 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def parse_json(data, keys, what: str) -> dict:
+    """Decode one UTF-8 JSON object (``str`` or ``bytes``) holding ``keys``; bad
+    UTF-8 or JSON, over-long integers and too-deep nesting raise :class:`ParseError`."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        obj = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or any(key not in obj for key in keys):
+        raise ParseError(f"{what} needs the keys " + ", ".join(keys))
+    return obj
+
+
+def at_line(lineno: int, message) -> str:
+    return f"line {lineno}: {message}"
+
+
+def parse_jsonl(data, parse_line):
+    """Yield ``(lineno, parse_line(line))`` for each non-blank line of ``data``
+    (bytes lines are left for ``parse_line``'s :func:`parse_json` to decode);
+    a failure on a line raises :class:`ParseError` naming the line."""
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        if line.strip():
+            try:
+                record = parse_line(line)
+            except (FairdivError, TypeError, ValueError) as exc:
+                raise ParseError(at_line(lineno, exc)) from exc
+            yield lineno, record
+
+
 def load_instance(data) -> Instance:
     """Parse the instance file format and validate all invariants."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "n" not in obj or "items" not in obj:
-        raise ParseError('instance file must be {"n": ..., "items": [...]}')
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError(f"n must be an integer, got {n!r}")
-    items = []
+    obj = parse_json(data, ("n", "items"), "an instance file")
     if not isinstance(obj["items"], list):
         raise ParseError("items must be a list")
+    items = []
     for entry in obj["items"]:
         if not isinstance(entry, dict) or "d" not in entry or not isinstance(entry["d"], list):
             raise ParseError(f'item entries must be {{"d": [...]}}, got {entry!r}')
         items.append(tuple(parse_rational(v) for v in entry["d"]))
-    return Instance(n=n, items=tuple(items))
+    return Instance(n=obj["n"], items=tuple(items))
 
 
 def allocation_to_json(alloc: Allocation) -> str:
@@ -189,17 +225,9 @@ def allocation_to_json(alloc: Allocation) -> str:
 
 
 def load_allocation(data) -> Allocation:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "assignment" not in obj or not isinstance(obj["assignment"], list):
-        raise ParseError('allocation file must be {"assignment": [...]}')
-    for a in obj["assignment"]:
-        if not isinstance(a, int) or isinstance(a, bool):
-            raise ParseError(f"agent indices must be integers, got {a!r}")
+    obj = parse_json(data, ("assignment",), "an allocation file")
+    if not isinstance(obj["assignment"], list):
+        raise ParseError("assignment must be a list")
     return Allocation(assignment=tuple(obj["assignment"]))
 
 
@@ -216,6 +244,7 @@ __all__ = [
     "FairdivError",
     "ParseError",
     "InvariantViolation",
+    "is_positive_int",
     "parse_rational",
     "format_rational",
     "Instance",
@@ -223,6 +252,9 @@ __all__ = [
     "InstanceStats",
     "instance_stats",
     "instance_to_json",
+    "parse_json",
+    "at_line",
+    "parse_jsonl",
     "load_instance",
     "allocation_to_json",
     "load_allocation",

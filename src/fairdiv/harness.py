@@ -234,7 +234,7 @@ def leq_two_plus_sqrt3(d: Fraction, mms: Fraction) -> bool:
     return rest * rest <= 3 * mms * mms
 
 
-def run_experiment(inst: Instance, policies=None, checks=("bounds", "stacking")) -> ExperimentReport:
+def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
     """Run policies over one instance and flag every theoretical-bound check.
 
     Each agent's MMS record comes from one :func:`mms_report` call per
@@ -272,30 +272,29 @@ def run_experiment(inst: Instance, policies=None, checks=("bounds", "stacking"))
         if policy.name == "pressure-greedy" and inst.n >= 2:
             tc = validate_pressure_trace(trace)
             run_checks["trace-invariants"] = tc.passed
-            if "stacking" in checks:
-                try:
-                    reduction = allocator_to_stacking(trace, inst.n)
-                    run_checks["stacking-consistency"] = True
-                    if reduction.steps:
-                        beta = Fraction(inst.n, inst.n - 1)
-                        stacking_margin = check_bound(
-                            reduction.final, BoundProfile(k=reduction.k, beta=beta)
-                        ).margin
-                except FairdivError:
-                    run_checks["stacking-consistency"] = False
-            if "bounds" in checks and all_exact:
+            try:
+                reduction = allocator_to_stacking(trace, inst.n)
+                run_checks["stacking-consistency"] = True
+                if reduction.steps:
+                    beta = Fraction(inst.n, inst.n - 1)
+                    stacking_margin = check_bound(
+                        reduction.final, BoundProfile(k=reduction.k, beta=beta)
+                    ).margin
+            except FairdivError:
+                run_checks["stacking-consistency"] = False
+            if all_exact:
                 k_rounded = tc.game_k
                 run_checks["ratio-bound-8k+2"] = all(
                     o.d_A <= (8 * k_rounded + 2) * exact_mms[o.agent - 1] for o in outcomes
                 )
-        if policy.name == "bi-value" and inst.n >= 2 and "bounds" in checks:
+        if policy.name == "bi-value" and inst.n >= 2:
             if max_pressure is not None and stats.k <= 2:
                 run_checks["bi-value-pressure"] = max_pressure <= 2 + Fraction(1, inst.n - 1)
             if all_exact and stats.k <= 2:
                 run_checks["ratio-bound-2+sqrt3"] = all(
                     leq_two_plus_sqrt3(o.d_A, exact_mms[o.agent - 1]) for o in outcomes
                 )
-        if policy.name == "dump-to-one" and "bounds" in checks and all_exact:
+        if policy.name == "dump-to-one" and all_exact:
             run_checks["ratio-bound-n"] = all(
                 o.d_A <= inst.n * exact_mms[o.agent - 1] for o in outcomes
             )
@@ -313,13 +312,13 @@ def run_experiment(inst: Instance, policies=None, checks=("bounds", "stacking"))
     return report
 
 
-def run_batch(instances, policies=None, checks=("bounds", "stacking")) -> list[ExperimentReport]:
+def run_batch(instances, policies=None) -> list[ExperimentReport]:
     """Run experiments over many instances; output order is digest-sorted.
 
     Instances are independent, so callers may parallelize; sorting by digest
     keeps the assembled report order-independent.
     """
-    reports = [run_experiment(inst, policies=policies, checks=checks) for inst in instances]
+    reports = [run_experiment(inst, policies=policies) for inst in instances]
     return sorted(reports, key=lambda r: r.digest)
 
 

@@ -30,7 +30,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import FairdivError, InvariantViolation, ParseError, format_rational, parse_rational
+from .core import (
+    FairdivError, InvariantViolation, at_line, format_rational, parse_json, parse_jsonl, parse_rational,
+)
 from .allocator import PressureState, RunTrace
 
 HALF = Fraction(1, 2)
@@ -128,12 +130,14 @@ class StackingOperation:
             raise FairdivError(f"k must be >= 1, got {self.k}")
         for name, v in (("a", self.a), ("b", self.b)):
             if not (0 < v <= 1):
-                raise FairdivError(f"{name} must lie in (0, 1], got {v}")
+                raise FairdivError(f"{name} must lie in (0, 1], got {format_rational(v)}")
         for name, intervals in (("A", self.A), ("B", self.B)):
             prev = None
             for l, r in intervals:
                 if not (-HALF <= l < r <= HALF):
-                    raise FairdivError(f"{name} interval ({l}, {r}] outside the domain")
+                    raise FairdivError(
+                        f"{name} interval ({format_rational(l)}, {format_rational(r)}] outside the domain"
+                    )
                 if prev is not None and l < prev:
                     raise FairdivError(f"{name} intervals must be sorted and disjoint")
                 prev = r
@@ -141,8 +145,9 @@ class StackingOperation:
         want_b = Fraction(self.a, self.k * (self.a + self.b))
         if _intervals_measure(self.A) != want_a or _intervals_measure(self.B) != want_b:
             raise FairdivError(
-                f"measure mismatch: |A|={_intervals_measure(self.A)} |B|={_intervals_measure(self.B)}, "
-                f"expected {want_a} and {want_b}"
+                f"measure mismatch: |A|={format_rational(_intervals_measure(self.A))} "
+                f"|B|={format_rational(_intervals_measure(self.B))}, "
+                f"expected {format_rational(want_a)} and {format_rational(want_b)}"
             )
         if not self.A or not self.B:
             raise FairdivError("A and B must be nonempty")
@@ -431,16 +436,14 @@ class ReductionResult:
     def final(self) -> StackingFunction:
         return self.steps[-1].function if self.steps else StackingFunction.zero()
 
-    def operations(self) -> list[StackingOperation]:
-        return [s.op for s in self.steps]
 
-
-def allocator_to_stacking(trace: RunTrace, n: int, k: int | None = None) -> ReductionResult:
+def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     """Replay a rounded-greedy trace as stacking-game moves.
 
-    The interval is divided into n*k cells of width 1/(nk); each pressure
-    counter holds one cell, and the value of the function on that cell is
-    the pressure times 1 (scaled by n-1 internally). At each item the chosen
+    The interval is divided into n*k cells of width 1/(nk), with k the
+    trace's largest type index; each pressure counter holds one cell, and
+    the value of the function on that cell is the pressure times 1 (scaled
+    by n-1 internally). At each item the chosen
     agent's counter is the touched minimum, which after a value-preserving
     relabeling sits on the leftmost touched cell; that cell is raised by 1
     and the other n-1 touched cells are lowered by 1/(n-1).
@@ -450,12 +453,10 @@ def allocator_to_stacking(trace: RunTrace, n: int, k: int | None = None) -> Redu
     """
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
-    result_k = k if k is not None else max(trace.max_type_count(), 1)
+    result_k = max(trace.max_type_count(), 1)
     result = ReductionResult(n=n, k=result_k)
     if not trace.steps:
         return result
-    if trace.max_type_count() > result_k:
-        raise FairdivError("trace registers more types than k")
 
     Q = n * result_k
     game = GridGame(k=result_k, cells_per_unit=n, scale=n - 1)
@@ -544,14 +545,9 @@ class ReplayReport:
 _RECORD_KEYS = ("a", "b", "A", "B", "pieces_after")
 
 
-def _parse_stacking_record(line: str):
+def _parse_stacking_record(line):
     """The move (a, b, A, B) and the recorded pieces of one trace line."""
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(rec, dict) or any(key not in rec for key in _RECORD_KEYS):
-        raise ParseError("a stacking record needs the keys " + ", ".join(_RECORD_KEYS))
+    rec = parse_json(line, _RECORD_KEYS, "a stacking record")
     A = tuple((parse_rational(l), parse_rational(r)) for l, r in rec["A"])
     B = tuple((parse_rational(l), parse_rational(r)) for l, r in rec["B"])
     recorded = tuple(
@@ -561,39 +557,33 @@ def _parse_stacking_record(line: str):
     return parse_rational(rec["a"]), parse_rational(rec["b"]), A, B, recorded
 
 
-def replay_stacking_trace(text: str) -> ReplayReport:
-    """Re-verify a stacking trace file: invariants, bound, recorded pieces.
+def replay_stacking_trace(text) -> ReplayReport:
+    """Re-verify a stacking trace file (str or bytes): invariants, bound, recorded pieces.
 
     A malformed line raises :class:`ParseError` naming the line.
     """
     f = StackingFunction.zero()
     failures = []
     count = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            a, b, A, B, recorded = _parse_stacking_record(line)
-        except (ParseError, TypeError, ValueError) as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+    for lineno, (a, b, A, B, recorded) in parse_jsonl(text, _parse_stacking_record):
         measure = _intervals_measure(A) + _intervals_measure(B)
         if measure <= 0 or (1 / measure).denominator != 1:
-            failures.append(f"line {lineno}: |A|+|B| = {measure} is not 1/k for integer k")
+            failures.append(at_line(lineno, f"|A|+|B| = {format_rational(measure)} is not 1/k for integer k"))
             break
         k = int(1 / measure)
         try:
             op = StackingOperation(a=a, b=b, A=A, B=B, k=k)
             f = apply_operation(f, op)
         except FairdivError as exc:
-            failures.append(f"line {lineno}: {exc}")
+            failures.append(at_line(lineno, exc))
             break
         count += 1
         if recorded != f.pieces:
-            failures.append(f"line {lineno}: recorded pieces do not match replay")
+            failures.append(at_line(lineno, "recorded pieces do not match replay"))
         if a + b <= 2:
             report = check_bound(f, BoundProfile(k=k, beta=Fraction(2)))
             if not report.passed:
-                failures.append(f"line {lineno}: suffix-integral bound violated")
+                failures.append(at_line(lineno, "suffix-integral bound violated"))
     return ReplayReport(steps=count, passed=not failures, failures=tuple(failures))
 
 

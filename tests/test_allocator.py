@@ -139,6 +139,12 @@ _STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1],
         (json.dumps({**_STEP, "types": [0, 1]}), "types must be positive"),
         (json.dumps({**_STEP, "types": [1, False]}), "types must be positive"),
         (json.dumps({**_STEP, "raw": ["1", 0.5]}), "not a rational"),
+        (json.dumps({**_STEP, "item": "x"}), "item 'x' is not the record's position 2"),
+        (json.dumps({**_STEP, "item": True}), "item True is not the record's position 2"),
+        (json.dumps(_STEP), "item 1 is not the record's position 2"),
+        (json.dumps({**_STEP, "item": 2, "pressures": []}), "pressures must be a list of 2 lists"),
+        (json.dumps({**_STEP, "item": 2, "pressures": ["12", "3"]}), "pressures must be a list of 2 lists"),
+        (json.dumps({**_STEP, "item": 2, "pressures": [["1"], [0.5]]}), "not a rational"),
     ],
 )
 def test_trace_from_jsonl_rejects_malformed_lines(line, message):
@@ -196,28 +202,32 @@ def test_bi_value_merged_acts_single_type():
     assert alloc.assignment == rr.assignment
 
 
-def test_bi_value_promise_violation_falls_back():
+def _third_value_instance():
     # third distinct value for agent 1 triggers the rounded-greedy fallback
     vals = [Fraction(1), Fraction(2), Fraction(5)]
-    inst = Instance(2, tuple((v, Fraction(1)) for v in vals) + ((Fraction(3), Fraction(1)),))
+    return Instance(2, tuple((v, Fraction(1)) for v in vals) + ((Fraction(3), Fraction(1)),))
+
+
+def test_bi_value_promise_violation_falls_back():
     pol = BiValuePolicy()
-    alloc, trace = run_online(inst, pol)
+    run_online(_third_value_instance(), pol)
     assert pol.fell_back
-    # rebuilt pressures satisfy the closed form over rounded values
-    state = pol.state
-    for i in range(2):
-        for u in range(len(state.scaled[i])):
-            assert state.scaled[i][u] == 2 * state.receipts[i][u] - state.sightings[i][u]
+
+
+def _fallback_instances():
+    yield _third_value_instance()
+    rng = random.Random(79)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        m = rng.randint(6, 24)
+        yield random_instance(rng, n=n, m=m, k=3)  # three values break the promise
 
 
 def test_bi_value_fallback_matches_closed_form_replay():
     # after the violation, the fallback's registries and pressures must equal
     # a from-scratch rounded replay of the realized (bi-value era) history
-    rng = random.Random(79)
-    for _ in range(12):
-        n = rng.randint(2, 4)
-        m = rng.randint(6, 24)
-        inst = random_instance(rng, n=n, m=m, k=3)  # three values break the promise
+    for inst in _fallback_instances():
+        n = inst.n
         pol = BiValuePolicy()
         alloc, _ = run_online(inst, pol)
         if not pol.fell_back:

@@ -9,6 +9,7 @@ from fairdiv import (
     Instance,
     ParseError,
     allocation_to_json,
+    format_rational,
     instance_digest,
     instance_stats,
     instance_to_json,
@@ -79,6 +80,21 @@ def test_instance_roundtrip_bit_exact():
     again = load_instance(text)
     assert again == inst
     assert instance_to_json(again) == text
+
+
+def test_rationals_of_any_length_roundtrip():
+    # both terms are past the interpreter's 4300-digit int/str conversion limit
+    x = Fraction(7**6000, 3**5000 + 1)
+    text = format_rational(x)
+    p, q = text.split("/")
+    assert len(p) > 4300 and len(q) > 2300
+    assert parse_rational(text) == x
+    assert format_rational(-(7**6000)) == "-" + p
+    assert parse_rational("-" + p) == -(7**6000)
+    inst = Instance(2, ((x, Fraction(1)), (Fraction(1, 3), 1 / x)))
+    text = instance_to_json(inst)
+    assert load_instance(text) == inst
+    assert instance_to_json(load_instance(text.encode("utf-8"))) == text
 
 
 def test_allocation_roundtrip():

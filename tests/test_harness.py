@@ -8,14 +8,17 @@ from fairdiv import (
     FairdivError,
     GeneratorConfig,
     Instance,
+    RatioCertificate,
     generate_instance,
     instance_digest,
     instance_stats,
     instance_to_json,
     leq_two_plus_sqrt3,
+    load_allocation,
     load_instance,
     parse_rational,
     run_experiment,
+    verify_certificate,
 )
 from fairdiv.cli import main
 from fairdiv.mms import exact_search_limit, witness_max_bundle
@@ -223,6 +226,31 @@ def test_cli_adversary_run_recursive(tmp_path):
     assert cert["certified"] and Fraction(cert["ratio_lower"]) > 2
 
 
+def test_cli_adversary_run_writes_rationals_past_the_digit_limit(tmp_path):
+    # a tiny eps makes the recursive game's disutilities thousands of digits long
+    out = {name: tmp_path / name for name in ("cert.json", "inst.json", "alloc.json")}
+    code = main([
+        "adversary", "run", "--n", "3", "--eps", "1/" + "1" + "0" * 40, "--policy", "round-robin",
+        "--budget", "150", "--out-certificate", str(out["cert.json"]),
+        "--out-instance", str(out["inst.json"]), "--out-allocation", str(out["alloc.json"]),
+    ])
+    assert code == 0
+    obj = json.loads(out["cert.json"].read_text())
+    assert obj["sound"] and obj["rounds"] == 150
+    assert max(len(obj[key]) for key in ("d_A", "mms_upper", "ratio_lower")) > 4300
+    inst = load_instance(out["inst.json"].read_bytes())
+    alloc = load_allocation(out["alloc.json"].read_bytes())
+    cert = RatioCertificate(
+        agent=obj["agent"],
+        d_A=parse_rational(obj["d_A"]),
+        mms_upper=parse_rational(obj["mms_upper"]),
+        witness=tuple(tuple(bundle) for bundle in obj["witness"]),
+        mms_source=obj["mms_source"],
+        ratio_lower=parse_rational(obj["ratio_lower"]),
+    )
+    assert verify_certificate(inst, alloc, cert)
+
+
 def test_run_experiment_single_agent():
     inst = Instance(1, ((F(2),), (F(3),)))
     report = run_experiment(inst)
@@ -274,6 +302,18 @@ def test_cli_stacking_replay_malformed_line(tmp_path, capsys):
     for bad in ['{"a": "1"}', "{not json"]:
         trace_path.write_text(good + "\n" + bad + "\n")
         assert "line 2: " in _one_line_error(capsys, ["stacking", "replay", "--in", str(trace_path)])
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff", b"[" * 100000, b"1" * 5000],
+    ids=["bad-utf8", "deep-nesting", "long-int"],
+)
+def test_cli_undecodable_files_are_usage_errors(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for argv in (["run", "--in"], ["mms", "--in"], ["stacking", "replay", "--in"]):
+        assert "invalid JSON" in _one_line_error(capsys, argv + [str(path)])
 
 
 def test_cli_adversary_rejects_one_agent(capsys):
