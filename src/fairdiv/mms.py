@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import FairdivError, Instance, ceil_div, format_rational
 
@@ -36,15 +37,18 @@ def lpt_partition(values, n: int, positions=None) -> list[list[int]]:
     """n sorted bundles of 1-based indices: largest item first to the least-loaded.
 
     ``positions`` (0-based, default all) selects the items. Ties: a stable
-    descending sort, and the lowest-indexed least-loaded bundle.
+    descending sort, and the lowest-indexed least-loaded bundle. Runs on
+    integers over one common denominator, which keeps every order and tie.
     """
     if positions is None:
         positions = range(len(values))
-    loads = [Fraction(0)] * n
+    common = lcm(*{values[p].denominator for p in positions})
+    scaled = {p: values[p].numerator * (common // values[p].denominator) for p in positions}
+    loads = [0] * n
     bundles: list[list[int]] = [[] for _ in range(n)]
-    for p in sorted(positions, key=values.__getitem__, reverse=True):
+    for p in sorted(positions, key=scaled.__getitem__, reverse=True):
         b = min(range(n), key=loads.__getitem__)
-        loads[b] += values[p]
+        loads[b] += scaled[p]
         bundles[b].append(p + 1)
     for bundle in bundles:
         bundle.sort()

@@ -21,7 +21,8 @@ Two engines implement the same dynamics:
 
 :func:`allocator_to_stacking` replays a rounded-greedy allocation trace as a
 sequence of moves: the nk pressure counters map to the nk cells so that the
-multiset of pressures always equals the multiset of cell values.
+multiset of pressures always equals the multiset of cell values. It keeps
+the moves and the final grid; ``ReductionResult.replay()`` rebuilds each step.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     FairdivError, InvariantViolation, at_line, format_rational, parse_json, parse_jsonl, parse_rational,
@@ -242,17 +244,20 @@ def check_bound(f: StackingFunction, profile: BoundProfile) -> BoundReport:
     concave on each piece and its minimum over the domain is attained at a
     piece breakpoint; checking breakpoints is therefore sufficient. At
     x = +-1/2 both sides are identically zero, so the reported margin is
-    taken over the interior breakpoints plus x = 0.
+    taken over the interior breakpoints plus x = 0, in one right-to-left
+    sweep of F; ties go to the leftmost x.
     """
-    points = {Fraction(0)}
-    points.update(p for p in f.breakpoints() if -HALF < p < HALF)
-    margin = None
-    worst = Fraction(0)
-    for x in sorted(points):
-        slack = profile.bound_at(x) - integral_F(f, x)
-        if margin is None or slack < margin:
-            margin = slack
-            worst = x
+    margin = worst = None
+    suffix = Fraction(0)  # F(right) of the current piece
+    for left, right, value in reversed(f.pieces):
+        points = [(right, suffix)] if right < HALF else []
+        if left < 0 < right:
+            points.append((Fraction(0), suffix + value * right))
+        for x, F_x in points:
+            slack = profile.bound_at(x) - F_x
+            if margin is None or slack <= margin:
+                margin, worst = slack, x
+        suffix += value * (right - left)
     value_slack = profile.beta * profile.k - f.max_value()
     passed = margin >= 0 and value_slack >= 0
     return BoundReport(
@@ -311,39 +316,39 @@ class GridGame:
         self.cells_per_unit = cells_per_unit  # cells touched by one move
         self.scale = scale
         self.values: list[int] = [0] * self.Q
-        self._bound_rhs: dict[Fraction, list[int]] = {}
-
-    def cell_interval(self, c: int) -> tuple[Fraction, Fraction]:
-        return (-HALF + Fraction(c, self.Q), -HALF + Fraction(c + 1, self.Q))
+        self._bounds: dict = {}  # beta -> bound_ok's integer constants
 
     def apply_cells(self, a: Fraction, b: Fraction, a_cells, b_cells,
                     need_order: bool = True) -> list[int] | None:
         """Apply one move on explicit cell index sets and re-sort.
 
-        With ``need_order`` the sort order is returned: entry ``new`` holds
-        the previous position of the value now at position ``new`` (ties
-        keep their left-to-right order). Callers that only track the value
-        multiset can pass ``need_order=False`` for a plain in-place sort.
+        Every check is in integers and comes before any cell changes. With
+        ``need_order`` the sort order is returned: entry ``new`` holds the
+        previous position of the value now at position ``new`` (ties keep
+        their left-to-right order); ``need_order=False`` just sorts in place.
         """
-        a, b = Fraction(a), Fraction(b)
-        if not (0 < a <= 1 and 0 < b <= 1):
+        a, b = (x if type(x) is int or type(x) is Fraction else Fraction(x) for x in (a, b))
+        pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+        if not (0 < pa <= qa and 0 < pb <= qb):
             raise FairdivError("a and b must lie in (0, 1]")
-        a_scaled = a * self.scale
-        b_scaled = b * self.scale
-        if a_scaled.denominator != 1 or b_scaled.denominator != 1:
+        av, a_rem = divmod(pa * self.scale, qa)
+        bv, b_rem = divmod(pb * self.scale, qb)
+        if a_rem or b_rem:
             raise FairdivError(f"a={a}, b={b} not representable at scale {self.scale}")
-        want_a = Fraction(self.cells_per_unit) * b / (a + b)
-        want_b = Fraction(self.cells_per_unit) * a / (a + b)
-        if Fraction(len(a_cells)) != want_a or Fraction(len(b_cells)) != want_b:
+        total = pa * qb + pb * qa  # (a+b)*qa*qb: need len(A)*(a+b) = cpu*b, len(B)*(a+b) = cpu*a
+        want_a, want_b = self.cells_per_unit * pb * qa, self.cells_per_unit * pa * qb
+        if len(a_cells) * total != want_a or len(b_cells) * total != want_b:
             raise FairdivError(
                 f"cell counts ({len(a_cells)}, {len(b_cells)}) do not match measures "
-                f"({want_a}, {want_b}) for a={a}, b={b}"
+                f"({Fraction(want_a, total)}, {Fraction(want_b, total)}) for a={a}, b={b}"
             )
+        for c in (*a_cells, *b_cells):
+            if type(c) is not int or not 0 <= c < self.Q:
+                raise FairdivError(f"cell index {c!r} is not an int in [0, {self.Q})")
         if max(a_cells) >= min(b_cells):
             raise FairdivError("A cells must lie strictly left of B cells")
         if len(set(a_cells) | set(b_cells)) != len(a_cells) + len(b_cells):
             raise FairdivError("A and B cells must be disjoint")
-        av, bv = int(a_scaled), int(b_scaled)
         vals = self.values
         for c in a_cells:
             vals[c] += av
@@ -352,53 +357,38 @@ class GridGame:
         if not need_order:
             vals.sort()
             return None
-        order = sorted(range(self.Q), key=lambda c: (vals[c], c))
+        order = sorted(range(self.Q), key=vals.__getitem__)  # stable: ties keep cell order
         self.values = [vals[c] for c in order]
         return order
 
     def integral_is_zero(self) -> bool:
         return sum(self.values) == 0
 
-    def is_sorted(self) -> bool:
-        return all(x <= y for x, y in zip(self.values, self.values[1:]))
-
-    def max_value(self) -> Fraction:
-        return Fraction(self.values[-1], self.scale)
-
-    def _rhs_for(self, beta: Fraction) -> list[int]:
-        # F(x_i) <= beta*k/4 - beta*k*x_i^2 at x_i = -1/2 + i/Q, cross-multiplied:
-        # 4*bq*Q*suffix_i <= bp*k*scale*(Q^2 - (2i-Q)^2).
-        rhs = self._bound_rhs.get(beta)
-        if rhs is None:
-            bp, bq = beta.numerator, beta.denominator
-            rhs = [
-                bp * self.k * self.scale * (self.Q * self.Q - (2 * i - self.Q) ** 2)
-                for i in range(self.Q + 1)
-            ]
-            self._bound_rhs[beta] = rhs
-        return rhs
-
     def bound_ok(self, beta) -> bool:
         """Exact check of the suffix-integral bound and max value, at every cell edge."""
-        beta = Fraction(beta)
-        rhs = self._rhs_for(beta)
-        bq = beta.denominator
-        if Fraction(self.values[-1], self.scale) > beta * self.k:
+        if beta not in self._bounds:
+            # F(x_i) <= beta*k/4 - beta*k*x_i^2 at x_i = -1/2 + i/Q and max f <= beta*k,
+            # cross-multiplied: 4*bq*Q*suffix_i <= top*(Q^2 - (2i-Q)^2) and max*bq <= top.
+            bp, bq = Fraction(beta).as_integer_ratio()
+            top = bp * self.k * self.scale
+            rhs = [top * (self.Q * self.Q - (2 * i - self.Q) ** 2) for i in range(self.Q + 1)]
+            self._bounds[beta] = (bq, top, 4 * bq * self.Q, rhs)
+        bq, top, lhs_factor, rhs = self._bounds[beta]
+        values = self.values
+        if values[-1] * bq > top:
             return False
-        lhs_factor = 4 * bq * self.Q
         suffix = 0
         for i in range(self.Q, 0, -1):
-            suffix += self.values[i - 1]
+            suffix += values[i - 1]
             if lhs_factor * suffix > rhs[i - 1]:
                 return False
         return suffix == 0
 
     def to_function(self) -> StackingFunction:
-        pieces = []
-        for c, v in enumerate(self.values):
-            l, r = self.cell_interval(c)
-            pieces.append((l, r, Fraction(v, self.scale)))
-        return StackingFunction.from_pieces(pieces)
+        return StackingFunction.from_pieces(
+            (-HALF + Fraction(c, self.Q), -HALF + Fraction(c + 1, self.Q), Fraction(v, self.scale))
+            for c, v in enumerate(self.values)
+        )
 
 
 def cells_to_intervals(game_q: int, cells) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -420,21 +410,33 @@ def cells_to_intervals(game_q: int, cells) -> tuple[tuple[Fraction, Fraction], .
 
 # Allocator reduction --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReductionStep:
-    op: StackingOperation
-    function: StackingFunction
-
-
 @dataclass
 class ReductionResult:
+    """One ``(raised cell, lowered cells)`` move per item, on the sorted grid of
+    n*k cells before it (raise 1, lower 1/(n-1)), and the final ``game``."""
+
     n: int
     k: int
-    steps: list[ReductionStep] = field(default_factory=list)
+    game: GridGame
+    steps: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
 
-    @property
+    @cached_property
     def final(self) -> StackingFunction:
-        return self.steps[-1].function if self.steps else StackingFunction.zero()
+        return self.game.to_function()
+
+    def replay(self):
+        """Yield ``(StackingOperation, StackingFunction)`` per step, replayed on a fresh grid."""
+        game = GridGame(k=self.k, cells_per_unit=self.n, scale=self.n - 1)
+        a, b = Fraction(1), Fraction(1, self.n - 1)
+        for raised, lowered in self.steps:
+            op = StackingOperation(
+                a=a, b=b,
+                A=cells_to_intervals(game.Q, [raised]),
+                B=cells_to_intervals(game.Q, lowered),
+                k=self.k,
+            )
+            game.apply_cells(a, b, [raised], lowered, need_order=False)
+            yield op, game.to_function()
 
 
 def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
@@ -454,81 +456,72 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
     result_k = max(trace.max_type_count(), 1)
-    result = ReductionResult(n=n, k=result_k)
-    if not trace.steps:
-        return result
-
-    Q = n * result_k
     game = GridGame(k=result_k, cells_per_unit=n, scale=n - 1)
-    cell_of: dict[tuple[int, int], int] = {}
-    holder: dict[int, tuple[int, int]] = {}
+    result = ReductionResult(n=n, k=result_k, game=game)
+    Q = game.Q
+    # Counter (agent i, type u) is slot (i-1)*k + (u-1); slots and cells are
+    # both range(Q), linked both ways, with -1 for "none yet".
+    cell_of = [-1] * Q
+    holder = [-1] * Q
     state = PressureState(n)
+    b = Fraction(1, n - 1)
 
     for step in trace.steps:
-        for i in range(1, n + 1):
-            u = step.types[i - 1]
-            if (i, u) not in cell_of:
-                free = next(c for c in range(Q) if c not in holder)
+        if not 1 <= step.agent <= n or len(step.types) != n or min(step.types) < 1:
+            raise FairdivError(f"item {step.item}: agent or type indices out of range for n={n}")
+        slots = [(i - 1) * result_k + u - 1 for i, u in enumerate(step.types, 1)]
+        for i, slot in enumerate(slots, 1):
+            if cell_of[slot] < 0:
+                free = holder.index(-1)
                 if game.values[free] != 0:
                     raise InvariantViolation("fresh pressure assigned to a nonzero cell")
-                cell_of[(i, u)] = free
-                holder[free] = (i, u)
-                while len(state.scaled[i - 1]) < u:
+                cell_of[slot], holder[free] = free, slot
+                while len(state.scaled[i - 1]) < step.types[i - 1]:
                     state.add_type(i)
 
-        touched = [cell_of[(i, step.types[i - 1])] for i in range(1, n + 1)]
-        chosen_key = (step.agent, step.types[step.agent - 1])
-        c_star = min(touched)
-        if game.values[c_star] != state.scaled[step.agent - 1][chosen_key[1] - 1]:
+        chosen = slots[step.agent - 1]
+        c_star = min(cell_of[slot] for slot in slots)
+        if game.values[c_star] != state.scaled[step.agent - 1][step.types[step.agent - 1] - 1]:
             raise InvariantViolation(
                 "leftmost touched cell does not carry the minimum pressure"
             )
-        displaced = holder[c_star]
-        old_cell = cell_of[chosen_key]
-        cell_of[chosen_key], cell_of[displaced] = c_star, old_cell
-        holder[c_star], holder[old_cell] = chosen_key, displaced
+        displaced, old_cell = holder[c_star], cell_of[chosen]
+        cell_of[chosen], cell_of[displaced] = c_star, old_cell
+        holder[c_star], holder[old_cell] = chosen, displaced
 
-        b_cells = sorted(
-            cell_of[(i, step.types[i - 1])] for i in range(1, n + 1) if i != step.agent
-        )
-        op = StackingOperation(
-            a=Fraction(1),
-            b=Fraction(1, n - 1),
-            A=cells_to_intervals(Q, [c_star]),
-            B=cells_to_intervals(Q, b_cells),
-            k=result_k,
-        )
-        order = game.apply_cells(Fraction(1), Fraction(1, n - 1), [c_star], b_cells)
-
-        new_pos = {old: new for new, old in enumerate(order)}
-        holder = {new_pos[c]: key for c, key in holder.items()}
-        cell_of = {key: new_pos[c] for key, c in cell_of.items()}
+        b_cells = tuple(sorted(cell_of[slot] for slot in slots if slot != chosen))
+        order = game.apply_cells(1, b, [c_star], b_cells)
+        holder = [holder[c] for c in order]
+        for c, slot in enumerate(holder):
+            if slot >= 0:
+                cell_of[slot] = c
 
         state.step(step.types, step.agent)
         pressures = [s for row in state.scaled for s in row]
         want = pressures + [0] * (Q - len(pressures))
         if sorted(game.values) != sorted(want):
             raise InvariantViolation("pressure multiset != cell value multiset")
-        if not game.is_sorted() or not game.integral_is_zero():
+        if game.values != sorted(game.values) or not game.integral_is_zero():
             raise InvariantViolation("grid state lost sortedness or zero integral")
 
-        result.steps.append(ReductionStep(op=op, function=game.to_function()))
+        result.steps.append((c_star, b_cells))
     return result
 
 
 # Trace file format ----------------------------------------------------------
 
-def stacking_trace_to_jsonl(steps) -> str:
+def stacking_trace_to_jsonl(result: ReductionResult) -> str:
+    """One JSON line per move of ``result``, with the pieces after it, from ``replay()``."""
     lines = []
-    for step in steps:
+    for op, function in result.replay():
         rec = {
-            "a": format_rational(step.op.a),
-            "b": format_rational(step.op.b),
-            "A": [[format_rational(l), format_rational(r)] for l, r in step.op.A],
-            "B": [[format_rational(l), format_rational(r)] for l, r in step.op.B],
+            "a": format_rational(op.a),
+            "b": format_rational(op.b),
+            "A": [[format_rational(l), format_rational(r)] for l, r in op.A],
+            "B": [[format_rational(l), format_rational(r)] for l, r in op.B],
             "pieces_after": [
                 [format_rational(l), format_rational(r), format_rational(v)]
-                for l, r, v in step.function.pieces
+                for l, r, v in function.pieces
             ],
         }
         lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
@@ -600,7 +593,6 @@ __all__ = [
     "is_contiguous",
     "GridGame",
     "cells_to_intervals",
-    "ReductionStep",
     "ReductionResult",
     "allocator_to_stacking",
     "stacking_trace_to_jsonl",

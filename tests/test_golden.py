@@ -206,7 +206,7 @@ def _artifacts(case: str) -> dict[str, str]:
         _, trace = run_online(inst, policy)
         out[f"trace/{policy.name}"] = trace.to_jsonl()
         if policy.name == "pressure-greedy" and inst.n >= 2:
-            out["stacking"] = stacking_trace_to_jsonl(allocator_to_stacking(trace, inst.n).steps)
+            out["stacking"] = stacking_trace_to_jsonl(allocator_to_stacking(trace, inst.n))
     out["report"] = run_experiment(inst).to_json()
     for name in (c for c in CERTIFIED if c.split("+")[0] == case):
         alloc, _ = run_online(inst, PressureGreedyPolicy())

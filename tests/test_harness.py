@@ -271,7 +271,7 @@ def test_cli_stacking_replay(tmp_path):
     inst = load_instance(inst_path.read_text())
     _, trace = run_online(inst, PressureGreedyPolicy())
     res = allocator_to_stacking(trace, 3)
-    trace_path.write_text(stacking_trace_to_jsonl(res.steps))
+    trace_path.write_text(stacking_trace_to_jsonl(res))
     assert main(["stacking", "replay", "--in", str(trace_path)]) == 0
     trace_path.write_text(trace_path.read_text().replace('"-1/2"', '"-1/3"', 1))
     assert main(["stacking", "replay", "--in", str(trace_path)]) == 1

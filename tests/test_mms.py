@@ -172,3 +172,31 @@ def test_permutation_and_scale_invariance(values, n, perm, c):
     order = sorted(range(len(values)), key=lambda i: perm[i])
     assert mms_exact([values[p] for p in order], n)[0] == base
     assert mms_exact([c * v for v in values], n)[0] == c * base
+
+
+def _fraction_lpt(values, n, positions=None):
+    """Largest-first partition on Fraction loads, the reference for lpt_partition."""
+    if positions is None:
+        positions = range(len(values))
+    loads = [Fraction(0)] * n
+    bundles = [[] for _ in range(n)]
+    for p in sorted(positions, key=values.__getitem__, reverse=True):
+        b = min(range(n), key=loads.__getitem__)
+        loads[b] += values[p]
+        bundles[b].append(p + 1)
+    return [sorted(bundle) for bundle in bundles]
+
+
+def test_lpt_partition_matches_fraction_reference():
+    from fairdiv.mms import lpt_partition
+
+    rng = random.Random(89)
+    huge = [3 ** 2000 + 1, 7 ** 1200, 2 ** 3400 - 1]  # thousand-digit denominators
+    for trial in range(200):
+        n, m = rng.randint(1, 5), rng.randint(0, 25)
+        if trial % 4 == 0:
+            values = [Fraction(rng.randint(1, 10 ** 1100), rng.choice(huge)) for _ in range(m)]
+        else:  # small values repeat, so ties in the sort and among loads are common
+            values = [Fraction(rng.randint(1, 6), rng.choice([1, 2, 3, 4, 6])) for _ in range(m)]
+        positions = None if trial % 2 else sorted(rng.sample(range(m), rng.randint(0, m)))
+        assert lpt_partition(values, n, positions) == _fraction_lpt(values, n, positions)

@@ -101,3 +101,17 @@ def test_cli_run_past_the_guard_sums_no_witness(fresh_fairdiv, tmp_path):
     assert metrics["mms.mms_exact.calls"] == 3
     assert metrics["mms.mms_exact.refused"] == 3
     assert metrics["mms.witness_max_bundle.calls"] == 0
+
+
+def test_cli_run_counts_one_reduction_step_per_item(fresh_fairdiv, tmp_path):
+    tracer, fd = fresh_fairdiv
+    inst = random_instance(random.Random(8), n=4, m=30, k=3)
+    path = tmp_path / "instance.json"
+    path.write_text(fd.core.instance_to_json(fd.core.Instance(inst.n, inst.items)) + "\n")
+    codes = []
+    argv = ["run", "--in", str(path), "--policy", "pressure-greedy",
+            "--report", str(tmp_path / "report.json")]
+    metrics = _traced(tracer, fd, lambda: codes.append(fd.cli.main(argv)))
+    assert codes == [0]
+    assert metrics["stacking.allocator_to_stacking.calls"] == 1
+    assert metrics["stacking.allocator_to_stacking.steps"] == inst.m

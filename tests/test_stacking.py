@@ -19,8 +19,8 @@ from fairdiv import (
     run_online,
 )
 from fairdiv.allocator import PressureGreedyPolicy, RunTrace, TraceStep
-from fairdiv.core import FairdivError
-from fairdiv.stacking import is_contiguous, stacking_trace_to_jsonl
+from fairdiv.core import FairdivError, instance_to_json
+from fairdiv.stacking import BoundReport, is_contiguous, stacking_trace_to_jsonl
 
 from conftest import random_instance
 
@@ -233,7 +233,7 @@ def test_reduction_two_agent_oscillation():
     inst = Instance(2, tuple(((Fraction(1), Fraction(1)),) * 6))
     _, trace = run_online(inst, PressureGreedyPolicy())
     res = allocator_to_stacking(trace, 2)
-    patterns = [tuple(v for _, _, v in s.function.pieces) for s in res.steps]
+    patterns = [tuple(v for _, _, v in f.pieces) for _, f in res.replay()]
     assert patterns == [(-1, 1), (0,), (-1, 1), (0,), (-1, 1), (0,)]
 
 
@@ -244,8 +244,8 @@ def test_reduction_consistency_random():
         _, trace = run_online(inst, PressureGreedyPolicy())
         res = allocator_to_stacking(trace, inst.n)
         beta = Fraction(inst.n, inst.n - 1)
-        for step in res.steps:
-            assert check_bound(step.function, BoundProfile(k=res.k, beta=beta)).passed
+        for _, f in res.replay():
+            assert check_bound(f, BoundProfile(k=res.k, beta=beta)).passed
 
 
 def test_reduction_rejects_corrupted_trace():
@@ -261,12 +261,24 @@ def test_reduction_rejects_corrupted_trace():
         allocator_to_stacking(bad, 2)
 
 
+def test_reduction_rejects_out_of_range_indices():
+    inst = Instance(3, tuple(((Fraction(1),) * 3,) * 5))
+    _, trace = run_online(inst, PressureGreedyPolicy())
+    s = trace.steps[2]
+    bad = ((0, s.types), (4, s.types), (s.agent, (0,) + s.types[1:]), (s.agent, s.types[:2]))
+    for agent, types in bad:
+        steps = list(trace.steps)
+        steps[2] = TraceStep(item=s.item, raw=s.raw, effective=s.effective, types=types, agent=agent)
+        with pytest.raises(FairdivError, match="item 3: agent or type indices out of range"):
+            allocator_to_stacking(RunTrace(n=3, policy="pressure-greedy", steps=steps), 3)
+
+
 def test_stacking_trace_replay_roundtrip():
     rng = random.Random(71)
     inst = random_instance(rng, n=3, m=20, k=2)
     _, trace = run_online(inst, PressureGreedyPolicy())
     res = allocator_to_stacking(trace, 3)
-    text = stacking_trace_to_jsonl(res.steps)
+    text = stacking_trace_to_jsonl(res)
     report = replay_stacking_trace(text)
     assert report.passed and report.steps == len(res.steps)
 
@@ -275,6 +287,108 @@ def test_stacking_trace_replay_detects_tampering():
     inst = Instance(2, tuple(((Fraction(1), Fraction(1)),) * 4))
     _, trace = run_online(inst, PressureGreedyPolicy())
     res = allocator_to_stacking(trace, 2)
-    text = stacking_trace_to_jsonl(res.steps)
+    text = stacking_trace_to_jsonl(res)
     tampered = text.replace('"-1"', '"-2"', 1)
     assert not replay_stacking_trace(tampered).passed
+
+
+def test_replay_matches_reference_engine():
+    # the general engine, fed replay()'s operations from zero, reproduces
+    # every replayed function and the final grid
+    rng = random.Random(73)
+    for _ in range(12):
+        inst = random_instance(rng, n=rng.randint(2, 5), m=rng.randint(1, 30), k=rng.randint(1, 3))
+        _, trace = run_online(inst, PressureGreedyPolicy())
+        res = allocator_to_stacking(trace, inst.n)
+        f = StackingFunction.zero()
+        replayed = 0
+        for o, g in res.replay():
+            f = apply_operation(f, o)
+            assert f == g
+            replayed += 1
+        assert replayed == len(res.steps) == inst.m
+        assert f == res.final
+
+
+def test_cli_run_converts_the_grid_once(tmp_path, monkeypatch):
+    from fairdiv.cli import main
+
+    calls = []
+    to_function = GridGame.to_function
+    monkeypatch.setattr(GridGame, "to_function", lambda self: calls.append(1) or to_function(self))
+    inst = random_instance(random.Random(79), n=3, m=40, k=2)
+    path = tmp_path / "instance.json"
+    path.write_text(instance_to_json(inst) + "\n")
+    argv = ["run", "--in", str(path), "--policy", "pressure-greedy",
+            "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def _check_bound_by_integral_F(f, profile):
+    """Reference: integral_F at every interior breakpoint and at 0, ties to the leftmost x."""
+    points = {Fraction(0)} | {p for p in f.breakpoints() if -H < p < H}
+    margin, worst = None, Fraction(0)
+    for x in sorted(points):
+        slack = profile.bound_at(x) - integral_F(f, x)
+        if margin is None or slack < margin:
+            margin, worst = slack, x
+    value_slack = profile.beta * profile.k - f.max_value()
+    return BoundReport(
+        passed=margin >= 0 and value_slack >= 0,
+        margin=min(margin, value_slack),
+        worst_x=worst,
+        max_value_slack=value_slack,
+    )
+
+
+def test_check_bound_sweep_matches_integral_F():
+    rng = random.Random(83)
+    seen_failures = 0
+    for _ in range(40):
+        k = rng.choice([1, 2, 3])
+        f = StackingFunction.zero()
+        betas = (Fraction(2), Fraction(4, 3), Fraction(1, 2))
+        profiles = [BoundProfile(k=k, beta=beta) for beta in betas]
+        for _ in range(rng.randint(0, 8)):
+            f = apply_operation(f, random_operation(rng, k, f))
+            for profile in profiles:
+                report = check_bound(f, profile)
+                assert report == _check_bound_by_integral_F(f, profile)
+                seen_failures += not report.passed
+    assert seen_failures  # the small beta makes some reports fail
+
+
+# grid engine rejections ----------------------------------------------------------
+
+def _rejects(game, a, b, a_cells, b_cells, message):
+    before = list(game.values)
+    with pytest.raises(FairdivError, match=message):
+        game.apply_cells(a, b, a_cells, b_cells)
+    assert game.values == before  # nothing changed
+
+
+def test_apply_cells_rejects_bad_cell_indices():
+    game = GridGame(k=1, cells_per_unit=2, scale=1)
+    _rejects(game, 1, 1, [-1], [0], r"cell index -1 ")  # would raise the last cell
+    _rejects(game, 1, 1, [0], [2], r"cell index 2 ")
+    _rejects(game, 1, 1, [0], [True], r"cell index True ")
+    _rejects(game, 1, 1, [0.0], [1], r"cell index 0.0 ")
+    game = GridGame(k=2, cells_per_unit=3, scale=2)
+    _rejects(game, 1, Fraction(1, 2), [0], [1, 6], r"cell index 6 ")  # the A cell is left unraised
+    game.apply_cells(1, Fraction(1, 2), [0], [1, 5])
+    assert game.values == [-1, -1, 0, 0, 0, 2]
+
+
+def test_apply_cells_rejects_invalid_moves():
+    game = GridGame(k=2, cells_per_unit=3, scale=2)
+    _rejects(game, 0, 1, [0], [1, 2], r"a and b must lie in \(0, 1\]")
+    _rejects(game, Fraction(3, 2), 1, [0], [1, 2], r"a and b must lie in \(0, 1\]")
+    _rejects(game, 1, Fraction(1, 3), [0], [1, 2], r"a=1, b=1/3 not representable at scale 2")
+    _rejects(game, 1, Fraction(1, 2), [0, 1], [2],
+             r"cell counts \(2, 1\) do not match measures \(1, 2\)")
+    _rejects(game, 1, Fraction(1, 2), [3], [1, 2], "A cells must lie strictly left of B cells")
+    _rejects(game, 1, Fraction(1, 2), [0], [1, 1], "A and B cells must be disjoint")
+    # every accepted argument type still works: int, Fraction, str, float
+    game.apply_cells("1", 0.5, (0,), range(1, 3))
+    assert game.values == [-1, -1, 0, 0, 0, 2]
