@@ -22,8 +22,9 @@ inst = Instance(2, tuple(stream))
 
 alloc, trace = run_online(inst, PressureGreedyPolicy())
 for step in trace.steps:
+    # snapshots hold the scaled pressures (n-1)*H as ints
     rows = ", ".join(
-        f"H_{i + 1}={[str(h) for h in hs]}" for i, hs in enumerate(step.pressures)
+        f"H_{i + 1}={[str(F(h, inst.n - 1)) for h in hs]}" for i, hs in enumerate(step.pressures)
     )
     print(f"item {step.item}: raw={tuple(map(str, step.raw))} -> agent {step.agent}   {rows}")
 

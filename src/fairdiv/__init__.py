@@ -14,7 +14,6 @@ from .core import (
     InstanceStats,
     InvariantViolation,
     ParseError,
-    Rational,
     allocation_to_json,
     format_rational,
     instance_digest,

@@ -157,9 +157,9 @@ def mms_report(inst: Instance, witnesses=None) -> list[AgentMms]:
     largest-first bundles are summed directly, and the type-union partition
     attains the per-type share sum of :func:`mms_bounds`.
     """
-    if inst.m == 0:  # n empty bundles: every bound is 0
+    if inst.m == 0:  # the empty partition (every bundle empty): every bound is 0
         zero = Fraction(0)
-        return [AgentMms(agent, zero, zero, zero, ((),) * inst.n) for agent in range(1, inst.n + 1)]
+        return [AgentMms(agent, zero, zero, zero, ()) for agent in range(1, inst.n + 1)]
     out = []
     for agent in range(1, inst.n + 1):
         values = inst.agent_values(agent)

@@ -10,7 +10,8 @@ per type out of every n.
 
 Pressures are stored scaled by (n-1): every reachable pressure value is an
 integer multiple of 1/(n-1), so the scaled values are plain ints and the
-argmin over them is exact and fast. Public accessors expose Fractions.
+argmin over them is exact and fast. Trace snapshots are these (n-1)*H int
+rows too; public accessors and trace files expose Fractions.
 
 :class:`PressureState` is the one pressure engine; the policies differ only
 in how an agent's values map to types. Pressure-greedy rounds up to powers
@@ -24,6 +25,7 @@ that rule.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,10 +81,9 @@ class PressureState:
     def pressure(self, agent: int, u: int) -> Fraction:
         return Fraction(self.scaled[agent - 1][u - 1], self.n - 1)
 
-    def snapshot(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(Fraction(s, self.n - 1) for s in row) for row in self.scaled
-        )
+    def snapshot(self) -> tuple[tuple[int, ...], ...]:
+        """The scaled pressures (n-1)*H, one row per agent."""
+        return tuple(map(tuple, self.scaled))
 
     def step(self, types: tuple[int, ...], agent: int | None = None) -> int:
         """Apply one item's update to ``agent``, or by default to the argmin
@@ -107,12 +108,15 @@ class PressureState:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One allocated item; ``pressures`` is the post-step snapshot, the int
+    rows (n-1)*H of :meth:`PressureState.snapshot`, or None without pressures."""
+
     item: int
     raw: tuple[Fraction, ...]
     effective: tuple[Fraction, ...]  # rounded (or merged-representative) values
     types: tuple[int, ...]
     agent: int
-    pressures: tuple[tuple[Fraction, ...], ...] | None = None
+    pressures: tuple[tuple[int, ...], ...] | None = None
 
 
 @dataclass
@@ -128,7 +132,7 @@ class RunTrace:
     def allocation(self) -> Allocation:
         return Allocation(tuple(s.agent for s in self.steps))
 
-    def feed(self, policy: Policy, raw, record_pressures: bool = True) -> int:
+    def feed(self, policy: Policy, raw) -> int:
         """Offer the next item to ``policy``, check its choice, record the step."""
         agent = policy.choose(raw)
         if not (1 <= agent <= self.n):
@@ -140,7 +144,7 @@ class RunTrace:
                 effective=policy.last_effective(raw),
                 types=policy.last_types(),
                 agent=agent,
-                pressures=policy.pressure_snapshot() if record_pressures else None,
+                pressures=policy.pressure_snapshot(),
             )
         )
         return agent
@@ -152,6 +156,8 @@ class RunTrace:
         return k
 
     def to_jsonl(self) -> str:
+        """One JSON line per step; a scaled pressure h is written as h/(n-1)."""
+        pressure = functools.cache(lambda h: format_rational(Fraction(h, self.n - 1)))
         lines = []
         for s in self.steps:
             rec = {
@@ -162,7 +168,7 @@ class RunTrace:
                 "agent": s.agent,
             }
             if s.pressures is not None:
-                rec["pressures"] = [[format_rational(h) for h in row] for row in s.pressures]
+                rec["pressures"] = [[pressure(h) for h in row] for row in s.pressures]
             lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -186,10 +192,15 @@ def _parse_trace_step(line, n: int, item: int) -> TraceStep:
         raise ParseError(f"item {rec['item']!r} is not the record's position {item}")
     pressures = None
     if "pressures" in rec:
+        if n < 2:
+            raise ParseError("pressures are not recorded for n=1")
         rows = rec["pressures"]
         if not isinstance(rows, list) or len(rows) != n or not all(isinstance(r, list) for r in rows):
             raise ParseError(f"pressures must be a list of {n} lists")
-        pressures = tuple(tuple(parse_rational(h) for h in row) for row in rows)
+        scaled = [[parse_rational(h) * (n - 1) for h in row] for row in rows]
+        if any(h.denominator != 1 for row in scaled for h in row):
+            raise ParseError(f"pressures must be multiples of 1/{n - 1}")
+        pressures = tuple(tuple(int(h) for h in row) for row in scaled)
     return TraceStep(item, raw, effective, tuple(rec["types"]), rec["agent"], pressures)
 
 
@@ -384,16 +395,8 @@ class RoundRobinPolicy(Policy):
 class DumpToOnePolicy(Policy):
     name = "dump-to-one"
 
-    def __init__(self, target: int = 1):
-        self.target = target
-
-    def start(self, n: int) -> None:
-        super().start(n)
-        if self.target > n:
-            raise FairdivError(f"dump-to-one target {self.target} exceeds n={n}")
-
     def choose(self, raw) -> int:
-        return self.target
+        return 1
 
 
 class SeededMixturePolicy(Policy):
@@ -442,12 +445,12 @@ def make_policy(name: str) -> Policy:
     raise FairdivError(f"unknown policy {name!r}")
 
 
-def run_online(inst: Instance, policy: Policy, record_pressures: bool = True) -> tuple[Allocation, RunTrace]:
+def run_online(inst: Instance, policy: Policy) -> tuple[Allocation, RunTrace]:
     """Feed the instance's items in arrival order through a policy."""
     policy.start(inst.n)
     trace = RunTrace(n=inst.n, policy=policy.name)
     for raw in inst.items:
-        trace.feed(policy, raw, record_pressures)
+        trace.feed(policy, raw)
     return trace.allocation(), trace
 
 
@@ -481,7 +484,8 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
     that each item's pressure deltas sum to zero; the rounding sandwich
     raw <= effective < 2*raw; the pressure bound H <= 2k with k the maximum
     registered type count so far; and the per-type receipt-count bound
-    |A_i ^ M_i^u| <= ceil(N_i^u / n) - 1 + 2k.
+    |A_i ^ M_i^u| <= ceil(N_i^u / n) - 1 + 2k. A recorded snapshot must
+    equal the replayed (n-1)*H rows, or the closed form fails.
     """
     n = trace.n
     if n < 2:
@@ -526,12 +530,8 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
                     ok_pressure = False
                 if receipts[i][u] > ceil_div(sightings[i][u], n) - 1 + 2 * game_k:
                     ok_count = False
-        if s.pressures is not None:
-            snap = tuple(
-                tuple(Fraction(v, n - 1) for v in row) for row in scaled
-            )
-            if snap != s.pressures:
-                ok_closed = False
+        if s.pressures is not None and s.pressures != tuple(map(tuple, scaled)):
+            ok_closed = False
     return TraceCheck(
         closed_form=ok_closed,
         zero_sum=ok_zero,

@@ -30,7 +30,7 @@ from .core import (
     load_instance,
     parse_rational,
 )
-from .harness import GeneratorConfig, generate_instance, run_experiment
+from .harness import GRID_NAMES, GeneratorConfig, generate_instance, run_experiment
 from .mms import mms_report_to_obj
 from .stacking import replay_stacking_trace
 
@@ -76,11 +76,7 @@ def cmd_run(args) -> int:
         _write(args.out, allocation_to_json(trace.allocation()) + "\n")
     if args.trace:
         _write(args.trace, trace.to_jsonl())
-    if args.report:
-        text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
-        _write(args.report, text)
-    else:
-        sys.stdout.write(report.to_csv() if args.format == "csv" else report.to_json() + "\n")
+    _write(args.report or "-", report.to_csv() if args.format == "csv" else report.to_json() + "\n")
     return 0 if report.passed else 1
 
 
@@ -138,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--D", default="1", help='max value spread, "p" or "p/q"')
-    p.add_argument("--grid", default="powers-of-two",
-                   choices=["powers-of-two", "uniform-rational", "adversarial-near-threshold"])
+    p.add_argument("--grid", default=GRID_NAMES[0], choices=GRID_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_gen)

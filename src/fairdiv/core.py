@@ -12,13 +12,12 @@ accessors, matching the usual notation for allocation problems.
 from __future__ import annotations
 
 import decimal
+import functools
 import hashlib
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rational = Fraction
 
 
 class FairdivError(Exception):
@@ -40,6 +39,38 @@ def is_positive_int(x) -> bool:
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
+# Pieces that int() and Decimal() convert directly under any int/str digit limit.
+_CHUNK_DIGITS, _CHUNK_BITS = 512, 1024
+
+
+def _int_from_digits(text: str) -> int:
+    """``int(text)`` past the digit limit: the halves of the digits are joined
+    by cached powers of ten, so the cost is that of big-int multiplication."""
+    pow10 = functools.cache(lambda w: 10**w)
+
+    def convert(digits: str) -> int:
+        if len(digits) <= _CHUNK_DIGITS:
+            return int(digits)
+        w = len(digits) // 2
+        return convert(digits[:-w]) * pow10(w) + convert(digits[-w:])
+
+    return -convert(text[1:]) if text.startswith("-") else convert(text)
+
+
+def _digits_from_int(x: int) -> str:
+    """``str(x)`` past the digit limit: the halves of the bits are joined as exact
+    Decimals by cached powers of two, in a local context wide enough for any int."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    pow2 = functools.cache(lambda w: ctx.power(2, w))
+
+    def convert(y: int, bits: int) -> decimal.Decimal:
+        if bits <= _CHUNK_BITS:
+            return decimal.Decimal(y)
+        w = bits // 2
+        return ctx.add(ctx.multiply(convert(y >> w, bits - w), pow2(w)), convert(y & ((1 << w) - 1), w))
+
+    return "-" + _digits_from_int(-x) if x < 0 else str(convert(x, x.bit_length()))
+
 
 def parse_rational(text) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` (or a plain int) into an exact rational.
@@ -57,7 +88,7 @@ def parse_rational(text) -> Fraction:
         try:
             return Fraction(text)
         except ValueError:  # past the interpreter's int/str digit limit
-            return Fraction(*(int(decimal.Decimal(part)) for part in text.split("/")))
+            return Fraction(*map(_int_from_digits, text.split("/")))
     raise ParseError(f"not a rational: {text!r}")
 
 
@@ -67,8 +98,8 @@ def format_rational(x: Fraction) -> str:
     try:
         return str(x)
     except ValueError:  # past the interpreter's int/str digit limit
-        p, q = decimal.Decimal(x.numerator), decimal.Decimal(x.denominator)
-        return f"{p}" if q == 1 else f"{p}/{q}"
+        p = _digits_from_int(x.numerator)
+        return p if x.denominator == 1 else f"{p}/{_digits_from_int(x.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -110,9 +141,6 @@ class Instance:
 
     def total(self, agent: int) -> Fraction:
         return sum(self.agent_values(agent), Fraction(0))
-
-    def prefix(self, count: int) -> "Instance":
-        return Instance(self.n, self.items[:count])
 
 
 @dataclass(frozen=True)
@@ -240,7 +268,6 @@ def ceil_div(a: int, b: int) -> int:
 
 
 __all__ = [
-    "Rational",
     "FairdivError",
     "ParseError",
     "InvariantViolation",

@@ -109,15 +109,12 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
     return Instance(n=cfg.n, items=items)
 
 
-def policy_zoo(seeds=(11, 23, 37, 41, 53)) -> list[Policy]:
-    zoo: list[Policy] = [
-        PressureGreedyPolicy(),
-        BiValuePolicy(),
-        RoundRobinPolicy(),
-        DumpToOnePolicy(),
-    ]
-    zoo.extend(SeededMixturePolicy(s) for s in seeds)
-    return zoo
+ZOO_MIXTURE_SEEDS = (11, 23, 37, 41, 53)
+
+
+def policy_zoo() -> list[Policy]:
+    fixed = [PressureGreedyPolicy(), BiValuePolicy(), RoundRobinPolicy(), DumpToOnePolicy()]
+    return fixed + [SeededMixturePolicy(s) for s in ZOO_MIXTURE_SEEDS]
 
 
 # Experiment reports ---------------------------------------------------------

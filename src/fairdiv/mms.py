@@ -159,12 +159,15 @@ def agent_type_shares(values, n: int) -> list[TypeShare]:
 def witness_max_bundle(inst: Instance, agent: int, partition) -> Fraction:
     """Largest bundle disutility of a partition, under one agent's valuation.
 
-    ``partition`` is an iterable of bundles of 1-based item indices; it must
-    cover every arrived item exactly once.
+    ``partition`` is an iterable of at most n bundles of 1-based item
+    indices (missing bundles are empty); it must cover every arrived item
+    exactly once.
     """
     seen: set[int] = set()
     worst = Fraction(0)
-    for bundle in partition:
+    for count, bundle in enumerate(partition, start=1):
+        if count > inst.n:
+            raise FairdivError(f"witness partition has more than n={inst.n} bundles")
         s = Fraction(0)
         for j in bundle:
             if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= inst.m:
@@ -218,6 +221,8 @@ class AgentMms:
         return "witness" if self.exact is None else "exact"
 
     def __post_init__(self):
+        if not self.lower <= self.upper:
+            raise FairdivError(f"agent {self.agent}: lower bound {self.lower} exceeds {self.upper}")
         if self.exact is not None and not (self.lower <= self.exact <= self.upper):
             raise FairdivError(
                 f"agent {self.agent}: exact MMS {self.exact} outside [{self.lower}, {self.upper}]"

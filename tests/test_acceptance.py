@@ -63,7 +63,7 @@ def test_criterion_1_round_robin_exactness():
         m = rng.randint(1, 1000)
         values = [F(rng.randint(1, 64), rng.randint(1, 8)) for _ in range(n)]
         inst = Instance(n, tuple(tuple(values) for _ in range(m)))
-        alloc, _ = run_online(inst, PressureGreedyPolicy(), record_pressures=False)
+        alloc, _ = run_online(inst, PressureGreedyPolicy())
         cap = ceil_div(m, n)
         counts = [0] * n
         for a in alloc.assignment:

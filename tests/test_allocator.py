@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -115,13 +116,33 @@ def test_determinism():
 
 def test_trace_jsonl_roundtrip():
     rng = random.Random(37)
-    inst = random_instance(rng, n=3, m=12, k=2)
+    for n, m in ((3, 12), (3, 40), (4, 40)):
+        inst = random_instance(rng, n=n, m=m, k=2)
+        _, trace = run_online(inst, PressureGreedyPolicy())
+        again = trace_from_jsonl(trace.to_jsonl(), n=n, policy=trace.policy)
+        assert again.steps == trace.steps  # the scaled (n-1)*H rows included
+        assert again.to_jsonl() == trace.to_jsonl()
+    # the n=4 trace holds pressures that are not whole numbers
+    assert any(h % 3 for s in trace.steps for row in s.pressures for h in row)
+
+
+def test_validate_catches_a_snapshot_off_by_one_scaled_unit():
+    inst = random_instance(random.Random(41), n=3, m=20, k=2)
     _, trace = run_online(inst, PressureGreedyPolicy())
-    again = trace_from_jsonl(trace.to_jsonl(), n=3)
-    assert again.to_jsonl() == trace.to_jsonl()
+    assert validate_pressure_trace(trace).passed
+    step = trace.steps[9]
+    rows = [list(row) for row in step.pressures]
+    rows[1][0] += 1
+    trace.steps[9] = replace(step, pressures=tuple(map(tuple, rows)))
+    assert not validate_pressure_trace(trace).closed_form
 
 
 _STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1], "agent": 1}
+
+
+def _step(n):
+    """A first trace record of ``n`` agents with no pressures."""
+    return {"item": 1, "raw": ["1"] * n, "effective": ["1"] * n, "types": [1] * n, "agent": 1}
 
 
 @pytest.mark.parametrize(
@@ -145,12 +166,16 @@ _STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1],
         (json.dumps({**_STEP, "item": 2, "pressures": []}), "pressures must be a list of 2 lists"),
         (json.dumps({**_STEP, "item": 2, "pressures": ["12", "3"]}), "pressures must be a list of 2 lists"),
         (json.dumps({**_STEP, "item": 2, "pressures": [["1"], [0.5]]}), "not a rational"),
+        ((3, json.dumps({**_step(3), "item": 2, "pressures": [["1/3"], ["0"], ["0"]]})),
+         "pressures must be multiples of 1/2"),
+        ((1, json.dumps({**_step(1), "item": 2, "pressures": [["0"]]})), "not recorded for n=1"),
     ],
 )
 def test_trace_from_jsonl_rejects_malformed_lines(line, message):
-    text = json.dumps(_STEP) + "\n\n" + line + "\n"
+    n, line = line if isinstance(line, tuple) else (2, line)  # the n=2 lines follow _STEP
+    text = json.dumps(_STEP if n == 2 else _step(n)) + "\n\n" + line + "\n"
     with pytest.raises(ParseError, match=f"^line 3: .*{message}"):
-        trace_from_jsonl(text, n=2)
+        trace_from_jsonl(text, n=n)
 
 
 def test_n1_degenerate():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,23 @@ def test_rationals_of_any_length_roundtrip():
     text = instance_to_json(inst)
     assert load_instance(text) == inst
     assert instance_to_json(load_instance(text.encode("utf-8"))) == text
+
+
+@pytest.mark.parametrize("digits", [4300, 4301, 100_000])
+def test_rationals_round_trip_at_and_past_the_digit_limit(digits):
+    rng = random.Random(digits)
+    p = rng.randrange(10 ** (digits - 1), 10**digits)
+    q = rng.randrange(10 ** (digits - 2), 10 ** (digits - 1)) | 1
+    x = Fraction(p, q)
+    text = format_rational(x)
+    num, den = text.split("/")
+    for part, value in ((num, x.numerator), (den, x.denominator)):
+        assert part[:20] == str(value // 10 ** (len(part) - 20))
+        assert part[-20:] == str(value % 10**20).zfill(20)
+    assert len(num) == digits
+    assert parse_rational(text) == x
+    assert format_rational(-x) == "-" + text
+    assert parse_rational("-" + text) == -x
 
 
 def test_allocation_roundtrip():

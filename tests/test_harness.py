@@ -346,4 +346,4 @@ def test_cli_run_and_mms_accept_an_empty_instance(tmp_path):
     assert [e["agent"] for e in entries] == [1, 2, 3]
     for e in entries:
         assert e["lower_bound"] == e["upper_bound"] == e["exact_mms"] == "0"
-        assert e["witness_partition"] == [[], [], []]
+        assert e["witness_partition"] == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairdiv import (
+    AgentMms,
     Allocation,
     FairdivError,
     Instance,
@@ -154,6 +155,28 @@ def test_witness_rejects_items_outside_the_instance():
             witness_max_bundle(inst, 1, bad)
         with pytest.raises(FairdivError, match="outside 1..3"):
             certify_ratio(inst, alloc, [bad])
+
+
+def test_witness_rejects_more_than_n_bundles():
+    inst = Instance(2, ((Fraction(1), Fraction(1)),) * 4)
+    alloc = Allocation((1, 1, 2, 2))
+    # four singleton bundles would make the MMS look like 1: ratio 2, not 1
+    forged = RatioCertificate(1, Fraction(2), Fraction(1), ((1,), (2,), (3,), (4,)), "witness", Fraction(2))
+    with pytest.raises(FairdivError, match="more than n=2 bundles"):
+        verify_certificate(inst, alloc, forged)
+    # fewer than n bundles leave the others empty
+    assert witness_max_bundle(inst, 1, [[1, 2, 3, 4]]) == 4
+
+
+def test_supplied_witness_past_the_guard_has_at_most_n_bundles():
+    inst = Instance(2, ((Fraction(1), Fraction(1)),) * 30)
+    singletons = [[j] for j in range(1, 31)]
+    with pytest.raises(FairdivError, match="more than n=2 bundles"):
+        mms_report(inst, [singletons])
+    (entry, _) = mms_report(inst, [[list(range(1, 16)), list(range(16, 31))]])
+    assert entry.exact is None and entry.lower == entry.upper == 15
+    with pytest.raises(FairdivError, match="lower bound 15 exceeds 1"):
+        AgentMms(1, Fraction(15), Fraction(1), None, tuple(map(tuple, singletons)))
 
 
 @settings(max_examples=60)

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` swaps names in the fairdiv modules that call them, so
 it breaks when a patched name disappears. These tests install it on a fresh
 import of fairdiv, as ``perfbench/run.py`` does, and check that an experiment
-searches each agent's MMS once, that ``fairdiv run`` runs its policy once,
-and that past the search guard the built-in witnesses are not re-summed.
+searches each agent's MMS once, that ``fairdiv run`` runs its policy once
+with one pressure snapshot per item, and that past the search guard the
+built-in witnesses are not re-summed.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def test_cli_run_runs_its_policy_once(fresh_fairdiv, tmp_path):
     assert metrics["cli.main.calls"] == 1
     assert metrics["allocator.run_online.calls"] == 1
     assert metrics["allocator.RunTrace.to_jsonl.calls"] == 1
+    assert metrics["allocator.Policy.pressure_snapshot.calls"] == inst.m  # snapshots are always on
 
 
 def test_cli_run_past_the_guard_sums_no_witness(fresh_fairdiv, tmp_path):
