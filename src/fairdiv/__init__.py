@@ -28,7 +28,6 @@ from .mms import (
     InstanceTooLarge,
     agent_type_shares,
     check_mms_decomposition,
-    mms_bounds,
     mms_exact,
     per_type_share,
 )
@@ -65,6 +64,7 @@ from .adversary import (
     RatioCertificate,
     RecursiveAdversary,
     TwoAgentAdversary,
+    agent_mms,
     certify_ratio,
     check_O1_O2,
     make_recursive_adversary,

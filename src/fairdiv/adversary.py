@@ -36,7 +36,8 @@ from fractions import Fraction
 
 from .allocator import Policy, RunTrace
 from .core import Allocation, FairdivError, Instance, ceil_div, format_rational
-from .mms import AgentMms, InstanceTooLarge, lpt_partition, mms_bounds, mms_exact, witness_max_bundle
+from .mms import (AgentMms, InstanceTooLarge, common_scale, lpt_partition, mms_exact,
+                  type_union_partition, witness_max_bundle)
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,8 @@ def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate
     """Recompute everything a certificate claims."""
     if cert.mms_source == "trivial":
         return inst.m == 0
+    if not 1 <= cert.agent <= inst.n or cert.mms_upper == 0:
+        return False
     if witness_max_bundle(inst, cert.agent, cert.witness) != cert.mms_upper:
         return False
     if alloc.bundle_disutility(inst, cert.agent) != cert.d_A:
@@ -98,20 +101,6 @@ def _build_certificate(agent, d_a, mms_upper, witness, source="witness") -> Rati
         mms_source=source,
         ratio_lower=d_a / mms_upper,
     )
-
-
-def type_union_partition(values, n: int) -> list[list[int]]:
-    """Round-robin each distinct value separately; unions the per-type optima."""
-    by_value: dict[Fraction, list[int]] = {}
-    for p, v in enumerate(values):
-        by_value.setdefault(v, []).append(p)
-    bundles: list[list[int]] = [[] for _ in range(n)]
-    for positions in by_value.values():
-        for idx, p in enumerate(positions):
-            bundles[idx % n].append(p + 1)
-    for bundle in bundles:
-        bundle.sort()
-    return bundles
 
 
 def greedy_bin_packing(values, positions, n: int, capacity: Fraction):
@@ -146,37 +135,39 @@ def _add_to_heaviest(values, bundles, items) -> tuple[Fraction, list[list[int]]]
     return loads[heaviest] + sum((values[j - 1] for j in items), Fraction(0)), bundles
 
 
-def mms_report(inst: Instance, witnesses=None) -> list[AgentMms]:
-    """Each agent's certified MMS bounds, computed once per instance.
+def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
+    """One agent's certified MMS bounds, from one integer scale of its values.
 
-    ``lower`` is the average/max-item bound of :func:`mms_bounds`. ``upper``
-    is the exact MMS ("exact") when the search guard allows it, otherwise
-    the least of the largest-first, type-union and supplied witness
-    partitions ("witness"), ties to the first; ``witness`` attains it. Only
-    supplied witnesses are checked by :func:`witness_max_bundle`: the
-    largest-first bundles are summed directly, and the type-union partition
-    attains the per-type share sum of :func:`mms_bounds`.
+    ``lower`` is max(average, largest item): some bundle carries at least
+    the average, and some bundle holds the largest item. ``upper`` is the
+    exact MMS ("exact") when the search guard allows it, otherwise the least
+    of the supplied, largest-first and type-union witness partitions
+    ("witness"), ties to the first; ``witness`` attains it. Only supplied
+    witnesses are checked by :func:`witness_max_bundle`: the built-in ones
+    come with their max loads.
     """
     if inst.m == 0:  # the empty partition (every bundle empty): every bound is 0
-        zero = Fraction(0)
-        return [AgentMms(agent, zero, zero, zero, ()) for agent in range(1, inst.n + 1)]
-    out = []
-    for agent in range(1, inst.n + 1):
-        values = inst.agent_values(agent)
-        lower, type_union_upper = mms_bounds(inst, agent)
-        supplied = [(witness_max_bundle(inst, agent, w), w) for w in witnesses or ()]
-        try:
-            exact, positions = mms_exact(values, inst.n)
-        except InstanceTooLarge:
-            exact = None
-            lpt = lpt_partition(values, inst.n)
-            lpt_upper = max(sum((values[j - 1] for j in bundle), Fraction(0)) for bundle in lpt)
-            candidates = [(lpt_upper, lpt), (type_union_upper, type_union_partition(values, inst.n))]
-            upper, witness = min(candidates + supplied, key=lambda c: c[0])
-        else:
-            upper, witness = exact, [[p + 1 for p in bundle] for bundle in positions]
-        out.append(AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness)))
-    return out
+        return AgentMms(agent, Fraction(0), Fraction(0), Fraction(0), ())
+    n = inst.n
+    supplied = [(witness_max_bundle(inst, agent, w), w) for w in witnesses]
+    common, values = common_scale(inst.agent_values(agent))
+    lower = Fraction(max(sum(values), n * max(values)), n * common)
+    try:
+        exact, positions = mms_exact(values, n)
+    except InstanceTooLarge:
+        exact = None
+        built_in = [lpt_partition(values, n), type_union_partition(values, n)]
+        candidates = supplied + [(Fraction(load, common), bundles) for load, bundles in built_in]
+        upper, witness = min(candidates, key=lambda c: c[0])
+    else:
+        exact = upper = exact / common
+        witness = [[p + 1 for p in bundle] for bundle in positions]
+    return AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness))
+
+
+def mms_report(inst: Instance, witnesses=None) -> list[AgentMms]:
+    """Each agent's :func:`agent_mms` record, computed once per instance."""
+    return [agent_mms(inst, agent, witnesses or ()) for agent in range(1, inst.n + 1)]
 
 
 def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[RatioCertificate]:
@@ -255,17 +246,9 @@ class TwoAgentAdversary:
         return Instance(n=2, items=tuple(self.emissions[: self.round]))
 
     def _certificate_for(self, agent: int, extra_witnesses) -> RatioCertificate:
-        inst = self.instance()
-        values = list(inst.agent_values(agent))
-        d_a = sum((values[r] for r in range(self.round) if self.takes[r] == agent), Fraction(0))
-        candidates = [(witness_max_bundle(inst, agent, part), part, "witness") for part in extra_witnesses]
-        try:
-            exact, positions = mms_exact(values, 2)
-        except InstanceTooLarge:
-            pass
-        else:  # the exact MMS comes first, so it wins ties
-            candidates.insert(0, (exact, [[p + 1 for p in bundle] for bundle in positions], "exact"))
-        return _build_certificate(agent, d_a, *min(candidates, key=lambda c: c[0]))
+        d_a = sum((e[agent - 1] for e, taker in zip(self.emissions, self.takes) if taker == agent), Fraction(0))
+        r = agent_mms(self.instance(), agent, extra_witnesses)
+        return _build_certificate(agent, d_a, r.upper, r.witness, r.source)
 
     def certificate(self) -> RatioCertificate | None:
         """Fires exactly when one of the construction's end states is reached."""
@@ -468,7 +451,7 @@ class RecursiveAdversary:
         capacity = (1 + 2 * self.eps_own) * self.V
         bins = greedy_bin_packing(values, mine, self.n_total, capacity)
         if bins is None:
-            bins = lpt_partition(values, self.n_total, mine)
+            bins = lpt_partition(common_scale(values)[1], self.n_total, mine)[1]
         else:
             bins = [[p + 1 for p in b] for b in bins]
         return _build_certificate(self.level, self.own_taken_sum, *_add_to_heaviest(values, bins, skipped))
@@ -642,9 +625,8 @@ __all__ = [
     "RatioCertificate",
     "TRIVIAL_CERTIFICATE",
     "verify_certificate",
-    "lpt_partition",
-    "type_union_partition",
     "greedy_bin_packing",
+    "agent_mms",
     "mms_report",
     "certify_ratio",
     "TwoAgentAdversary",

@@ -37,7 +37,7 @@ def is_positive_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 # Pieces that int() and Decimal() convert directly under any int/str digit limit.
 _CHUNK_DIGITS, _CHUNK_BITS = 512, 1024
@@ -83,12 +83,14 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        if not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.fullmatch(text)
+        if match is None:
             raise ParseError(f"not a rational string: {text!r}")
+        parts = match.groups(default="1")
         try:
-            return Fraction(text)
+            return Fraction(*map(int, parts))
         except ValueError:  # past the interpreter's int/str digit limit
-            return Fraction(*map(_int_from_digits, text.split("/")))
+            return Fraction(*map(_int_from_digits, parts))
     raise ParseError(f"not a rational: {text!r}")
 
 

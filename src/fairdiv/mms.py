@@ -2,10 +2,12 @@
 
 The MMS of an agent is the minimum over n-way partitions of the item set of
 the largest bundle disutility under that agent's valuation. Exact values are
-computed by branch and bound over partitions; when that is infeasible the
-module produces certified lower/upper bounds instead, so downstream ratio
-reports never state an exact number without an exact benchmark. Each agent's
-:class:`AgentMms` record is assembled by :func:`fairdiv.adversary.mms_report`.
+computed by branch and bound over partitions, on integers over the values'
+common denominator; when the item-count guard refuses, the largest-first and
+type-union partitions give certified upper bounds instead, each with its max
+load, so downstream ratio reports never state an exact number without an
+exact benchmark. Each agent's :class:`AgentMms` record is assembled by
+:func:`fairdiv.adversary.agent_mms`, from one integer scale of its values.
 """
 
 from __future__ import annotations
@@ -33,69 +35,88 @@ def exact_search_limit(n: int) -> int:
     return _EXACT_LIMITS.get(n, _EXACT_LIMIT_DEFAULT)
 
 
-def lpt_partition(values, n: int, positions=None) -> list[list[int]]:
-    """n sorted bundles of 1-based indices: largest item first to the least-loaded.
+def common_scale(values) -> tuple[int, list[int]]:
+    """``(d, [v * d for v in values])`` for ``d`` the least common denominator:
+    integers with every order, tie and ratio of the rationals."""
+    common = lcm(*{v.denominator for v in values})
+    return common, [v.numerator * (common // v.denominator) for v in values]
+
+
+def lpt_partition(values, n: int, positions=None) -> tuple[int, list[list[int]]]:
+    """``(max load, n sorted bundles of 1-based indices)``: largest item first to the least-loaded.
 
     ``positions`` (0-based, default all) selects the items. Ties: a stable
-    descending sort, and the lowest-indexed least-loaded bundle. Runs on
-    integers over one common denominator, which keeps every order and tie.
+    descending sort, and the lowest-indexed least-loaded bundle. ``values``
+    are the integers of :func:`common_scale`, and so is the load.
     """
     if positions is None:
         positions = range(len(values))
-    common = lcm(*{values[p].denominator for p in positions})
-    scaled = {p: values[p].numerator * (common // values[p].denominator) for p in positions}
     loads = [0] * n
     bundles: list[list[int]] = [[] for _ in range(n)]
-    for p in sorted(positions, key=scaled.__getitem__, reverse=True):
+    for p in sorted(positions, key=values.__getitem__, reverse=True):
         b = min(range(n), key=loads.__getitem__)
-        loads[b] += scaled[p]
+        loads[b] += values[p]
         bundles[b].append(p + 1)
     for bundle in bundles:
         bundle.sort()
-    return bundles
+    return max(loads), bundles
+
+
+def type_union_partition(values, n: int) -> tuple[int, list[list[int]]]:
+    """``(max load, bundles)``: each distinct value round-robined on its own.
+
+    The union of the per-type optima. The first bundle holds ceil(count/n)
+    items of every value, so the max load is the per-type share sum.
+    """
+    by_value: dict[int, list[int]] = {}
+    for p, v in enumerate(values):
+        by_value.setdefault(v, []).append(p)
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    for positions in by_value.values():
+        for idx, p in enumerate(positions):
+            bundles[idx % n].append(p + 1)
+    for bundle in bundles:
+        bundle.sort()
+    return sum(v * ceil_div(len(positions), n) for v, positions in by_value.items()), bundles
 
 
 def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
     """Exact MMS of a value list, plus one witness partition attaining it.
 
-    Returns ``(share, partition)`` where ``partition`` is an n-tuple of
-    tuples of 0-based positions into ``values`` and the max bundle sum of
-    the partition equals ``share``. Raises :class:`InstanceTooLarge` when
-    the search guard for this ``n`` is exceeded.
+    ``values`` are ints or Fractions. Returns ``(share, partition)`` where
+    ``partition`` is an n-tuple of tuples of 0-based positions into
+    ``values`` and the max bundle sum of the partition equals ``share``.
+    Raises :class:`InstanceTooLarge` when the search guard for this ``n`` is
+    exceeded; the guard counts items only, so a refusal reads no value. The
+    search runs on the integers of :func:`common_scale`.
     """
-    vals = [Fraction(v) for v in values]
-    if not vals:
-        raise FairdivError("mms_exact: empty value list")
-    if any(v <= 0 for v in vals):
-        raise FairdivError("mms_exact: values must be positive")
     if n < 1:
         raise FairdivError("mms_exact: n must be >= 1")
-    m = len(vals)
+    m = len(values)
+    if m == 0:
+        raise FairdivError("mms_exact: empty value list")
     if m > exact_search_limit(n):
         raise InstanceTooLarge(f"m={m} exceeds exact-search limit for n={n}")
+    common, vals = common_scale(values)
+    if any(v <= 0 for v in vals):
+        raise FairdivError("mms_exact: values must be positive")
     if n == 1:
-        return sum(vals, Fraction(0)), (tuple(range(m)),)
+        return Fraction(sum(vals), common), (tuple(range(m)),)
     if m <= n:
-        share = max(vals)
-        partition = [()] * n
-        for pos in range(m):
-            partition[pos] = (pos,)
-        return share, tuple(partition)
+        return Fraction(max(vals), common), tuple((p,) for p in range(m)) + ((),) * (n - m)
 
-    order = sorted(range(m), key=lambda p: vals[p], reverse=True)
+    order = sorted(range(m), key=vals.__getitem__, reverse=True)
     svals = [vals[p] for p in order]
-    total = sum(svals, Fraction(0))
-    smallest_bundle = sorted(vals)[: ceil_div(m, n)]
-    lower = max(total / n, svals[0], sum(smallest_bundle, Fraction(0)))
+    # some bundle holds the average, the largest item, and ceil(m/n) items
+    lower = max(Fraction(sum(vals), n), svals[0], sum(sorted(vals)[: ceil_div(m, n)]))
 
     # The largest-first greedy partition seeds the incumbent.
-    greedy = lpt_partition(vals, n)
-    best = max(sum((vals[j - 1] for j in bundle), Fraction(0)) for bundle in greedy)
+    best, greedy = lpt_partition(vals, n)
     best_assign = None
 
     assign = [0] * m
 
-    def search(t: int, loads: tuple[Fraction, ...], curmax: Fraction) -> None:
+    def search(t: int, loads: tuple[int, ...], curmax: int) -> None:
         nonlocal best, best_assign
         if curmax >= best or best == lower:
             return
@@ -120,14 +141,14 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
             if best == lower:
                 return
 
-    search(0, (Fraction(0),) * n, Fraction(0))
+    search(0, (0,) * n, 0)
 
     partition = [[j - 1 for j in bundle] for bundle in greedy]
     if best_assign is not None:  # the search beat the greedy incumbent
         partition = [[] for _ in range(n)]
         for t, b in enumerate(best_assign):
             partition[b].append(order[t])
-    return best, tuple(tuple(sorted(bundle)) for bundle in partition)
+    return Fraction(best, common), tuple(tuple(sorted(bundle)) for bundle in partition)
 
 
 @dataclass(frozen=True)
@@ -180,24 +201,6 @@ def witness_max_bundle(inst: Instance, agent: int, partition) -> Fraction:
     if len(seen) != inst.m:
         raise FairdivError("witness partition does not cover all items")
     return worst
-
-
-def mms_bounds(inst: Instance, agent: int) -> tuple[Fraction, Fraction]:
-    """Certified (lower, upper) bounds on one agent's MMS.
-
-    lower = max(average disutility, largest single item): the average is a
-    bound because some bundle carries at least its share of the total, and
-    some bundle must hold the largest item. upper = the per-type share sum,
-    the max bundle of the type-union partition (the per-type optimal
-    partitions unioned).
-    """
-    if inst.m == 0:
-        raise FairdivError("mms_bounds: empty instance")
-    vals = inst.agent_values(agent)
-    shares = agent_type_shares(vals, inst.n)
-    lower = max(sum(vals, Fraction(0)) / inst.n, max(ts.value for ts in shares))
-    upper = sum((ts.share for ts in shares), Fraction(0))
-    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -276,13 +279,14 @@ def check_mms_decomposition(inst: Instance) -> list[DecompositionCheck]:
 __all__ = [
     "InstanceTooLarge",
     "exact_search_limit",
+    "common_scale",
     "lpt_partition",
+    "type_union_partition",
     "mms_exact",
     "TypeShare",
     "per_type_share",
     "agent_type_shares",
     "witness_max_bundle",
-    "mms_bounds",
     "AgentMms",
     "mms_report_to_obj",
     "DecompositionCheck",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import (
+    Allocation,
     Instance,
     RecursiveAdversary,
     TwoAgentAdversary,
@@ -14,7 +15,7 @@ from fairdiv import (
     run_online,
     verify_certificate,
 )
-from fairdiv.adversary import RecGameRecord, greedy_bin_packing, lpt_partition
+from fairdiv.adversary import RatioCertificate, RecGameRecord, greedy_bin_packing, lpt_partition
 from fairdiv.allocator import DumpToOnePolicy, ExternalPolicy, RoundRobinPolicy
 from fairdiv.core import FairdivError
 
@@ -257,8 +258,27 @@ def test_bin_packing_helper():
 
 
 def test_lpt_partition_covers():
-    part = lpt_partition([F(4), F(1), F(1)], 2)
+    load, part = lpt_partition([4, 1, 1], 2)
+    assert load == 4
     assert sorted(j for b in part for j in b) == [1, 2, 3]
+
+
+def test_verify_rejects_agent_zero():
+    # agent 0 would read agent 2's values through index -1
+    inst = Instance(2, ((F(1), F(1)),))
+    cert = RatioCertificate(0, F(0), F(1), ((1,),), "witness", F(0))
+    assert not verify_certificate(inst, Allocation((1,)), cert)
+
+
+def test_verify_rejects_agent_past_n():
+    inst = Instance(2, ((F(1), F(1)),))
+    cert = RatioCertificate(3, F(0), F(1), ((1,),), "witness", F(0))
+    assert not verify_certificate(inst, Allocation((1,)), cert)
+
+
+def test_verify_rejects_zero_mms_upper():
+    cert = RatioCertificate(1, F(0), F(0), (), "witness", F(1))
+    assert not verify_certificate(Instance(2, ()), Allocation(()), cert)
 
 
 def test_adversary_rejects_bad_observe():

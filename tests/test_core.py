@@ -53,6 +53,14 @@ def test_float_rejected():
         parse_rational("0.5")
 
 
+@pytest.mark.parametrize("text", ["5\n", "\u0663", "12/\u0664"], ids=["newline", "arabic-indic", "arabic-indic-den"])
+def test_non_ascii_digits_and_trailing_newline_rejected(text):
+    with pytest.raises(ParseError):
+        parse_rational(text)
+    with pytest.raises(ParseError):
+        load_instance(json.dumps({"n": 1, "items": [{"d": [text]}]}))
+
+
 def test_json_booleans_rejected_as_integers():
     with pytest.raises(ParseError):
         load_instance('{"n": true, "items": [{"d": ["1"]}]}')

@@ -107,6 +107,10 @@ GAMES = {
     # budget exhausted: certify_ratio past the exact-search guard
     "n3-exhausted": lambda: (make_recursive_adversary(3, 1, 60), PressureGreedyPolicy(), 60),
     "two-agent": lambda: (TwoAgentAdversary(Fraction(1, 2)), PressureGreedyPolicy(), 10000),
+    # agent 2 absorbs every item, so the split witness is certified past the
+    # n = 2 exact-search guard; 31 and 61 rounds
+    "two-agent-eps10": lambda: (TwoAgentAdversary(Fraction(1, 10)), ExternalPolicy(lambda d: 2), 10000),
+    "two-agent-eps20": lambda: (TwoAgentAdversary(Fraction(1, 20)), ExternalPolicy(lambda d: 2), 10000),
 }
 
 GOLDEN = {
@@ -195,6 +199,8 @@ GOLDEN = {
     'game/n3-exhausted:certificate': 'd4c90474280a0afa497918d291c71a29ee18870890a802630212ff40885bce1c',
     'game/n3-exhausted:events': '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',
     'game/two-agent:certificate': '6dca2bc985eb4f3ddbb8ad7d8a8cb5ce2b5a1312de6a7bf39ade9e7f3745e2db',
+    'game/two-agent-eps10:certificate': 'a2238e9674bebfb77d09d802907e8e83244f288668293ed5e83f865f76a4f948',
+    'game/two-agent-eps20:certificate': 'd85ca0a53b00b348510431a0c68f31d2fe125d2770a1f2deb99877a4bbcd5dd1',
 }
 
 

@@ -316,6 +316,12 @@ def test_cli_undecodable_files_are_usage_errors(tmp_path, capsys, content):
         assert "invalid JSON" in _one_line_error(capsys, argv + [str(path)])
 
 
+def test_cli_mms_rejects_non_ascii_digits(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text('{"n": 1, "items": [{"d": ["\u0663"]}]}', encoding="utf-8")
+    assert "not a rational string" in _one_line_error(capsys, ["mms", "--in", str(path)])
+
+
 def test_cli_adversary_rejects_one_agent(capsys):
     err = _one_line_error(capsys, ["adversary", "run", "--n", "1", "--budget", "5"])
     assert "--n" in err

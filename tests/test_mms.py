@@ -10,16 +10,16 @@ from fairdiv import (
     FairdivError,
     Instance,
     InstanceTooLarge,
+    agent_mms,
     certify_ratio,
     check_mms_decomposition,
-    mms_bounds,
     mms_exact,
     mms_report,
     per_type_share,
     verify_certificate,
 )
 from fairdiv.adversary import RatioCertificate
-from fairdiv.mms import witness_max_bundle
+from fairdiv.mms import common_scale, exact_search_limit, lpt_partition, type_union_partition, witness_max_bundle
 
 from conftest import brute_force_mms, random_instance
 
@@ -49,6 +49,9 @@ def test_witness_attains_value():
 def test_guard_raises():
     with pytest.raises(InstanceTooLarge):
         mms_exact([Fraction(1)] * 30, 3)
+    # the guard counts items only: past it, no value is read
+    with pytest.raises(InstanceTooLarge):
+        mms_exact([None] * 30, 3)
 
 
 def test_against_brute_force():
@@ -76,11 +79,16 @@ def test_single_type_equivalence():
         assert got == per_type_share(count, v, n)
 
 
+def _type_union_load(inst, agent):
+    """The per-type share sum: the max load of the type-union partition."""
+    common, values = common_scale(inst.agent_values(agent))
+    return Fraction(type_union_partition(values, inst.n)[0], common)
+
+
 def test_bounds_unit_items():
     inst = Instance(2, tuple(((Fraction(1), Fraction(1)),) * 3))
-    lower, upper = mms_bounds(inst, 1)
-    assert lower == Fraction(3, 2)
-    assert upper == 2  # per-type share: ceil(3/2) * 1
+    assert agent_mms(inst, 1).lower == Fraction(3, 2)
+    assert _type_union_load(inst, 1) == 2  # per-type share: ceil(3/2) * 1
 
 
 def test_bounds_with_witness():
@@ -89,14 +97,13 @@ def test_bounds_with_witness():
         (Fraction(1), Fraction(1)),
         (Fraction(1), Fraction(1)),
     ))
-    assert mms_bounds(inst, 1)[0] == 4  # max(6/2, 4)
+    assert agent_mms(inst, 1).lower == 4  # max(6/2, 4)
     assert mms_report(inst, [[[1], [2, 3]]])[0].upper == 4  # witness attains it: exact
 
 
 def test_bounds_single_item():
     inst = Instance(4, ((Fraction(7, 3), Fraction(1), Fraction(1), Fraction(1)),))
-    lower, upper = mms_bounds(inst, 1)
-    assert lower == upper == Fraction(7, 3)
+    assert agent_mms(inst, 1).lower == _type_union_load(inst, 1) == Fraction(7, 3)
 
 
 def test_bounds_bracket_exact():
@@ -104,9 +111,8 @@ def test_bounds_bracket_exact():
     for _ in range(30):
         inst = random_instance(rng, n=rng.randint(2, 3), m=rng.randint(3, 8), k=rng.randint(1, 3))
         for agent in range(1, inst.n + 1):
-            lower, upper = mms_bounds(inst, agent)
             exact, _ = mms_exact(inst.agent_values(agent), inst.n)
-            assert lower <= exact <= upper
+            assert agent_mms(inst, agent).lower <= exact <= _type_union_load(inst, agent)
 
 
 def test_decomposition_single_type():
@@ -197,6 +203,9 @@ def test_permutation_and_scale_invariance(values, n, perm, c):
     assert mms_exact([c * v for v in values], n)[0] == c * base
 
 
+HUGE = [3 ** 2000 + 1, 7 ** 1200, 2 ** 3400 - 1]  # thousand-digit denominators
+
+
 def _fraction_lpt(values, n, positions=None):
     """Largest-first partition on Fraction loads, the reference for lpt_partition."""
     if positions is None:
@@ -211,15 +220,63 @@ def _fraction_lpt(values, n, positions=None):
 
 
 def test_lpt_partition_matches_fraction_reference():
-    from fairdiv.mms import lpt_partition
-
     rng = random.Random(89)
-    huge = [3 ** 2000 + 1, 7 ** 1200, 2 ** 3400 - 1]  # thousand-digit denominators
     for trial in range(200):
         n, m = rng.randint(1, 5), rng.randint(0, 25)
         if trial % 4 == 0:
-            values = [Fraction(rng.randint(1, 10 ** 1100), rng.choice(huge)) for _ in range(m)]
+            values = [Fraction(rng.randint(1, 10 ** 1100), rng.choice(HUGE)) for _ in range(m)]
         else:  # small values repeat, so ties in the sort and among loads are common
             values = [Fraction(rng.randint(1, 6), rng.choice([1, 2, 3, 4, 6])) for _ in range(m)]
         positions = None if trial % 2 else sorted(rng.sample(range(m), rng.randint(0, m)))
-        assert lpt_partition(values, n, positions) == _fraction_lpt(values, n, positions)
+        common, scaled = common_scale(values)
+        load, bundles = lpt_partition(scaled, n, positions)
+        assert bundles == _fraction_lpt(values, n, positions)
+        assert Fraction(load, common) == max(sum((values[j - 1] for j in b), Fraction(0)) for b in bundles)
+
+
+def _fraction_agent_mms(inst, agent, witnesses):
+    """The MMS record in Fraction arithmetic, the reference for agent_mms.
+
+    Supplied witnesses come first among the candidates, so they win ties.
+    """
+    n, values = inst.n, inst.agent_values(agent)
+    lower = max(sum(values, Fraction(0)) / n, max(values))
+    candidates = [(witness_max_bundle(inst, agent, w), w) for w in witnesses]
+    try:
+        exact, positions = mms_exact(values, n)
+    except InstanceTooLarge:
+        by_value = {}
+        for p, v in enumerate(values):
+            by_value.setdefault(v, []).append(p)
+        type_union = [[] for _ in range(n)]
+        for positions in by_value.values():
+            for idx, p in enumerate(positions):
+                type_union[idx % n].append(p + 1)
+        for bundles in (_fraction_lpt(values, n), [sorted(b) for b in type_union]):
+            candidates.append((max(sum((values[j - 1] for j in b), Fraction(0)) for b in bundles), bundles))
+        upper, witness = min(candidates, key=lambda c: c[0])
+        exact = None
+    else:
+        upper, witness = exact, [[p + 1 for p in bundle] for bundle in positions]
+    return AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness))
+
+
+def test_mms_report_matches_fraction_reference():
+    rng = random.Random(97)
+    for trial in range(60):
+        n = rng.randint(2, 3)
+        past_guard = trial % 2 == 1
+        m = exact_search_limit(n) + rng.randint(1, 8) if past_guard else rng.randint(1, 8)
+        if trial % 3 == 0:  # thousand-digit denominators
+            pool = [Fraction(rng.randint(1, 10 ** 1100), rng.choice(HUGE)) for _ in range(3)]
+        else:  # few small values: ties among the loads and between the witnesses
+            pool = [Fraction(rng.randint(1, 6), rng.choice([1, 2, 3])) for _ in range(rng.randint(1, 3))]
+        inst = Instance(n, tuple(tuple(rng.choice(pool) for _ in range(n)) for _ in range(m)))
+        common, scaled = common_scale(inst.agent_values(1))
+        # built-in witnesses with their bundles in another order: they tie, and win
+        witnesses = [list(reversed(partition(scaled, n)[1])) for partition in (lpt_partition, type_union_partition)]
+        for supplied in ((), witnesses):
+            expected = [_fraction_agent_mms(inst, agent, supplied) for agent in range(1, n + 1)]
+            assert mms_report(inst, supplied) == expected
+        if past_guard:  # agent 1's record is a supplied witness, not the built-in it ties
+            assert mms_report(inst, witnesses)[0].witness in [tuple(map(tuple, w)) for w in witnesses]

@@ -4,8 +4,9 @@
 it breaks when a patched name disappears. These tests install it on a fresh
 import of fairdiv, as ``perfbench/run.py`` does, and check that an experiment
 searches each agent's MMS once, that ``fairdiv run`` runs its policy once
-with one pressure snapshot per item, and that past the search guard the
-built-in witnesses are not re-summed.
+with one pressure snapshot per item, that past the search guard the
+built-in witnesses are not re-summed, and that the two-agent game searches
+only the agent it certifies.
 """
 
 from __future__ import annotations
@@ -117,3 +118,13 @@ def test_cli_run_counts_one_reduction_step_per_item(fresh_fairdiv, tmp_path):
     assert codes == [0]
     assert metrics["stacking.allocator_to_stacking.calls"] == 1
     assert metrics["stacking.allocator_to_stacking.steps"] == inst.m
+
+
+def test_cli_two_agent_game_searches_only_the_certified_agent(fresh_fairdiv):
+    tracer, fd = fresh_fairdiv
+    codes = []
+    metrics = _traced(tracer, fd, lambda: codes.append(fd.cli.main(["adversary", "run", "--n", "2"])))
+    assert codes == [0]
+    assert metrics["mms.mms_exact.calls"] == 1
+    # the split witness, then verify_certificate
+    assert metrics["mms.witness_max_bundle.calls"] == 2
