@@ -30,6 +30,6 @@ for step in trace.steps:
 
 check = validate_pressure_trace(trace)
 print(f"\nassignment: {alloc.assignment}")
-print(f"invariants (closed form, zero-sum, sandwich, bounds): {check.passed}")
+print(f"invariants (closed form, sandwich, bounds): {check.passed}")
 print(f"max pressure seen: {F(check.max_scaled_pressure, inst.n - 1)} "
       f"(guaranteed <= 2k = {2 * check.game_k})")

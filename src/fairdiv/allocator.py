@@ -118,6 +118,11 @@ class TraceStep:
     agent: int
     pressures: tuple[tuple[int, ...], ...] | None = None
 
+    def check_indices(self, n: int) -> None:
+        """Raise unless the agent is in 1..n and there are n types, each >= 1."""
+        if not 1 <= self.agent <= n or len(self.types) != n or min(self.types) < 1:
+            raise FairdivError(f"item {self.item}: agent or type indices out of range for n={n}")
+
 
 @dataclass
 class RunTrace:
@@ -459,7 +464,6 @@ def run_online(inst: Instance, policy: Policy) -> tuple[Allocation, RunTrace]:
 @dataclass(frozen=True)
 class TraceCheck:
     closed_form: bool
-    zero_sum: bool
     rounding_sandwich: bool
     pressure_bound: bool
     count_bound: bool
@@ -470,7 +474,6 @@ class TraceCheck:
     def passed(self) -> bool:
         return (
             self.closed_form
-            and self.zero_sum
             and self.rounding_sandwich
             and self.pressure_bound
             and self.count_bound
@@ -478,64 +481,57 @@ class TraceCheck:
 
 
 def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
-    """Replay a rounded-greedy trace and check every stated invariant.
+    """Replay a rounded-greedy trace on :class:`PressureState` and check every
+    stated invariant.
 
-    Checks, per step: the closed form (n-1)*H_i^u = n*|A_i ^ M_i^u| - N_i^u;
-    that each item's pressure deltas sum to zero; the rounding sandwich
-    raw <= effective < 2*raw; the pressure bound H <= 2k with k the maximum
-    registered type count so far; and the per-type receipt-count bound
-    |A_i ^ M_i^u| <= ceil(N_i^u / n) - 1 + 2k. A recorded snapshot must
-    equal the replayed (n-1)*H rows, or the closed form fails.
+    Each step goes through ``PressureState.step(types, agent)``, after which
+    the n cells it touched are checked: the closed form
+    (n-1)*H_i^u = n*|A_i ^ M_i^u| - N_i^u against the engine's value; the
+    pressure bound H <= 2k, with k the largest type index so far; and the
+    per-type receipt-count bound |A_i ^ M_i^u| <= ceil(N_i^u / n) - 1 + 2k.
+    An untouched cell keeps its value and its bounds only loosen as k grows,
+    so it needs no recheck. The rounding sandwich raw <= effective < 2*raw is
+    checked once per distinct (agent, raw, effective). A recorded snapshot
+    must equal the engine's (n-1)*H rows, or the closed form fails. A step
+    whose agent or type indices are out of range raises :class:`FairdivError`.
     """
     n = trace.n
     if n < 2:
         raise FairdivError("validate_pressure_trace requires n >= 2")
+    state = PressureState(n)
     receipts: list[list[int]] = [[] for _ in range(n)]
     sightings: list[list[int]] = [[] for _ in range(n)]
-    scaled: list[list[int]] = [[] for _ in range(n)]
-    ok_closed = ok_zero = ok_round = ok_pressure = ok_count = True
-    max_scaled = 0
-    game_k = 0
+    values: set[tuple[int, Fraction, Fraction]] = set()
+    ok_closed = ok_pressure = ok_count = True
+    max_scaled = game_k = 0
     for s in trace.steps:
-        for i in range(1, n + 1):
-            raw, eff = s.raw[i - 1], s.effective[i - 1]
-            if not (raw <= eff < 2 * raw):
-                ok_round = False
-            u = s.types[i - 1]
-            while len(scaled[i - 1]) < u:
-                scaled[i - 1].append(0)
-                receipts[i - 1].append(0)
-                sightings[i - 1].append(0)
-        game_k = max(game_k, max(len(r) for r in scaled))
-        delta = 0
-        for i in range(1, n + 1):
-            u = s.types[i - 1]
-            sightings[i - 1][u - 1] += 1
-            if i == s.agent:
-                receipts[i - 1][u - 1] += 1
-                scaled[i - 1][u - 1] += n - 1
-                delta += n - 1
-            else:
-                scaled[i - 1][u - 1] -= 1
-                delta -= 1
-        if delta != 0:
-            ok_zero = False
-        for i in range(n):
-            for u in range(len(scaled[i])):
-                if scaled[i][u] != n * receipts[i][u] - sightings[i][u]:
-                    ok_closed = False
-                if scaled[i][u] > max_scaled:
-                    max_scaled = scaled[i][u]
-                if scaled[i][u] > 2 * game_k * (n - 1):
-                    ok_pressure = False
-                if receipts[i][u] > ceil_div(sightings[i][u], n) - 1 + 2 * game_k:
-                    ok_count = False
-        if s.pressures is not None and s.pressures != tuple(map(tuple, scaled)):
+        s.check_indices(n)
+        values.update(zip(range(n), s.raw, s.effective))
+        for i, u in enumerate(s.types):
+            while len(receipts[i]) < u:
+                state.add_type(i + 1)
+                receipts[i].append(0)
+                sightings[i].append(0)
+                game_k = max(game_k, u)
+        state.step(s.types, s.agent)
+        receipts[s.agent - 1][s.types[s.agent - 1] - 1] += 1
+        for i, u in enumerate(s.types):
+            h = state.scaled[i][u - 1]
+            r = receipts[i][u - 1]
+            seen = sightings[i][u - 1] = sightings[i][u - 1] + 1
+            if h != n * r - seen:
+                ok_closed = False
+            if h > max_scaled:
+                max_scaled = h
+            if h > 2 * game_k * (n - 1):
+                ok_pressure = False
+            if r > ceil_div(seen, n) - 1 + 2 * game_k:
+                ok_count = False
+        if s.pressures is not None and s.pressures != state.snapshot():
             ok_closed = False
     return TraceCheck(
         closed_form=ok_closed,
-        zero_sum=ok_zero,
-        rounding_sandwich=ok_round,
+        rounding_sandwich=all(raw <= eff < 2 * raw for _, raw, eff in values),
         pressure_bound=ok_pressure,
         count_bound=ok_count,
         max_scaled_pressure=max_scaled,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import decimal
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,6 +30,9 @@ GRID_NAMES = ("powers-of-two", "uniform-rational", "adversarial-near-threshold")
 # k=2 value-pair ratios straddling the bi-value merge threshold (sqrt(3)-1)/2.
 NEAR_THRESHOLD_BELOW = (Fraction(117, 320), Fraction(23, 63), Fraction(4, 11), Fraction(16, 45))
 NEAR_THRESHOLD_ABOVE = (Fraction(11, 30), Fraction(47, 128), Fraction(3, 8), Fraction(2, 5))
+
+# The fractions in [0, 1) with denominator at most 6, in increasing order.
+_UNIT_GRID = tuple(sorted({Fraction(p, q) for q in range(1, 7) for p in range(q)}))
 
 
 @dataclass(frozen=True)
@@ -62,16 +66,15 @@ def _agent_value_set(cfg: GeneratorConfig, rng: random.Random) -> list[Fraction]
         exps = rng.sample(range(max_exp + 1), cfg.k)
         return [Fraction(2) ** e for e in sorted(exps)]
     if cfg.value_grid == "uniform-rational":
-        pool: set[Fraction] = set()
-        for q in range(1, 7):
-            hi = int(D * q)
-            for p in range(q, hi + 1):
-                v = Fraction(p, q)
-                if 1 <= v <= D:
-                    pool.add(v)
-        if len(pool) < cfg.k:
-            raise FairdivError(f"infeasible: grid holds only {len(pool)} values <= {D}")
-        return sorted(rng.sample(sorted(pool), cfg.k))
+        # The sorted grid {p/q in [1, D] : q <= 6} is indexed, not listed:
+        # entry j is 1 + j // 12 + _UNIT_GRID[j % 12].
+        whole = int(D)
+        size = 12 * (whole - 1) + sum(f <= D - whole for f in _UNIT_GRID)
+        if size < cfg.k:
+            raise FairdivError(f"infeasible: grid holds only {size} values <= {D}")
+        if size > sys.maxsize:
+            raise FairdivError(f"D={D} is too large for the uniform-rational grid")
+        return sorted(1 + j // 12 + _UNIT_GRID[j % 12] for j in rng.sample(range(size), cfg.k))
     # adversarial-near-threshold: pairs whose ratio straddles (sqrt(3)-1)/2.
     if cfg.k > 2:
         raise FairdivError("adversarial-near-threshold supports k <= 2")
@@ -249,7 +252,6 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
     report = ExperimentReport(digest=instance_digest(inst), n=inst.n, m=inst.m)
     if inst.m == 0:
         return report
-    stats = instance_stats(inst)
     records = mms_report(inst)
     exact_mms = [r.exact for r in records]
     all_exact = None not in exact_mms
@@ -285,6 +287,7 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
                     o.d_A <= (8 * k_rounded + 2) * exact_mms[o.agent - 1] for o in outcomes
                 )
         if policy.name == "bi-value" and inst.n >= 2:
+            stats = instance_stats(inst)
             if max_pressure is not None and stats.k <= 2:
                 run_checks["bi-value-pressure"] = max_pressure <= 2 + Fraction(1, inst.n - 1)
             if all_exact and stats.k <= 2:

@@ -467,8 +467,7 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     b = Fraction(1, n - 1)
 
     for step in trace.steps:
-        if not 1 <= step.agent <= n or len(step.types) != n or min(step.types) < 1:
-            raise FairdivError(f"item {step.item}: agent or type indices out of range for n={n}")
+        step.check_indices(n)
         slots = [(i - 1) * result_k + u - 1 for i, u in enumerate(step.types, 1)]
         for i, slot in enumerate(slots, 1):
             if cell_of[slot] < 0:

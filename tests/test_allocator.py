@@ -137,6 +137,109 @@ def test_validate_catches_a_snapshot_off_by_one_scaled_unit():
     assert not validate_pressure_trace(trace).closed_form
 
 
+def test_validate_catches_a_corrupted_effective_value():
+    inst = random_instance(random.Random(43), n=3, m=20, k=2)
+    _, trace = run_online(inst, PressureGreedyPolicy())
+    step = trace.steps[4]
+    trace.steps[4] = replace(step, effective=step.effective[:2] + (2 * step.raw[2],))
+    check = validate_pressure_trace(trace)
+    assert not check.rounding_sandwich
+    assert check.closed_form and check.pressure_bound and check.count_bound
+
+
+def test_validate_catches_both_bounds_on_a_dump_to_one_trace():
+    inst = Instance(3, ((Fraction(1),) * 3,) * 6)
+    _, trace = run_online(inst, DumpToOnePolicy())
+    check = validate_pressure_trace(trace)
+    assert check.closed_form and check.rounding_sandwich
+    assert not check.pressure_bound and not check.count_bound
+    # agent 1 holds all six items: (n-1)*H = 3*6 - 6 = 12 > 2k(n-1) = 4
+    assert (check.max_scaled_pressure, check.game_k) == (12, 1)
+
+
+def _full_rescan_check(trace) -> dict:
+    """Reference validator: its own pressure update, and every cell rescanned
+    after every step. Its zero_sum flag must hold on any in-range trace."""
+    n = trace.n
+    receipts = [[] for _ in range(n)]
+    sightings = [[] for _ in range(n)]
+    scaled = [[] for _ in range(n)]
+    ok_closed = ok_zero = ok_round = ok_pressure = ok_count = True
+    max_scaled = game_k = 0
+    for s in trace.steps:
+        for i in range(n):
+            if not (s.raw[i] <= s.effective[i] < 2 * s.raw[i]):
+                ok_round = False
+            while len(scaled[i]) < s.types[i]:
+                scaled[i].append(0)
+                receipts[i].append(0)
+                sightings[i].append(0)
+        game_k = max(game_k, max(len(r) for r in scaled))
+        delta = 0
+        for i in range(n):
+            u = s.types[i] - 1
+            sightings[i][u] += 1
+            if i == s.agent - 1:
+                receipts[i][u] += 1
+                scaled[i][u] += n - 1
+                delta += n - 1
+            else:
+                scaled[i][u] -= 1
+                delta -= 1
+        ok_zero = ok_zero and delta == 0
+        for i in range(n):
+            for u in range(len(scaled[i])):
+                ok_closed = ok_closed and scaled[i][u] == n * receipts[i][u] - sightings[i][u]
+                max_scaled = max(max_scaled, scaled[i][u])
+                ok_pressure = ok_pressure and scaled[i][u] <= 2 * game_k * (n - 1)
+                ok_count = ok_count and receipts[i][u] <= -(-sightings[i][u] // n) - 1 + 2 * game_k
+        if s.pressures is not None and s.pressures != tuple(map(tuple, scaled)):
+            ok_closed = False
+    assert ok_zero
+    return {
+        "closed_form": ok_closed, "rounding_sandwich": ok_round, "pressure_bound": ok_pressure,
+        "count_bound": ok_count, "max_scaled_pressure": max_scaled, "game_k": max(game_k, 1),
+    }
+
+
+def _corrupt(rng, trace):
+    """Damage one step of ``trace`` in one of four ways, or leave it whole."""
+    j = rng.randrange(trace.m)
+    s = trace.steps[j]
+    i = rng.randrange(trace.n)
+    kind = rng.randrange(5)
+    if kind == 1 and s.pressures is not None:
+        rows = [list(row) for row in s.pressures]
+        rows[i][rng.randrange(len(rows[i]))] += rng.choice((-1, 1))
+        trace.steps[j] = replace(s, pressures=tuple(map(tuple, rows)))
+    elif kind == 2:
+        eff = list(s.effective)
+        eff[i] = s.raw[i] * rng.choice((Fraction(1, 2), Fraction(3, 2), 2))
+        trace.steps[j] = replace(s, effective=tuple(eff))
+    elif kind == 3:
+        trace.steps[:] = [replace(t, pressures=None) for t in trace.steps]
+    elif kind == 4:
+        types = list(s.types)
+        types[i] += rng.randint(1, 2)
+        trace.steps[j] = replace(s, types=tuple(types), agent=rng.randint(1, trace.n))
+
+
+def test_validate_matches_the_full_rescan_reference():
+    rng = random.Random(47)
+    policies = ("pressure-greedy", "bi-value", "round-robin", "dump-to-one", "mixture:5")
+    failed = dict.fromkeys(("closed_form", "rounding_sandwich", "pressure_bound", "count_bound"), 0)
+    for _ in range(400):
+        n, m, k = rng.randint(2, 5), rng.randint(1, 60), rng.randint(1, 4)
+        _, trace = run_online(random_instance(rng, n, m, k), make_policy(rng.choice(policies)))
+        _corrupt(rng, trace)
+        check = validate_pressure_trace(trace)
+        expected = _full_rescan_check(trace)
+        assert {key: getattr(check, key) for key in expected} == expected
+        for flag in failed:
+            failed[flag] += not expected[flag]
+    assert all(20 <= count <= 380 for count in failed.values()), failed
+
+
 _STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1], "agent": 1}
 
 

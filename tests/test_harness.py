@@ -60,6 +60,33 @@ def test_generator_infeasible_configs():
         )
 
 
+def _listed_uniform_pool(D):
+    """The uniform-rational grid listed value by value: {p/q in [1, D] : q <= 6}."""
+    return sorted({F(p, q) for q in range(1, 7) for p in range(q, int(D * q) + 1)})
+
+
+def test_uniform_rational_grid_matches_the_listed_pool():
+    for D in (F(1), F(7, 6), F(3, 2), F(2), F(7, 3), F(13, 5), F(5), F(37, 6), F(20)):
+        pool = _listed_uniform_pool(D)
+        for k in (1, 2, 5, 12, 13, 40):
+            for seed in range(4):
+                cfg = GeneratorConfig(n=1, m=k, k=k, D=D, value_grid="uniform-rational", seed=seed)
+                if len(pool) < k:
+                    with pytest.raises(FairdivError, match=f"grid holds only {len(pool)} values"):
+                        generate_instance(cfg)
+                    continue
+                expected = sorted(random.Random(seed).sample(pool, k))
+                assert sorted(set(generate_instance(cfg).agent_values(1))) == expected
+
+
+def test_uniform_rational_grid_with_a_huge_spread(capsys):
+    D = F(10**9)
+    inst = generate_instance(GeneratorConfig(n=2, m=4, k=4, D=D, value_grid="uniform-rational", seed=1))
+    assert all(1 <= v <= D for i in (1, 2) for v in inst.agent_values(i))
+    argv = ["gen", "--n", "1", "--m", "1", "--k", "1", "--grid", "uniform-rational", "--D", str(10**20)]
+    assert "too large" in _one_line_error(capsys, argv)
+
+
 def test_near_threshold_pairs_straddle():
     # exact comparison against (sqrt(3)-1)/2: r above iff (2r+1)^2 > 3
     for r in NEAR_THRESHOLD_BELOW:

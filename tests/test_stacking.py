@@ -18,7 +18,7 @@ from fairdiv import (
     replay_stacking_trace,
     run_online,
 )
-from fairdiv.allocator import PressureGreedyPolicy, RunTrace, TraceStep
+from fairdiv.allocator import PressureGreedyPolicy, RunTrace, TraceStep, validate_pressure_trace
 from fairdiv.core import FairdivError, instance_to_json
 from fairdiv.stacking import BoundReport, is_contiguous, stacking_trace_to_jsonl
 
@@ -262,15 +262,20 @@ def test_reduction_rejects_corrupted_trace():
 
 
 def test_reduction_rejects_out_of_range_indices():
-    inst = Instance(3, tuple(((Fraction(1),) * 3,) * 5))
-    _, trace = run_online(inst, PressureGreedyPolicy())
-    s = trace.steps[2]
-    bad = ((0, s.types), (4, s.types), (s.agent, (0,) + s.types[1:]), (s.agent, s.types[:2]))
-    for agent, types in bad:
-        steps = list(trace.steps)
-        steps[2] = TraceStep(item=s.item, raw=s.raw, effective=s.effective, types=types, agent=agent)
-        with pytest.raises(FairdivError, match="item 3: agent or type indices out of range"):
-            allocator_to_stacking(RunTrace(n=3, policy="pressure-greedy", steps=steps), 3)
+    # validate_pressure_trace makes the same check on every step
+    for n in (2, 3):
+        inst = Instance(n, tuple(((Fraction(1),) * n,) * 5))
+        _, trace = run_online(inst, PressureGreedyPolicy())
+        s = trace.steps[2]
+        bad = ((0, s.types), (n + 1, s.types), (s.agent, (0,) + s.types[1:]), (s.agent, s.types[:-1]))
+        for agent, types in bad:
+            steps = list(trace.steps)
+            steps[2] = TraceStep(item=s.item, raw=s.raw, effective=s.effective, types=types, agent=agent)
+            bad_trace = RunTrace(n=n, policy="pressure-greedy", steps=steps)
+            with pytest.raises(FairdivError, match="item 3: agent or type indices out of range"):
+                allocator_to_stacking(bad_trace, n)
+            with pytest.raises(FairdivError, match="item 3: agent or type indices out of range"):
+                validate_pressure_trace(bad_trace)
 
 
 def test_stacking_trace_replay_roundtrip():
