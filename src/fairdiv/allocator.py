@@ -13,14 +13,15 @@ integer multiple of 1/(n-1), so the scaled values are plain ints and the
 argmin over them is exact and fast. Trace snapshots are these (n-1)*H int
 rows too; public accessors and trace files expose Fractions.
 
-:class:`PressureState` is the one pressure engine; the policies differ only
-in how an agent's values map to types. Pressure-greedy rounds up to powers
-of two. The bi-value variant skips the rounding: when an agent reveals a
-second distinct value, the two values are merged into a single type when the
-smaller-to-larger ratio exceeds (sqrt(3)-1)/2, and kept separate otherwise.
-If a third distinct value ever appears the variant falls back to the rounded
-rule, rebuilding its pressures by replaying the allocation history through
-that rule.
+:class:`PressureState` is the one pressure engine and holds only the
+pressures; each agent's table maps a raw value to its (effective value,
+type), and the policies differ only in the rule that fills it.
+Pressure-greedy rounds up to powers of two. The bi-value variant skips the
+rounding: when an agent reveals a second distinct value, the two values are
+merged into a single type when the smaller-to-larger ratio exceeds
+(sqrt(3)-1)/2, and kept separate otherwise. If a third distinct value ever
+appears the variant falls back to the rounded rule, clearing its tables and
+rebuilding its pressures by replaying the history so far through that rule.
 """
 
 from __future__ import annotations
@@ -51,32 +52,22 @@ def round_up_pow2(d: Fraction) -> Fraction:
 
 
 class PressureState:
-    """Per-agent type registries and scaled pressures for the greedy rule.
-
-    ``registry[i]`` maps an agent's effective item value to its type index
-    (1-based, in first-appearance order); ``scaled[i][u-1]`` is the pressure
-    H_i^u multiplied by (n-1).
+    """Scaled pressures for the greedy rule: ``scaled[i][u-1]`` is the
+    pressure H_i^u multiplied by (n-1), for types u numbered 1, 2, … in the
+    order :meth:`add_type` opens them; the policy's tables say which values
+    make up a type.
     """
 
     def __init__(self, n: int):
         if n < 2:
             raise FairdivError("PressureState requires n >= 2")
         self.n = n
-        self.registry: list[dict[Fraction, int]] = [dict() for _ in range(n)]
         self.scaled: list[list[int]] = [[] for _ in range(n)]
 
     def add_type(self, agent: int) -> int:
         """Open a zero-pressure type slot for ``agent``; returns its index."""
         self.scaled[agent - 1].append(0)
         return len(self.scaled[agent - 1])
-
-    def register(self, agent: int, value: Fraction) -> int:
-        """Type index of ``value`` for ``agent``, adding a fresh type if new."""
-        reg = self.registry[agent - 1]
-        u = reg.get(value)
-        if u is None:
-            u = reg[value] = self.add_type(agent)
-        return u
 
     def pressure(self, agent: int, u: int) -> Fraction:
         return Fraction(self.scaled[agent - 1][u - 1], self.n - 1)
@@ -113,7 +104,7 @@ class TraceStep:
 
     item: int
     raw: tuple[Fraction, ...]
-    effective: tuple[Fraction, ...]  # rounded (or merged-representative) values
+    effective: tuple[Fraction, ...]  # rounded values, or the bi-value rule's
     types: tuple[int, ...]
     agent: int
     pressures: tuple[tuple[int, ...], ...] | None = None
@@ -162,13 +153,14 @@ class RunTrace:
 
     def to_jsonl(self) -> str:
         """One JSON line per step; a scaled pressure h is written as h/(n-1)."""
+        value = functools.cache(format_rational)
         pressure = functools.cache(lambda h: format_rational(Fraction(h, self.n - 1)))
         lines = []
         for s in self.steps:
             rec = {
                 "item": s.item,
-                "raw": [format_rational(v) for v in s.raw],
-                "effective": [format_rational(v) for v in s.effective],
+                "raw": [value(v) for v in s.raw],
+                "effective": [value(v) for v in s.effective],
                 "types": list(s.types),
                 "agent": s.agent,
             }
@@ -250,44 +242,56 @@ class Policy:
 class PressureGreedyPolicy(Policy):
     """Greedy over pressures, with values rounded up to powers of two.
 
-    The value-to-type rule is the ``_classify`` hook; :class:`BiValuePolicy`
-    swaps in its merge rule and keeps everything else.
+    ``table[i]`` maps each raw value agent i+1 has shown to its (effective
+    value, type), filled once by the value-to-type rule :meth:`_value_type`;
+    :class:`BiValuePolicy` swaps in its merge rule and keeps everything else.
     """
 
     name = "pressure-greedy"
 
     def start(self, n: int) -> None:
         super().start(n)
-        self.state = PressureState(n) if n >= 2 else None
-        self._rounded_cache: dict[Fraction, Fraction] = {}
+        self._new_tables()
         self._types: tuple[int, ...] = ()
         self._effective: tuple[Fraction, ...] = ()
-        self._last_raw: tuple[Fraction, ...] | None = None
         self._max_scaled = 0
 
-    def _round(self, v: Fraction) -> Fraction:
-        r = self._rounded_cache.get(v)
-        if r is None:
-            r = round_up_pow2(v)
-            self._rounded_cache[v] = r
-        return r
+    def _new_tables(self) -> None:
+        """Fresh pressures and empty value tables."""
+        self.state = PressureState(self.n) if self.n >= 2 else None
+        self.table: list[dict[Fraction, tuple[Fraction, int]]] = [{} for _ in range(self.n)]
+        self._pow2_types: list[dict[Fraction, int]] = [{} for _ in range(self.n)]
+        self._last_raw: tuple[Fraction, ...] | None = None
 
-    def _classify(self, raw: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-        """Effective values and type indices of one item (registering new types)."""
-        effective = tuple(self._round(v) for v in raw)
+    def _value_type(self, agent: int, value: Fraction) -> tuple[Fraction, int]:
+        """(effective value, type) of a raw value new to ``agent``: one type
+        per power of two."""
+        eff = round_up_pow2(value)
         if self.state is None:  # n == 1: no pressure accounting
-            return effective, (1,)
-        return effective, tuple(
-            self.state.register(i, effective[i - 1]) for i in range(1, self.n + 1)
-        )
+            return eff, 1
+        types = self._pow2_types[agent - 1]
+        u = types.get(eff)
+        if u is None:
+            u = types[eff] = self.state.add_type(agent)
+        return eff, u
+
+    def _classify(self, raw) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+        """Effective values and type indices of one item."""
+        entries = []
+        for agent, (table, v) in enumerate(zip(self.table, raw), 1):
+            entry = table.get(v)
+            if entry is None:
+                entry = table[v] = self._value_type(agent, v)
+            entries.append(entry)
+        effective, types = zip(*entries)
+        return effective, types
 
     def choose(self, raw) -> int:
-        # Repeated raw vectors (the common case in long typed streams) skip
-        # re-classification; types cannot change on a repeat.
+        # A repeated raw vector (common in long typed streams) keeps its
+        # classification; one tuple comparison costs less than n Fraction hashes.
         if raw != self._last_raw:
-            raw = tuple(raw)
             self._effective, self._types = self._classify(raw)
-            self._last_raw = raw
+            self._last_raw = tuple(raw)
         if self.state is None:
             return 1
         winner = self.state.step(self._types)
@@ -330,52 +334,41 @@ class BiValuePolicy(PressureGreedyPolicy):
 
     No rounding is applied. When an agent's second distinct value arrives it
     is merged into type 1 if the smaller-to-larger ratio exceeds
-    (sqrt(3)-1)/2, else registered as type 2; the merged type's reported
-    value is the larger of the pair. On a third distinct value the policy
-    sets ``fell_back`` and switches to the rounded rule: it rebuilds its
-    pressure state by replaying the realized history through that rule, and
-    continues from there.
+    (sqrt(3)-1)/2, else given type 2; a merge rewrites the first value's
+    table entry so that both report the larger of the pair. On a third
+    distinct value the policy sets ``fell_back`` and switches to the rounded
+    rule: it clears its tables, rebuilds its pressures by replaying the
+    realized history through that rule, and continues from there.
     """
 
     name = "bi-value"
 
     def start(self, n: int) -> None:
         super().start(n)
-        self.representative: list[dict[int, Fraction]] = [dict() for _ in range(n)]
         self.history: list[tuple[tuple[Fraction, ...], int]] = []
         self.fell_back = False
 
-    def register_value(self, agent: int, value: Fraction) -> int:
-        """Type index for one agent's raw value under the bi-value rule."""
-        known = self.state.registry[agent - 1]
-        u = known.get(value)
-        if u is None:
-            if len(known) == 2:
-                raise BiValuePromiseViolated(f"agent {agent}: third distinct value {value}")
-            reps = self.representative[agent - 1]
-            if known and bi_value_merges(reps[1], value):  # reps[1] is the one known value
-                u = 1
-                reps[1] = max(reps[1], value)
-            else:
-                u = self.state.add_type(agent)
-                reps[u] = value
-            known[value] = u
-        return u
-
-    def _classify(self, raw):
+    def _value_type(self, agent: int, value: Fraction) -> tuple[Fraction, int]:
         if self.fell_back:
-            return super()._classify(raw)
+            return super()._value_type(agent, value)
         if self.state is None:  # n == 1: effective values stay raw
-            return raw, (1,)
-        types = tuple(self.register_value(i, raw[i - 1]) for i in range(1, self.n + 1))
-        return tuple(self.representative[i][u] for i, u in enumerate(types)), types
+            return value, 1
+        table = self.table[agent - 1]
+        if len(table) == 2:
+            raise BiValuePromiseViolated(f"agent {agent}: third distinct value {value}")
+        if table:
+            (first,) = table
+            if bi_value_merges(first, value):
+                table[first] = merged = (max(first, value), 1)
+                return merged
+        return value, self.state.add_type(agent)
 
     def choose(self, raw) -> int:
         try:
             agent = super().choose(raw)
         except BiValuePromiseViolated:
             self.fell_back = True
-            self.state = PressureState(self.n)
+            self._new_tables()
             for past, past_agent in self.history:
                 self.state.step(self._classify(past)[1], past_agent)
             self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))

@@ -94,11 +94,14 @@ def cmd_adversary_run(args) -> int:
         raise FairdivError(f"--budget must be at least 1, got {args.budget}")
     eps = parse_rational(args.eps)
     policy = make_policy(args.policy)
-    if args.n == 2:
-        adv = TwoAgentAdversary(eps)
-    else:
-        adv = make_recursive_adversary(args.n, eps, pin_horizon=args.budget)
-    result = play_game(adv, policy, budget=args.budget)
+    try:
+        if args.n == 2:
+            adv = TwoAgentAdversary(eps)
+        else:
+            adv = make_recursive_adversary(args.n, eps, pin_horizon=args.budget)
+        result = play_game(adv, policy, budget=args.budget)
+    except RecursionError:  # the recursive game nests one adversary level per agent
+        raise FairdivError(f"--n {args.n} nests the recursive game too deep to run") from None
     ok = verify_certificate(result.instance, result.allocation, result.certificate)
     if args.out_instance:
         _write(args.out_instance, instance_to_json(result.instance) + "\n")

@@ -21,7 +21,7 @@ from .allocator import (
     run_online,
     validate_pressure_trace,
 )
-from .core import FairdivError, Instance, format_rational, instance_digest, instance_stats
+from .core import FairdivError, Instance, format_rational, instance_digest
 from .mms import mms_exact  # mms_exact: patched here by perfbench/tracer.py
 from .stacking import BoundProfile, allocator_to_stacking, check_bound
 
@@ -56,9 +56,10 @@ class GeneratorConfig:
 def _agent_value_set(cfg: GeneratorConfig, rng: random.Random) -> list[Fraction]:
     D = Fraction(cfg.D)
     if cfg.value_grid == "powers-of-two":
-        max_exp = 0
-        while Fraction(2) ** (max_exp + 1) <= D:
-            max_exp += 1
+        # floor(log2 D): D lies in (2^(e-1), 2^(e+1)) for e the bit-length difference
+        max_exp = D.numerator.bit_length() - D.denominator.bit_length()
+        if D.denominator << max_exp > D.numerator:
+            max_exp -= 1
         if cfg.k > max_exp + 1:
             raise FairdivError(
                 f"infeasible: {cfg.k} powers of two cannot fit spread {D}"
@@ -286,11 +287,10 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
                 run_checks["ratio-bound-8k+2"] = all(
                     o.d_A <= (8 * k_rounded + 2) * exact_mms[o.agent - 1] for o in outcomes
                 )
-        if policy.name == "bi-value" and inst.n >= 2:
-            stats = instance_stats(inst)
-            if max_pressure is not None and stats.k <= 2:
-                run_checks["bi-value-pressure"] = max_pressure <= 2 + Fraction(1, inst.n - 1)
-            if all_exact and stats.k <= 2:
+        # the policy falls back exactly when some agent shows a third value
+        if policy.name == "bi-value" and inst.n >= 2 and not policy.fell_back:
+            run_checks["bi-value-pressure"] = max_pressure <= 2 + Fraction(1, inst.n - 1)
+            if all_exact:
                 run_checks["ratio-bound-2+sqrt3"] = all(
                     leq_two_plus_sqrt3(o.d_A, exact_mms[o.agent - 1]) for o in outcomes
                 )

@@ -17,13 +17,17 @@ from fairdiv import (
     run_online,
     validate_pressure_trace,
 )
+from fairdiv.adversary import make_recursive_adversary, play_game
 from fairdiv.allocator import (
     BiValuePolicy,
+    BiValuePromiseViolated,
     DumpToOnePolicy,
+    Policy,
     PressureGreedyPolicy,
     RoundRobinPolicy,
     trace_from_jsonl,
 )
+from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance
 from fairdiv.mms import mms_exact
 
 from conftest import random_instance
@@ -55,9 +59,12 @@ def test_rounding_sandwich(d):
 # pressure-greedy steps -------------------------------------------------------
 
 def test_first_item_three_agents():
-    state = PressureState(3)
+    pol = PressureGreedyPolicy()
+    pol.start(3)
     raw = (Fraction(2), Fraction(3), Fraction(5))
-    agent = state.step(tuple(state.register(i, round_up_pow2(raw[i - 1])) for i in (1, 2, 3)))
+    agent = pol.choose(raw)
+    assert pol.table == [{v: (round_up_pow2(v), 1)} for v in raw]
+    state = pol.state
     assert agent == 1  # all pressures zero, lowest index wins
     assert state.pressure(1, 1) == 1
     assert state.pressure(2, 1) == Fraction(-1, 2)
@@ -314,11 +321,15 @@ def test_merge_rule_near_threshold():
 def test_bi_value_registration():
     pol = BiValuePolicy()
     pol.start(2)
-    assert pol.register_value(1, Fraction(2)) == 1
-    assert pol.register_value(1, Fraction(1)) == 1  # merged
-    assert pol.register_value(2, Fraction(10)) == 1
-    assert pol.register_value(2, Fraction(1)) == 2  # separate
-    assert pol.representative[0][1] == 2  # merged type reports the larger value
+    pol.choose((Fraction(2), Fraction(10)))
+    assert pol.table[0][Fraction(2)][1] == 1
+    assert pol.table[1][Fraction(10)][1] == 1
+    pol.choose((Fraction(1), Fraction(1)))
+    assert pol.table[0][Fraction(1)][1] == 1  # merged
+    assert pol.table[1][Fraction(1)][1] == 2  # separate
+    # the merged type reports the larger value, for both of its raw values
+    assert pol.table[0] == {Fraction(2): (Fraction(2), 1), Fraction(1): (Fraction(2), 1)}
+    assert pol.last_effective((Fraction(1), Fraction(1))) == (Fraction(2), Fraction(1))
 
 
 def test_bi_value_merged_acts_single_type():
@@ -352,7 +363,7 @@ def _fallback_instances():
 
 
 def test_bi_value_fallback_matches_closed_form_replay():
-    # after the violation, the fallback's registries and pressures must equal
+    # after the violation, the fallback's value tables and pressures must equal
     # a from-scratch rounded replay of the realized (bi-value era) history
     for inst in _fallback_instances():
         n = inst.n
@@ -372,10 +383,152 @@ def test_bi_value_fallback_matches_closed_form_replay():
                     receipts[i][u] = receipts[i].get(u, 0) + 1
         state = pol.state
         for i in range(n):
-            assert registries[i] == state.registry[i]
+            assert pol.table[i] == {
+                v: (round_up_pow2(v), registries[i][round_up_pow2(v)]) for v in inst.agent_values(i + 1)
+            }
             for u in range(1, len(registries[i]) + 1):
                 expected = n * receipts[i].get(u, 0) - sightings[i][u]
                 assert state.scaled[i][u - 1] == expected
+
+
+# The two classifiers as they were before the per-agent value tables: a
+# rounding cache shared by all agents, an effective-value -> type registry on
+# the pressure state, a repeated-raw-vector shortcut, and the bi-value rule's
+# own registration with a representative value per type.
+
+class _RegistryState(PressureState):
+    def __init__(self, n):
+        super().__init__(n)
+        self.registry = [dict() for _ in range(n)]
+
+    def register(self, agent, value):
+        reg = self.registry[agent - 1]
+        u = reg.get(value)
+        if u is None:
+            u = reg[value] = self.add_type(agent)
+        return u
+
+
+class _RegistryGreedy(PressureGreedyPolicy):
+    def start(self, n):
+        Policy.start(self, n)
+        self.state = _RegistryState(n) if n >= 2 else None
+        self._rounded_cache = {}
+        self._types = ()
+        self._effective = ()
+        self._last_raw = None
+        self._max_scaled = 0
+
+    def _round(self, v):
+        r = self._rounded_cache.get(v)
+        if r is None:
+            r = self._rounded_cache[v] = round_up_pow2(v)
+        return r
+
+    def _classify(self, raw):
+        effective = tuple(self._round(v) for v in raw)
+        if self.state is None:
+            return effective, (1,)
+        return effective, tuple(self.state.register(i, effective[i - 1]) for i in range(1, self.n + 1))
+
+    def choose(self, raw):
+        if raw != self._last_raw:
+            raw = tuple(raw)
+            self._effective, self._types = self._classify(raw)
+            self._last_raw = raw
+        if self.state is None:
+            return 1
+        winner = self.state.step(self._types)
+        self._max_scaled = max(self._max_scaled, self.state.scaled[winner - 1][self._types[winner - 1] - 1])
+        return winner
+
+
+class _RegistryBiValue(_RegistryGreedy):
+    def start(self, n):
+        super().start(n)
+        self.representative = [dict() for _ in range(n)]
+        self.history = []
+        self.fell_back = False
+
+    def register_value(self, agent, value):
+        known = self.state.registry[agent - 1]
+        u = known.get(value)
+        if u is None:
+            if len(known) == 2:
+                raise BiValuePromiseViolated(f"agent {agent}: third distinct value {value}")
+            reps = self.representative[agent - 1]
+            if known and bi_value_merges(reps[1], value):
+                u = 1
+                reps[1] = max(reps[1], value)
+            else:
+                u = self.state.add_type(agent)
+                reps[u] = value
+            known[value] = u
+        return u
+
+    def _classify(self, raw):
+        if self.fell_back:
+            return super()._classify(raw)
+        if self.state is None:
+            return raw, (1,)
+        types = tuple(self.register_value(i, raw[i - 1]) for i in range(1, self.n + 1))
+        return tuple(self.representative[i][u] for i, u in enumerate(types)), types
+
+    def choose(self, raw):
+        try:
+            agent = super().choose(raw)
+        except BiValuePromiseViolated:
+            self.fell_back = True
+            self.state = _RegistryState(self.n)
+            for past, past_agent in self.history:
+                self.state.step(self._classify(past)[1], past_agent)
+            self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))
+            agent = super().choose(raw)
+        self.history.append((tuple(raw), agent))
+        return agent
+
+
+def _assert_lockstep(inst):
+    """Both classifiers, old and new, agree after every item of ``inst``."""
+    fell_back = False
+    for new, old in ((PressureGreedyPolicy(), _RegistryGreedy()), (BiValuePolicy(), _RegistryBiValue())):
+        new.start(inst.n)
+        old.start(inst.n)
+        for raw in inst.items:
+            assert new.choose(raw) == old.choose(raw)
+            assert new.last_effective(raw) == old.last_effective(raw)
+            assert new.last_types() == old.last_types()
+            assert new.pressure_snapshot() == old.pressure_snapshot()
+            assert new.max_pressure_seen() == old.max_pressure_seen()
+        if isinstance(new, BiValuePolicy):
+            assert new.fell_back == old.fell_back
+            fell_back = new.fell_back
+    return fell_back
+
+
+def test_value_tables_match_the_registry_classifiers():
+    rng = random.Random(101)
+    fallbacks = 0
+    for trial in range(240):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        grid = GRID_NAMES[trial % 3]
+        if grid == "adversarial-near-threshold":
+            k = min(k, 2)
+        if grid == "powers-of-two":
+            D = Fraction(2 ** rng.randint(k - 1, 6))
+        else:  # near-threshold pairs need a spread of at least 30/11
+            D = Fraction(rng.randint(3, 40), rng.randint(1, 3)) + 3
+        cfg = GeneratorConfig(n=n, m=rng.randint(k, 40), k=k, D=D, value_grid=grid, seed=trial)
+        fallbacks += _assert_lockstep(generate_instance(cfg))
+    for inst in _fallback_instances():
+        fallbacks += _assert_lockstep(inst)
+    assert fallbacks >= 40
+
+
+def test_value_tables_match_the_registry_classifiers_on_an_adversary_game():
+    game = play_game(make_recursive_adversary(3, 1, pin_horizon=300), PressureGreedyPolicy(), budget=300)
+    assert game.rounds == 300 and len(set(game.instance.items)) == 300  # every item is new
+    _assert_lockstep(game.instance)
 
 
 def test_policy_factory():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,41 @@ def test_generator_infeasible_configs():
         generate_instance(
             GeneratorConfig(n=2, m=8, k=2, D=F(2), value_grid="adversarial-near-threshold", seed=0)
         )
+
+
+def _looped_powers_of_two(D, k, seed):
+    """The powers-of-two draw with the exponent found by doubling up to D."""
+    max_exp = 0
+    while F(2) ** (max_exp + 1) <= D:
+        max_exp += 1
+    if k > max_exp + 1:
+        return None
+    return [F(2) ** e for e in sorted(random.Random(seed).sample(range(max_exp + 1), k))]
+
+
+def test_powers_of_two_grid_matches_the_doubling_loop():
+    non_integer = (F(3, 2), F(7, 4), F(4095, 4), F(2**20 + 1, 2**10), F(10**30 - 1, 7), F(2**100, 3))
+    for D in [F(d) for d in range(1, 2**12 + 1)] + list(non_integer):
+        top = D.numerator.bit_length() - D.denominator.bit_length() + 1
+        for k in (1, top, top + 1):
+            cfg = GeneratorConfig(n=1, m=k, k=k, D=D, seed=int(D) % 7)
+            expected = _looped_powers_of_two(D, k, cfg.seed)
+            if expected is None:
+                with pytest.raises(FairdivError, match="infeasible"):
+                    generate_instance(cfg)
+                continue
+            assert sorted(set(generate_instance(cfg).agent_values(1))) == expected
+
+
+def test_powers_of_two_grid_with_a_huge_spread():
+    D = F(10**100000)
+    start = time.perf_counter()
+    inst = generate_instance(GeneratorConfig(n=1, m=2, k=2, D=D, seed=1))
+    text = instance_to_json(inst)
+    assert time.perf_counter() - start < 1.0
+    for v in inst.agent_values(1):
+        assert v <= D and v.denominator == 1 and v.numerator & (v.numerator - 1) == 0
+    assert len(text) > 1000
 
 
 def _listed_uniform_pool(D):
@@ -352,6 +388,12 @@ def test_cli_mms_rejects_non_ascii_digits(tmp_path, capsys):
 def test_cli_adversary_rejects_one_agent(capsys):
     err = _one_line_error(capsys, ["adversary", "run", "--n", "1", "--budget", "5"])
     assert "--n" in err
+
+
+def test_cli_adversary_too_many_agents_is_a_usage_error(capsys):
+    # the recursive game nests one adversary level per agent
+    err = _one_line_error(capsys, ["adversary", "run", "--n", "1500", "--budget", "1"])
+    assert "--n 1500" in err
 
 
 def test_cli_adversary_rejects_budget_below_one(capsys):

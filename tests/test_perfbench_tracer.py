@@ -5,8 +5,9 @@ it breaks when a patched name disappears. These tests install it on a fresh
 import of fairdiv, as ``perfbench/run.py`` does, and check that an experiment
 searches each agent's MMS once, that ``fairdiv run`` runs its policy once
 with one pressure snapshot per item, that past the search guard the
-built-in witnesses are not re-summed, and that the two-agent game searches
-only the agent it certifies.
+built-in witnesses are not re-summed, that the two-agent game searches
+only the agent it certifies, and that a bi-value run which falls back still
+calls its policy once per item.
 """
 
 from __future__ import annotations
@@ -128,3 +129,19 @@ def test_cli_two_agent_game_searches_only_the_certified_agent(fresh_fairdiv):
     assert metrics["mms.mms_exact.calls"] == 1
     # the split witness, then verify_certificate
     assert metrics["mms.witness_max_bundle.calls"] == 2
+
+
+def test_cli_bi_value_fallback_chooses_once_per_item(fresh_fairdiv, tmp_path):
+    # the fallback replays the history on the pressure engine, not through choose
+    tracer, fd = fresh_fairdiv
+    inst = random_instance(random.Random(9), n=3, m=14, k=3)
+    inst = fd.core.Instance(inst.n, inst.items)
+    assert fd.core.instance_stats(inst).k == 3  # a third value: the policy falls back
+    path = tmp_path / "instance.json"
+    path.write_text(fd.core.instance_to_json(inst) + "\n")
+    codes = []
+    argv = ["run", "--in", str(path), "--policy", "bi-value", "--report", str(tmp_path / "report.json")]
+    metrics = _traced(tracer, fd, lambda: codes.append(fd.cli.main(argv)))
+    assert codes == [0]
+    assert metrics["allocator.Policy.choose.calls"] == inst.m
+    assert metrics["allocator.Policy.pressure_snapshot.calls"] == inst.m
