@@ -26,7 +26,7 @@ for step in trace.steps:
     rows = ", ".join(
         f"H_{i + 1}={[str(F(h, inst.n - 1)) for h in hs]}" for i, hs in enumerate(step.pressures)
     )
-    print(f"item {step.item}: raw={tuple(map(str, step.raw))} -> agent {step.agent}   {rows}")
+    print(f"item {step.item}: raw={tuple(map(str, trace.raw(step)))} -> agent {step.agent}   {rows}")
 
 check = validate_pressure_trace(trace)
 print(f"\nassignment: {alloc.assignment}")

@@ -14,6 +14,7 @@ from .core import (
     InstanceStats,
     InvariantViolation,
     ParseError,
+    ValueTables,
     allocation_to_json,
     format_rational,
     instance_digest,

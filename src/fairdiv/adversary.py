@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .allocator import Policy, RunTrace
-from .core import Allocation, FairdivError, Instance, ceil_div, format_rational
+from .core import Allocation, FairdivError, Instance, ValueTables, ceil_div, format_rational
 from .mms import (AgentMms, InstanceTooLarge, common_scale, lpt_partition, mms_exact,
                   type_union_partition, witness_max_bundle)
 
@@ -602,23 +602,22 @@ def play_game(adversary, policy: Policy, budget: int) -> GameResult:
     """
     n = adversary.n if isinstance(adversary, TwoAgentAdversary) else adversary.level
     target_ratio = Fraction(n) - adversary.eps
-    policy.start(n)
-    trace = RunTrace(n=n, policy=policy.name)
+    tables = ValueTables(n)
+    trace = RunTrace.begin(policy, n, tables.values)
 
-    def result(cert, certified, exhausted):
-        inst = adversary.instance()
-        alloc = trace.allocation()
+    def result(inst, cert, certified, exhausted):
         record = adversary.record() if isinstance(adversary, RecursiveAdversary) else None
-        return GameResult(inst, alloc, cert, certified, trace.m, exhausted, trace, record)
+        return GameResult(inst, trace.allocation(), cert, certified, trace.m, exhausted, trace, record)
 
     for _ in range(budget):
-        adversary.observe(trace.feed(policy, adversary.next_item()))
+        raw = adversary.next_item()
+        adversary.observe(trace.feed(policy, raw, tables.encode(raw)))
         cert = adversary.certificate()
         if cert is not None and cert.ratio_lower > target_ratio:
-            return result(cert, True, False)
-    certs = certify_ratio(adversary.instance(), trace.allocation())
-    best = max(certs, key=lambda c: c.ratio_lower)
-    return result(best, False, True)
+            return result(adversary.instance(), cert, True, False)
+    inst = adversary.instance()
+    best = max(certify_ratio(inst, trace.allocation()), key=lambda c: c.ratio_lower)
+    return result(inst, best, False, True)
 
 
 __all__ = [

@@ -14,8 +14,10 @@ argmin over them is exact and fast. Trace snapshots are these (n-1)*H int
 rows too; public accessors and trace files expose Fractions.
 
 :class:`PressureState` is the one pressure engine and holds only the
-pressures; each agent's table maps a raw value to its (effective value,
-type), and the policies differ only in the rule that fills it.
+pressures. Policies see each item's values with their codes (see
+:class:`fairdiv.core.ValueTables`); each agent's table maps a raw value's
+code to its (effective value's code, type), and the policies differ only in
+the rule that fills it.
 Pressure-greedy rounds up to powers of two. The bi-value variant skips the
 rounding: when an agent reveals a second distinct value, the two values are
 merged into a single type when the smaller-to-larger ratio exceeds
@@ -27,28 +29,29 @@ rebuilding its pressures by replaying the history so far through that rule.
 from __future__ import annotations
 
 import functools
-import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import getitem
 
 from .core import (
-    Allocation, FairdivError, Instance, ParseError, ceil_div, format_rational,
-    is_positive_int, parse_json, parse_jsonl, parse_rational,
+    Allocation, FairdivError, Instance, ParseError, ValueTables, ceil_div, format_rational,
+    is_positive_int, json_texts, parse_json, parse_jsonl, parse_rational,
 )
 
 
 def round_up_pow2(d: Fraction) -> Fraction:
     """Smallest integer power of two (exponent may be negative) that is >= d."""
     d = Fraction(d)
-    if d <= 0:
+    num, den = d.numerator, d.denominator
+    if num <= 0:
         raise FairdivError(f"round_up_pow2: non-positive input {d}")
-    # bit-length difference lands within a factor of two of the answer
-    r = Fraction(2) ** (d.numerator.bit_length() - d.denominator.bit_length())
-    while r < d:
-        r *= 2
-    while r / 2 >= d:
-        r /= 2
-    return r
+    # 2^(e-1) < d < 2^(e+1) for e the bit-length difference, so 2^e or 2^(e+1)
+    e = num.bit_length() - den.bit_length()
+    below = den << e < num if e >= 0 else den < num << -e  # 2^e < d
+    if below:
+        e += 1
+    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 class PressureState:
@@ -99,12 +102,14 @@ class PressureState:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One allocated item; ``pressures`` is the post-step snapshot, the int
-    rows (n-1)*H of :meth:`PressureState.snapshot`, or None without pressures."""
+    """One allocated item. ``raw_codes`` and ``effective_codes`` index the
+    trace's per-agent tables (:class:`RunTrace`); ``pressures`` is the
+    post-step snapshot, the int rows (n-1)*H of :meth:`PressureState.snapshot`,
+    or None without pressures."""
 
     item: int
-    raw: tuple[Fraction, ...]
-    effective: tuple[Fraction, ...]  # rounded values, or the bi-value rule's
+    raw_codes: tuple[int, ...]
+    effective_codes: tuple[int, ...]  # of rounded values, or the bi-value rule's
     types: tuple[int, ...]
     agent: int
     pressures: tuple[tuple[int, ...], ...] | None = None
@@ -117,27 +122,47 @@ class TraceStep:
 
 @dataclass
 class RunTrace:
+    """The steps of one run, with the tables their codes index:
+    ``raw_values[i][c]`` is agent i+1's raw value of code c, and
+    ``effective_values`` likewise; a policy that reports raw values as
+    effective shares the raw tables."""
+
     n: int
     policy: str
     steps: list[TraceStep] = field(default_factory=list)
+    raw_values: Sequence[Sequence[Fraction]] = ()
+    effective_values: Sequence[Sequence[Fraction]] = ()
+
+    @classmethod
+    def begin(cls, policy: Policy, n: int, raw_values) -> RunTrace:
+        """Start ``policy`` on n agents and an empty trace whose raw codes index ``raw_values``."""
+        policy.start(n)
+        return cls(n, policy.name, raw_values=raw_values, effective_values=policy.effective_values(raw_values))
 
     @property
     def m(self) -> int:
         return len(self.steps)
 
+    def raw(self, step: TraceStep) -> tuple[Fraction, ...]:
+        return tuple(map(getitem, self.raw_values, step.raw_codes))
+
+    def effective(self, step: TraceStep) -> tuple[Fraction, ...]:
+        return tuple(map(getitem, self.effective_values, step.effective_codes))
+
     def allocation(self) -> Allocation:
         return Allocation(tuple(s.agent for s in self.steps))
 
-    def feed(self, policy: Policy, raw) -> int:
-        """Offer the next item to ``policy``, check its choice, record the step."""
-        agent = policy.choose(raw)
+    def feed(self, policy: Policy, raw, codes) -> int:
+        """Offer the next item, its raw vector and its codes into ``raw_values``,
+        to ``policy``, check its choice, record the step."""
+        agent = policy.choose(raw, codes)
         if not (1 <= agent <= self.n):
             raise FairdivError(f"policy chose invalid agent {agent}")
         self.steps.append(
             TraceStep(
                 item=len(self.steps) + 1,
-                raw=tuple(raw),
-                effective=policy.last_effective(raw),
+                raw_codes=codes,
+                effective_codes=policy.last_effective(codes),
                 types=policy.last_types(),
                 agent=agent,
                 pressures=policy.pressure_snapshot(),
@@ -152,29 +177,33 @@ class RunTrace:
         return k
 
     def to_jsonl(self) -> str:
-        """One JSON line per step; a scaled pressure h is written as h/(n-1)."""
-        value = functools.cache(format_rational)
-        pressure = functools.cache(lambda h: format_rational(Fraction(h, self.n - 1)))
+        """One JSON line per step, as ``json.dumps`` with sorted keys writes it.
+        Each distinct value's text is made once per agent and table, each
+        distinct pressure row's once; a scaled pressure h is written as h/(n-1)."""
+        raw = list(map(json_texts, self.raw_values))
+        effective = raw if self.effective_values is self.raw_values else list(map(json_texts, self.effective_values))
+        cell = functools.cache(lambda h: '"' + format_rational(Fraction(h, self.n - 1)) + '"')
+        row = functools.cache(lambda r: "[" + ",".join(map(cell, r)) + "]")
         lines = []
         for s in self.steps:
-            rec = {
-                "item": s.item,
-                "raw": [value(v) for v in s.raw],
-                "effective": [value(v) for v in s.effective],
-                "types": list(s.types),
-                "agent": s.agent,
-            }
-            if s.pressures is not None:
-                rec["pressures"] = [[pressure(h) for h in row] for row in s.pressures]
-            lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            pressures = "" if s.pressures is None else '"pressures":[' + ",".join(map(row, s.pressures)) + "],"
+            lines.append(
+                '{"agent":' + str(s.agent)
+                + ',"effective":[' + ",".join(map(getitem, effective, s.effective_codes))
+                + '],"item":' + str(s.item) + "," + pressures
+                + '"raw":[' + ",".join(map(getitem, raw, s.raw_codes))
+                + '],"types":[' + ",".join(map(str, s.types)) + "]}"
+            )
         return "\n".join(lines) + ("\n" if lines else "")
 
 
 _TRACE_KEYS = ("item", "raw", "effective", "types", "agent")
 
 
-def _parse_trace_step(line, n: int, item: int) -> TraceStep:
-    """One trace record, which must be the ``item``-th record of its trace."""
+def _parse_trace_step(line, trace: RunTrace, raw: ValueTables, effective: ValueTables) -> TraceStep:
+    """One trace record, which must be the next record of ``trace``; its values
+    are coded in ``raw`` and ``effective``."""
+    n, item = trace.n, trace.m + 1
     rec = parse_json(line, _TRACE_KEYS, "a trace record")
     if not is_positive_int(rec["agent"]) or rec["agent"] > n:
         raise ParseError(f"agent {rec['agent']!r} is not in 1..{n}")
@@ -183,8 +212,8 @@ def _parse_trace_step(line, n: int, item: int) -> TraceStep:
             raise ParseError(f"{key} must be a list of {n} entries")
     if not all(is_positive_int(u) for u in rec["types"]):
         raise ParseError(f"types must be positive integers, got {rec['types']!r}")
-    raw = tuple(parse_rational(v) for v in rec["raw"])
-    effective = tuple(parse_rational(v) for v in rec["effective"])
+    raw_codes = raw.parse(rec["raw"])
+    effective_codes = effective.parse(rec["effective"])
     if not is_positive_int(rec["item"]) or rec["item"] != item:
         raise ParseError(f"item {rec['item']!r} is not the record's position {item}")
     pressures = None
@@ -198,15 +227,17 @@ def _parse_trace_step(line, n: int, item: int) -> TraceStep:
         if any(h.denominator != 1 for row in scaled for h in row):
             raise ParseError(f"pressures must be multiples of 1/{n - 1}")
         pressures = tuple(tuple(int(h) for h in row) for row in scaled)
-    return TraceStep(item, raw, effective, tuple(rec["types"]), rec["agent"], pressures)
+    return TraceStep(item, raw_codes, effective_codes, tuple(rec["types"]), rec["agent"], pressures)
 
 
 def trace_from_jsonl(text, n: int, policy: str = "external") -> RunTrace:
     """Parse a JSONL trace (``str`` or ``bytes``) of ``n`` agents with items
-    numbered 1..m; a malformed line raises :class:`ParseError`."""
-    trace = RunTrace(n=n, policy=policy)
+    numbered 1..m; a malformed line raises :class:`ParseError`. Each distinct
+    value string is parsed once per agent, as :func:`load_instance` does."""
+    raw, effective = ValueTables(n), ValueTables(n)
+    trace = RunTrace(n=n, policy=policy, raw_values=raw.values, effective_values=effective.values)
     # parse_jsonl is lazy, so each record is parsed after its predecessors are appended
-    for _, step in parse_jsonl(text, lambda line: _parse_trace_step(line, n, trace.m + 1)):
+    for _, step in parse_jsonl(text, lambda line: _parse_trace_step(line, trace, raw, effective)):
         trace.steps.append(step)
     return trace
 
@@ -214,20 +245,31 @@ def trace_from_jsonl(text, n: int, policy: str = "external") -> RunTrace:
 # Policies ----------------------------------------------------------------
 
 class Policy:
-    """A deterministic online allocation rule fed one item at a time."""
+    """A deterministic online allocation rule fed one item at a time.
+
+    :meth:`choose` gets each item's raw vector and, from :func:`run_online`
+    and the adversary games, its codes: per agent, the index of the value in
+    a table of that agent's distinct values in first-appearance order
+    (:class:`ValueTables`). A code says only which values are equal. Called
+    without codes, a policy that needs them codes the values itself.
+    """
 
     name = "abstract"
 
     def start(self, n: int) -> None:
         self.n = n
 
-    def choose(self, raw) -> int:
+    def choose(self, raw, codes=None) -> int:
         raise NotImplementedError
 
-    # Effective values and type indices recorded in traces; policies without
-    # pressure accounting report the raw values and type 1.
-    def last_effective(self, raw) -> tuple[Fraction, ...]:
-        return tuple(raw)
+    # Effective values (as codes) and type indices recorded in traces; policies
+    # without pressure accounting report the raw codes and type 1.
+    def effective_values(self, raw_values):
+        """Per agent, the table that the codes of :meth:`last_effective` index."""
+        return raw_values
+
+    def last_effective(self, codes) -> tuple[int, ...]:
+        return codes
 
     def last_types(self) -> tuple[int, ...]:
         return tuple([1] * self.n)
@@ -242,31 +284,37 @@ class Policy:
 class PressureGreedyPolicy(Policy):
     """Greedy over pressures, with values rounded up to powers of two.
 
-    ``table[i]`` maps each raw value agent i+1 has shown to its (effective
-    value, type), filled once by the value-to-type rule :meth:`_value_type`;
-    :class:`BiValuePolicy` swaps in its merge rule and keeps everything else.
+    ``table[i][c]`` is the (effective code, type) of agent i+1's raw value of
+    code c, filled once by the value-to-type rule :meth:`_value_type`;
+    effective codes index ``effective.values[i]``, which only grows during a
+    run. :class:`BiValuePolicy` swaps in its merge rule and keeps everything
+    else.
     """
 
     name = "pressure-greedy"
 
     def start(self, n: int) -> None:
         super().start(n)
+        self.effective = ValueTables(n)
+        self._own_codes = ValueTables(n)  # for calls without codes
         self._new_tables()
         self._types: tuple[int, ...] = ()
-        self._effective: tuple[Fraction, ...] = ()
+        self._effective: tuple[int, ...] = ()
         self._max_scaled = 0
 
     def _new_tables(self) -> None:
         """Fresh pressures and empty value tables."""
         self.state = PressureState(self.n) if self.n >= 2 else None
-        self.table: list[dict[Fraction, tuple[Fraction, int]]] = [{} for _ in range(self.n)]
-        self._pow2_types: list[dict[Fraction, int]] = [{} for _ in range(self.n)]
-        self._last_raw: tuple[Fraction, ...] | None = None
+        self.table: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        self._pow2_types: list[dict[int, int]] = [{} for _ in range(self.n)]  # effective code -> type
 
-    def _value_type(self, agent: int, value: Fraction) -> tuple[Fraction, int]:
-        """(effective value, type) of a raw value new to ``agent``: one type
+    def effective_values(self, raw_values):
+        return self.effective.values
+
+    def _value_type(self, agent: int, value: Fraction) -> tuple[int, int]:
+        """(effective code, type) of a raw value new to ``agent``: one type
         per power of two."""
-        eff = round_up_pow2(value)
+        eff = self.effective.code(agent - 1, round_up_pow2(value))
         if self.state is None:  # n == 1: no pressure accounting
             return eff, 1
         types = self._pow2_types[agent - 1]
@@ -275,23 +323,22 @@ class PressureGreedyPolicy(Policy):
             u = types[eff] = self.state.add_type(agent)
         return eff, u
 
-    def _classify(self, raw) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-        """Effective values and type indices of one item."""
-        entries = []
-        for agent, (table, v) in enumerate(zip(self.table, raw), 1):
-            entry = table.get(v)
-            if entry is None:
-                entry = table[v] = self._value_type(agent, v)
-            entries.append(entry)
+    def _classify(self, raw, codes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Effective codes and type indices of one item."""
+        try:
+            entries = tuple(map(getitem, self.table, codes))
+        except IndexError:  # some agent's next new value: codes are dense
+            for agent, (table, c, v) in enumerate(zip(self.table, codes, raw), 1):
+                if c == len(table):
+                    table.append(self._value_type(agent, v))
+            entries = tuple(map(getitem, self.table, codes))
         effective, types = zip(*entries)
         return effective, types
 
-    def choose(self, raw) -> int:
-        # A repeated raw vector (common in long typed streams) keeps its
-        # classification; one tuple comparison costs less than n Fraction hashes.
-        if raw != self._last_raw:
-            self._effective, self._types = self._classify(raw)
-            self._last_raw = tuple(raw)
+    def choose(self, raw, codes=None) -> int:
+        if codes is None:
+            codes = self._own_codes.encode(raw)
+        self._effective, self._types = self._classify(raw, codes)
         if self.state is None:
             return 1
         winner = self.state.step(self._types)
@@ -300,7 +347,7 @@ class PressureGreedyPolicy(Policy):
             self._max_scaled = touched
         return winner
 
-    def last_effective(self, raw):
+    def last_effective(self, codes):
         return self._effective
 
     def last_types(self):
@@ -345,35 +392,37 @@ class BiValuePolicy(PressureGreedyPolicy):
 
     def start(self, n: int) -> None:
         super().start(n)
-        self.history: list[tuple[tuple[Fraction, ...], int]] = []
+        self.history: list[tuple[tuple, tuple[int, ...], int]] = []  # (raw, codes, agent)
         self.fell_back = False
 
-    def _value_type(self, agent: int, value: Fraction) -> tuple[Fraction, int]:
+    def _value_type(self, agent: int, value: Fraction) -> tuple[int, int]:
         if self.fell_back:
             return super()._value_type(agent, value)
         if self.state is None:  # n == 1: effective values stay raw
-            return value, 1
+            return self.effective.code(agent - 1, value), 1
         table = self.table[agent - 1]
         if len(table) == 2:
             raise BiValuePromiseViolated(f"agent {agent}: third distinct value {value}")
-        if table:
-            (first,) = table
+        if table:  # before a merge, the first value is its own effective value
+            first = self.effective.values[agent - 1][table[0][0]]
             if bi_value_merges(first, value):
-                table[first] = merged = (max(first, value), 1)
+                table[0] = merged = (self.effective.code(agent - 1, max(first, value)), 1)
                 return merged
-        return value, self.state.add_type(agent)
+        return self.effective.code(agent - 1, value), self.state.add_type(agent)
 
-    def choose(self, raw) -> int:
+    def choose(self, raw, codes=None) -> int:
+        if codes is None:
+            codes = self._own_codes.encode(raw)
         try:
-            agent = super().choose(raw)
+            agent = super().choose(raw, codes)
         except BiValuePromiseViolated:
             self.fell_back = True
             self._new_tables()
-            for past, past_agent in self.history:
-                self.state.step(self._classify(past)[1], past_agent)
+            for past, past_codes, past_agent in self.history:
+                self.state.step(self._classify(past, past_codes)[1], past_agent)
             self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))
-            agent = super().choose(raw)
-        self.history.append((tuple(raw), agent))
+            agent = super().choose(raw, codes)
+        self.history.append((tuple(raw), codes, agent))
         return agent
 
 
@@ -384,7 +433,7 @@ class RoundRobinPolicy(Policy):
         super().start(n)
         self.step_index = 0
 
-    def choose(self, raw) -> int:
+    def choose(self, raw, codes=None) -> int:
         agent = self.step_index % self.n + 1
         self.step_index += 1
         return agent
@@ -393,7 +442,7 @@ class RoundRobinPolicy(Policy):
 class DumpToOnePolicy(Policy):
     name = "dump-to-one"
 
-    def choose(self, raw) -> int:
+    def choose(self, raw, codes=None) -> int:
         return 1
 
 
@@ -410,7 +459,7 @@ class SeededMixturePolicy(Policy):
 
         self.rng = random.Random(self.seed)
 
-    def choose(self, raw) -> int:
+    def choose(self, raw, codes=None) -> int:
         return self.rng.randrange(self.n) + 1
 
 
@@ -422,7 +471,7 @@ class ExternalPolicy(Policy):
     def __init__(self, fn):
         self.fn = fn
 
-    def choose(self, raw) -> int:
+    def choose(self, raw, codes=None) -> int:
         return self.fn(tuple(raw))
 
 
@@ -444,11 +493,10 @@ def make_policy(name: str) -> Policy:
 
 
 def run_online(inst: Instance, policy: Policy) -> tuple[Allocation, RunTrace]:
-    """Feed the instance's items in arrival order through a policy."""
-    policy.start(inst.n)
-    trace = RunTrace(n=inst.n, policy=policy.name)
-    for raw in inst.items:
-        trace.feed(policy, raw)
+    """Feed the instance's items, with their codes, in arrival order through a policy."""
+    trace = RunTrace.begin(policy, inst.n, inst.values)
+    for raw, codes in zip(inst.items, inst.codes):
+        trace.feed(policy, raw, codes)
     return trace.allocation(), trace
 
 
@@ -484,7 +532,7 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
     per-type receipt-count bound |A_i ^ M_i^u| <= ceil(N_i^u / n) - 1 + 2k.
     An untouched cell keeps its value and its bounds only loosen as k grows,
     so it needs no recheck. The rounding sandwich raw <= effective < 2*raw is
-    checked once per distinct (agent, raw, effective). A recorded snapshot
+    checked once per distinct (agent, raw code, effective code). A recorded snapshot
     must equal the engine's (n-1)*H rows, or the closed form fails. A step
     whose agent or type indices are out of range raises :class:`FairdivError`.
     """
@@ -494,12 +542,14 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
     state = PressureState(n)
     receipts: list[list[int]] = [[] for _ in range(n)]
     sightings: list[list[int]] = [[] for _ in range(n)]
-    values: set[tuple[int, Fraction, Fraction]] = set()
+    agents = range(n)
+    raw, eff = trace.raw_values, trace.effective_values
+    values: set[tuple[int, int, int]] = set()  # (agent index, raw code, effective code)
     ok_closed = ok_pressure = ok_count = True
     max_scaled = game_k = 0
     for s in trace.steps:
         s.check_indices(n)
-        values.update(zip(range(n), s.raw, s.effective))
+        values.update(zip(agents, s.raw_codes, s.effective_codes))
         for i, u in enumerate(s.types):
             while len(receipts[i]) < u:
                 state.add_type(i + 1)
@@ -524,7 +574,7 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
             ok_closed = False
     return TraceCheck(
         closed_form=ok_closed,
-        rounding_sandwich=all(raw <= eff < 2 * raw for _, raw, eff in values),
+        rounding_sandwich=all(raw[i][r] <= eff[i][e] < 2 * raw[i][r] for i, r, e in values),
         pressure_bound=ok_pressure,
         count_bound=ok_count,
         max_scaled_pressure=max_scaled,

@@ -16,7 +16,8 @@ import functools
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 
@@ -104,30 +105,114 @@ def format_rational(x: Fraction) -> str:
         return p if x.denominator == 1 else f"{p}/{_digits_from_int(x.denominator)}"
 
 
+class ValueTables:
+    """Per agent, a table of distinct values in first-appearance order; a
+    value's code is its index in its agent's table.
+
+    Values are keyed by their exact ``(numerator, denominator)``, never by
+    ``Fraction`` hash. :meth:`parse` also keys each JSON string by its text,
+    so each distinct string is parsed once; ``"2/4"`` and ``"1/2"``, or
+    ``"06"`` and the JSON integer 6, share one code. Only strings are cached:
+    a JSON ``true`` looked up by value would find the entry of ``1``.
+    """
+
+    def __init__(self, n: int):
+        self.values: list[list[Fraction]] = [[] for _ in range(n)]
+        self._keys: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+        self._texts: list[dict[str, int]] = [{} for _ in range(n)]
+
+    def code(self, i: int, value) -> int:
+        """The code of ``value`` in the table of the agent of 0-based index ``i``,
+        added if new."""
+        key = value.as_integer_ratio()
+        keys = self._keys[i]
+        c = keys.get(key)
+        if c is None:
+            c = keys[key] = len(self.values[i])
+            self.values[i].append(value)
+        return c
+
+    def encode(self, vector) -> tuple[int, ...]:
+        """Codes of one vector of n rationals, adding new values to the tables."""
+        # code() inlined: Instance(n, items) runs this once per item
+        row = []
+        for keys, table, v in zip(self._keys, self.values, vector):
+            key = v.as_integer_ratio()
+            c = keys.get(key)
+            if c is None:
+                c = keys[key] = len(table)
+                table.append(v)
+            row.append(c)
+        return tuple(row)
+
+    def parse(self, vector) -> tuple[int, ...]:
+        """Codes of one JSON vector of n rational strings or integers; a
+        malformed entry raises :class:`ParseError`."""
+        try:
+            return tuple(map(dict.__getitem__, self._texts, vector))
+        except (KeyError, TypeError):  # a new string, or not a string
+            pass
+        codes = self.encode([parse_rational(v) for v in vector])
+        for texts, text, c in zip(self._texts, vector, codes):
+            if type(text) is str:
+                texts[text] = c
+        return codes
+
+
+def _interned(n: int, items) -> tuple[tuple, tuple]:
+    """``(values, codes)`` of :class:`Instance`, checking each entry's type."""
+    tables = ValueTables(n if items else 0)
+    codes = []
+    for j, d in enumerate(items, start=1):
+        if len(d) != n:
+            raise ParseError(f"item {j}: disutility vector has length {len(d)}, expected {n}")
+        for i, v in enumerate(d, start=1):
+            if not isinstance(v, Fraction):
+                raise ParseError(f"item {j}, agent {i}: not a rational: {v!r}")
+        codes.append(tables.encode(d))
+    return tuple(map(tuple, tables.values)), tuple(codes)
+
+
 @dataclass(frozen=True)
 class Instance:
     """An ordered stream of chores with per-agent positive disutilities.
 
     ``items[j-1]`` is the disutility vector of the j-th arriving item;
     entry ``i-1`` is agent i's disutility. Item order is arrival order.
+
+    ``values[i-1]`` is agent i's table of distinct values in first-appearance
+    order, and ``codes[j-1][i-1]`` indexes it for item j; an instance without
+    items has no tables. A code says only which values are equal. ``items``
+    alone decides equality; ``tables``, when a producer passes it, is the
+    ``(values, codes)`` pair it built (see :meth:`from_codes`), else the
+    tables are interned from ``items``.
     """
 
     n: int
     items: tuple[tuple[Fraction, ...], ...]
+    tables: InitVar[tuple | None] = None
+    values: tuple[tuple[Fraction, ...], ...] = field(init=False, compare=False, repr=False)
+    codes: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, tables):
         if not is_positive_int(self.n):
             raise ParseError(f"agent count must be a positive integer, got {self.n!r}")
-        for j, d in enumerate(self.items, start=1):
-            if len(d) != self.n:
-                raise ParseError(
-                    f"item {j}: disutility vector has length {len(d)}, expected {self.n}"
-                )
-            for i, v in enumerate(d, start=1):
-                if not isinstance(v, Fraction):
-                    raise ParseError(f"item {j}, agent {i}: not a rational: {v!r}")
-                if v <= 0:
-                    raise ParseError(f"item {j}, agent {i}: non-positive disutility {format_rational(v)}")
+        values, codes = _interned(self.n, self.items) if tables is None else tables
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "codes", codes)
+        bad = {(i, c) for i, table in enumerate(values) for c, v in enumerate(table) if v.numerator <= 0}
+        if bad:  # name the first entry holding one
+            j, i, c = next((j, i, c) for j, row in enumerate(codes, 1) for i, c in enumerate(row) if (i, c) in bad)
+            raise ParseError(f"item {j}, agent {i + 1}: non-positive disutility {format_rational(values[i][c])}")
+
+    @classmethod
+    def from_codes(cls, n: int, values, codes) -> Instance:
+        """The instance whose item j gives agent i the value ``values[i-1][codes[j-1][i-1]]``.
+        Only the values' signs are checked: the caller makes each table distinct
+        Fractions in first-appearance order, and each row n codes long."""
+        values = tuple(map(tuple, values))
+        codes = tuple(codes)
+        return cls(n, tuple(tuple(map(tuple.__getitem__, values, row)) for row in codes), (values, codes))
 
     @property
     def m(self) -> int:
@@ -170,10 +255,11 @@ class Allocation:
         return out
 
     def bundle_disutility(self, inst: Instance, agent: int) -> Fraction:
-        return sum(
-            (inst.disutility(agent, j) for j, a in enumerate(self.assignment, start=1) if a == agent),
-            Fraction(0),
-        )
+        """The agent's total over its bundle: count times value, per distinct value."""
+        if self.m > inst.m:
+            raise FairdivError(f"allocation of {self.m} items for an instance of {inst.m}")
+        counts = Counter(row[agent - 1] for row, a in zip(inst.codes, self.assignment) if a == agent)
+        return sum((count * inst.values[agent - 1][c] for c, count in counts.items()), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -187,23 +273,23 @@ class InstanceStats:
 def instance_stats(inst: Instance) -> InstanceStats:
     if inst.m == 0:
         raise FairdivError("instance_stats: empty instance")
-    k = 0
-    spread = Fraction(1)
-    for i in range(1, inst.n + 1):
-        vals = inst.agent_values(i)
-        k = max(k, len(set(vals)))
-        spread = max(spread, max(vals) / min(vals))
-    return InstanceStats(k=k, D=spread)
+    return InstanceStats(k=max(map(len, inst.values)), D=max(max(t) / min(t) for t in inst.values))
 
 
 # Serialization ----------------------------------------------------------
 
+def json_texts(values) -> list[str]:
+    """The JSON string of each value, as ``json.dumps`` writes its
+    :func:`format_rational` text (which needs no escaping)."""
+    return ['"' + format_rational(v) + '"' for v in values]
+
+
 def instance_to_json(inst: Instance) -> str:
-    obj = {
-        "n": inst.n,
-        "items": [{"d": [format_rational(v) for v in d]} for d in inst.items],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON, sorted keys and no spaces; each distinct value of an
+    agent is formatted once."""
+    texts = list(map(json_texts, inst.values))
+    items = ",".join('{"d":[' + ",".join(map(list.__getitem__, texts, row)) + "]}" for row in inst.codes)
+    return '{"items":[' + items + '],"n":' + str(inst.n) + "}"
 
 
 def parse_json(data, keys, what: str) -> dict:
@@ -238,16 +324,28 @@ def parse_jsonl(data, parse_line):
 
 
 def load_instance(data) -> Instance:
-    """Parse the instance file format and validate all invariants."""
+    """Parse the instance file format and validate all invariants. Each
+    distinct value string of an agent is parsed and checked once, and the
+    instance gets the tables and codes built here."""
     obj = parse_json(data, ("n", "items"), "an instance file")
-    if not isinstance(obj["items"], list):
+    n, entries = obj["n"], obj["items"]
+    if not isinstance(entries, list):
         raise ParseError("items must be a list")
-    items = []
-    for entry in obj["items"]:
+    if not is_positive_int(n):
+        raise ParseError(f"agent count must be a positive integer, got {n!r}")
+    tables = None
+    codes = []
+    for j, entry in enumerate(entries, start=1):
         if not isinstance(entry, dict) or "d" not in entry or not isinstance(entry["d"], list):
             raise ParseError(f'item entries must be {{"d": [...]}}, got {entry!r}')
-        items.append(tuple(parse_rational(v) for v in entry["d"]))
-    return Instance(n=obj["n"], items=tuple(items))
+        d = entry["d"]
+        if len(d) != n:
+            list(map(parse_rational, d))  # a malformed entry is named before the length
+            raise ParseError(f"item {j}: disutility vector has length {len(d)}, expected {n}")
+        if tables is None:  # made at the first whole item, so n is bounded by the file's size
+            tables = ValueTables(n)
+        codes.append(tables.parse(d))
+    return Instance.from_codes(n, tables.values if tables else (), codes)
 
 
 def allocation_to_json(alloc: Allocation) -> str:
@@ -276,10 +374,12 @@ __all__ = [
     "is_positive_int",
     "parse_rational",
     "format_rational",
+    "ValueTables",
     "Instance",
     "Allocation",
     "InstanceStats",
     "instance_stats",
+    "json_texts",
     "instance_to_json",
     "parse_json",
     "at_line",

@@ -100,17 +100,20 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
         raise FairdivError(f"infeasible: m={cfg.m} < k={cfg.k} values per agent")
     rng = random.Random(cfg.seed)
     per_agent = [_agent_value_set(cfg, rng) for _ in range(cfg.n)]
-    columns = []
+    tables, columns = [], []
     for values in per_agent:
-        col = [values[rng.randrange(cfg.k)] for _ in range(cfg.m)]
+        draws = [rng.randrange(cfg.k) for _ in range(cfg.m)]
         slots = rng.sample(range(cfg.m), cfg.k)
-        order = list(values)
+        order = list(range(cfg.k))
         rng.shuffle(order)
-        for slot, v in zip(slots, order):
-            col[slot] = v
-        columns.append(col)
-    items = tuple(tuple(columns[i][j] for i in range(cfg.n)) for j in range(cfg.m))
-    return Instance(n=cfg.n, items=items)
+        for slot, d in zip(slots, order):
+            draws[slot] = d
+        # codes number the drawn values in order of first appearance
+        first = list(dict.fromkeys(draws))
+        code = dict(zip(first, range(cfg.k)))
+        tables.append([values[d] for d in first])
+        columns.append(map(code.__getitem__, draws))
+    return Instance.from_codes(cfg.n, tables, zip(*columns))
 
 
 ZOO_MIXTURE_SEEDS = (11, 23, 37, 41, 53)

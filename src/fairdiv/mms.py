@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapreplace
 from math import lcm
 
 from .core import FairdivError, Instance, ceil_div, format_rational
@@ -51,15 +52,15 @@ def lpt_partition(values, n: int, positions=None) -> tuple[int, list[list[int]]]
     """
     if positions is None:
         positions = range(len(values))
-    loads = [0] * n
+    heap = [(0, b) for b in range(n)]  # (load, bundle): the top is the least load, lowest index
     bundles: list[list[int]] = [[] for _ in range(n)]
     for p in sorted(positions, key=values.__getitem__, reverse=True):
-        b = min(range(n), key=loads.__getitem__)
-        loads[b] += values[p]
+        load, b = heap[0]
+        heapreplace(heap, (load + values[p], b))
         bundles[b].append(p + 1)
     for bundle in bundles:
         bundle.sort()
-    return max(loads), bundles
+    return max(heap)[0], bundles
 
 
 def type_union_partition(values, n: int) -> tuple[int, list[list[int]]]:

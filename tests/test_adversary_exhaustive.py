@@ -116,4 +116,4 @@ def test_trace_replay_reproduces_allocation():
 
     res = play_game(TwoAgentAdversary(F(1, 2)), make_policy("mixture:5"), budget=100)
     assert res.trace.allocation() == res.allocation
-    assert Instance(2, tuple(s.raw for s in res.trace.steps)) == res.instance
+    assert Instance(2, tuple(map(res.trace.raw, res.trace.steps))) == res.instance

@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import getitem
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +57,29 @@ def test_rounding_sandwich(d):
     assert r.numerator == 1 or r.denominator == 1
 
 
+def _fraction_round_up_pow2(d):
+    """round_up_pow2 as it was before its integer shifts: Fraction powers of two."""
+    r = Fraction(2) ** (d.numerator.bit_length() - d.denominator.bit_length())
+    while r < d:
+        r *= 2
+    while r / 2 >= d:
+        r /= 2
+    return r
+
+
+def test_rounding_matches_the_fraction_arithmetic():
+    rng = random.Random(53)
+    for trial in range(600):
+        digits = (1, 3, 40, 1200)[trial % 4]
+        num, den = (rng.randint(1, 10**digits) for _ in range(2))
+        d = Fraction(num, den) * Fraction(2) ** rng.randint(-3, 3)
+        assert round_up_pow2(d) == _fraction_round_up_pow2(d)
+    for e in (-2000, -1, 0, 1, 2000):  # exact powers of two and their neighbours
+        p = Fraction(2) ** e
+        for d in (p, p * Fraction(10**30 + 1, 10**30), p * Fraction(10**30 - 1, 10**30)):
+            assert round_up_pow2(d) == _fraction_round_up_pow2(d)
+
+
 # pressure-greedy steps -------------------------------------------------------
 
 def test_first_item_three_agents():
@@ -63,7 +87,8 @@ def test_first_item_three_agents():
     pol.start(3)
     raw = (Fraction(2), Fraction(3), Fraction(5))
     agent = pol.choose(raw)
-    assert pol.table == [{v: (round_up_pow2(v), 1)} for v in raw]
+    assert pol.table == [[(0, 1)] for _ in raw]  # code 0 -> (effective code 0, type 1)
+    assert pol.effective.values == [[round_up_pow2(v)] for v in raw]
     state = pol.state
     assert agent == 1  # all pressures zero, lowest index wins
     assert state.pressure(1, 1) == 1
@@ -144,11 +169,21 @@ def test_validate_catches_a_snapshot_off_by_one_scaled_unit():
     assert not validate_pressure_trace(trace).closed_form
 
 
+def _set_effective(trace, j, i, value):
+    """Make agent i+1's effective value at step j+1 ``value``, a new entry in a
+    copy of the trace's effective tables."""
+    tables = [list(table) for table in trace.effective_values]
+    tables[i].append(value)
+    trace.effective_values = tables
+    codes = list(trace.steps[j].effective_codes)
+    codes[i] = len(tables[i]) - 1
+    trace.steps[j] = replace(trace.steps[j], effective_codes=tuple(codes))
+
+
 def test_validate_catches_a_corrupted_effective_value():
     inst = random_instance(random.Random(43), n=3, m=20, k=2)
     _, trace = run_online(inst, PressureGreedyPolicy())
-    step = trace.steps[4]
-    trace.steps[4] = replace(step, effective=step.effective[:2] + (2 * step.raw[2],))
+    _set_effective(trace, 4, 2, 2 * trace.raw(trace.steps[4])[2])
     check = validate_pressure_trace(trace)
     assert not check.rounding_sandwich
     assert check.closed_form and check.pressure_bound and check.count_bound
@@ -174,8 +209,9 @@ def _full_rescan_check(trace) -> dict:
     ok_closed = ok_zero = ok_round = ok_pressure = ok_count = True
     max_scaled = game_k = 0
     for s in trace.steps:
+        raw, eff = trace.raw(s), trace.effective(s)
         for i in range(n):
-            if not (s.raw[i] <= s.effective[i] < 2 * s.raw[i]):
+            if not (raw[i] <= eff[i] < 2 * raw[i]):
                 ok_round = False
             while len(scaled[i]) < s.types[i]:
                 scaled[i].append(0)
@@ -220,9 +256,7 @@ def _corrupt(rng, trace):
         rows[i][rng.randrange(len(rows[i]))] += rng.choice((-1, 1))
         trace.steps[j] = replace(s, pressures=tuple(map(tuple, rows)))
     elif kind == 2:
-        eff = list(s.effective)
-        eff[i] = s.raw[i] * rng.choice((Fraction(1, 2), Fraction(3, 2), 2))
-        trace.steps[j] = replace(s, effective=tuple(eff))
+        _set_effective(trace, j, i, trace.raw(s)[i] * rng.choice((Fraction(1, 2), Fraction(3, 2), 2)))
     elif kind == 3:
         trace.steps[:] = [replace(t, pressures=None) for t in trace.steps]
     elif kind == 4:
@@ -322,14 +356,14 @@ def test_bi_value_registration():
     pol = BiValuePolicy()
     pol.start(2)
     pol.choose((Fraction(2), Fraction(10)))
-    assert pol.table[0][Fraction(2)][1] == 1
-    assert pol.table[1][Fraction(10)][1] == 1
+    assert pol.table == [[(0, 1)], [(0, 1)]]
     pol.choose((Fraction(1), Fraction(1)))
-    assert pol.table[0][Fraction(1)][1] == 1  # merged
-    assert pol.table[1][Fraction(1)][1] == 2  # separate
+    assert pol.table[0][1][1] == 1  # merged
+    assert pol.table[1][1][1] == 2  # separate
     # the merged type reports the larger value, for both of its raw values
-    assert pol.table[0] == {Fraction(2): (Fraction(2), 1), Fraction(1): (Fraction(2), 1)}
-    assert pol.last_effective((Fraction(1), Fraction(1))) == (Fraction(2), Fraction(1))
+    assert pol.effective.values == [[Fraction(2)], [Fraction(10), Fraction(1)]]
+    assert pol.table[0] == [(0, 1), (0, 1)]
+    assert pol.last_effective(None) == (0, 1)
 
 
 def test_bi_value_merged_acts_single_type():
@@ -383,103 +417,96 @@ def test_bi_value_fallback_matches_closed_form_replay():
                     receipts[i][u] = receipts[i].get(u, 0) + 1
         state = pol.state
         for i in range(n):
-            assert pol.table[i] == {
-                v: (round_up_pow2(v), registries[i][round_up_pow2(v)]) for v in inst.agent_values(i + 1)
-            }
+            assert [(pol.effective.values[i][e], u) for e, u in pol.table[i]] == [
+                (round_up_pow2(v), registries[i][round_up_pow2(v)]) for v in inst.values[i]
+            ]
             for u in range(1, len(registries[i]) + 1):
                 expected = n * receipts[i].get(u, 0) - sightings[i][u]
                 assert state.scaled[i][u - 1] == expected
 
 
-# The two classifiers as they were before the per-agent value tables: a
-# rounding cache shared by all agents, an effective-value -> type registry on
-# the pressure state, a repeated-raw-vector shortcut, and the bi-value rule's
-# own registration with a representative value per type.
+# The two classifiers as they were before the value tables were indexed by
+# code: one dict per agent keyed by the raw Fraction, filled by the same
+# value-to-type rules, and a repeated-raw-vector shortcut.
 
-class _RegistryState(PressureState):
-    def __init__(self, n):
-        super().__init__(n)
-        self.registry = [dict() for _ in range(n)]
-
-    def register(self, agent, value):
-        reg = self.registry[agent - 1]
-        u = reg.get(value)
-        if u is None:
-            u = reg[value] = self.add_type(agent)
-        return u
-
-
-class _RegistryGreedy(PressureGreedyPolicy):
+class _FractionKeyedGreedy(Policy):
     def start(self, n):
-        Policy.start(self, n)
-        self.state = _RegistryState(n) if n >= 2 else None
-        self._rounded_cache = {}
+        super().start(n)
+        self._new_tables()
         self._types = ()
         self._effective = ()
-        self._last_raw = None
         self._max_scaled = 0
 
-    def _round(self, v):
-        r = self._rounded_cache.get(v)
-        if r is None:
-            r = self._rounded_cache[v] = round_up_pow2(v)
-        return r
+    def _new_tables(self):
+        self.state = PressureState(self.n) if self.n >= 2 else None
+        self.table = [{} for _ in range(self.n)]
+        self._pow2_types = [{} for _ in range(self.n)]
+        self._last_raw = None
+
+    def _value_type(self, agent, value):
+        eff = round_up_pow2(value)
+        if self.state is None:
+            return eff, 1
+        types = self._pow2_types[agent - 1]
+        u = types.get(eff)
+        if u is None:
+            u = types[eff] = self.state.add_type(agent)
+        return eff, u
 
     def _classify(self, raw):
-        effective = tuple(self._round(v) for v in raw)
-        if self.state is None:
-            return effective, (1,)
-        return effective, tuple(self.state.register(i, effective[i - 1]) for i in range(1, self.n + 1))
+        entries = []
+        for agent, (table, v) in enumerate(zip(self.table, raw), 1):
+            entry = table.get(v)
+            if entry is None:
+                entry = table[v] = self._value_type(agent, v)
+            entries.append(entry)
+        effective, types = zip(*entries)
+        return effective, types
 
-    def choose(self, raw):
+    def choose(self, raw, codes=None):
         if raw != self._last_raw:
-            raw = tuple(raw)
             self._effective, self._types = self._classify(raw)
-            self._last_raw = raw
+            self._last_raw = tuple(raw)
         if self.state is None:
             return 1
         winner = self.state.step(self._types)
         self._max_scaled = max(self._max_scaled, self.state.scaled[winner - 1][self._types[winner - 1] - 1])
         return winner
 
+    def pressure_snapshot(self):
+        return None if self.state is None else self.state.snapshot()
 
-class _RegistryBiValue(_RegistryGreedy):
+    def max_pressure_seen(self):
+        return None if self.state is None else Fraction(self._max_scaled, self.n - 1)
+
+
+class _FractionKeyedBiValue(_FractionKeyedGreedy):
     def start(self, n):
         super().start(n)
-        self.representative = [dict() for _ in range(n)]
         self.history = []
         self.fell_back = False
 
-    def register_value(self, agent, value):
-        known = self.state.registry[agent - 1]
-        u = known.get(value)
-        if u is None:
-            if len(known) == 2:
-                raise BiValuePromiseViolated(f"agent {agent}: third distinct value {value}")
-            reps = self.representative[agent - 1]
-            if known and bi_value_merges(reps[1], value):
-                u = 1
-                reps[1] = max(reps[1], value)
-            else:
-                u = self.state.add_type(agent)
-                reps[u] = value
-            known[value] = u
-        return u
-
-    def _classify(self, raw):
+    def _value_type(self, agent, value):
         if self.fell_back:
-            return super()._classify(raw)
+            return super()._value_type(agent, value)
         if self.state is None:
-            return raw, (1,)
-        types = tuple(self.register_value(i, raw[i - 1]) for i in range(1, self.n + 1))
-        return tuple(self.representative[i][u] for i, u in enumerate(types)), types
+            return value, 1
+        table = self.table[agent - 1]
+        if len(table) == 2:
+            raise BiValuePromiseViolated(f"agent {agent}: third distinct value {value}")
+        if table:
+            (first,) = table
+            if bi_value_merges(first, value):
+                table[first] = merged = (max(first, value), 1)
+                return merged
+        return value, self.state.add_type(agent)
 
-    def choose(self, raw):
+    def choose(self, raw, codes=None):
         try:
             agent = super().choose(raw)
         except BiValuePromiseViolated:
             self.fell_back = True
-            self.state = _RegistryState(self.n)
+            self._new_tables()
             for past, past_agent in self.history:
                 self.state.step(self._classify(past)[1], past_agent)
             self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))
@@ -489,24 +516,30 @@ class _RegistryBiValue(_RegistryGreedy):
 
 
 def _assert_lockstep(inst):
-    """Both classifiers, old and new, agree after every item of ``inst``."""
+    """The coded tables agree with the Fraction-keyed ones after every item of
+    ``inst``: in a ``run_online`` trace, which feeds the instance's codes, and
+    in direct ``choose(raw)`` calls, where the policy codes the values itself."""
     fell_back = False
-    for new, old in ((PressureGreedyPolicy(), _RegistryGreedy()), (BiValuePolicy(), _RegistryBiValue())):
-        new.start(inst.n)
+    for make, old in ((PressureGreedyPolicy, _FractionKeyedGreedy()), (BiValuePolicy, _FractionKeyedBiValue())):
+        run = make()
+        _, trace = run_online(inst, run)
+        direct = make()
+        direct.start(inst.n)
         old.start(inst.n)
-        for raw in inst.items:
-            assert new.choose(raw) == old.choose(raw)
-            assert new.last_effective(raw) == old.last_effective(raw)
-            assert new.last_types() == old.last_types()
-            assert new.pressure_snapshot() == old.pressure_snapshot()
-            assert new.max_pressure_seen() == old.max_pressure_seen()
-        if isinstance(new, BiValuePolicy):
-            assert new.fell_back == old.fell_back
-            fell_back = new.fell_back
+        for raw, step in zip(inst.items, trace.steps):
+            assert direct.choose(raw) == step.agent == old.choose(raw)
+            effective = tuple(map(getitem, direct.effective.values, direct.last_effective(None)))
+            assert trace.effective(step) == effective == old._effective
+            assert step.types == direct.last_types() == old._types
+            assert step.pressures == direct.pressure_snapshot() == old.pressure_snapshot()
+        assert run.max_pressure_seen() == direct.max_pressure_seen() == old.max_pressure_seen()
+        if make is BiValuePolicy:
+            assert run.fell_back == direct.fell_back == old.fell_back
+            fell_back = old.fell_back
     return fell_back
 
 
-def test_value_tables_match_the_registry_classifiers():
+def test_coded_tables_match_the_fraction_keyed_tables():
     rng = random.Random(101)
     fallbacks = 0
     for trial in range(240):
@@ -525,7 +558,7 @@ def test_value_tables_match_the_registry_classifiers():
     assert fallbacks >= 40
 
 
-def test_value_tables_match_the_registry_classifiers_on_an_adversary_game():
+def test_coded_tables_match_the_fraction_keyed_tables_on_an_adversary_game():
     game = play_game(make_recursive_adversary(3, 1, pin_horizon=300), PressureGreedyPolicy(), budget=300)
     assert game.rounds == 300 and len(set(game.instance.items)) == 300  # every item is new
     _assert_lockstep(game.instance)

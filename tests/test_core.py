@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fairdiv import (
     Allocation,
+    FairdivError,
     Instance,
     ParseError,
     allocation_to_json,
@@ -18,6 +19,10 @@ from fairdiv import (
     load_instance,
     parse_rational,
 )
+from fairdiv.adversary import make_recursive_adversary, play_game
+from fairdiv.allocator import RoundRobinPolicy
+
+from conftest import random_instance
 
 
 def test_load_basic():
@@ -183,3 +188,103 @@ def test_instance_roundtrip_property(n, values):
     items = tuple(tuple(values[j] for _ in range(n)) for j in range(len(values)))
     inst = Instance(n, items)
     assert load_instance(instance_to_json(inst)) == inst
+
+
+# The value-coded instance ---------------------------------------------------
+
+def test_codes_say_value_equality_not_spelling():
+    text = '{"n": 2, "items": [{"d": ["1/2", 6]}, {"d": ["2/4", "06"]}, {"d": [1, "6/1"]}, {"d": ["1", "6"]}]}'
+    inst = load_instance(text)
+    assert inst.values == ((Fraction(1, 2), Fraction(1)), (Fraction(6),))
+    assert inst.codes == ((0, 0), (0, 0), (1, 0), (1, 0))
+    assert inst.items[0][0] is inst.items[1][0]  # one Fraction per distinct value
+    assert inst == Instance(2, inst.items)
+    assert Instance(2, inst.items).codes == inst.codes
+
+
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        ('[{"d": ["1", true]}]', "not a rational: True"),
+        ('[{"d": ["1", "1"]}, {"d": [true, "1"]}]', "not a rational: True"),
+        ('[{"d": [1, "1"]}, {"d": [true, "1"]}]', "not a rational: True"),
+        ('[{"d": [1, "1"]}, {"d": ["1", [1]]}]', "not a rational: [1]"),
+        ('[{"d": ["1", "1"]}, {"d": ["1", "0"]}]', "item 2, agent 2: non-positive disutility 0"),
+        ('[{"d": ["1", "1"]}, {"d": ["-3/6", "1"]}]', "item 2, agent 1: non-positive disutility -1/2"),
+        ('[{"d": ["1", "1"]}, {"d": ["1"]}]', "item 2: disutility vector has length 1, expected 2"),
+        ('[{"d": ["1", "1"]}, {"d": ["1", "1", "x"]}]', "not a rational string: 'x'"),
+        ('[{"d": ["1", "1"]}, {"d": ["1", "2/0"]}]', "not a rational string: '2/0'"),
+        ('[{"d": ["1", "1"]}, {"d": ["1", 0.5]}]', "not a rational: 0.5"),
+        ('[{"d": ["1", "1"]}, {"d": ["1", null]}]', "not a rational: None"),
+        ('[{"d": ["1", "1"]}, ["1", "1"]]', """item entries must be {"d": [...]}, got ['1', '1']"""),
+        ("{}", "items must be a list"),
+    ],
+)
+def test_loader_messages(items, message):
+    with pytest.raises(ParseError) as exc:
+        load_instance('{"n": 2, "items": %s}' % items)
+    assert str(exc.value) == message
+
+
+def test_instance_checks_each_entry():
+    one = Fraction(1)
+    for items, message in (
+        (((one, one), (True, one)), "item 2, agent 1: not a rational: True"),
+        (((one, one), (one, 1)), "item 2, agent 2: not a rational: 1"),
+        (((one, one), (one, -one)), "item 2, agent 2: non-positive disutility -1"),
+        (((one, one), (one,)), "item 2: disutility vector has length 1, expected 2"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            Instance(2, items)
+        assert str(exc.value) == message
+    for n in (0, True, "2"):
+        with pytest.raises(ParseError, match="agent count must be a positive integer"):
+            load_instance(json.dumps({"n": n, "items": [{"d": ["1", "1"]}]}))
+
+
+def _fraction_instance_to_json(inst) -> str:
+    """instance_to_json as it was before the tables: one json.dumps of every entry."""
+    obj = {"n": inst.n, "items": [{"d": [format_rational(v) for v in d]} for d in inst.items]}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+values = st.one_of(
+    st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000), max_denominator=1000),
+    st.builds(Fraction, st.integers(1, 10**1100), st.integers(1, 10**1100)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.lists(values, min_size=1, max_size=5),
+    st.lists(st.lists(st.integers(min_value=0, max_value=4), min_size=4, max_size=4), max_size=12),
+)
+def test_instance_json_round_trip_on_coded_tables(n, pool, picks):
+    inst = Instance(n, tuple(tuple(pool[p % len(pool)] for p in row[:n]) for row in picks))
+    text = instance_to_json(inst)
+    assert text == _fraction_instance_to_json(inst)
+    again = load_instance(text)
+    assert again == inst and again.values == inst.values and again.codes == inst.codes
+    assert instance_to_json(again) == text
+
+
+def test_bundle_disutility_and_stats_match_rescans():
+    rng = random.Random(61)
+    instances = [
+        random_instance(rng, n=rng.randint(1, 5), m=rng.randint(1, 30), k=rng.randint(1, 4)) for _ in range(60)
+    ]
+    game = play_game(make_recursive_adversary(3, 1, pin_horizon=200), RoundRobinPolicy(), budget=200)
+    instances.append(game.instance)  # every value distinct, with thousands of digits
+    for inst in instances:
+        columns = [inst.agent_values(i) for i in range(1, inst.n + 1)]
+        stats = instance_stats(inst)
+        assert stats.k == max(len(set(col)) for col in columns)
+        assert stats.D == max(max(col) / min(col) for col in columns)
+        assignment = tuple(rng.randint(1, inst.n) for _ in range(inst.m))
+        for alloc in (Allocation(assignment), Allocation(assignment[: inst.m // 2])):
+            for agent in range(1, inst.n + 1):
+                expected = sum((columns[agent - 1][j] for j, a in enumerate(alloc.assignment) if a == agent), Fraction(0))
+                assert alloc.bundle_disutility(inst, agent) == expected
+    with pytest.raises(FairdivError, match="allocation of 3 items for an instance of 2"):
+        Allocation((1, 1, 1)).bundle_disutility(Instance(1, ((Fraction(1),),) * 2), 1)

@@ -39,6 +39,7 @@ from fairdiv import (
     TwoAgentAdversary,
     certify_ratio,
     instance_to_json,
+    load_instance,
     make_recursive_adversary,
     play_game,
     run_experiment,
@@ -61,6 +62,15 @@ def _random(n, m, k, seed):
     return random_instance(random.Random(seed), n=n, m=m, k=k)
 
 
+# One instance file in non-canonical spellings: "2/4" and "1/2", "06" and the
+# integer 6, the integer 3 and "3" name the same values. Its runs must match
+# those of its canonical twin, which instance_to_json writes.
+NONCANONICAL = (
+    '{"items": [{"d": ["2/4", "06", 3]}, {"d": ["1/2", 6, "3"]}, {"d": [1, "2/4", "3/1"]},'
+    ' {"d": ["1/1", "1/2", "9/6"]}, {"d": ["4/8", 6, "3/2"]}, {"d": [2, "06", "03"]},'
+    ' {"d": ["2", "1/2", 3]}, {"d": ["3/6", "6/1", "6/4"]}, {"d": ["1", "06", "3"]}], "n": 3}'
+)
+
 CORPUS = {
     "n1-three-values": lambda: Instance(1, ((Fraction(3),), (Fraction(5, 2),), (Fraction(7),))),
     "n2-near-threshold": lambda: _generated(2, 9, 2, 4, "adversarial-near-threshold", 3),
@@ -76,6 +86,7 @@ CORPUS = {
     "n3-k3-fallback": lambda: _random(3, 10, 3, 3),
     "n4-near-threshold": lambda: _generated(4, 10, 2, 4, "adversarial-near-threshold", 21),
     "n4-k3-fallback": lambda: _random(4, 10, 3, 1),
+    "n3-noncanonical": lambda: load_instance(NONCANONICAL),
     # m = 15 is one past the n = 4 exact-search guard
     "n4-past-guard": lambda: _random(4, 15, 2, 9),
 }
@@ -92,6 +103,16 @@ CERTIFIED = {
 # Cases run through ``fairdiv run``, with the policy each one uses.
 CLI_RUNS = {
     "n3-near-threshold": ("pressure-greedy", "bi-value"),
+    "n3-noncanonical": ("pressure-greedy", "bi-value"),
+}
+
+# ``fairdiv run`` at the benchmark's stream shapes, with the one policy each
+# runs: pressure-greedy on n=8, m=1000, k=4 powers of two, and bi-value on
+# n=8, m=2000, k=2 near-threshold pairs, whose traces rewrite a value's
+# effective entry at a merge after earlier steps recorded the old one.
+STREAM_RUNS = {
+    "stream-pressure-greedy": (lambda: _generated(8, 1000, 4, 8, "powers-of-two", 11), "pressure-greedy"),
+    "stream-bi-value": (lambda: _generated(8, 2000, 2, 4, "adversarial-near-threshold", 12), "bi-value"),
 }
 
 # Adversary games: (adversary, policy, budget). Each runs in well under 0.05 s.
@@ -188,6 +209,27 @@ GOLDEN = {
     'n4-past-guard:report': '6fc48d344e2bd79c499bafcd25371e98df3cafb2d1b254b75170ddc3c2171933',
     'n4-past-guard:certificates': 'aa3b3b1d5115dfa8d4d1a02f4c94ec94abcaa4065b145b9e6144176f68c18dc8',
     'n4-past-guard:certificates+witness': 'c3360afcb59812b0943a4090dbec44c7b2354b64b9165f43227f16cf51a5ed87',
+    'n3-noncanonical:trace/pressure-greedy': 'cee290bb56fda43b647795f6162becbf092d92d8d58f1a7010598185dc5550e4',
+    'n3-noncanonical:stacking': '050de7e87ca3c93b7f288cf8251532fcc16579078affe34124e9a1093c399bee',
+    'n3-noncanonical:trace/bi-value': '26476b0138201d11c3ec34c45f4cfb96b34b3f12a5139a819345ce996a774e30',
+    'n3-noncanonical:report': 'e95e3720d4bd7319e0e2558da5e6e58e33a88cebd6f8cc96cfd02419254e81a6',
+    'n3-noncanonical:cli/pressure-greedy/allocation': '7c897b36b00a47ab0538a5b4813f91e60f762f561d0de14ca234cbe541688756',
+    'n3-noncanonical:cli/pressure-greedy/trace': 'cee290bb56fda43b647795f6162becbf092d92d8d58f1a7010598185dc5550e4',
+    'n3-noncanonical:cli/pressure-greedy/report.json': '315722cf909ea3ee671055c3b968c0d2c8bccc3f8c0c432294ebc812328579dc',
+    'n3-noncanonical:cli/pressure-greedy/report.csv': 'cad84bcb4f41365ba165677d7756de0b6e0909fab0072ec06498646c7568aae8',
+    'n3-noncanonical:cli/bi-value/allocation': '49658dbb45621c5274513e8f4414c7262cc39f3e8ff62cdc77ed106772379fea',
+    'n3-noncanonical:cli/bi-value/trace': '26476b0138201d11c3ec34c45f4cfb96b34b3f12a5139a819345ce996a774e30',
+    'n3-noncanonical:cli/bi-value/report.json': 'c45c3be4df09ed7a21cc53cb4f837dc8229efe109abbf4df6c7946aae6e13a3c',
+    'n3-noncanonical:cli/bi-value/report.csv': '2857b55e171f28eb471ffa914a71d8fb82fe8da74cd3e407b163c95562f58e68',
+    'n3-noncanonical:mms': 'bc21a788d8a54bf7b84d6ee666dbf69405f16e64543f11ea62c143d7ee127346',
+    'stream/stream-pressure-greedy:cli/pressure-greedy/allocation': 'b22c2ae44210277267131744c1e5d4b793c0e75c776f1bbacb572b388e04f069',
+    'stream/stream-pressure-greedy:cli/pressure-greedy/trace': '2db1704d69b95c55cd0a4a0c61971060f80467837be0fd57fcdb180f8ea8bbb9',
+    'stream/stream-pressure-greedy:cli/pressure-greedy/report.json': '3773846ee31afd1b24ba94d3403b2c5a7c23692ba5050daec41b5e7b80975cb5',
+    'stream/stream-pressure-greedy:cli/pressure-greedy/report.csv': 'ca71cee6b9101bdf8aba3fe73811c9796eb184c8dd6a54783ffad912776ed25a',
+    'stream/stream-bi-value:cli/bi-value/allocation': '7b7832f87b8db7cc9023a5413cf716815a03b818ff8bdf98ca95af177f26e217',
+    'stream/stream-bi-value:cli/bi-value/trace': 'f3e0fbdeefc8a8f03969f12c062b117af0a364cb56f373792445d26f57b2772b',
+    'stream/stream-bi-value:cli/bi-value/report.json': 'ed8ef5b899fd8c2815675b6a32ec3b668525d872c2de01106e56a00c07e40148',
+    'stream/stream-bi-value:cli/bi-value/report.csv': '73300f4a6c90214bcb81e853ae1317b299761612f962d2272df4a85e51feb345',
     'game/n3-dump-to-one:certificate': '57ca9d90f864a0089164e7681975a882e905cfefdf2aa77e6bed935d358755eb',
     'game/n3-dump-to-one:events': 'c72411011528b7eddca3359ea6e7ef18aeb108b4c644356f27f2e12466d9f2ba',
     'game/n3-mixture7:certificate': 'aea38c9c4edd39a4ccd6aab34db6e73a5e4cd0b6eeb2d3b846e5601fc426af1f',
@@ -226,6 +268,12 @@ def _artifacts(case: str) -> dict[str, str]:
 
 
 @functools.lru_cache(maxsize=None)
+def _stream_artifacts(name: str) -> dict[str, str]:
+    make, policy = STREAM_RUNS[name]
+    return {f"cli/{policy}/{f}": text for f, text in _cli_run(make(), policy).items()}
+
+
+@functools.lru_cache(maxsize=None)
 def _game_artifacts(name: str) -> dict[str, str]:
     adversary, policy, budget = GAMES[name]()
     result = play_game(adversary, policy, budget)
@@ -248,11 +296,12 @@ def _cli_mms(inst) -> str:
 
 
 def _cli_run(inst, policy: str) -> dict[str, str]:
-    """The files ``fairdiv run`` writes for one policy, JSON report and CSV report."""
+    """The files ``fairdiv run`` writes for one policy, JSON report and CSV report;
+    ``inst`` is an instance or the text of an instance file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = {f: os.path.join(tmp, f) for f in ("instance", "allocation", "trace", "report.json", "report.csv")}
         with open(path["instance"], "w", encoding="utf-8") as fh:
-            fh.write(instance_to_json(inst) + "\n")
+            fh.write(inst if isinstance(inst, str) else instance_to_json(inst) + "\n")
         common = ["run", "--in", path["instance"], "--policy", policy]
         main(common + ["--out", path["allocation"], "--trace", path["trace"], "--report", path["report.json"]])
         main(common + ["--report", path["report.csv"], "--format", "csv"])
@@ -267,6 +316,8 @@ def _digest(key: str) -> str:
     case, artifact = key.split(":", 1)
     if case.startswith("game/"):
         text = _game_artifacts(case[len("game/"):])[artifact]
+    elif case.startswith("stream/"):
+        text = _stream_artifacts(case[len("stream/"):])[artifact]
     else:
         text = _artifacts(case)[artifact]
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -274,11 +325,19 @@ def _digest(key: str) -> str:
 
 def _all_keys() -> list[str]:
     keys = [f"{case}:{artifact}" for case in CORPUS for artifact in _artifacts(case)]
+    keys += [f"stream/{name}:{artifact}" for name in STREAM_RUNS for artifact in _stream_artifacts(name)]
     return keys + [f"game/{name}:{artifact}" for name in GAMES for artifact in _game_artifacts(name)]
 
 
 def test_corpus_is_fully_recorded():
     assert sorted(GOLDEN) == sorted(_all_keys())
+
+
+def test_noncanonical_file_runs_like_its_canonical_twin():
+    twin = load_instance(NONCANONICAL)
+    assert instance_to_json(twin) != NONCANONICAL
+    for policy in CLI_RUNS["n3-noncanonical"]:
+        assert _cli_run(NONCANONICAL, policy) == _cli_run(twin, policy)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))

@@ -234,6 +234,31 @@ def test_lpt_partition_matches_fraction_reference():
         assert Fraction(load, common) == max(sum((values[j - 1] for j in b), Fraction(0)) for b in bundles)
 
 
+def _scan_lpt(values, n, positions=None):
+    """lpt_partition as it was before its heap: a scan for the least load per item."""
+    if positions is None:
+        positions = range(len(values))
+    loads = [0] * n
+    bundles = [[] for _ in range(n)]
+    for p in sorted(positions, key=values.__getitem__, reverse=True):
+        b = min(range(n), key=loads.__getitem__)
+        loads[b] += values[p]
+        bundles[b].append(p + 1)
+    for bundle in bundles:
+        bundle.sort()
+    return max(loads), bundles
+
+
+def test_lpt_partition_heap_matches_the_scan():
+    rng = random.Random(97)
+    for trial in range(800):
+        n, m = rng.randint(2, 8), rng.randint(0, 60)
+        pool = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]  # few values: ties everywhere
+        values = [rng.choice(pool) for _ in range(m)]
+        positions = None if trial % 2 else sorted(rng.sample(range(m), rng.randint(0, m)))
+        assert lpt_partition(values, n, positions) == _scan_lpt(values, n, positions)
+
+
 def _fraction_agent_mms(inst, agent, witnesses):
     """The MMS record in Fraction arithmetic, the reference for agent_mms.
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -251,10 +252,10 @@ def test_reduction_consistency_random():
 def test_reduction_rejects_corrupted_trace():
     inst = Instance(2, tuple(((Fraction(1), Fraction(1)),) * 4))
     _, trace = run_online(inst, PressureGreedyPolicy())
-    bad = RunTrace(n=2, policy="pressure-greedy", steps=list(trace.steps))
+    bad = replace(trace, steps=list(trace.steps))
     s = bad.steps[1]
     bad.steps[1] = TraceStep(
-        item=s.item, raw=s.raw, effective=s.effective, types=s.types,
+        item=s.item, raw_codes=s.raw_codes, effective_codes=s.effective_codes, types=s.types,
         agent=1 if s.agent == 2 else 2, pressures=None,
     )
     with pytest.raises(InvariantViolation):
@@ -270,8 +271,8 @@ def test_reduction_rejects_out_of_range_indices():
         bad = ((0, s.types), (n + 1, s.types), (s.agent, (0,) + s.types[1:]), (s.agent, s.types[:-1]))
         for agent, types in bad:
             steps = list(trace.steps)
-            steps[2] = TraceStep(item=s.item, raw=s.raw, effective=s.effective, types=types, agent=agent)
-            bad_trace = RunTrace(n=n, policy="pressure-greedy", steps=steps)
+            steps[2] = TraceStep(s.item, s.raw_codes, s.effective_codes, types=types, agent=agent)
+            bad_trace = replace(trace, steps=steps)
             with pytest.raises(FairdivError, match="item 3: agent or type indices out of range"):
                 allocator_to_stacking(bad_trace, n)
             with pytest.raises(FairdivError, match="item 3: agent or type indices out of range"):
