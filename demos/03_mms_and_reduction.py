@@ -38,3 +38,4 @@ final = reduction.final
 print(f"{len(reduction.steps)} moves at k = {reduction.k}; "
       f"final piece values {[str(v) for _, _, v in final.pieces]}")
 print(f"max value {final.max_value()} <= 2k = {2 * reduction.k}")
+print(f"trace invariants from the same replay: passed = {reduction.check.passed}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .allocator import Policy, RunTrace
-from .core import Allocation, FairdivError, Instance, ValueTables, ceil_div, format_rational
+from .core import Allocation, FairdivError, Instance, ValueTables, ceil_div, format_rational, is_positive_int
 from .mms import (AgentMms, InstanceTooLarge, common_scale, lpt_partition, mms_exact,
                   type_union_partition, witness_max_bundle)
 
@@ -82,7 +82,7 @@ def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate
     """Recompute everything a certificate claims."""
     if cert.mms_source == "trivial":
         return inst.m == 0
-    if not 1 <= cert.agent <= inst.n or cert.mms_upper == 0:
+    if not is_positive_int(cert.agent) or cert.agent > inst.n or cert.mms_upper == 0:
         return False
     if witness_max_bundle(inst, cert.agent, cert.witness) != cert.mms_upper:
         return False
@@ -136,7 +136,7 @@ def _add_to_heaviest(values, bundles, items) -> tuple[Fraction, list[list[int]]]
 
 
 def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
-    """One agent's certified MMS bounds, from one integer scale of its values.
+    """One agent's certified MMS bounds, from one integer scale of its value table.
 
     ``lower`` is max(average, largest item): some bundle carries at least
     the average, and some bundle holds the largest item. ``upper`` is the
@@ -150,7 +150,8 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
         return AgentMms(agent, Fraction(0), Fraction(0), Fraction(0), ())
     n = inst.n
     supplied = [(witness_max_bundle(inst, agent, w), w) for w in witnesses]
-    common, values = common_scale(inst.agent_values(agent))
+    common, scaled = common_scale(inst.values[agent - 1])
+    values = [scaled[row[agent - 1]] for row in inst.codes]
     lower = Fraction(max(sum(values), n * max(values)), n * common)
     try:
         exact, positions = mms_exact(values, n)

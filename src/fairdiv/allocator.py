@@ -173,7 +173,7 @@ class RunTrace:
     def max_type_count(self) -> int:
         k = 0
         for s in self.steps:
-            k = max(k, max(s.types))
+            k = max(k, max(s.types, default=0))
         return k
 
     def to_jsonl(self) -> str:
@@ -536,9 +536,14 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
     must equal the engine's (n-1)*H rows, or the closed form fails. A step
     whose agent or type indices are out of range raises :class:`FairdivError`.
     """
-    n = trace.n
-    if n < 2:
+    if trace.n < 2:
         raise FairdivError("validate_pressure_trace requires n >= 2")
+    return _replay_pressure_trace(trace, trace.n)
+
+
+def _replay_pressure_trace(trace: RunTrace, n: int, after_step=None) -> TraceCheck:
+    """The one replay of a trace on n agents behind :func:`validate_pressure_trace`;
+    ``after_step(step, state)``, if given, runs once the step's checks are made."""
     state = PressureState(n)
     receipts: list[list[int]] = [[] for _ in range(n)]
     sightings: list[list[int]] = [[] for _ in range(n)]
@@ -572,6 +577,8 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
                 ok_count = False
         if s.pressures is not None and s.pressures != state.snapshot():
             ok_closed = False
+        if after_step is not None:
+            after_step(s, state)
     return TraceCheck(
         closed_form=ok_closed,
         rounding_sandwich=all(raw[i][r] <= eff[i][e] < 2 * raw[i][r] for i, r, e in values),

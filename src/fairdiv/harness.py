@@ -273,18 +273,19 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
         max_pressure = policy.max_pressure_seen()
         stacking_margin = None
         if policy.name == "pressure-greedy" and inst.n >= 2:
-            tc = validate_pressure_trace(trace)
-            run_checks["trace-invariants"] = tc.passed
+            # the reduction's replay checks the trace too; validation replays it only if that fails
             try:
                 reduction = allocator_to_stacking(trace, inst.n)
-                run_checks["stacking-consistency"] = True
-                if reduction.steps:
-                    beta = Fraction(inst.n, inst.n - 1)
-                    stacking_margin = check_bound(
-                        reduction.final, BoundProfile(k=reduction.k, beta=beta)
-                    ).margin
             except FairdivError:
-                run_checks["stacking-consistency"] = False
+                reduction = None
+            tc = validate_pressure_trace(trace) if reduction is None else reduction.check
+            run_checks["trace-invariants"] = tc.passed
+            run_checks["stacking-consistency"] = reduction is not None
+            if reduction is not None and reduction.steps:
+                beta = Fraction(inst.n, inst.n - 1)
+                stacking_margin = check_bound(
+                    reduction.final, BoundProfile(k=reduction.k, beta=beta)
+                ).margin
             if all_exact:
                 k_rounded = tc.game_k
                 run_checks["ratio-bound-8k+2"] = all(

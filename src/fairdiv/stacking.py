@@ -21,21 +21,23 @@ Two engines implement the same dynamics:
 
 :func:`allocator_to_stacking` replays a rounded-greedy allocation trace as a
 sequence of moves: the nk pressure counters map to the nk cells so that the
-multiset of pressures always equals the multiset of cell values. It keeps
-the moves and the final grid; ``ReductionResult.replay()`` rebuilds each step.
+multiset of pressures always equals the multiset of cell values. It reads
+the pressures off the one replay of :func:`validate_pressure_trace` and keeps
+that replay's checks in ``ReductionResult.check``, with the moves and the
+final grid; ``ReductionResult.replay()`` rebuilds each step.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .core import (
     FairdivError, InvariantViolation, at_line, format_rational, parse_json, parse_jsonl, parse_rational,
 )
-from .allocator import PressureState, RunTrace
+from .allocator import RunTrace, TraceCheck, _replay_pressure_trace
 
 HALF = Fraction(1, 2)
 
@@ -413,12 +415,14 @@ def cells_to_intervals(game_q: int, cells) -> tuple[tuple[Fraction, Fraction], .
 @dataclass
 class ReductionResult:
     """One ``(raised cell, lowered cells)`` move per item, on the sorted grid of
-    n*k cells before it (raise 1, lower 1/(n-1)), and the final ``game``."""
+    n*k cells before it (raise 1, lower 1/(n-1)), the final ``game`` and the
+    replay's ``check``."""
 
     n: int
     k: int
     game: GridGame
-    steps: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+    steps: list[tuple[int, tuple[int, ...]]]
+    check: TraceCheck
 
     @cached_property
     def final(self) -> StackingFunction:
@@ -450,37 +454,36 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     relabeling sits on the leftmost touched cell; that cell is raised by 1
     and the other n-1 touched cells are lowered by 1/(n-1).
 
+    Each move reads the pressures of :func:`validate_pressure_trace`'s replay
+    after its step, and that replay's :class:`TraceCheck` is ``check``.
     Raises :class:`InvariantViolation` if at any step the multiset of
     pressures stops matching the multiset of cell values.
     """
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
-    result_k = max(trace.max_type_count(), 1)
-    game = GridGame(k=result_k, cells_per_unit=n, scale=n - 1)
-    result = ReductionResult(n=n, k=result_k, game=game)
+    k = max(trace.max_type_count(), 1)
+    game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
     Q = game.Q
     # Counter (agent i, type u) is slot (i-1)*k + (u-1); slots and cells are
     # both range(Q), linked both ways, with -1 for "none yet".
     cell_of = [-1] * Q
     holder = [-1] * Q
-    state = PressureState(n)
     b = Fraction(1, n - 1)
+    steps: list[tuple[int, tuple[int, ...]]] = []
 
-    for step in trace.steps:
-        step.check_indices(n)
-        slots = [(i - 1) * result_k + u - 1 for i, u in enumerate(step.types, 1)]
-        for i, slot in enumerate(slots, 1):
+    def move(step, state):
+        slots = [(i - 1) * k + u - 1 for i, u in enumerate(step.types, 1)]
+        for slot in slots:
             if cell_of[slot] < 0:
                 free = holder.index(-1)
                 if game.values[free] != 0:
                     raise InvariantViolation("fresh pressure assigned to a nonzero cell")
                 cell_of[slot], holder[free] = free, slot
-                while len(state.scaled[i - 1]) < step.types[i - 1]:
-                    state.add_type(i)
 
         chosen = slots[step.agent - 1]
         c_star = min(cell_of[slot] for slot in slots)
-        if game.values[c_star] != state.scaled[step.agent - 1][step.types[step.agent - 1] - 1]:
+        # after the step: the chosen counter rose by n-1
+        if game.values[c_star] != state.scaled[step.agent - 1][step.types[step.agent - 1] - 1] - (n - 1):
             raise InvariantViolation(
                 "leftmost touched cell does not carry the minimum pressure"
             )
@@ -490,12 +493,11 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
 
         b_cells = tuple(sorted(cell_of[slot] for slot in slots if slot != chosen))
         order = game.apply_cells(1, b, [c_star], b_cells)
-        holder = [holder[c] for c in order]
+        holder[:] = [holder[c] for c in order]
         for c, slot in enumerate(holder):
             if slot >= 0:
                 cell_of[slot] = c
 
-        state.step(step.types, step.agent)
         pressures = [s for row in state.scaled for s in row]
         want = pressures + [0] * (Q - len(pressures))
         if sorted(game.values) != sorted(want):
@@ -503,8 +505,9 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
         if game.values != sorted(game.values) or not game.integral_is_zero():
             raise InvariantViolation("grid state lost sortedness or zero integral")
 
-        result.steps.append((c_star, b_cells))
-    return result
+        steps.append((c_star, b_cells))
+
+    return ReductionResult(n, k, game, steps, _replay_pressure_trace(trace, n, move))
 
 
 # Trace file format ----------------------------------------------------------

@@ -55,6 +55,18 @@ def report(criterion: int, text: str) -> None:
 
 # 1 ---------------------------------------------------------------------------
 
+class CountingPolicy(PressureGreedyPolicy):
+    """Pressure-greedy that counts its value classifications."""
+
+    def start(self, n):
+        super().start(n)
+        self.classified = 0
+
+    def _value_type(self, agent, value):
+        self.classified += 1
+        return super()._value_type(agent, value)
+
+
 def test_criterion_1_round_robin_exactness():
     rng = random.Random(1001)
     t0 = time.time()
@@ -63,7 +75,9 @@ def test_criterion_1_round_robin_exactness():
         m = rng.randint(1, 1000)
         values = [F(rng.randint(1, 64), rng.randint(1, 8)) for _ in range(n)]
         inst = Instance(n, tuple(tuple(values) for _ in range(m)))
-        alloc, _ = run_online(inst, PressureGreedyPolicy())
+        policy = CountingPolicy()
+        alloc, _ = run_online(inst, policy)
+        assert policy.classified == n  # one value per agent, classified once
         cap = ceil_div(m, n)
         counts = [0] * n
         for a in alloc.assignment:
@@ -182,6 +196,7 @@ def test_criterion_4_reduction_consistency():
         # multiset(pressures) == multiset(cell values) is asserted per step inside
         res = allocator_to_stacking(trace, n)
         check = validate_pressure_trace(trace)
+        assert res.check == check  # the reduction rides on the validator's replay
         assert check.passed
         assert F(check.max_scaled_pressure, n - 1) <= 2 * res.k
         # reduction moves have a+b = n/(n-1), so the sharper bound profile holds

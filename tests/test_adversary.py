@@ -15,9 +15,13 @@ from fairdiv import (
     run_online,
     verify_certificate,
 )
-from fairdiv.adversary import RatioCertificate, RecGameRecord, greedy_bin_packing, lpt_partition
-from fairdiv.allocator import DumpToOnePolicy, ExternalPolicy, RoundRobinPolicy
+from fairdiv.adversary import RatioCertificate, RecGameRecord, agent_mms, greedy_bin_packing, lpt_partition
+from fairdiv.allocator import DumpToOnePolicy, ExternalPolicy, PressureGreedyPolicy, RoundRobinPolicy
 from fairdiv.core import FairdivError
+from fairdiv.mms import (AgentMms, InstanceTooLarge, common_scale, exact_search_limit, mms_exact,
+                         type_union_partition, witness_max_bundle)
+
+from conftest import random_instance
 
 F = Fraction
 
@@ -240,8 +244,6 @@ def test_certify_single_type_round_robin_is_exact_one():
 
 def test_certificates_are_sound():
     rng = random.Random(97)
-    from conftest import random_instance
-
     for _ in range(10):
         inst = random_instance(rng, n=rng.randint(2, 3), m=rng.randint(4, 9), k=2)
         alloc, _ = run_online(inst, RoundRobinPolicy())
@@ -276,6 +278,16 @@ def test_verify_rejects_agent_past_n():
     assert not verify_certificate(inst, Allocation((1,)), cert)
 
 
+@pytest.mark.parametrize("agent", [True, 1.0])
+def test_verify_rejects_an_agent_that_is_not_a_positive_int(agent):
+    # True once verified as agent 1, and 1.0 raised TypeError out of witness_max_bundle
+    inst = Instance(2, ((F(1), F(1)),))
+    cert = RatioCertificate(1, F(1), F(1), ((1,),), "witness", F(1))
+    assert verify_certificate(inst, Allocation((1,)), cert)
+    bad = RatioCertificate(agent, F(1), F(1), ((1,),), "witness", F(1))
+    assert verify_certificate(inst, Allocation((1,)), bad) is False
+
+
 def test_verify_rejects_zero_mms_upper():
     cert = RatioCertificate(1, F(0), F(0), (), "witness", F(1))
     assert not verify_certificate(Instance(2, ()), Allocation(()), cert)
@@ -288,3 +300,48 @@ def test_adversary_rejects_bad_observe():
     adv.next_item()
     with pytest.raises(FairdivError):
         adv.observe(3)
+
+
+# agent_mms on the instance tables ---------------------------------------------
+
+def _agent_mms_by_rescan(inst, agent, witnesses=()):
+    """Reference: ``agent_mms`` scaling all m of the agent's values, not its table."""
+    if inst.m == 0:
+        return AgentMms(agent, F(0), F(0), F(0), ())
+    n = inst.n
+    supplied = [(witness_max_bundle(inst, agent, w), w) for w in witnesses]
+    common, values = common_scale(inst.agent_values(agent))
+    lower = F(max(sum(values), n * max(values)), n * common)
+    try:
+        exact, positions = mms_exact(values, n)
+    except InstanceTooLarge:
+        exact = None
+        built_in = [lpt_partition(values, n), type_union_partition(values, n)]
+        candidates = supplied + [(F(load, common), bundles) for load, bundles in built_in]
+        upper, witness = min(candidates, key=lambda c: c[0])
+    else:
+        exact = upper = exact / common
+        witness = [[p + 1 for p in bundle] for bundle in positions]
+    return AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness))
+
+
+def _assert_agent_mms_matches_the_rescan(inst):
+    for agent in range(1, inst.n + 1):
+        assert agent_mms(inst, agent) == _agent_mms_by_rescan(inst, agent)
+
+
+def test_agent_mms_matches_the_rescan_on_random_instances():
+    rng = random.Random(107)
+    past_guard = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        inst = random_instance(rng, n, rng.randint(1, 30), rng.randint(1, 4))
+        past_guard += inst.m > exact_search_limit(n)
+        _assert_agent_mms_matches_the_rescan(inst)
+    assert 10 <= past_guard <= 50
+
+
+def test_agent_mms_matches_the_rescan_on_an_adversary_game():
+    game = play_game(make_recursive_adversary(3, 1, pin_horizon=300), PressureGreedyPolicy(), budget=300)
+    assert game.rounds == 300
+    _assert_agent_mms_matches_the_rescan(game.instance)

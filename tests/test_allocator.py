@@ -9,9 +9,12 @@ from hypothesis import given, strategies as st
 
 from fairdiv import (
     FairdivError,
+    GridGame,
     Instance,
+    InvariantViolation,
     ParseError,
     PressureState,
+    allocator_to_stacking,
     bi_value_merges,
     make_policy,
     round_up_pow2,
@@ -265,10 +268,58 @@ def _corrupt(rng, trace):
         trace.steps[j] = replace(s, types=tuple(types), agent=rng.randint(1, trace.n))
 
 
+def _reduction_on_its_own_replay(trace, n):
+    """Reference: ``allocator_to_stacking`` replaying the trace on a
+    :class:`PressureState` of its own; ``(steps, k, grid values)``."""
+    if n < 2:
+        raise FairdivError("allocator_to_stacking requires n >= 2")
+    k = max(trace.max_type_count(), 1)
+    game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
+    Q = game.Q
+    cell_of, holder = [-1] * Q, [-1] * Q
+    state = PressureState(n)
+    steps = []
+    for step in trace.steps:
+        step.check_indices(n)
+        slots = [(i - 1) * k + u - 1 for i, u in enumerate(step.types, 1)]
+        for i, slot in enumerate(slots, 1):
+            if cell_of[slot] < 0:
+                free = holder.index(-1)
+                if game.values[free] != 0:
+                    raise InvariantViolation("fresh pressure assigned to a nonzero cell")
+                cell_of[slot], holder[free] = free, slot
+                while len(state.scaled[i - 1]) < step.types[i - 1]:
+                    state.add_type(i)
+        chosen = slots[step.agent - 1]
+        c_star = min(cell_of[slot] for slot in slots)
+        if game.values[c_star] != state.scaled[step.agent - 1][step.types[step.agent - 1] - 1]:
+            raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
+        displaced, old_cell = holder[c_star], cell_of[chosen]
+        cell_of[chosen], cell_of[displaced] = c_star, old_cell
+        holder[c_star], holder[old_cell] = chosen, displaced
+        b_cells = tuple(sorted(cell_of[slot] for slot in slots if slot != chosen))
+        order = game.apply_cells(1, Fraction(1, n - 1), [c_star], b_cells)
+        holder = [holder[c] for c in order]
+        for c, slot in enumerate(holder):
+            if slot >= 0:
+                cell_of[slot] = c
+        state.step(step.types, step.agent)
+        pressures = [h for row in state.scaled for h in row]
+        if sorted(game.values) != sorted(pressures + [0] * (Q - len(pressures))):
+            raise InvariantViolation("pressure multiset != cell value multiset")
+        if game.values != sorted(game.values) or not game.integral_is_zero():
+            raise InvariantViolation("grid state lost sortedness or zero integral")
+        steps.append((c_star, b_cells))
+    return steps, k, game.values
+
+
 def test_validate_matches_the_full_rescan_reference():
+    # the same corpus checks the reduction, which rides on the validator's
+    # replay, against a reduction on a replay of its own
     rng = random.Random(47)
     policies = ("pressure-greedy", "bi-value", "round-robin", "dump-to-one", "mixture:5")
     failed = dict.fromkeys(("closed_form", "rounding_sandwich", "pressure_bound", "count_bound"), 0)
+    reduced = 0
     for _ in range(400):
         n, m, k = rng.randint(2, 5), rng.randint(1, 60), rng.randint(1, 4)
         _, trace = run_online(random_instance(rng, n, m, k), make_policy(rng.choice(policies)))
@@ -278,7 +329,19 @@ def test_validate_matches_the_full_rescan_reference():
         assert {key: getattr(check, key) for key in expected} == expected
         for flag in failed:
             failed[flag] += not expected[flag]
+        try:
+            want = _reduction_on_its_own_replay(trace, n)
+        except FairdivError as exc:
+            with pytest.raises(FairdivError) as raised:
+                allocator_to_stacking(trace, n)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        else:
+            res = allocator_to_stacking(trace, n)
+            assert (res.steps, res.k, res.game.values) == want
+            assert {key: getattr(res.check, key) for key in expected} == expected
+            reduced += 1
     assert all(20 <= count <= 380 for count in failed.values()), failed
+    assert 20 <= reduced <= 380, reduced
 
 
 _STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1], "agent": 1}

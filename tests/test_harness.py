@@ -21,9 +21,12 @@ from fairdiv import (
     run_experiment,
     verify_certificate,
 )
+from fairdiv.allocator import PressureGreedyPolicy
 from fairdiv.cli import main
 from fairdiv.mms import exact_search_limit, witness_max_bundle
 from fairdiv.harness import NEAR_THRESHOLD_ABOVE, NEAR_THRESHOLD_BELOW, policy_zoo
+
+from conftest import random_instance
 
 F = Fraction
 
@@ -162,6 +165,64 @@ def test_run_experiment_single_type():
     dump = by_policy["dump-to-one"]
     assert max(a.ratio for a in dump.agents) <= 3
     assert by_policy["pressure-greedy"].checks["stacking-consistency"]
+
+
+class _WrongAgentPolicy(PressureGreedyPolicy):
+    """Pressure-greedy that hands every ``every``-th item to the next agent,
+    with or without its pressure snapshots."""
+
+    def __init__(self, every, snapshots):
+        self.every, self.snapshots = every, snapshots
+
+    def start(self, n):
+        super().start(n)
+        self.calls = 0
+
+    def choose(self, raw, codes=None):
+        winner = super().choose(raw, codes)
+        self.calls += 1
+        return winner % self.n + 1 if self.calls % self.every == 0 else winner
+
+    def pressure_snapshot(self):
+        return super().pressure_snapshot() if self.snapshots else None
+
+
+# (trace-invariants, stacking-consistency, ratio-bound-8k+2, stacking margin),
+# recorded when the validator and the reduction each replayed the trace
+_WRONG_AGENT_PINS = [
+    (False, False, None, None), (True, False, None, None), (True, True, True, "1/4"),
+    (True, True, True, "1/4"), (False, False, None, None), (True, False, None, None),
+    (False, True, None, "1/2"), (True, True, None, "1/2"), (True, True, None, "5/24"),
+    (True, True, None, "5/24"), (False, False, True, None), (True, False, True, None),
+    (True, True, True, "2/3"), (True, True, True, "2/3"), (False, True, None, "1/4"),
+    (True, True, None, "1/4"), (False, False, None, None), (True, False, None, None),
+    (True, True, None, "5/24"), (True, True, None, "5/24"),
+]
+
+
+def test_run_experiment_checks_a_misbehaving_pressure_greedy_policy():
+    rng = random.Random(83)
+    got = []
+    for _ in range(10):
+        inst = random_instance(rng, rng.randint(2, 4), rng.randint(2, 30), rng.randint(1, 3))
+        every = rng.choice((1, 2, 5, 100))
+        for snapshots in (True, False):
+            run = run_experiment(inst, [_WrongAgentPolicy(every, snapshots)]).runs[0]
+            margin = None if run.stacking_margin is None else str(run.stacking_margin)
+            checks = run.checks
+            got.append((checks["trace-invariants"], checks["stacking-consistency"],
+                        checks.get("ratio-bound-8k+2"), margin))
+    assert got == _WRONG_AGENT_PINS
+
+
+def test_run_experiment_raises_on_out_of_range_types():
+    class ZeroType(PressureGreedyPolicy):
+        def last_types(self):
+            return (0,) + super().last_types()[1:]
+
+    inst = Instance(2, ((F(1), F(1)),) * 3)
+    with pytest.raises(FairdivError, match="item 1: agent or type indices out of range"):
+        run_experiment(inst, [ZeroType()])
 
 
 def test_run_experiment_deterministic():

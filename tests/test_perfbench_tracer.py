@@ -4,7 +4,8 @@
 it breaks when a patched name disappears. These tests install it on a fresh
 import of fairdiv, as ``perfbench/run.py`` does, and check that an experiment
 searches each agent's MMS once, that ``fairdiv run`` runs its policy once
-with one pressure snapshot per item, that past the search guard the
+with one pressure snapshot per item and one replay of its trace (the
+reduction's, with no separate validation), that past the search guard the
 built-in witnesses are not re-summed, that the two-agent game searches
 only the agent it certifies, and that a bi-value run which falls back still
 calls its policy once per item.
@@ -119,6 +120,8 @@ def test_cli_run_counts_one_reduction_step_per_item(fresh_fairdiv, tmp_path):
     assert codes == [0]
     assert metrics["stacking.allocator_to_stacking.calls"] == 1
     assert metrics["stacking.allocator_to_stacking.steps"] == inst.m
+    # the reduction's replay also checks the trace: validation runs only after a failed reduction
+    assert metrics["allocator.validate_pressure_trace.calls"] == 0
 
 
 def test_cli_two_agent_game_searches_only_the_certified_agent(fresh_fairdiv):

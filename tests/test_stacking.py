@@ -19,7 +19,7 @@ from fairdiv import (
     replay_stacking_trace,
     run_online,
 )
-from fairdiv.allocator import PressureGreedyPolicy, RunTrace, TraceStep, validate_pressure_trace
+from fairdiv.allocator import PressureGreedyPolicy, PressureState, RunTrace, TraceStep, validate_pressure_trace
 from fairdiv.core import FairdivError, instance_to_json
 from fairdiv.stacking import BoundReport, is_contiguous, stacking_trace_to_jsonl
 
@@ -319,9 +319,11 @@ def test_replay_matches_reference_engine():
 def test_cli_run_converts_the_grid_once(tmp_path, monkeypatch):
     from fairdiv.cli import main
 
-    calls = []
+    calls, steps = [], []
     to_function = GridGame.to_function
     monkeypatch.setattr(GridGame, "to_function", lambda self: calls.append(1) or to_function(self))
+    step = PressureState.step
+    monkeypatch.setattr(PressureState, "step", lambda self, *a: steps.append(1) or step(self, *a))
     inst = random_instance(random.Random(79), n=3, m=40, k=2)
     path = tmp_path / "instance.json"
     path.write_text(instance_to_json(inst) + "\n")
@@ -329,6 +331,9 @@ def test_cli_run_converts_the_grid_once(tmp_path, monkeypatch):
             "--report", str(tmp_path / "r.json")]
     assert main(argv) == 0
     assert len(calls) == 1
+    # the policy steps the engine once per item, and one replay serves both
+    # the trace invariants and the reduction
+    assert len(steps) == 2 * inst.m
 
 
 def _check_bound_by_integral_F(f, profile):
