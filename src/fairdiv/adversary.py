@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .allocator import Policy, RunTrace
 from .core import Allocation, FairdivError, Instance, ValueTables, ceil_div, format_rational, is_positive_int
@@ -146,8 +147,13 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
     witnesses are checked by :func:`witness_max_bundle`: the built-in ones
     come with their max loads.
     """
+    return _scaled_agent_mms(inst, agent, witnesses)[0]
+
+
+def _scaled_agent_mms(inst: Instance, agent: int, witnesses) -> tuple[AgentMms, int, list[int]]:
+    """:func:`agent_mms` with the scale it worked on: ``values[j]`` is d(j+1) * ``common``."""
     if inst.m == 0:  # the empty partition (every bundle empty): every bound is 0
-        return AgentMms(agent, Fraction(0), Fraction(0), Fraction(0), ())
+        return AgentMms(agent, Fraction(0), Fraction(0), Fraction(0), ()), 1, []
     n = inst.n
     supplied = [(witness_max_bundle(inst, agent, w), w) for w in witnesses]
     common, scaled = common_scale(inst.values[agent - 1])
@@ -163,7 +169,7 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
     else:
         exact = upper = exact / common
         witness = [[p + 1 for p in bundle] for bundle in positions]
-    return AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness))
+    return AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness)), common, values
 
 
 def mms_report(inst: Instance, witnesses=None) -> list[AgentMms]:
@@ -174,16 +180,21 @@ def mms_report(inst: Instance, witnesses=None) -> list[AgentMms]:
 def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[RatioCertificate]:
     """Certified per-agent ratio lower bounds for a finished allocation.
 
-    Pairs each agent's record from :func:`mms_report` with the agent's
-    disutility under ``alloc``: ``ratio_lower = d_A / upper``, sourced as the
-    record is. An empty instance gets the trivial certificate.
+    Pairs each agent's :func:`agent_mms` record with the agent's disutility
+    under ``alloc``, summed on the record's integer scale: ``ratio_lower =
+    d_A / upper``, sourced as the record is. An empty instance gets the
+    trivial certificate.
     """
     if inst.m == 0:
         return [TRIVIAL_CERTIFICATE]
-    return [
-        _build_certificate(r.agent, alloc.bundle_disutility(inst, r.agent), r.upper, r.witness, r.source)
-        for r in mms_report(inst, witnesses)
-    ]
+    scaled = [_scaled_agent_mms(inst, agent, witnesses or ()) for agent in range(1, inst.n + 1)]
+    if alloc.m > inst.m:
+        raise FairdivError(f"allocation of {alloc.m} items for an instance of {inst.m}")
+    certs = []
+    for r, common, values in scaled:
+        d_a = sum(v for v, a in zip(values, alloc.assignment) if a == r.agent)
+        certs.append(_build_certificate(r.agent, Fraction(d_a, common), r.upper, r.witness, r.source))
+    return certs
 
 
 # Two-agent game -------------------------------------------------------------
@@ -305,14 +316,9 @@ class RecGameRecord:
 
 
 def record_max_gap(record: RecGameRecord) -> int:
-    gap = 0
-    prev = record.own_take_rounds[0] if record.own_take_rounds else None
-    if prev is not None:
-        for r in record.own_take_rounds[1:]:
-            gap = max(gap, r - prev)
-            prev = r
-        gap = max(gap, record.rounds - prev)
-    return gap
+    """The longest run from one top-agent take to her next (or to the last round)."""
+    takes = record.own_take_rounds
+    return max((b - a for a, b in zip(takes, (*takes[1:], record.rounds))), default=0)
 
 
 class RecursiveAdversary:
@@ -321,6 +327,10 @@ class RecursiveAdversary:
     ``eps`` is this level's gap parameter; the sub-level runs at eps/n and
     the own agent's crumb parameter is eps/(n*(n+3)), with n the global
     agent count (MMS benchmarks always use n-way partitions).
+
+    A level keeps no running sums: its own values are closed forms in
+    rho = eps_own/(1+eps_own) (:meth:`_own_value`), its other columns the
+    sub-level's values times scales that change only at a clean-up.
     """
 
     def __init__(self, n_total: int, level: int, eps, pin_horizon: int | None = None,
@@ -335,53 +345,60 @@ class RecursiveAdversary:
         self.eps = eps
         self.pin_horizon = pin_horizon
         self.event_log = event_log if event_log is not None else []
+        if level > 1:
+            self.eps_sub = eps / n_total
+            self.eps_own = eps / (n_total * (n_total + 3))
+            p, q = self.eps_own.as_integer_ratio()
+            self._rho = Fraction(p, p + q)
+            self._powers: dict[tuple[bool, int], Fraction] = {}
+            self.sub = RecursiveAdversary(n_total, level - 1, self.eps_sub, pin_horizon, self.event_log)
+        self._restart()
+
+    def _restart(self) -> None:
+        """Back to round 0 as a fresh level: a clean-up above restarts its sub-level this way."""
         self.round = 0
         self.emissions: list[tuple[Fraction, ...]] = []
         self.takes: list[int] = []
-        self.sums = [Fraction(0)] * level
         self._own_reported = False
-        self._last_reported_sub: "RecursiveAdversary | None" = None
-        if level == 1:
-            self.take_count = 0
+        if self.level == 1:
             return
-        self.eps_sub = eps / n_total
-        self.eps_own = eps / (n_total * (n_total + 3))
-        self.sub = RecursiveAdversary(n_total, level - 1, self.eps_sub, pin_horizon, self.event_log)
-        self.scales = [Fraction(1)] * (level - 1)
+        self.sub._restart()
+        self._lift_reported = False
+        self.scales = [Fraction(1)] * (self.level - 1)
+        self._swept = 0  # column i's sum up to the last clean-up is _swept * scales[i]
         self.j_star = 0
-        self.own_emitted_sum = Fraction(0)
-        self.own_taken_sum = Fraction(0)
         self.own_take_rounds: list[int] = []
         self.V: Fraction | None = None
+        self._taken = 0  # (own_taken_sum/V - 1) * rho^-T
         self.j_dagger: int | None = None
-        # a-sequence: a_s = u_s * V / u_{T+1}; u_1 = 1, u_{t+1} = (sum u_1..u_t)/eps_own + 1,
-        # so each term strictly exceeds 1/eps_own times the sum of its predecessors.
-        self._useq: list[Fraction] = [Fraction(1)]
-        self._usum = Fraction(1)
-        self._sigma: Fraction | None = None
 
     # a-sequence --------------------------------------------------------
 
-    def _u(self, t: int) -> Fraction:
-        while len(self._useq) < t:
-            nxt = self._usum / self.eps_own + 1
-            self._useq.append(nxt)
-            self._usum += nxt
-        return self._useq[t - 1]
-
     def _pin_t(self) -> int:
-        if self.level - 1 == 1:
-            return self.n_total  # one-agent window length is exactly n
-        if self.pin_horizon is None:
+        if self.level > 2 and self.pin_horizon is None:
             raise FairdivError("pin_horizon required when the sub-level is recursive")
-        return self.pin_horizon
+        return self.n_total if self.level == 2 else self.pin_horizon  # one-agent windows last n rounds
+
+    def _own_value(self, j: int, e: int) -> Fraction:
+        """x_j * rho^e, cached, where x_j is the own value of round j before the first own take.
+
+        x_1 = 1, and x_j = rho^(2-j)/eps_own: 1/eps_own times the sum (1+1/eps_own)^(j-2) so far.
+        """
+        key = (j == 1, e if j == 1 else e + 2 - j)
+        value = self._powers.get(key)
+        if value is None:
+            value = self._powers[key] = self._rho ** key[1] / (1 if j == 1 else self.eps_own)
+        return value
 
     def a_value(self, s: int) -> Fraction:
+        """a_s = V * rho^(T+1-s), so a_{T+1} = V.
+
+        This is u_s * V / u_{T+1} for u_1 = 1 and u_{t+1} = (u_1+...+u_t)/eps_own + 1, which
+        solves to u_t = (1+1/eps_own)^(t-1): each term exceeds 1/eps_own times the sum before it.
+        """
         if self.V is None:
             raise FairdivError("a-sequence undefined before the first own take")
-        if self._sigma is None:
-            self._sigma = self.V / self._u(self._pin_t() + 1)
-        return self._u(s) * self._sigma
+        return self._own_value(self.own_take_rounds[0], self._pin_t() + 1 - s)
 
     # emission / observation --------------------------------------------
 
@@ -392,14 +409,8 @@ class RecursiveAdversary:
         if self.level == 1:
             d = (Fraction(1),)
         else:
-            subvals = self.sub.next_item()
-            scaled = tuple(subvals[i] * self.scales[i] for i in range(self.level - 1))
-            if self.V is None:
-                own = Fraction(1) if r == 1 else self.own_emitted_sum / self.eps_own
-            else:
-                own = self.a_value(r - self.j_star)
-            self.own_emitted_sum += own
-            d = scaled + (own,)
+            scaled = tuple(map(mul, self.sub.next_item(), self.scales))
+            d = (*scaled, self._own_value(r, 0) if self.V is None else self.a_value(r - self.j_star))
         self.emissions.append(d)
         return d
 
@@ -410,38 +421,41 @@ class RecursiveAdversary:
             raise FairdivError("observe called without a pending item")
         self.round += 1
         self.takes.append(agent)
-        d = self.emissions[self.round - 1]
-        for i in range(self.level):
-            self.sums[i] += d[i]
         if self.level == 1:
-            self.take_count += 1
             return
-        if agent == self.level:
-            self.own_taken_sum += d[self.level - 1]
-            self.own_take_rounds.append(self.round)
-            if self.V is None:
-                self.V = d[self.level - 1]
-            self.j_star = self.round
-            if self.j_dagger is None and self.own_taken_sum >= self.n_total * self.V:
-                self.j_dagger = self.round
-            # Clean-up: restart the sub-game with every agent's scale reset so
-            # that everything already emitted becomes an eps_sub-fraction.
-            self.scales = [self.sums[i] / self.eps_sub for i in range(self.level - 1)]
-            self.sub = RecursiveAdversary(
-                self.n_total, self.level - 1, self.eps_sub, self.pin_horizon, self.event_log
-            )
-        else:
+        if agent != self.level:
             self.sub.observe(agent)
+            return
+        self.own_take_rounds.append(self.round)
+        if self.V is None:
+            self.V = self.emissions[-1][-1]
+        elif self.j_dagger is None:
+            # own_taken_sum/V - 1 gains a_s/V = rho^(T+1-s); kept times rho^-T, it gains rho^(1-s)
+            self._taken += self._own_value(1, 1 - (self.round - self.j_star))
+            if self._taken >= (self.n_total - 1) * self._own_value(1, -self._pin_t()):
+                self.j_dagger = self.round
+        self.j_star = self.round
+        # Clean-up: each scale becomes its column's sum over eps_sub, so all emitted so far is
+        # negligible; the sum adds this window's, the sub's totals (pending item too) at the old scale.
+        sub = self.sub
+        totals = [len(sub.emissions)] if sub.level == 1 else [sum(col) for col in zip(*sub.emissions)]
+        for i, total in enumerate(totals):
+            self.scales[i] *= (self._swept + total) / self.eps_sub
+        self._swept = self.eps_sub
+        sub._restart()
+        self._lift_reported = False
 
     # certificates -------------------------------------------------------
 
     def _own_target_certificate(self) -> RatioCertificate | None:
         if self.level == 1:
-            m, c = self.round, self.take_count
-            if m == 0 or Fraction(c) <= (self.n_total - self.eps) * ceil_div(m, self.n_total):
+            # agent 1 took all m items: fires when m > (n - eps) * ceil(m/n)
+            m, n = self.round, self.n_total
+            p, q = self.eps.as_integer_ratio()
+            if m == 0 or m * q <= (n * q - p) * ceil_div(m, n):
                 return None
-            witness = [range(b + 1, m + 1, self.n_total) for b in range(self.n_total)]
-            return _build_certificate(1, Fraction(c), Fraction(ceil_div(m, self.n_total)), witness)
+            witness = [range(b + 1, m + 1, n) for b in range(n)]
+            return _build_certificate(1, Fraction(m), Fraction(ceil_div(m, n)), witness)
         if self.j_dagger is None or self.round != self.j_dagger:
             return None
         # Agent `level` crossed n*V: bin-pack her bundle at (1+2*eps_own)*V,
@@ -455,7 +469,8 @@ class RecursiveAdversary:
             bins = lpt_partition(common_scale(values)[1], self.n_total, mine)[1]
         else:
             bins = [[p + 1 for p in b] for b in bins]
-        return _build_certificate(self.level, self.own_taken_sum, *_add_to_heaviest(values, bins, skipped))
+        d_a = sum(values[r] for r in mine)
+        return _build_certificate(self.level, d_a, *_add_to_heaviest(values, bins, skipped))
 
     def _lift(self, sub_cert: RatioCertificate) -> RatioCertificate:
         """Translate a sub-game certificate into this level's frame."""
@@ -466,40 +481,31 @@ class RecursiveAdversary:
         d_a = sum((values[r] for r in range(self.round) if self.takes[r] == agent), Fraction(0))
         return _build_certificate(agent, d_a, *_add_to_heaviest(values, shifted, range(1, shift + 1)))
 
-    def local_certificate(self) -> RatioCertificate | None:
+    def certificate(self) -> RatioCertificate | None:
         """Best certificate visible at this level, already strict-checked."""
-        target = self.n_total - self.eps
         candidates = []
         own = self._own_target_certificate()
         if own is not None:
-            strict = own.ratio_lower > target
+            strict = own.ratio_lower > self.n_total - self.eps
             if not self._own_reported:
                 self._own_reported = True
                 kind = "base-window" if self.level == 1 else "bin-packing"
                 self.event_log.append(WindowEvent(self.level, kind, own.agent, self.round, strict))
             if strict:
                 candidates.append(own)
-        if self.level > 1:
-            sub_cert = self.sub.local_certificate()
-            if sub_cert is not None:
-                lifted = self._lift(sub_cert)
-                strict = lifted.ratio_lower > target
-                if self._last_reported_sub is not self.sub:
-                    self._last_reported_sub = self.sub
-                    self.event_log.append(
-                        WindowEvent(self.level, "lifted", lifted.agent, self.round, strict)
-                    )
-                if strict:
-                    candidates.append(lifted)
-        if not candidates:
-            return None
-        return max(candidates, key=lambda c: c.ratio_lower)
+        sub_cert = self.sub.certificate() if self.level > 1 else None
+        if sub_cert is not None:
+            lifted = self._lift(sub_cert)
+            strict = lifted.ratio_lower > self.n_total - self.eps
+            if not self._lift_reported:
+                self._lift_reported = True
+                self.event_log.append(WindowEvent(self.level, "lifted", lifted.agent, self.round, strict))
+            if strict:
+                candidates.append(lifted)
+        return max(candidates, key=lambda c: c.ratio_lower, default=None)
 
     def instance(self) -> Instance:
         return Instance(n=self.level, items=tuple(self.emissions[: self.round]))
-
-    def certificate(self) -> RatioCertificate | None:
-        return self.local_certificate()
 
     def record(self) -> RecGameRecord:
         if self.level < 2:
@@ -545,38 +551,31 @@ def check_O1_O2(adv: "RecursiveAdversary | RecGameRecord") -> O1O2Report:
     took an item.
     """
     record = adv.record() if isinstance(adv, RecursiveAdversary) else adv
-    failures = []
     take_rounds = record.own_take_rounds
     if not take_rounds:
         return O1O2Report(True, True, 0, 0, record_max_gap(record), ())
-    V = record.V
-    eps_own = record.eps_own
-    first = take_rounds[0]
+    eps_own, first, own_values = record.eps_own, take_rounds[0], record.own_values
     horizon = record.j_dagger if record.j_dagger is not None else record.rounds
-    o2_checked = 0
-    for r in range(1, horizon + 1):
-        if r == first:
-            continue
-        v = record.own_values[r - 1]
-        o2_checked += 1
-        if v > eps_own * V:
-            failures.append(f"O2: item {r} has value {v} > eps'*V = {eps_own * V}")
-    o1_checked = 0
-    taken = Fraction(0)
-    skipped = Fraction(0)
-    for r in range(1, horizon + 1):
+    rounds = range(1, horizon + 1)
+    bound = eps_own * record.V
+    o2_failures = [f"O2: item {r} has value {own_values[r - 1]} > eps'*V = {bound}"
+                   for r in rounds if r != first and own_values[r - 1] > bound]
+    # O1 on one integer scale: eps_own * taken < skipped iff p * taken < q * skipped
+    common, values = common_scale(own_values[:horizon])
+    p, q = eps_own.as_integer_ratio()
+    o1_failures = []
+    o1_checked = taken = skipped = 0
+    for r in rounds:
         if record.takes[r - 1] == record.n:
-            taken += record.own_values[r - 1]
+            taken += values[r - 1]
             o1_checked += 1
-            if eps_own * taken < skipped:
-                failures.append(
-                    f"O1: after take at round {r}, skipped {skipped} > eps'*taken {eps_own * taken}"
-                )
+            if p * taken < q * skipped:
+                o1_failures.append(f"O1: after take at round {r}, skipped {Fraction(skipped, common)} > "
+                                   f"eps'*taken {eps_own * Fraction(taken, common)}")
         else:
-            skipped += record.own_values[r - 1]
-    o1_ok = not any(f.startswith("O1") for f in failures)
-    o2_ok = not any(f.startswith("O2") for f in failures)
-    return O1O2Report(o1_ok, o2_ok, o1_checked, o2_checked, record_max_gap(record), tuple(failures))
+            skipped += values[r - 1]
+    return O1O2Report(not o1_failures, not o2_failures, o1_checked, len(rounds) - (first in rounds),
+                      record_max_gap(record), tuple(o2_failures + o1_failures))
 
 
 # Game loop -------------------------------------------------------------------

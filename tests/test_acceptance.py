@@ -10,6 +10,7 @@ exactly, as specified.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines.
 """
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -93,17 +94,29 @@ def test_criterion_1_round_robin_exactness():
 # 2 ---------------------------------------------------------------------------
 
 def random_grid_step(rng, game):
+    """A random move ``(a, b, A cells, B cells)``: a = |B| t and b = |A| t, so a|A| = b|B|.
+
+    t = min(num/den, tmax) with tmax = min(1/max(|A|, |B|), 2/cpu) and
+    num = max(1, int(tmax*den*u)). It is drawn in integers with the same rng
+    calls and float products as in Fractions: tmax*den as a float is
+    tp*den/tq, correctly rounded either way.
+    """
     cpu = game.cells_per_unit
-    q = game.Q
     cells_a = rng.randint(1, cpu - 1)
-    cells_b = cpu - cells_a
-    tmax = min(F(1, max(cells_a, cells_b)), F(2, cpu))
+    big = max(cells_a, cpu - cells_a)
+    tp, tq = (1, big) if cpu <= 2 * big else (2, cpu)
     den = rng.choice([1, 2, 3, 4, 5, 6])
-    num = max(1, int(tmax * den * rng.random()))
-    t = min(F(num, den), tmax)
-    a, b = cells_b * t, cells_a * t
-    chosen = sorted(rng.sample(range(q), cpu))
+    num = max(1, int(tp * den / tq * rng.random()))
+    a, b = _grid_move(cells_a, cpu, num, den, tp, tq)
+    chosen = sorted(rng.sample(range(game.Q), cpu))
     return a, b, chosen[:cells_a], chosen[cells_a:]
+
+
+@functools.cache
+def _grid_move(cells_a, cpu, num, den, tp, tq):
+    """(a, b) for t = min(num/den, tp/tq): the only Fractions a move needs, built once."""
+    t = F(num, den) if num * tq <= tp * den else F(tp, tq)
+    return (cpu - cells_a) * t, cells_a * t
 
 
 def test_criterion_2_stacking_invariants():
