@@ -3,20 +3,26 @@
 The MMS of an agent is the minimum over n-way partitions of the item set of
 the largest bundle disutility under that agent's valuation. Exact values are
 computed by branch and bound over partitions, on integers over the values'
-common denominator; when the item-count guard refuses, the largest-first and
-type-union partitions give certified upper bounds instead, each with its max
-load, so downstream ratio reports never state an exact number without an
-exact benchmark. Each agent's :class:`AgentMms` record is assembled by
-:func:`fairdiv.adversary.agent_mms`, from one integer scale of its values.
+common denominator. Its stop value is the optimum of the agent's count
+vector (each distinct value with its count), found by a bin-packing
+feasibility search over remaining count vectors when the vector has few
+enough states, so the branch and bound ends at its first optimal leaf
+instead of proving optimality. When the item-count guard refuses, the
+largest-first and type-union partitions give certified upper bounds instead,
+each with its max load, so downstream ratio reports never state an exact
+number without an exact benchmark. Each agent's :class:`AgentMms` record is
+assembled by :func:`fairdiv.adversary.agent_mms`, from one integer scale of
+its values.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapreplace
-from math import lcm
+from math import lcm, prod
 
 from .core import FairdivError, Instance, ceil_div, format_rational
 
@@ -26,8 +32,12 @@ class InstanceTooLarge(FairdivError):
 
 
 # Item counts up to which the branch-and-bound search is allowed, per agent
-# count. Chosen so the worst case (all-distinct values) stays well under a
-# second; duplicated values are far cheaper thanks to load-multiset pruning.
+# count. Chosen so the worst case stays well under a second: all-distinct
+# values, whose count vector is past the state limit, so the search proves
+# optimality itself. Few distinct values are far cheaper, since the
+# count-vector optimum stops the search at its first optimal leaf, but the
+# guard still counts items: widening it turns interval reports into exact
+# ones, which the golden outputs record.
 _EXACT_LIMITS = {1: 64, 2: 22, 3: 16, 4: 14}
 _EXACT_LIMIT_DEFAULT = 10
 
@@ -84,9 +94,11 @@ def type_union_partition(values, n: int) -> tuple[int, list[list[int]]]:
 def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
     """Exact MMS of a value list, plus one witness partition attaining it.
 
-    ``values`` are ints or Fractions. Returns ``(share, partition)`` where
-    ``partition`` is an n-tuple of tuples of 0-based positions into
-    ``values`` and the max bundle sum of the partition equals ``share``.
+    ``values`` are ints or Fractions; any other value, a bool included,
+    raises :class:`FairdivError` once the guard has passed. Returns
+    ``(share, partition)`` where ``partition`` is an n-tuple of tuples of
+    0-based positions into ``values`` and the max bundle sum of the
+    partition equals ``share``.
     Raises :class:`InstanceTooLarge` when the search guard for this ``n`` is
     exceeded; the guard counts items only, so a refusal reads no value. The
     search runs on the integers of :func:`common_scale`.
@@ -98,6 +110,8 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
         raise FairdivError("mms_exact: empty value list")
     if m > exact_search_limit(n):
         raise InstanceTooLarge(f"m={m} exceeds exact-search limit for n={n}")
+    if any(isinstance(v, bool) or not isinstance(v, (int, Fraction)) for v in values):
+        raise FairdivError("mms_exact: values must be ints or Fractions")
     common, vals = common_scale(values)
     if any(v <= 0 for v in vals):
         raise FairdivError("mms_exact: values must be positive")
@@ -114,6 +128,10 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
     # The largest-first greedy partition seeds the incumbent.
     best, greedy = lpt_partition(vals, n)
     best_assign = None
+    # At the optimum, the stop value ends the search at its first optimal
+    # leaf: the leaf it would keep after proving that no better one exists.
+    if best > lower:
+        lower = _count_vector_optimum(vals, n, lower, best)
 
     assign = [0] * m
 
@@ -152,6 +170,87 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
     return Fraction(best, common), tuple(tuple(sorted(bundle)) for bundle in partition)
 
 
+# Count vectors with more states than this, prod(c_u + 1) over the distinct
+# values, skip the count-vector optimum: the branch and bound then proves
+# optimality on its own, as it does for all-distinct values.
+_COUNT_STATES_LIMIT = 4096
+
+
+def _count_vector_optimum(vals, n: int, lower, upper: int):
+    """The least max load over n-way partitions of ``vals``, or ``lower`` past the state limit.
+
+    ``lower`` and ``upper`` bracket the optimum, and ``upper`` is a max load
+    some partition attains. The optimum is a bundle sum, so it is the least
+    achievable sum in ``[lower, upper)`` whose capacity :func:`_fits` the
+    count vector, or ``upper`` if none does. Capacity ``upper - 1`` is
+    tested first, before any sum is listed, because the largest-first
+    ``upper`` is often already optimal.
+    """
+    counts = Counter(vals)
+    sizes = sorted(counts, reverse=True)
+    full = tuple(counts[u] for u in sizes)
+    if prod(c + 1 for c in full) > _COUNT_STATES_LIMIT:
+        return lower
+    if not _fits(sizes, full, n, upper - 1):
+        return upper
+    sums = {0}
+    for u, c in zip(sizes, full):
+        sums = {s + a * u for s in sums for a in range(c + 1)}
+    caps = sorted(s for s in sums if lower <= s < upper)  # the last one fits
+    # fitting is False below the optimum and True from it on
+    return caps[bisect_left(caps, True, hi=len(caps) - 1, key=lambda cap: _fits(sizes, full, n, cap))]
+
+
+def _fits(sizes, counts, n: int, cap: int) -> bool:
+    """Whether ``counts[t]`` items of size ``sizes[t]`` (descending) pack into n bins of ``cap``.
+
+    Some bin holds the largest remaining item. Moving items into that bin
+    from the others keeps a packing, so it may be filled to a maximal
+    configuration, one beside which no remaining item fits. A remainder
+    that fails with some number of bins fails with fewer, so each is
+    recorded with the most bins it failed with.
+    """
+    d = len(sizes)
+    failed: dict[tuple[int, ...], int] = {}
+
+    def fills(rest, t, room, tail, smallest_left):
+        # Remainders after filling ``room`` from ``rest[t:]`` so that the
+        # final room is below every size left over; ``tail[t]`` is the
+        # volume of ``rest[t:]``.
+        if t == d:
+            if room < smallest_left:
+                yield tuple(rest)
+            return
+        u, c = sizes[t], rest[t]
+        for a in range(min(c, room // u), -1, -1):
+            left_over = u if a < c else smallest_left
+            if room - a * u - tail[t + 1] >= left_over:
+                break  # too little is left to shrink the room below a leftover size
+            rest[t] = c - a
+            yield from fills(rest, t + 1, room - a * u, tail, left_over)
+        rest[t] = c
+
+    def pack(rest, bins):
+        volume = sum(c * u for c, u in zip(rest, sizes))
+        if volume <= cap:
+            return True
+        if volume > bins * cap or failed.get(rest, 0) >= bins:
+            return False
+        first = next(t for t, c in enumerate(rest) if c)
+        left = list(rest)
+        left[first] -= 1
+        tail = [0] * (d + 1)
+        for t in range(d - 1, -1, -1):
+            tail[t] = tail[t + 1] + left[t] * sizes[t]
+        for after in fills(left, first, cap - sizes[first], tail, cap + 1):
+            if pack(after, bins - 1):
+                return True
+        failed[rest] = bins
+        return False
+
+    return pack(counts, n)
+
+
 @dataclass(frozen=True)
 class TypeShare:
     """One distinct value of one agent: its count and per-type share."""
@@ -163,6 +262,8 @@ class TypeShare:
 
 def per_type_share(count: int, value: Fraction, n: int) -> Fraction:
     """Closed-form MMS over `count` identical items of `value`: ceil(count/n)*value."""
+    if n < 1:
+        raise FairdivError("per_type_share: n must be >= 1")
     if count < 0:
         raise FairdivError("per_type_share: negative count")
     if value <= 0:
@@ -174,6 +275,8 @@ def per_type_share(count: int, value: Fraction, n: int) -> Fraction:
 
 def agent_type_shares(values, n: int) -> list[TypeShare]:
     """Group a value stream by distinct value (first-appearance order)."""
+    if n < 1:
+        raise FairdivError("agent_type_shares: n must be >= 1")
     counts = Counter(values)
     return [TypeShare(value=v, count=c, share=per_type_share(c, v, n)) for v, c in counts.items()]
 

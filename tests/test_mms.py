@@ -1,4 +1,6 @@
+import os
 import random
+import runpy
 from fractions import Fraction
 
 import pytest
@@ -8,20 +10,27 @@ from fairdiv import (
     AgentMms,
     Allocation,
     FairdivError,
+    GeneratorConfig,
     Instance,
     InstanceTooLarge,
     agent_mms,
+    agent_type_shares,
     certify_ratio,
     check_mms_decomposition,
+    generate_instance,
     mms_exact,
     mms_report,
     per_type_share,
     verify_certificate,
 )
 from fairdiv.adversary import RatioCertificate
-from fairdiv.mms import common_scale, exact_search_limit, lpt_partition, type_union_partition, witness_max_bundle
+from fairdiv import mms as mms_module
+from fairdiv.mms import (_count_vector_optimum, common_scale, exact_search_limit, lpt_partition,
+                         type_union_partition, witness_max_bundle)
 
 from conftest import brute_force_mms, random_instance
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_three_unit_items_two_agents():
@@ -305,3 +314,130 @@ def test_mms_report_matches_fraction_reference():
             assert mms_report(inst, supplied) == expected
         if past_guard:  # agent 1's record is a supplied witness, not the built-in it ties
             assert mms_report(inst, witnesses)[0].witness in [tuple(map(tuple, w)) for w in witnesses]
+
+
+def _reference_mms_exact(values, n):
+    """The branch and bound with its old stop value, max(average, largest
+    item, ceil(m/n) smallest items): it proves optimality before it stops.
+    The reference for the count-vector bound, which may change no output."""
+    m = len(values)
+    common, vals = common_scale(values)
+    order = sorted(range(m), key=vals.__getitem__, reverse=True)
+    svals = [vals[p] for p in order]
+    lower = max(Fraction(sum(vals), n), svals[0], sum(sorted(vals)[: -(-m // n)]))
+    best, greedy = lpt_partition(vals, n)
+    best_assign = None
+    assign = [0] * m
+
+    def search(t, loads, curmax):
+        nonlocal best, best_assign
+        if curmax >= best or best == lower:
+            return
+        if t == m:
+            best = curmax
+            best_assign = assign[:m].copy()
+            return
+        seen_loads = set()
+        for b in range(n):
+            if loads[b] in seen_loads:
+                continue
+            seen_loads.add(loads[b])
+            new_load = loads[b] + svals[t]
+            if new_load >= best:
+                continue
+            assign[t] = b
+            search(t + 1, loads[:b] + (new_load,) + loads[b + 1 :], max(curmax, new_load))
+            if best == lower:
+                return
+
+    search(0, (0,) * n, 0)
+    partition = [[j - 1 for j in bundle] for bundle in greedy]
+    if best_assign is not None:
+        partition = [[] for _ in range(n)]
+        for t, b in enumerate(best_assign):
+            partition[b].append(order[t])
+    return Fraction(best, common), tuple(tuple(sorted(bundle)) for bundle in partition)
+
+
+def test_count_vector_bound_keeps_value_and_witness():
+    rng = random.Random(131)
+    for trial in range(500):
+        n = rng.randint(2, 4)
+        m = rng.randint(n + 1, exact_search_limit(n))
+        if trial % 10 == 0:  # thousand-digit denominators
+            pool = [Fraction(rng.randint(1, 10 ** 1100), rng.choice(HUGE)) for _ in range(rng.randint(1, 4))]
+        else:  # few small values: ties among items and among loads
+            pool = [Fraction(rng.randint(1, 9), rng.choice([1, 2, 3, 4])) for _ in range(rng.randint(1, 4))]
+        values = [rng.choice(pool) for _ in range(m)]
+        assert mms_exact(values, n) == _reference_mms_exact(values, n), (values, n)
+
+
+def _at_guard_instances():
+    """The benchmark's known slow branch-and-bound multisets, as it draws them."""
+    workloads = runpy.run_path(os.path.join(ROOT, "perfbench", "workloads.py"), run_name="perfbench_workloads")
+    for n, m, grid, k, D in workloads["_AT_GUARD"]:
+        for seed in workloads["_AT_GUARD_SEEDS"]:
+            yield generate_instance(GeneratorConfig(n=n, m=m, k=k, D=D, value_grid=grid, seed=seed))
+
+
+def test_count_vector_bound_at_the_guard():
+    instances = list(_at_guard_instances())
+    assert len(instances) == 12
+    for inst in instances:
+        assert inst.m == exact_search_limit(inst.n)
+        for agent in range(1, inst.n + 1):
+            values = inst.agent_values(agent)
+            assert mms_exact(values, inst.n) == _reference_mms_exact(values, inst.n)
+
+
+def test_count_vector_optimum_against_brute_force():
+    rng = random.Random(137)
+    for trial in range(100):
+        n = rng.randint(2, 3)
+        m = rng.randint(1, 8)
+        pool = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+        values = [rng.choice(pool) for _ in range(m)]
+        # from no bound at all up to the one-bundle partition, so the
+        # binary search runs over every achievable sum
+        assert _count_vector_optimum(values, n, 0, sum(values)) == brute_force_mms(values, n), (values, n)
+
+
+def _forbid_count_vector_search(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the count-vector search ran")
+
+    monkeypatch.setattr(mms_module, "_fits", fail)
+
+
+def test_count_vector_bound_skipped_past_the_state_limit(monkeypatch):
+    values = [Fraction(v) for v in range(1, 23)]  # 2**22 count vectors
+    expected = _reference_mms_exact(values, 2)
+    _forbid_count_vector_search(monkeypatch)
+    assert mms_exact(values, 2) == expected == (Fraction(127), expected[1])
+
+
+def test_count_vector_bound_skipped_when_greedy_meets_the_old_bound(monkeypatch):
+    values = [Fraction(4), Fraction(1), Fraction(1), Fraction(2)]  # largest-first: 4 | 2+1+1
+    expected = _reference_mms_exact(values, 2)
+    _forbid_count_vector_search(monkeypatch)
+    assert mms_exact(values, 2) == expected == (Fraction(4), ((0,), (1, 2, 3)))
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True, None])
+def test_mms_exact_rejects_values_that_are_not_int_or_fraction(bad):
+    values = [Fraction(1), bad, 2]
+    with pytest.raises(FairdivError, match="ints or Fractions"):
+        mms_exact(values, 2)
+    # past the guard a refusal still comes first, reading no value
+    with pytest.raises(InstanceTooLarge):
+        mms_exact(values * 10, 2)
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_per_type_shares_need_an_agent(n):
+    with pytest.raises(FairdivError, match="n must be >= 1"):
+        per_type_share(3, Fraction(2), n)
+    with pytest.raises(FairdivError, match="n must be >= 1"):
+        agent_type_shares([Fraction(2)] * 3, n)
+    with pytest.raises(FairdivError, match="n must be >= 1"):
+        agent_type_shares([], n)
