@@ -85,6 +85,8 @@ def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate
         return inst.m == 0
     if not is_positive_int(cert.agent) or cert.agent > inst.n or cert.mms_upper == 0:
         return False
+    if alloc.m and max(alloc.assignment) > inst.n:  # some item goes to no agent of the instance
+        return False
     if witness_max_bundle(inst, cert.agent, cert.witness) != cert.mms_upper:
         return False
     if alloc.bundle_disutility(inst, cert.agent) != cert.d_A:
@@ -172,9 +174,32 @@ def _scaled_agent_mms(inst: Instance, agent: int, witnesses) -> tuple[AgentMms, 
     return AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness)), common, values
 
 
+def scaled_mms_report(inst: Instance, witnesses=()) -> list[tuple[AgentMms, int, list[int]]]:
+    """Each agent's :func:`agent_mms` record with the scale it was built on:
+    ``(record, common, values)``, ``values[j]`` being d(j+1) * ``common``."""
+    return [_scaled_agent_mms(inst, agent, witnesses) for agent in range(1, inst.n + 1)]
+
+
 def mms_report(inst: Instance, witnesses=None) -> list[AgentMms]:
     """Each agent's :func:`agent_mms` record, computed once per instance."""
-    return [agent_mms(inst, agent, witnesses or ()) for agent in range(1, inst.n + 1)]
+    return [record for record, _, _ in scaled_mms_report(inst, witnesses or ())]
+
+
+def scaled_disutilities(inst: Instance, alloc: Allocation, scaled) -> list[Fraction]:
+    """Each agent's d_A under ``alloc``, summed in one pass over the assignment
+    on the integer scale of the agent's record in ``scaled``
+    (:func:`scaled_mms_report`)."""
+    if alloc.m > inst.m:
+        raise FairdivError(f"allocation of {alloc.m} items for an instance of {inst.m}")
+    n, assignment = inst.n, alloc.assignment
+    if assignment and max(assignment) > n:
+        j, a = next((j, a) for j, a in enumerate(assignment, 1) if a > n)
+        raise FairdivError(f"item {j}: agent index {a} exceeds n={n}")
+    columns = [values for _, _, values in scaled]
+    sums = [0] * n
+    for j, a in enumerate(assignment):
+        sums[a - 1] += columns[a - 1][j]
+    return [Fraction(total, common) for total, (_, common, _) in zip(sums, scaled)]
 
 
 def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[RatioCertificate]:
@@ -187,14 +212,11 @@ def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[Rat
     """
     if inst.m == 0:
         return [TRIVIAL_CERTIFICATE]
-    scaled = [_scaled_agent_mms(inst, agent, witnesses or ()) for agent in range(1, inst.n + 1)]
-    if alloc.m > inst.m:
-        raise FairdivError(f"allocation of {alloc.m} items for an instance of {inst.m}")
-    certs = []
-    for r, common, values in scaled:
-        d_a = sum(v for v, a in zip(values, alloc.assignment) if a == r.agent)
-        certs.append(_build_certificate(r.agent, Fraction(d_a, common), r.upper, r.witness, r.source))
-    return certs
+    scaled = scaled_mms_report(inst, witnesses or ())
+    return [
+        _build_certificate(r.agent, d_a, r.upper, r.witness, r.source)
+        for (r, _, _), d_a in zip(scaled, scaled_disutilities(inst, alloc, scaled))
+    ]
 
 
 # Two-agent game -------------------------------------------------------------
@@ -626,7 +648,9 @@ __all__ = [
     "verify_certificate",
     "greedy_bin_packing",
     "agent_mms",
+    "scaled_mms_report",
     "mms_report",
+    "scaled_disutilities",
     "certify_ratio",
     "TwoAgentAdversary",
     "WindowEvent",

@@ -9,7 +9,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .adversary import certify_ratio, mms_report  # certify_ratio: patched here by perfbench/tracer.py
+from .adversary import certify_ratio, scaled_disutilities, scaled_mms_report  # certify_ratio: patched here by perfbench/tracer.py
 from .allocator import (
     BiValuePolicy,
     DumpToOnePolicy,
@@ -23,7 +23,7 @@ from .allocator import (
 )
 from .core import FairdivError, Instance, format_rational, instance_digest
 from .mms import mms_exact  # mms_exact: patched here by perfbench/tracer.py
-from .stacking import BoundProfile, allocator_to_stacking, check_bound
+from .stacking import allocator_to_stacking, check_bound  # check_bound: patched here by perfbench/tracer.py
 
 GRID_NAMES = ("powers-of-two", "uniform-rational", "adversarial-near-threshold")
 
@@ -241,30 +241,33 @@ def leq_two_plus_sqrt3(d: Fraction, mms: Fraction) -> bool:
 def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
     """Run policies over one instance and flag every theoretical-bound check.
 
-    Each agent's MMS record comes from one :func:`mms_report` call per
-    instance, shared by every policy. Per-agent ratios are exact when the
-    record holds the exact MMS; otherwise they are the certified interval
-    [d_A/upper, d_A/lower] of the record's bounds. For the rounded greedy
-    policy the checks include the trace invariants and the stacking
-    reduction's consistency; bound checks, made only when every MMS is
-    exact, compare realized disutility against (8k+2)*MMS for the rounded
-    greedy rule, n*MMS for dump-to-one, and (2+sqrt(3))*MMS for the
-    bi-value rule on bi-valued instances.
+    Each agent's MMS record comes from one :func:`scaled_mms_report` call
+    per instance, shared by every policy, and each run's d_A are summed in
+    one pass over its assignment on the records' integer scales. Per-agent
+    ratios are exact when the record holds the exact MMS; otherwise they
+    are the certified interval [d_A/upper, d_A/lower] of the record's
+    bounds. For the rounded greedy policy the checks include the trace
+    invariants and the stacking reduction's consistency, and
+    ``stacking_margin`` is :func:`check_bound`'s margin at beta = n/(n-1),
+    taken on the reduction's integer grid (:meth:`GridGame.bound_margin`).
+    Bound checks, made only when every MMS is exact, compare realized
+    disutility against (8k+2)*MMS for the rounded greedy rule, n*MMS for
+    dump-to-one, and (2+sqrt(3))*MMS for the bi-value rule on bi-valued
+    instances.
     """
     if policies is None:
         policies = [PressureGreedyPolicy(), BiValuePolicy(), RoundRobinPolicy(), DumpToOnePolicy()]
     report = ExperimentReport(digest=instance_digest(inst), n=inst.n, m=inst.m)
     if inst.m == 0:
         return report
-    records = mms_report(inst)
-    exact_mms = [r.exact for r in records]
+    scaled = scaled_mms_report(inst)
+    exact_mms = [r.exact for r, _, _ in scaled]
     all_exact = None not in exact_mms
 
     for policy in policies:
         alloc, trace = run_online(inst, policy)
         outcomes = []
-        for r in records:
-            d_a = alloc.bundle_disutility(inst, r.agent)
+        for (r, _, _), d_a in zip(scaled, scaled_disutilities(inst, alloc, scaled)):
             if r.exact is not None:
                 outcomes.append(AgentOutcome(r.agent, d_a, "exact", d_a / r.exact, None, None))
             else:
@@ -282,10 +285,7 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
             run_checks["trace-invariants"] = tc.passed
             run_checks["stacking-consistency"] = reduction is not None
             if reduction is not None and reduction.steps:
-                beta = Fraction(inst.n, inst.n - 1)
-                stacking_margin = check_bound(
-                    reduction.final, BoundProfile(k=reduction.k, beta=beta)
-                ).margin
+                stacking_margin = reduction.game.bound_margin(Fraction(inst.n, inst.n - 1))
             if all_exact:
                 k_rounded = tc.game_k
                 run_checks["ratio-bound-8k+2"] = all(

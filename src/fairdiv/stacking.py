@@ -24,15 +24,20 @@ sequence of moves: the nk pressure counters map to the nk cells so that the
 multiset of pressures always equals the multiset of cell values. It reads
 the pressures off the one replay of :func:`validate_pressure_trace` and keeps
 that replay's checks in ``ReductionResult.check``, with the moves and the
-final grid; ``ReductionResult.replay()`` rebuilds each step.
+final grid; ``ReductionResult.replay()`` rebuilds each step. The bound's
+margin on the final grid comes from its integers
+(:meth:`GridGame.bound_margin`); ``ReductionResult.final``, the grid as a
+:class:`StackingFunction`, serves tests and demos.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .core import (
     FairdivError, InvariantViolation, at_line, format_rational, parse_json, parse_jsonl, parse_rational,
@@ -318,7 +323,41 @@ class GridGame:
         self.cells_per_unit = cells_per_unit  # cells touched by one move
         self.scale = scale
         self.values: list[int] = [0] * self.Q
-        self._bounds: dict = {}  # beta -> bound_ok's integer constants
+        self._bounds: dict = {}  # beta -> the integer constants of bound_ok and bound_margin
+
+    def _move_units(self, a, b, a_count: int, b_count: int) -> tuple[int, int]:
+        """The scaled raise and lower of a move (a, b) on ``a_count`` and
+        ``b_count`` cells, once a and b lie in (0, 1], are representable at
+        this scale and the cell counts match the measures."""
+        if type(a) is not Fraction and type(a) is not int:
+            a = Fraction(a)
+        if type(b) is not Fraction and type(b) is not int:
+            b = Fraction(b)
+        pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+        if not (0 < pa <= qa and 0 < pb <= qb):
+            raise FairdivError("a and b must lie in (0, 1]")
+        av, a_rem = divmod(pa * self.scale, qa)
+        bv, b_rem = divmod(pb * self.scale, qb)
+        if a_rem or b_rem:
+            raise FairdivError(f"a={a}, b={b} not representable at scale {self.scale}")
+        total = pa * qb + pb * qa  # (a+b)*qa*qb: need len(A)*(a+b) = cpu*b, len(B)*(a+b) = cpu*a
+        want_a, want_b = self.cells_per_unit * pb * qa, self.cells_per_unit * pa * qb
+        if a_count * total != want_a or b_count * total != want_b:
+            raise FairdivError(
+                f"cell counts ({a_count}, {b_count}) do not match measures "
+                f"({Fraction(want_a, total)}, {Fraction(want_b, total)}) for a={a}, b={b}"
+            )
+        return av, bv
+
+    def _check_cells(self, a_cells, b_cells) -> None:
+        """Cell indices are ints on the grid, A lies strictly left of B, and A and B are disjoint."""
+        for c in (*a_cells, *b_cells):
+            if type(c) is not int or not 0 <= c < self.Q:
+                raise FairdivError(f"cell index {c!r} is not an int in [0, {self.Q})")
+        if max(a_cells) >= min(b_cells):
+            raise FairdivError("A cells must lie strictly left of B cells")
+        if len({*a_cells, *b_cells}) != len(a_cells) + len(b_cells):
+            raise FairdivError("A and B cells must be disjoint")
 
     def apply_cells(self, a: Fraction, b: Fraction, a_cells, b_cells,
                     need_order: bool = True) -> list[int] | None:
@@ -329,28 +368,8 @@ class GridGame:
         previous position of the value now at position ``new`` (ties keep
         their left-to-right order); ``need_order=False`` just sorts in place.
         """
-        a, b = (x if type(x) is int or type(x) is Fraction else Fraction(x) for x in (a, b))
-        pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
-        if not (0 < pa <= qa and 0 < pb <= qb):
-            raise FairdivError("a and b must lie in (0, 1]")
-        av, a_rem = divmod(pa * self.scale, qa)
-        bv, b_rem = divmod(pb * self.scale, qb)
-        if a_rem or b_rem:
-            raise FairdivError(f"a={a}, b={b} not representable at scale {self.scale}")
-        total = pa * qb + pb * qa  # (a+b)*qa*qb: need len(A)*(a+b) = cpu*b, len(B)*(a+b) = cpu*a
-        want_a, want_b = self.cells_per_unit * pb * qa, self.cells_per_unit * pa * qb
-        if len(a_cells) * total != want_a or len(b_cells) * total != want_b:
-            raise FairdivError(
-                f"cell counts ({len(a_cells)}, {len(b_cells)}) do not match measures "
-                f"({Fraction(want_a, total)}, {Fraction(want_b, total)}) for a={a}, b={b}"
-            )
-        for c in (*a_cells, *b_cells):
-            if type(c) is not int or not 0 <= c < self.Q:
-                raise FairdivError(f"cell index {c!r} is not an int in [0, {self.Q})")
-        if max(a_cells) >= min(b_cells):
-            raise FairdivError("A cells must lie strictly left of B cells")
-        if len(set(a_cells) | set(b_cells)) != len(a_cells) + len(b_cells):
-            raise FairdivError("A and B cells must be disjoint")
+        av, bv = self._move_units(a, b, len(a_cells), len(b_cells))
+        self._check_cells(a_cells, b_cells)
         vals = self.values
         for c in a_cells:
             vals[c] += av
@@ -366,16 +385,24 @@ class GridGame:
     def integral_is_zero(self) -> bool:
         return sum(self.values) == 0
 
-    def bound_ok(self, beta) -> bool:
-        """Exact check of the suffix-integral bound and max value, at every cell edge."""
+    def _bound_constants(self, beta) -> tuple[int, int, int, list[int]]:
+        """Integer constants of the bound for ``beta``, computed once per beta.
+
+        F(x_i) <= beta*k/4 - beta*k*x_i^2 at the cell edge x_i = -1/2 + i/Q,
+        cross-multiplied by 4*bq*Q^2*scale for beta = bp/bq, reads
+        ``lhs_factor * suffix_i <= rhs[i]``, with suffix_i the scaled
+        integral over cells i..Q-1; max f <= beta*k reads ``max * bq <= top``.
+        """
         if beta not in self._bounds:
-            # F(x_i) <= beta*k/4 - beta*k*x_i^2 at x_i = -1/2 + i/Q and max f <= beta*k,
-            # cross-multiplied: 4*bq*Q*suffix_i <= top*(Q^2 - (2i-Q)^2) and max*bq <= top.
             bp, bq = Fraction(beta).as_integer_ratio()
             top = bp * self.k * self.scale
             rhs = [top * (self.Q * self.Q - (2 * i - self.Q) ** 2) for i in range(self.Q + 1)]
             self._bounds[beta] = (bq, top, 4 * bq * self.Q, rhs)
-        bq, top, lhs_factor, rhs = self._bounds[beta]
+        return self._bounds[beta]
+
+    def bound_ok(self, beta) -> bool:
+        """Exact check of the suffix-integral bound and max value, at every cell edge."""
+        bq, top, lhs_factor, rhs = self._bound_constants(beta)
         values = self.values
         if values[-1] * bq > top:
             return False
@@ -385,6 +412,28 @@ class GridGame:
             if lhs_factor * suffix > rhs[i - 1]:
                 return False
         return suffix == 0
+
+    def bound_margin(self, beta) -> Fraction:
+        """``check_bound(self.to_function(), BoundProfile(self.k, beta)).margin``, in integers.
+
+        The slack of the bound is taken where :func:`check_bound` takes it:
+        at the piece breakpoints, which are the cell edges between unequal
+        values (never +-1/2), and at x = 0, which halves the middle cell when
+        Q is odd; the max-value slack beta*k - max f counts too. Every slack
+        is kept times 4*bq*Q^2*scale, so only the margin is a Fraction.
+        """
+        bq, top, lhs_factor, rhs = self._bound_constants(beta)
+        values, Q = self.values, self.Q
+        low = 4 * Q * Q * (top - bq * values[-1])
+        suffix = 0
+        for i in range(Q - 1, 0, -1):
+            suffix += values[i]
+            if values[i - 1] != values[i] or 2 * i == Q:
+                low = min(low, rhs[i] - lhs_factor * suffix)
+        if Q % 2:  # F(0) is the suffix past the middle cell plus half of that cell
+            mid = Q // 2
+            low = min(low, top * Q * Q - lhs_factor // 2 * (2 * sum(values[mid + 1:]) + values[mid]))
+        return Fraction(low, 4 * bq * Q * Q * self.scale)
 
     def to_function(self) -> StackingFunction:
         return StackingFunction.from_pieces(
@@ -454,55 +503,74 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     relabeling sits on the leftmost touched cell; that cell is raised by 1
     and the other n-1 touched cells are lowered by 1/(n-1).
 
-    Each move reads the pressures of :func:`validate_pressure_trace`'s replay
-    after its step, and that replay's :class:`TraceCheck` is ``check``.
-    Raises :class:`InvariantViolation` if at any step the multiset of
-    pressures stops matching the multiset of cell values.
+    A move edits the sorted grid in place: the n touched cells come out,
+    the raised one goes back first in its new value's run and the lowered
+    ones last in theirs, in their old order, which is where a stable sort
+    puts them. Each move reads the pressures of
+    :func:`validate_pressure_trace`'s replay after its step, and that
+    replay's :class:`TraceCheck` is ``check``. Raises
+    :class:`InvariantViolation` if at any step the multiset of pressures
+    stops matching the multiset of cell values.
     """
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
     k = max(trace.max_type_count(), 1)
     game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
     Q = game.Q
-    # Counter (agent i, type u) is slot (i-1)*k + (u-1); slots and cells are
-    # both range(Q), linked both ways, with -1 for "none yet".
-    cell_of = [-1] * Q
+    av, bv = game._move_units(1, Fraction(1, n - 1), 1, n - 1)  # every move has this shape
+    values = game.values
+    # Counter (agent i, type u) is slot (i-1)*k + (u-1); holder[c] is the slot
+    # on cell c, or -1 for none yet.
     holder = [-1] * Q
-    b = Fraction(1, n - 1)
     steps: list[tuple[int, tuple[int, ...]]] = []
 
     def move(step, state):
         slots = [(i - 1) * k + u - 1 for i, u in enumerate(step.types, 1)]
+        cells = []
         for slot in slots:
-            if cell_of[slot] < 0:
+            try:
+                cells.append(holder.index(slot))
+            except ValueError:  # a fresh counter takes the leftmost free cell
                 free = holder.index(-1)
-                if game.values[free] != 0:
-                    raise InvariantViolation("fresh pressure assigned to a nonzero cell")
-                cell_of[slot], holder[free] = free, slot
+                if values[free] != 0:
+                    raise InvariantViolation("fresh pressure assigned to a nonzero cell") from None
+                holder[free] = slot
+                cells.append(free)
 
         chosen = slots[step.agent - 1]
-        c_star = min(cell_of[slot] for slot in slots)
+        old_cell = cells[step.agent - 1]
+        cells.sort()
+        c_star, b_cells = cells[0], tuple(cells[1:])
         # after the step: the chosen counter rose by n-1
-        if game.values[c_star] != state.scaled[step.agent - 1][step.types[step.agent - 1] - 1] - (n - 1):
+        if values[c_star] != state.scaled[step.agent - 1][step.types[step.agent - 1] - 1] - (n - 1):
             raise InvariantViolation(
                 "leftmost touched cell does not carry the minimum pressure"
             )
-        displaced, old_cell = holder[c_star], cell_of[chosen]
-        cell_of[chosen], cell_of[displaced] = c_star, old_cell
-        holder[c_star], holder[old_cell] = chosen, displaced
+        game._check_cells((c_star,), b_cells)
+        holder[old_cell], holder[c_star] = holder[c_star], chosen
 
-        b_cells = tuple(sorted(cell_of[slot] for slot in slots if slot != chosen))
-        order = game.apply_cells(1, b, [c_star], b_cells)
-        holder[:] = [holder[c] for c in order]
-        for c, slot in enumerate(holder):
-            if slot >= 0:
-                cell_of[slot] = c
+        lowered = [(values[c] - bv, holder[c]) for c in b_cells]
+        raised = values[c_star] + av
+        for c in reversed(cells):
+            del values[c], holder[c]
+        # every untouched cell whose value a lowered cell takes lies left of
+        # it, and every one whose value the raised cell takes lies right of it
+        for value, slot in lowered:
+            at = bisect_right(values, value)
+            values.insert(at, value)
+            holder.insert(at, slot)
+        at = bisect_left(values, raised)
+        values.insert(at, raised)
+        holder.insert(at, chosen)
 
-        pressures = [s for row in state.scaled for s in row]
-        want = pressures + [0] * (Q - len(pressures))
-        if sorted(game.values) != sorted(want):
-            raise InvariantViolation("pressure multiset != cell value multiset")
-        if game.values != sorted(game.values) or not game.integral_is_zero():
+        want = list(chain.from_iterable(state.scaled))
+        want += [0] * (Q - len(want))
+        want.sort()
+        if values != want:
+            if sorted(values) != want:
+                raise InvariantViolation("pressure multiset != cell value multiset")
+            raise InvariantViolation("grid state lost sortedness or zero integral")
+        if not game.integral_is_zero():
             raise InvariantViolation("grid state lost sortedness or zero integral")
 
         steps.append((c_star, b_cells))

@@ -15,7 +15,8 @@ from fairdiv import (
     run_online,
     verify_certificate,
 )
-from fairdiv.adversary import RatioCertificate, RecGameRecord, agent_mms, greedy_bin_packing, lpt_partition
+from fairdiv.adversary import (RatioCertificate, RecGameRecord, agent_mms, greedy_bin_packing, lpt_partition,
+                               scaled_disutilities, scaled_mms_report)
 from fairdiv.allocator import DumpToOnePolicy, ExternalPolicy, PressureGreedyPolicy, RoundRobinPolicy
 from fairdiv.core import FairdivError
 from fairdiv.mms import (AgentMms, InstanceTooLarge, common_scale, exact_search_limit, mms_exact,
@@ -276,6 +277,37 @@ def test_verify_rejects_agent_past_n():
     inst = Instance(2, ((F(1), F(1)),))
     cert = RatioCertificate(3, F(0), F(1), ((1,),), "witness", F(0))
     assert not verify_certificate(inst, Allocation((1,)), cert)
+
+
+def test_certify_ratio_rejects_an_item_given_past_n():
+    # Allocation.bundles(2) rejects the same allocation with the same words
+    inst = Instance(2, ((F(1), F(2)),) * 3)
+    with pytest.raises(FairdivError, match="^item 2: agent index 3 exceeds n=2$"):
+        certify_ratio(inst, Allocation((1, 3, 2)))
+
+
+def test_verify_rejects_an_item_given_past_n():
+    # agent 1's bundle is item 1 under both allocations
+    inst = Instance(2, ((F(1), F(2)),) * 3)
+    cert = certify_ratio(inst, Allocation((1, 2, 2)))[0]
+    assert verify_certificate(inst, Allocation((1, 2, 2)), cert)
+    assert not verify_certificate(inst, Allocation((1, 3, 2)), cert)
+
+
+def test_scaled_disutilities_match_bundle_disutility():
+    rng = random.Random(109)
+    game = play_game(make_recursive_adversary(3, 1, pin_horizon=200), PressureGreedyPolicy(), budget=200)
+    instances = [random_instance(rng, rng.randint(1, 4), rng.randint(1, 30), rng.randint(1, 4))
+                 for _ in range(40)] + [game.instance]
+    for inst in instances:
+        scaled = scaled_mms_report(inst)
+        for alloc in (Allocation(tuple(rng.randint(1, inst.n) for _ in range(inst.m))),
+                      Allocation(tuple(rng.randint(1, inst.n) for _ in range(rng.randrange(inst.m + 1))))):
+            want = [alloc.bundle_disutility(inst, agent) for agent in range(1, inst.n + 1)]
+            assert scaled_disutilities(inst, alloc, scaled) == want
+    inst = Instance(2, ((F(1), F(2)),))
+    with pytest.raises(FairdivError, match="^allocation of 2 items for an instance of 1$"):
+        scaled_disutilities(inst, Allocation((1, 2)), scaled_mms_report(inst))
 
 
 @pytest.mark.parametrize("agent", [True, 1.0])

@@ -313,16 +313,28 @@ def _reduction_on_its_own_replay(trace, n):
     return steps, k, game.values
 
 
+def _rescan_corpus(rng):
+    """``(n, trace)``: 400 small traces of mixed policies, then long ones
+    through the reduction's move: three stream-shaped (n=8, k=4, m=1000,
+    powers of two) and three tie-heavy (n=2, k=1)."""
+    policies = ("pressure-greedy", "bi-value", "round-robin", "dump-to-one", "mixture:5")
+    for _ in range(400):
+        n, m, k = rng.randint(2, 5), rng.randint(1, 60), rng.randint(1, 4)
+        yield n, run_online(random_instance(rng, n, m, k), make_policy(rng.choice(policies)))[1]
+    for _ in range(3):
+        cfg = GeneratorConfig(n=8, m=1000, k=4, D=Fraction(8), seed=rng.randrange(10**6))
+        yield 8, run_online(generate_instance(cfg), PressureGreedyPolicy())[1]
+    for _ in range(3):
+        yield 2, run_online(random_instance(rng, 2, rng.randint(200, 400), 1), PressureGreedyPolicy())[1]
+
+
 def test_validate_matches_the_full_rescan_reference():
     # the same corpus checks the reduction, which rides on the validator's
     # replay, against a reduction on a replay of its own
     rng = random.Random(47)
-    policies = ("pressure-greedy", "bi-value", "round-robin", "dump-to-one", "mixture:5")
     failed = dict.fromkeys(("closed_form", "rounding_sandwich", "pressure_bound", "count_bound"), 0)
-    reduced = 0
-    for _ in range(400):
-        n, m, k = rng.randint(2, 5), rng.randint(1, 60), rng.randint(1, 4)
-        _, trace = run_online(random_instance(rng, n, m, k), make_policy(rng.choice(policies)))
+    reduced = long_reduced = 0
+    for n, trace in _rescan_corpus(rng):
         _corrupt(rng, trace)
         check = validate_pressure_trace(trace)
         expected = _full_rescan_check(trace)
@@ -340,8 +352,10 @@ def test_validate_matches_the_full_rescan_reference():
             assert (res.steps, res.k, res.game.values) == want
             assert {key: getattr(res.check, key) for key in expected} == expected
             reduced += 1
+            long_reduced += trace.m >= 200
     assert all(20 <= count <= 380 for count in failed.values()), failed
     assert 20 <= reduced <= 380, reduced
+    assert long_reduced >= 3, long_reduced
 
 
 _STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1], "agent": 1}

@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -404,6 +408,22 @@ def test_cli_stacking_replay(tmp_path):
 def test_cli_usage_error():
     assert main(["run", "--policy", "pressure-greedy"]) == 2  # missing --in
     assert main(["gen", "--n", "2", "--m", "4", "--k", "3", "--D", "2", "--out", "-"]) == 2
+
+
+def test_python_m_fairdiv(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "fairdiv", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    gen = run("gen", "--n", "2", "--m", "3")
+    assert gen.returncode == 0, gen.stderr
+    assert load_instance(gen.stdout).m == 3
+    bad = run("gen", "--n", "2", "--m", "3", "--bogus")
+    assert bad.returncode == 2
+    lines = bad.stderr.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:], bad.stderr
 
 
 def _one_line_error(capsys, argv) -> str:

@@ -330,10 +330,39 @@ def test_cli_run_converts_the_grid_once(tmp_path, monkeypatch):
     argv = ["run", "--in", str(path), "--policy", "pressure-greedy",
             "--report", str(tmp_path / "r.json")]
     assert main(argv) == 0
-    assert len(calls) == 1
+    assert len(calls) == 0  # the margin is read off the integer grid
     # the policy steps the engine once per item, and one replay serves both
     # the trace invariants and the reduction
     assert len(steps) == 2 * inst.m
+
+
+def _margin_grids():
+    """Reduction grids of odd and even Q, all-zero one-piece grids, and a
+    grid whose first piece spans three cells."""
+    rng = random.Random(89)
+    for _ in range(60):
+        n, k = rng.randint(2, 5), rng.randint(1, 3)
+        _, trace = run_online(random_instance(rng, n=n, m=rng.randint(1, 40), k=k), PressureGreedyPolicy())
+        yield allocator_to_stacking(trace, n).game
+    for k, cpu in ((1, 2), (1, 3), (2, 3), (3, 3), (2, 4)):
+        yield GridGame(k=k, cells_per_unit=cpu, scale=cpu - 1)
+    long_first = GridGame(k=1, cells_per_unit=5, scale=1)
+    long_first.values = [-1, -1, -1, 1, 2]
+    yield long_first
+
+
+def test_bound_margin_matches_check_bound():
+    # catches a margin that sweeps every cell edge and one that drops x = 0;
+    # the half middle cell at x = 0 for odd Q never moves the margin of a
+    # sorted zero-integral grid, so no grid here can tell it is there
+    odd = even = 0
+    for game in _margin_grids():
+        odd += game.Q % 2
+        even += 1 - game.Q % 2
+        f = game.to_function()
+        for beta in (Fraction(game.cells_per_unit, game.cells_per_unit - 1), Fraction(2), Fraction(1, 3)):
+            assert game.bound_margin(beta) == check_bound(f, BoundProfile(k=game.k, beta=beta)).margin
+    assert odd >= 10 and even >= 10, (odd, even)
 
 
 def _check_bound_by_integral_F(f, profile):
