@@ -37,8 +37,7 @@ from operator import mul
 
 from .allocator import Policy, RunTrace
 from .core import Allocation, FairdivError, Instance, ValueTables, ceil_div, format_rational, is_positive_int
-from .mms import (AgentMms, InstanceTooLarge, common_scale, lpt_partition, mms_exact,
-                  type_union_partition, witness_max_bundle)
+from .mms import AgentMms, InstanceTooLarge, common_scale, lpt_partition, mms_exact, witness_max_bundle
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,13 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
     ``lower`` is max(average, largest item): some bundle carries at least
     the average, and some bundle holds the largest item. ``upper`` is the
     exact MMS ("exact") when the search guard allows it, otherwise the least
-    of the supplied, largest-first and type-union witness partitions
-    ("witness"), ties to the first; ``witness`` attains it. Only supplied
-    witnesses are checked by :func:`witness_max_bundle`: the built-in ones
-    come with their max loads.
+    of the supplied and largest-first witness partitions ("witness"), ties
+    to the first; ``witness`` attains it. The per-type share sum
+    sum_u u*ceil(c_u/n) is never below the largest-first load, since placing
+    c equal items of size u greedily raises the max load by at most
+    u*ceil(c/n), so no type-union partition is tried. Only supplied
+    witnesses are checked by :func:`witness_max_bundle`: the largest-first
+    one comes with its max load.
     """
     return _scaled_agent_mms(inst, agent, witnesses)[0]
 
@@ -165,9 +167,8 @@ def _scaled_agent_mms(inst: Instance, agent: int, witnesses) -> tuple[AgentMms, 
         exact, positions = mms_exact(values, n)
     except InstanceTooLarge:
         exact = None
-        built_in = [lpt_partition(values, n), type_union_partition(values, n)]
-        candidates = supplied + [(Fraction(load, common), bundles) for load, bundles in built_in]
-        upper, witness = min(candidates, key=lambda c: c[0])
+        load, bundles = lpt_partition(values, n)
+        upper, witness = min(supplied + [(Fraction(load, common), bundles)], key=lambda c: c[0])
     else:
         exact = upper = exact / common
         witness = [[p + 1 for p in bundle] for bundle in positions]

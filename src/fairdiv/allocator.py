@@ -32,10 +32,11 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import getitem
+from itertools import chain
+from operator import attrgetter, getitem
 
 from .core import (
-    Allocation, FairdivError, Instance, ParseError, ValueTables, ceil_div, format_rational,
+    Allocation, FairdivError, Instance, ParseError, ValueTables, format_rational,
     is_positive_int, json_texts, parse_json, parse_jsonl, parse_rational,
 )
 
@@ -171,10 +172,7 @@ class RunTrace:
         return agent
 
     def max_type_count(self) -> int:
-        k = 0
-        for s in self.steps:
-            k = max(k, max(s.types, default=0))
-        return k
+        return max(chain.from_iterable(map(attrgetter("types"), self.steps)), default=0)
 
     def to_jsonl(self) -> str:
         """One JSON line per step, as ``json.dumps`` with sorted keys writes it.
@@ -526,62 +524,67 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
     stated invariant.
 
     Each step goes through ``PressureState.step(types, agent)``, after which
-    the n cells it touched are checked: the closed form
-    (n-1)*H_i^u = n*|A_i ^ M_i^u| - N_i^u against the engine's value; the
-    pressure bound H <= 2k, with k the largest type index so far; and the
-    per-type receipt-count bound |A_i ^ M_i^u| <= ceil(N_i^u / n) - 1 + 2k.
-    An untouched cell keeps its value and its bounds only loosen as k grows,
-    so it needs no recheck. The rounding sandwich raw <= effective < 2*raw is
-    checked once per distinct (agent, raw code, effective code). A recorded snapshot
+    the engine's rows must equal the closed form (n-1)*H_i^u =
+    n*|A_i ^ M_i^u| - N_i^u, counted apart (n per receipt, -1 per sighting).
+    Only the receiving counter rises while k only grows, so it alone is
+    checked against the pressure bound H <= 2k, k the largest type index so
+    far, and the receipt-count bound |A_i ^ M_i^u| <= ceil(N_i^u / n) - 1 + 2k,
+    in integers n*|A_i ^ M_i^u| - N_i^u < 2kn. The rounding sandwich raw <=
+    effective < 2*raw is checked once per distinct (agent, raw code,
+    effective code), on numerators and denominators. A recorded snapshot
     must equal the engine's (n-1)*H rows, or the closed form fails. A step
     whose agent or type indices are out of range raises :class:`FairdivError`.
     """
     if trace.n < 2:
         raise FairdivError("validate_pressure_trace requires n >= 2")
-    return _replay_pressure_trace(trace, trace.n)
+    return _replay_pressure_trace(trace, PressureState(trace.n))
 
 
-def _replay_pressure_trace(trace: RunTrace, n: int, after_step=None) -> TraceCheck:
-    """The one replay of a trace on n agents behind :func:`validate_pressure_trace`;
-    ``after_step(step, state)``, if given, runs once the step's checks are made."""
-    state = PressureState(n)
-    receipts: list[list[int]] = [[] for _ in range(n)]
-    sightings: list[list[int]] = [[] for _ in range(n)]
+def _replay_pressure_trace(trace: RunTrace, state: PressureState, after_step=None) -> TraceCheck:
+    """The one replay of a trace on ``state`` behind :func:`validate_pressure_trace`;
+    ``after_step(step)``, if given, runs once the step's checks are made."""
+    n, scaled = state.n, state.scaled
+    closed: list[list[int]] = [[] for _ in range(n)]  # n*|A_i ^ M_i^u| - N_i^u
     agents = range(n)
     raw, eff = trace.raw_values, trace.effective_values
     values: set[tuple[int, int, int]] = set()  # (agent index, raw code, effective code)
     ok_closed = ok_pressure = ok_count = True
-    max_scaled = game_k = 0
+    max_scaled = game_k = opened = 0  # opened: the fewest types any agent has open
     for s in trace.steps:
         s.check_indices(n)
         values.update(zip(agents, s.raw_codes, s.effective_codes))
-        for i, u in enumerate(s.types):
-            while len(receipts[i]) < u:
-                state.add_type(i + 1)
-                receipts[i].append(0)
-                sightings[i].append(0)
-                game_k = max(game_k, u)
-        state.step(s.types, s.agent)
-        receipts[s.agent - 1][s.types[s.agent - 1] - 1] += 1
-        for i, u in enumerate(s.types):
-            h = state.scaled[i][u - 1]
-            r = receipts[i][u - 1]
-            seen = sightings[i][u - 1] = sightings[i][u - 1] + 1
-            if h != n * r - seen:
-                ok_closed = False
-            if h > max_scaled:
-                max_scaled = h
-            if h > 2 * game_k * (n - 1):
+        types, a = s.types, s.agent - 1
+        if max(types) > opened:
+            for i, u in enumerate(types):
+                while len(closed[i]) < u:
+                    state.add_type(i + 1)
+                    closed[i].append(0)
+            game_k = max(game_k, *types)
+            opened = min(map(len, closed))
+            pressure_cap, count_cap = 2 * game_k * (n - 1), 2 * game_k * n
+        state.step(types, s.agent)
+        for row, u in zip(closed, types):
+            row[u - 1] -= 1
+        u = types[a] - 1
+        closed[a][u] += n
+        if scaled != closed:
+            ok_closed = False
+        h = scaled[a][u]
+        if h > max_scaled:  # the earlier maximum met a cap no larger than this one
+            max_scaled = h
+            if h > pressure_cap:
                 ok_pressure = False
-            if r > ceil_div(seen, n) - 1 + 2 * game_k:
-                ok_count = False
+        if closed[a][u] >= count_cap:  # r <= ceil(N/n) - 1 + 2k fails
+            ok_count = False
         if s.pressures is not None and s.pressures != state.snapshot():
             ok_closed = False
         if after_step is not None:
-            after_step(s, state)
+            after_step(s)
     return TraceCheck(
         closed_form=ok_closed,
-        rounding_sandwich=all(raw[i][r] <= eff[i][e] < 2 * raw[i][r] for i, r, e in values),
+        rounding_sandwich=all(  # p/q <= r/s < 2p/q, times the positive denominators q and s
+            p.numerator * e.denominator <= e.numerator * p.denominator < 2 * p.numerator * e.denominator
+            for p, e in ((raw[i][r], eff[i][c]) for i, r, c in values)),
         pressure_bound=ok_pressure,
         count_bound=ok_count,
         max_scaled_pressure=max_scaled,

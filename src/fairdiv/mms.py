@@ -8,9 +8,9 @@ vector (each distinct value with its count), found by a bin-packing
 feasibility search over remaining count vectors when the vector has few
 enough states, so the branch and bound ends at its first optimal leaf
 instead of proving optimality. When the item-count guard refuses, the
-largest-first and type-union partitions give certified upper bounds instead,
-each with its max load, so downstream ratio reports never state an exact
-number without an exact benchmark. Each agent's :class:`AgentMms` record is
+largest-first partition gives a certified upper bound instead, with its max
+load, so downstream ratio reports never state an exact number without an
+exact benchmark. Each agent's :class:`AgentMms` record is
 assembled by :func:`fairdiv.adversary.agent_mms`, from one integer scale of
 its values.
 """
@@ -71,24 +71,6 @@ def lpt_partition(values, n: int, positions=None) -> tuple[int, list[list[int]]]
     for bundle in bundles:
         bundle.sort()
     return max(heap)[0], bundles
-
-
-def type_union_partition(values, n: int) -> tuple[int, list[list[int]]]:
-    """``(max load, bundles)``: each distinct value round-robined on its own.
-
-    The union of the per-type optima. The first bundle holds ceil(count/n)
-    items of every value, so the max load is the per-type share sum.
-    """
-    by_value: dict[int, list[int]] = {}
-    for p, v in enumerate(values):
-        by_value.setdefault(v, []).append(p)
-    bundles: list[list[int]] = [[] for _ in range(n)]
-    for positions in by_value.values():
-        for idx, p in enumerate(positions):
-            bundles[idx % n].append(p + 1)
-    for bundle in bundles:
-        bundle.sort()
-    return sum(v * ceil_div(len(positions), n) for v, positions in by_value.items()), bundles
 
 
 def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
@@ -385,7 +367,6 @@ __all__ = [
     "exact_search_limit",
     "common_scale",
     "lpt_partition",
-    "type_union_partition",
     "mms_exact",
     "TypeShare",
     "per_type_share",

@@ -38,11 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import add
 
 from .core import (
     FairdivError, InvariantViolation, at_line, format_rational, parse_json, parse_jsonl, parse_rational,
 )
-from .allocator import RunTrace, TraceCheck, _replay_pressure_trace
+from .allocator import PressureState, RunTrace, TraceCheck, _replay_pressure_trace
 
 HALF = Fraction(1, 2)
 
@@ -503,14 +504,17 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     relabeling sits on the leftmost touched cell; that cell is raised by 1
     and the other n-1 touched cells are lowered by 1/(n-1).
 
-    A move edits the sorted grid in place: the n touched cells come out,
-    the raised one goes back first in its new value's run and the lowered
-    ones last in theirs, in their old order, which is where a stable sort
-    puts them. Each move reads the pressures of
-    :func:`validate_pressure_trace`'s replay after its step, and that
-    replay's :class:`TraceCheck` is ``check``. Raises
-    :class:`InvariantViolation` if at any step the multiset of pressures
-    stops matching the multiset of cell values.
+    A move edits the sorted grid in place: the raised cell goes first in its
+    new value's run and the lowered ones last in theirs, in their old order,
+    which is where a stable sort puts them, so the grid stays sorted. Each
+    move reads the pressures of :func:`validate_pressure_trace`'s replay
+    after its step, and that replay's :class:`TraceCheck` is ``check``.
+    :class:`InvariantViolation` is raised unless: the move's shape, whose
+    raise cancels its lowers, holds (checked once); each move's fresh
+    counters take zero cells, its leftmost touched cell carries the chosen
+    pressure and each lowered cell's new value is its counter's pressure;
+    and, after the replay, the grid equals the sorted pressures with zero
+    integral, which also catches a counter that changed while untouched.
     """
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
@@ -518,64 +522,69 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
     Q = game.Q
     av, bv = game._move_units(1, Fraction(1, n - 1), 1, n - 1)  # every move has this shape
+    if (av, bv) != (n - 1, 1):  # the raise cancels the lowers, and a lower drops a value by one
+        raise InvariantViolation("grid state lost sortedness or zero integral")
     values = game.values
+    state = PressureState(n)
+    scaled = state.scaled
     # Counter (agent i, type u) is slot (i-1)*k + (u-1); holder[c] is the slot
     # on cell c, or -1 for none yet.
     holder = [-1] * Q
+    first_slots = range(-1, n * k - 1, k)
     steps: list[tuple[int, tuple[int, ...]]] = []
 
-    def move(step, state):
-        slots = [(i - 1) * k + u - 1 for i, u in enumerate(step.types, 1)]
-        cells = []
-        for slot in slots:
-            try:
-                cells.append(holder.index(slot))
-            except ValueError:  # a fresh counter takes the leftmost free cell
-                free = holder.index(-1)
-                if values[free] != 0:
-                    raise InvariantViolation("fresh pressure assigned to a nonzero cell") from None
-                holder[free] = slot
-                cells.append(free)
-
-        chosen = slots[step.agent - 1]
-        old_cell = cells[step.agent - 1]
+    def move(step):
+        slots = list(map(add, first_slots, step.types))
+        try:
+            cells = list(map(holder.index, slots))
+        except ValueError:  # a fresh counter takes the leftmost free cell
+            for slot in slots:
+                if slot not in holder:
+                    free = holder.index(-1)
+                    if values[free] != 0:
+                        raise InvariantViolation("fresh pressure assigned to a nonzero cell") from None
+                    holder[free] = slot
+            cells = list(map(holder.index, slots))
+        a = step.agent - 1
+        chosen, old_cell = slots[a], cells[a]
         cells.sort()
         c_star, b_cells = cells[0], tuple(cells[1:])
         # after the step: the chosen counter rose by n-1
-        if values[c_star] != state.scaled[step.agent - 1][step.types[step.agent - 1] - 1] - (n - 1):
-            raise InvariantViolation(
-                "leftmost touched cell does not carry the minimum pressure"
-            )
-        game._check_cells((c_star,), b_cells)
+        if values[c_star] != scaled[a][step.types[a] - 1] - (n - 1):
+            raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
+        if len(set(cells)) < n:  # only coinciding cells can fail the shape check, which names the fault
+            game._check_cells((c_star,), b_cells)
         holder[old_cell], holder[c_star] = holder[c_star], chosen
-
-        lowered = [(values[c] - bv, holder[c]) for c in b_cells]
+        # the raised cell goes first in its new value's run; a lowered cell of value v
+        # goes last in v-1's run, the front of v's, so only its holder moves (bv is 1)
         raised = values[c_star] + av
-        for c in reversed(cells):
-            del values[c], holder[c]
-        # every untouched cell whose value a lowered cell takes lies left of
-        # it, and every one whose value the raised cell takes lies right of it
-        for value, slot in lowered:
-            at = bisect_right(values, value)
-            values.insert(at, value)
-            holder.insert(at, slot)
-        at = bisect_left(values, raised)
-        values.insert(at, raised)
-        holder.insert(at, chosen)
-
-        want = list(chain.from_iterable(state.scaled))
-        want += [0] * (Q - len(want))
-        want.sort()
-        if values != want:
-            if sorted(values) != want:
+        del values[c_star], holder[c_star]
+        top = bisect_left(values, raised, c_star)
+        values.insert(top, raised)
+        holder.insert(top, chosen)
+        for c in b_cells:
+            if c <= top:
+                c -= 1
+            value, slot = values[c] - bv, holder[c]
+            if value != scaled[slot // k][slot % k]:
                 raise InvariantViolation("pressure multiset != cell value multiset")
-            raise InvariantViolation("grid state lost sortedness or zero integral")
-        if not game.integral_is_zero():
-            raise InvariantViolation("grid state lost sortedness or zero integral")
-
+            at = bisect_right(values, value, 0, c)
+            values[at] = value
+            if at != c:
+                holder.insert(at, holder.pop(c))
         steps.append((c_star, b_cells))
 
-    return ReductionResult(n, k, game, steps, _replay_pressure_trace(trace, n, move))
+    check = _replay_pressure_trace(trace, state, move)
+    want = list(chain.from_iterable(scaled))
+    want += [0] * (Q - len(want))
+    want.sort()
+    if values != want:
+        if sorted(values) != want:
+            raise InvariantViolation("pressure multiset != cell value multiset")
+        raise InvariantViolation("grid state lost sortedness or zero integral")
+    if not game.integral_is_zero():
+        raise InvariantViolation("grid state lost sortedness or zero integral")
+    return ReductionResult(n, k, game, steps, check)
 
 
 # Trace file format ----------------------------------------------------------

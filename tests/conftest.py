@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 from fairdiv import Instance
+from fairdiv.core import ceil_div
 
 
 def brute_force_mms(values, n: int) -> Fraction:
@@ -140,3 +141,23 @@ class OracleRec3:
                 self.V2 = self.l2_pending[1]
             self.last2 = self.l2_r
             self.l2_scale1 = self.l2_sums[0] / self.eps_sub2
+
+
+def type_union_partition(values, n: int) -> tuple[int, list[list[int]]]:
+    """``(max load, bundles)``: each distinct value round-robined on its own.
+
+    The union of the per-type optima. The first bundle holds ceil(count/n)
+    items of every value, so the max load is the per-type share sum. Never
+    below the largest-first load, so ``agent_mms`` does not try it; the
+    references that still do show that it never wins.
+    """
+    by_value: dict[int, list[int]] = {}
+    for p, v in enumerate(values):
+        by_value.setdefault(v, []).append(p)
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    for positions in by_value.values():
+        for idx, p in enumerate(positions):
+            bundles[idx % n].append(p + 1)
+    for bundle in bundles:
+        bundle.sort()
+    return sum(v * ceil_div(len(positions), n) for v, positions in by_value.items()), bundles

@@ -206,7 +206,8 @@ def test_criterion_4_reduction_consistency():
         D = F(2) ** (k - 1) if grid == "powers-of-two" else F(rng.randint(max(2, k), 12))
         inst = generate_instance(GeneratorConfig(n=n, m=m, k=k, D=D, value_grid=grid, seed=rng.randrange(10**6)))
         _, trace = run_online(inst, PressureGreedyPolicy())
-        # multiset(pressures) == multiset(cell values) is asserted per step inside
+        # inside: each move checks its n touched cells against their pressures, and
+        # the end of the replay checks the whole grid against the sorted pressures
         res = allocator_to_stacking(trace, n)
         check = validate_pressure_trace(trace)
         assert res.check == check  # the reduction rides on the validator's replay

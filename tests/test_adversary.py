@@ -19,10 +19,9 @@ from fairdiv.adversary import (RatioCertificate, RecGameRecord, agent_mms, greed
                                scaled_disutilities, scaled_mms_report)
 from fairdiv.allocator import DumpToOnePolicy, ExternalPolicy, PressureGreedyPolicy, RoundRobinPolicy
 from fairdiv.core import FairdivError
-from fairdiv.mms import (AgentMms, InstanceTooLarge, common_scale, exact_search_limit, mms_exact,
-                         type_union_partition, witness_max_bundle)
+from fairdiv.mms import AgentMms, InstanceTooLarge, common_scale, exact_search_limit, mms_exact, witness_max_bundle
 
-from conftest import random_instance
+from conftest import random_instance, type_union_partition
 
 F = Fraction
 

@@ -316,7 +316,9 @@ def _reduction_on_its_own_replay(trace, n):
 def _rescan_corpus(rng):
     """``(n, trace)``: 400 small traces of mixed policies, then long ones
     through the reduction's move: three stream-shaped (n=8, k=4, m=1000,
-    powers of two) and three tie-heavy (n=2, k=1)."""
+    powers of two), three tie-heavy (n=2, k=1) and four whose counters open
+    late (uniform-rational, m=560, one value per agent for 260 items and
+    four after), so fresh cells join a grid of nonzero ones."""
     policies = ("pressure-greedy", "bi-value", "round-robin", "dump-to-one", "mixture:5")
     for _ in range(400):
         n, m, k = rng.randint(2, 5), rng.randint(1, 60), rng.randint(1, 4)
@@ -326,6 +328,14 @@ def _rescan_corpus(rng):
         yield 8, run_online(generate_instance(cfg), PressureGreedyPolicy())[1]
     for _ in range(3):
         yield 2, run_online(random_instance(rng, 2, rng.randint(200, 400), 1), PressureGreedyPolicy())[1]
+    for _ in range(4):
+        n = rng.randint(3, 8)
+        early, late = (
+            generate_instance(GeneratorConfig(n=n, m=m, k=k, D=Fraction(16), value_grid="uniform-rational",
+                                              seed=rng.randrange(10**6)))
+            for m, k in ((260, 1), (300, 4))
+        )
+        yield n, run_online(Instance(n, early.items + late.items), PressureGreedyPolicy())[1]
 
 
 def test_validate_matches_the_full_rescan_reference():
@@ -333,8 +343,9 @@ def test_validate_matches_the_full_rescan_reference():
     # replay, against a reduction on a replay of its own
     rng = random.Random(47)
     failed = dict.fromkeys(("closed_form", "rounding_sandwich", "pressure_bound", "count_bound"), 0)
-    reduced = long_reduced = 0
+    reduced = long_reduced = late_reduced = 0
     for n, trace in _rescan_corpus(rng):
+        late = trace.m >= 500 and max(max(s.types) for s in trace.steps[:250]) < trace.max_type_count()
         _corrupt(rng, trace)
         check = validate_pressure_trace(trace)
         expected = _full_rescan_check(trace)
@@ -353,9 +364,11 @@ def test_validate_matches_the_full_rescan_reference():
             assert {key: getattr(res.check, key) for key in expected} == expected
             reduced += 1
             long_reduced += trace.m >= 200
+            late_reduced += late
     assert all(20 <= count <= 380 for count in failed.values()), failed
     assert 20 <= reduced <= 380, reduced
     assert long_reduced >= 3, long_reduced
+    assert late_reduced >= 2, late_reduced
 
 
 _STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1], "agent": 1}

@@ -25,10 +25,9 @@ from fairdiv import (
 )
 from fairdiv.adversary import RatioCertificate
 from fairdiv import mms as mms_module
-from fairdiv.mms import (_count_vector_optimum, common_scale, exact_search_limit, lpt_partition,
-                         type_union_partition, witness_max_bundle)
+from fairdiv.mms import _count_vector_optimum, common_scale, exact_search_limit, lpt_partition, witness_max_bundle
 
-from conftest import brute_force_mms, random_instance
+from conftest import brute_force_mms, random_instance, type_union_partition
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -266,6 +265,17 @@ def test_lpt_partition_heap_matches_the_scan():
         values = [rng.choice(pool) for _ in range(m)]
         positions = None if trial % 2 else sorted(rng.sample(range(m), rng.randint(0, m)))
         assert lpt_partition(values, n, positions) == _scan_lpt(values, n, positions)
+
+
+def test_largest_first_never_above_the_type_union_load():
+    # why agent_mms tries no type-union partition: placing c equal items of
+    # size u greedily raises the max load by at most u*ceil(c/n)
+    rng = random.Random(101)
+    for _ in range(2000):
+        n, m = rng.randint(1, 8), rng.randint(0, 60)
+        pool = [rng.randint(1, 30) for _ in range(rng.randint(1, 5))]
+        values = [rng.choice(pool) for _ in range(m)]
+        assert lpt_partition(values, n)[0] <= type_union_partition(values, n)[0]
 
 
 def _fraction_agent_mms(inst, agent, witnesses):

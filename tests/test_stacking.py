@@ -262,6 +262,50 @@ def test_reduction_rejects_corrupted_trace():
         allocator_to_stacking(bad, 2)
 
 
+def _skew_at_step(monkeypatch, at, counter):
+    """Make ``PressureState.step`` add 1 to the counter ``counter(types,
+    winner)`` returns, (agent index, type index), on its ``at``-th call;
+    the list returned records every call's winner."""
+    real, winners = PressureState.step, []
+
+    def step(self, types, agent=None):
+        winner = real(self, types, agent)
+        winners.append(winner)
+        if len(winners) == at:
+            i, u = counter(types, winner)
+            self.scaled[i][u] += 1
+        return winner
+
+    monkeypatch.setattr(PressureState, "step", step)
+    return winners
+
+
+def _late_switch_trace():
+    """n=3: agent 1's first item rounds to 4 and the other eleven to 1, so its
+    type-1 counter is touched at step 1 only."""
+    one = (Fraction(1),) * 3
+    return run_online(Instance(3, ((Fraction(4),) + one[1:],) + (one,) * 11), PressureGreedyPolicy())[1]
+
+
+def test_reduction_end_check_catches_an_untouched_counter(monkeypatch):
+    trace = _late_switch_trace()
+    winners = _skew_at_step(monkeypatch, 6, lambda types, winner: (0, 0))
+    with pytest.raises(InvariantViolation) as raised:
+        allocator_to_stacking(trace, 3)
+    assert str(raised.value) == "pressure multiset != cell value multiset"
+    assert len(winners) == trace.m  # no per-move check saw it: the end of the replay did
+
+
+def test_reduction_move_check_catches_a_lowered_counter(monkeypatch):
+    trace = _late_switch_trace()
+    lowered = lambda types, winner: next((i, u - 1) for i, u in enumerate(types) if i != winner - 1)
+    winners = _skew_at_step(monkeypatch, 6, lowered)
+    with pytest.raises(InvariantViolation) as raised:
+        allocator_to_stacking(trace, 3)
+    assert str(raised.value) == "pressure multiset != cell value multiset"
+    assert len(winners) == 6  # caught on the move of the skewed step
+
+
 def test_reduction_rejects_out_of_range_indices():
     # validate_pressure_trace makes the same check on every step
     for n in (2, 3):
