@@ -41,18 +41,18 @@ from .core import (
 )
 
 
+_pow2 = functools.cache(lambda e: Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e))  # 2^e
+
+
 def round_up_pow2(d: Fraction) -> Fraction:
     """Smallest integer power of two (exponent may be negative) that is >= d."""
-    d = Fraction(d)
     num, den = d.numerator, d.denominator
     if num <= 0:
         raise FairdivError(f"round_up_pow2: non-positive input {d}")
     # 2^(e-1) < d < 2^(e+1) for e the bit-length difference, so 2^e or 2^(e+1)
     e = num.bit_length() - den.bit_length()
     below = den << e < num if e >= 0 else den < num << -e  # 2^e < d
-    if below:
-        e += 1
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+    return _pow2(e + 1 if below else e)
 
 
 class PressureState:
@@ -101,12 +101,13 @@ class PressureState:
         return winner + 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceStep:
     """One allocated item. ``raw_codes`` and ``effective_codes`` index the
     trace's per-agent tables (:class:`RunTrace`); ``pressures`` is the
     post-step snapshot, the int rows (n-1)*H of :meth:`PressureState.snapshot`,
-    or None without pressures."""
+    or None without pressures. A slots class, cheap to build once per item;
+    it is mutable and unhashable, but nothing mutates or hashes a step."""
 
     item: int
     raw_codes: tuple[int, ...]
@@ -159,39 +160,45 @@ class RunTrace:
         agent = policy.choose(raw, codes)
         if not (1 <= agent <= self.n):
             raise FairdivError(f"policy chose invalid agent {agent}")
-        self.steps.append(
-            TraceStep(
-                item=len(self.steps) + 1,
-                raw_codes=codes,
-                effective_codes=policy.last_effective(codes),
-                types=policy.last_types(),
-                agent=agent,
-                pressures=policy.pressure_snapshot(),
-            )
-        )
+        steps = self.steps
+        steps.append(TraceStep(len(steps) + 1, codes, policy.last_effective(codes), policy.last_types(),
+                               agent, policy.pressure_snapshot()))
         return agent
 
     def max_type_count(self) -> int:
         return max(chain.from_iterable(map(attrgetter("types"), self.steps)), default=0)
 
     def to_jsonl(self) -> str:
-        """One JSON line per step, as ``json.dumps`` with sorted keys writes it.
-        Each distinct value's text is made once per agent and table, each
-        distinct pressure row's once; a scaled pressure h is written as h/(n-1)."""
+        """One JSON line per step, as ``json.dumps`` with sorted keys writes it,
+        by one ``%`` format. Each distinct value's text is made once per agent
+        and table, the effective, raw and types text once per distinct
+        (effective codes, raw codes, types), and each distinct pressure row's
+        once; a scaled pressure h is written as h/(n-1)."""
         raw = list(map(json_texts, self.raw_values))
         effective = raw if self.effective_values is self.raw_values else list(map(json_texts, self.effective_values))
         cell = functools.cache(lambda h: '"' + format_rational(Fraction(h, self.n - 1)) + '"')
-        row = functools.cache(lambda r: "[" + ",".join(map(cell, r)) + "]")
+        number = functools.cache(str)
+        texts: dict[tuple, tuple[str, str, str]] = {}
+        rows: dict[tuple[int, ...], str] = {}
         lines = []
         for s in self.steps:
-            pressures = "" if s.pressures is None else '"pressures":[' + ",".join(map(row, s.pressures)) + "],"
-            lines.append(
-                '{"agent":' + str(s.agent)
-                + ',"effective":[' + ",".join(map(getitem, effective, s.effective_codes))
-                + '],"item":' + str(s.item) + "," + pressures
-                + '"raw":[' + ",".join(map(getitem, raw, s.raw_codes))
-                + '],"types":[' + ",".join(map(str, s.types)) + "]}"
-            )
+            key = s.effective_codes, s.raw_codes, s.types
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = (",".join(map(getitem, effective, s.effective_codes)),
+                                     ",".join(map(getitem, raw, s.raw_codes)), ",".join(map(number, s.types)))
+            e, r, t = text
+            if s.pressures is None:
+                lines.append('{"agent":%s,"effective":[%s],"item":%s,"raw":[%s],"types":[%s]}' % (s.agent, e, s.item, r, t))
+                continue
+            row_texts = []
+            for row in s.pressures:
+                x = rows.get(row)
+                if x is None:
+                    x = rows[row] = ",".join(map(cell, row))
+                row_texts.append(x)
+            lines.append('{"agent":%s,"effective":[%s],"item":%s,"pressures":[[%s]],"raw":[%s],"types":[%s]}'
+                         % (s.agent, e, s.item, "],[".join(row_texts), r, t))
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -256,6 +263,7 @@ class Policy:
 
     def start(self, n: int) -> None:
         self.n = n
+        self._ones = (1,) * n
 
     def choose(self, raw, codes=None) -> int:
         raise NotImplementedError
@@ -270,7 +278,7 @@ class Policy:
         return codes
 
     def last_types(self) -> tuple[int, ...]:
-        return tuple([1] * self.n)
+        return self._ones
 
     def pressure_snapshot(self):
         return None

@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -177,10 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process: building it costs more than a small run
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

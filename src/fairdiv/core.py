@@ -95,14 +95,19 @@ def parse_rational(text) -> Fraction:
     raise ParseError(f"not a rational: {text!r}")
 
 
-def format_rational(x: Fraction) -> str:
-    """``"p"`` or ``"p/q"`` in lowest terms, for rationals of any length."""
-    x = Fraction(x)
+def _decimal(x: int) -> str:
+    """``str(x)``, also past the interpreter's int/str digit limit."""
     try:
         return str(x)
-    except ValueError:  # past the interpreter's int/str digit limit
-        p = _digits_from_int(x.numerator)
-        return p if x.denominator == 1 else f"{p}/{_digits_from_int(x.denominator)}"
+    except ValueError:
+        return _digits_from_int(x)
+
+
+def format_rational(x: Fraction) -> str:
+    """``"p"`` or ``"p/q"`` in lowest terms, for rationals of any length."""
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    p = _decimal(x.numerator)
+    return p if x.denominator == 1 else p + "/" + _decimal(x.denominator)
 
 
 class ValueTables:
@@ -280,8 +285,11 @@ def instance_stats(inst: Instance) -> InstanceStats:
 
 def json_texts(values) -> list[str]:
     """The JSON string of each value, as ``json.dumps`` writes its
-    :func:`format_rational` text (which needs no escaping)."""
-    return ['"' + format_rational(v) + '"' for v in values]
+    :func:`format_rational` text (which needs no escaping). Each distinct
+    numerator and denominator is written in decimal once."""
+    digits = functools.cache(_decimal)
+    return ['"' + digits(v.numerator) + ('"' if v.denominator == 1 else "/" + digits(v.denominator) + '"')
+            for v in values]
 
 
 def instance_to_json(inst: Instance) -> str:

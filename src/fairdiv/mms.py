@@ -21,7 +21,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapreplace
+from heapq import heapify, heapreplace
+from itertools import groupby
 from math import lcm, prod
 
 from .core import FairdivError, Instance, ceil_div, format_rational
@@ -49,8 +50,10 @@ def exact_search_limit(n: int) -> int:
 def common_scale(values) -> tuple[int, list[int]]:
     """``(d, [v * d for v in values])`` for ``d`` the least common denominator:
     integers with every order, tie and ratio of the rationals."""
-    common = lcm(*{v.denominator for v in values})
-    return common, [v.numerator * (common // v.denominator) for v in values]
+    denominators = {v.denominator for v in values}
+    common = lcm(*denominators)
+    factors = {d: common // d for d in denominators}
+    return common, [v.numerator * factors[v.denominator] for v in values]
 
 
 def lpt_partition(values, n: int, positions=None) -> tuple[int, list[list[int]]]:
@@ -59,15 +62,32 @@ def lpt_partition(values, n: int, positions=None) -> tuple[int, list[list[int]]]
     ``positions`` (0-based, default all) selects the items. Ties: a stable
     descending sort, and the lowest-indexed least-loaded bundle. ``values``
     are the integers of :func:`common_scale`, and so is the load.
+
+    Once every load is less than v above the least, for v the value of a
+    run of equal items, the heap would place the rest of the run round by
+    round in (load, index) order, so each bundle takes its share at once.
     """
     if positions is None:
         positions = range(len(values))
     heap = [(0, b) for b in range(n)]  # (load, bundle): the top is the least load, lowest index
+    top = 0  # the largest load
     bundles: list[list[int]] = [[] for _ in range(n)]
-    for p in sorted(positions, key=values.__getitem__, reverse=True):
-        load, b = heap[0]
-        heapreplace(heap, (load + values[p], b))
-        bundles[b].append(p + 1)
+    for v, run in groupby(sorted(positions, key=values.__getitem__, reverse=True), values.__getitem__):
+        run = [p + 1 for p in run]
+        t = 0
+        while t < len(run) and top - heap[0][0] >= v:  # one item; the new load is at most top
+            load, b = heap[0]
+            heapreplace(heap, (load + v, b))
+            bundles[b].append(run[t])
+            t += 1
+        if t < len(run):
+            heap.sort()
+            for j, (load, b) in enumerate(heap):
+                share = run[t + j::n]
+                bundles[b] += share
+                heap[j] = (load + v * len(share), b)
+            heapify(heap)
+            top = max(heap)[0]
     for bundle in bundles:
         bundle.sort()
     return max(heap)[0], bundles

@@ -29,6 +29,7 @@ from fairdiv.allocator import (
     Policy,
     PressureGreedyPolicy,
     RoundRobinPolicy,
+    SeededMixturePolicy,
     trace_from_jsonl,
 )
 from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance
@@ -149,6 +150,10 @@ def test_determinism():
     assert t1.to_jsonl() == t2.to_jsonl()
 
 
+def _decoded_steps(trace):
+    return [(s.item, trace.raw(s), trace.effective(s), s.types, s.agent, s.pressures) for s in trace.steps]
+
+
 def test_trace_jsonl_roundtrip():
     rng = random.Random(37)
     for n, m in ((3, 12), (3, 40), (4, 40)):
@@ -159,6 +164,57 @@ def test_trace_jsonl_roundtrip():
         assert again.to_jsonl() == trace.to_jsonl()
     # the n=4 trace holds pressures that are not whole numbers
     assert any(h % 3 for s in trace.steps for row in s.pressures for h in row)
+    # bi-value, merged and fallen back, and round-robin, without pressures
+    fell_back = 0
+    for n, m, k in ((3, 40, 2), (4, 40, 3), (5, 60, 3), (3, 30, 1)):
+        inst = random_instance(rng, n=n, m=m, k=k)
+        for policy in (BiValuePolicy(), RoundRobinPolicy()):
+            _, trace = run_online(inst, policy)
+            again = trace_from_jsonl(trace.to_jsonl(), n=n, policy=trace.policy)
+            # the policy's effective codes follow its own tables, so compare values
+            assert _decoded_steps(again) == _decoded_steps(trace)
+            assert again.to_jsonl() == trace.to_jsonl()
+            fell_back += getattr(policy, "fell_back", False)
+    assert fell_back
+
+
+def _step_record(trace, s) -> dict:
+    """The JSON record of one trace step, built field by field; ``str`` writes
+    a short Fraction as "p" or "p/q"."""
+    rec = {
+        "item": s.item,
+        "raw": [str(v) for v in trace.raw(s)],
+        "effective": [str(v) for v in trace.effective(s)],
+        "types": list(s.types),
+        "agent": s.agent,
+    }
+    if s.pressures is not None:
+        rec["pressures"] = [[str(Fraction(h, trace.n - 1)) for h in row] for row in s.pressures]
+    return rec
+
+
+def test_to_jsonl_matches_json_dumps_of_each_record():
+    rng = random.Random(43)
+    policies = (PressureGreedyPolicy, BiValuePolicy, RoundRobinPolicy, DumpToOnePolicy, lambda: SeededMixturePolicy(5))
+    fell_back = set()
+    for n in range(2, 9):
+        for k in (1, 2, 3):  # three values break the bi-value promise
+            inst = random_instance(rng, n=n, m=rng.randint(1, 60), k=k)
+            for make in policies:
+                policy = make()
+                _, trace = run_online(inst, policy)
+                lines = trace.to_jsonl().split("\n")
+                assert lines.pop() == ""
+                assert lines == [json.dumps(_step_record(trace, s), sort_keys=True, separators=(",", ":"))
+                                 for s in trace.steps]
+                if getattr(policy, "fell_back", False):
+                    fell_back.add(n)
+    assert len(fell_back) >= 5
+    # a read trace may repeat values under other types; each line keeps its own
+    text = "".join(json.dumps({"item": j, "raw": ["1", "3/2"], "effective": ["1", "2"], "types": types,
+                               "agent": agent}, sort_keys=True, separators=(",", ":")) + "\n"
+                   for j, (types, agent) in enumerate((([1, 1], 1), ([1, 2], 2), ([1, 1], 2), ([2, 2], 1)), 1))
+    assert trace_from_jsonl(text, n=2).to_jsonl() == text
 
 
 def test_validate_catches_a_snapshot_off_by_one_scaled_unit():

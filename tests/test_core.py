@@ -21,6 +21,7 @@ from fairdiv import (
 )
 from fairdiv.adversary import make_recursive_adversary, play_game
 from fairdiv.allocator import RoundRobinPolicy
+from fairdiv.core import json_texts
 
 from conftest import random_instance
 
@@ -109,6 +110,19 @@ def test_rationals_of_any_length_roundtrip():
     text = instance_to_json(inst)
     assert load_instance(text) == inst
     assert instance_to_json(load_instance(text.encode("utf-8"))) == text
+
+
+def test_json_texts_share_each_denominator_and_pass_the_digit_limit():
+    big = 3**10000  # 4772 digits, past the int/str conversion limit
+    values = [Fraction(p, q) for q in (1, 7, 12, big) for p in (1, 5, -11, big + 1)]
+    texts = json_texts(values + values)
+    assert texts[: len(values)] == texts[len(values):]
+    for value, text in zip(values, texts):
+        assert text.startswith('"') and text.endswith('"')
+        assert parse_rational(text[1:-1]) == value
+        assert text == json.dumps(format_rational(value))
+        if len(text) < 100:  # short enough for str
+            assert text == json.dumps(str(value))
 
 
 @pytest.mark.parametrize("digits", [4300, 4301, 100_000])

@@ -410,6 +410,29 @@ def test_cli_usage_error():
     assert main(["gen", "--n", "2", "--m", "4", "--k", "3", "--D", "2", "--out", "-"]) == 2
 
 
+def test_cli_main_calls_share_one_parser(tmp_path, capsys):
+    from fairdiv import cli
+
+    inst_path, report_path = tmp_path / "inst.json", tmp_path / "report.json"
+    outputs = []
+    for _ in range(2):
+        assert main(["gen", "--n", "3", "--m", "8", "--k", "2", "--D", "4", "--seed", "4", "--out", str(inst_path)]) == 0
+        assert main(["run", "--in", str(inst_path), "--policy", "round-robin", "--report", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["runs"][0]["policy"] == "round-robin"
+        # a flag given to the last call is not the default of the next
+        assert main(["run", "--in", str(inst_path), "--report", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["runs"][0]["policy"] == "pressure-greedy"
+        assert main(["mms", "--in", str(inst_path)]) == 0
+        assert main(["adversary", "run", "--n", "2", "--budget", "20", "--policy", "round-robin"]) == 0
+        outputs.append(capsys.readouterr().out)
+        # a bad flag is one error line and exit 2, and the next call still parses
+        assert main(["gen", "--n", "2", "--m", "3", "--bogus"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:] and "--bogus" in lines[-1]
+    assert outputs[0] == outputs[1]
+    assert cli._parser() is cli._parser()
+
+
 def test_python_m_fairdiv(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 

@@ -267,6 +267,24 @@ def test_lpt_partition_heap_matches_the_scan():
         assert lpt_partition(values, n, positions) == _scan_lpt(values, n, positions)
 
 
+def test_lpt_partition_matches_the_scan_at_stream_scale():
+    # long runs of equal values go round by round; runs shorter than n, and
+    # big values that leave the loads unbalanced when a run starts, go item by item
+    rng = random.Random(103)
+    cases = [(5, [50] * 3 + [7] * 1000 + [3] * 2 + [1] * 995), (8, [9] * 7 + [2] * 1993)]
+    for _ in range(60):
+        n, k = rng.randint(2, 8), rng.randint(1, 4)
+        pool = rng.sample([1, 2, 3, 5, 8, 64, 1000, 3 ** 40], k)
+        values = [v for v in pool for _ in range(rng.choice((rng.randint(0, n - 1), rng.randint(n, 2000 // k))))]
+        rng.shuffle(values)
+        cases.append((n, values))
+    for trial, (n, values) in enumerate(cases):
+        m = len(values)
+        positions = None if trial % 2 else sorted(rng.sample(range(m), rng.randint(0, m)))
+        assert lpt_partition(values, n, positions) == _scan_lpt(values, n, positions)
+        assert lpt_partition(values, n) == _scan_lpt(values, n)
+
+
 def test_largest_first_never_above_the_type_union_load():
     # why agent_mms tries no type-union partition: placing c equal items of
     # size u greedily raises the max load by at most u*ceil(c/n)
