@@ -138,7 +138,7 @@ def _add_to_heaviest(values, bundles, items) -> tuple[Fraction, list[list[int]]]
 
 
 def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
-    """One agent's certified MMS bounds, from one integer scale of its value table.
+    """One agent's certified MMS bounds, on one integer scale of its value table.
 
     ``lower`` is max(average, largest item): some bundle carries at least
     the average, and some bundle holds the largest item. ``upper`` is the
@@ -149,19 +149,14 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
     c equal items of size u greedily raises the max load by at most
     u*ceil(c/n), so no type-union partition is tried. Only supplied
     witnesses are checked by :func:`witness_max_bundle`: the largest-first
-    one comes with its max load.
+    one comes with its max load. The record keeps the scale it was built on.
     """
-    return _scaled_agent_mms(inst, agent, witnesses)[0]
-
-
-def _scaled_agent_mms(inst: Instance, agent: int, witnesses) -> tuple[AgentMms, int, list[int]]:
-    """:func:`agent_mms` with the scale it worked on: ``values[j]`` is d(j+1) * ``common``."""
     if inst.m == 0:  # the empty partition (every bundle empty): every bound is 0
-        return AgentMms(agent, Fraction(0), Fraction(0), Fraction(0), ()), 1, []
+        return AgentMms(agent, Fraction(0), Fraction(0), Fraction(0), ())
     n = inst.n
     supplied = [(witness_max_bundle(inst, agent, w), w) for w in witnesses]
     common, scaled = common_scale(inst.values[agent - 1])
-    values = [scaled[row[agent - 1]] for row in inst.codes]
+    values = tuple(scaled[row[agent - 1]] for row in inst.codes)
     lower = Fraction(max(sum(values), n * max(values)), n * common)
     try:
         exact, positions = mms_exact(values, n)
@@ -172,35 +167,28 @@ def _scaled_agent_mms(inst: Instance, agent: int, witnesses) -> tuple[AgentMms, 
     else:
         exact = upper = exact / common
         witness = [[p + 1 for p in bundle] for bundle in positions]
-    return AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness)), common, values
+    return AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness), common, values)
 
 
-def scaled_mms_report(inst: Instance, witnesses=()) -> list[tuple[AgentMms, int, list[int]]]:
-    """Each agent's :func:`agent_mms` record with the scale it was built on:
-    ``(record, common, values)``, ``values[j]`` being d(j+1) * ``common``."""
-    return [_scaled_agent_mms(inst, agent, witnesses) for agent in range(1, inst.n + 1)]
-
-
-def mms_report(inst: Instance, witnesses=None) -> list[AgentMms]:
+def mms_report(inst: Instance, witnesses=()) -> list[AgentMms]:
     """Each agent's :func:`agent_mms` record, computed once per instance."""
-    return [record for record, _, _ in scaled_mms_report(inst, witnesses or ())]
+    return [agent_mms(inst, agent, witnesses) for agent in range(1, inst.n + 1)]
 
 
-def scaled_disutilities(inst: Instance, alloc: Allocation, scaled) -> list[Fraction]:
+def scaled_disutilities(inst: Instance, alloc: Allocation, report) -> list[Fraction]:
     """Each agent's d_A under ``alloc``, summed in one pass over the assignment
-    on the integer scale of the agent's record in ``scaled``
-    (:func:`scaled_mms_report`)."""
+    on the integer scale of the agent's record in ``report`` (:func:`mms_report`)."""
     if alloc.m > inst.m:
         raise FairdivError(f"allocation of {alloc.m} items for an instance of {inst.m}")
     n, assignment = inst.n, alloc.assignment
     if assignment and max(assignment) > n:
         j, a = next((j, a) for j, a in enumerate(assignment, 1) if a > n)
         raise FairdivError(f"item {j}: agent index {a} exceeds n={n}")
-    columns = [values for _, _, values in scaled]
+    columns = [r.scaled for r in report]
     sums = [0] * n
     for j, a in enumerate(assignment):
         sums[a - 1] += columns[a - 1][j]
-    return [Fraction(total, common) for total, (_, common, _) in zip(sums, scaled)]
+    return [Fraction(total, r.scale) for total, r in zip(sums, report)]
 
 
 def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[RatioCertificate]:
@@ -213,10 +201,10 @@ def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[Rat
     """
     if inst.m == 0:
         return [TRIVIAL_CERTIFICATE]
-    scaled = scaled_mms_report(inst, witnesses or ())
+    report = mms_report(inst, witnesses or ())
     return [
         _build_certificate(r.agent, d_a, r.upper, r.witness, r.source)
-        for (r, _, _), d_a in zip(scaled, scaled_disutilities(inst, alloc, scaled))
+        for r, d_a in zip(report, scaled_disutilities(inst, alloc, report))
     ]
 
 
@@ -564,8 +552,8 @@ class O1O2Report:
     failures: tuple[str, ...]
 
 
-def check_O1_O2(adv: "RecursiveAdversary | RecGameRecord") -> O1O2Report:
-    """Verify the negligibility properties of a recursive-game run, exactly.
+def check_O1_O2(record: RecGameRecord) -> O1O2Report:
+    """Verify the negligibility properties of a recursive-game run's record, exactly.
 
     O1: at every prefix ending with a take by the top agent (up to and
     including the round where she crosses n*V), the total she skipped so far
@@ -573,7 +561,6 @@ def check_O1_O2(adv: "RecursiveAdversary | RecGameRecord") -> O1O2Report:
     except her first take is at most eps_own * V. Vacuous when she never
     took an item.
     """
-    record = adv.record() if isinstance(adv, RecursiveAdversary) else adv
     take_rounds = record.own_take_rounds
     if not take_rounds:
         return O1O2Report(True, True, 0, 0, record_max_gap(record), ())
@@ -628,19 +615,19 @@ def play_game(adversary, policy: Policy, budget: int) -> GameResult:
     tables = ValueTables(n)
     trace = RunTrace.begin(policy, n, tables.values)
 
-    def result(inst, cert, certified, exhausted):
-        record = adversary.record() if isinstance(adversary, RecursiveAdversary) else None
-        return GameResult(inst, trace.allocation(), cert, certified, trace.m, exhausted, trace, record)
-
+    certified = False
     for _ in range(budget):
         raw = adversary.next_item()
         adversary.observe(trace.feed(policy, raw, tables.encode(raw)))
         cert = adversary.certificate()
         if cert is not None and cert.ratio_lower > target_ratio:
-            return result(adversary.instance(), cert, True, False)
-    inst = adversary.instance()
-    best = max(certify_ratio(inst, trace.allocation()), key=lambda c: c.ratio_lower)
-    return result(inst, best, False, True)
+            certified = True
+            break
+    inst, alloc = adversary.instance(), trace.allocation()
+    if not certified:
+        cert = max(certify_ratio(inst, alloc), key=lambda c: c.ratio_lower)
+    record = adversary.record() if isinstance(adversary, RecursiveAdversary) else None
+    return GameResult(inst, alloc, cert, certified, trace.m, not certified, trace, record)
 
 
 __all__ = [
@@ -649,7 +636,6 @@ __all__ = [
     "verify_certificate",
     "greedy_bin_packing",
     "agent_mms",
-    "scaled_mms_report",
     "mms_report",
     "scaled_disutilities",
     "certify_ratio",

@@ -68,13 +68,14 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     """Run one policy, once, inside ``run_experiment``; ``--out`` and ``--trace``
-    come from that run (empty for an empty instance, which has no run)."""
+    write that run's allocation and trace (empty for an empty instance, which has no run)."""
     inst = load_instance(_read(args.infile))
     policy = make_policy(args.policy)
     report = run_experiment(inst, policies=[policy])
     trace = report.runs[0].trace if report.runs else RunTrace(n=inst.n, policy=policy.name)
+    alloc = report.runs[0].allocation if report.runs else trace.allocation()
     if args.out:
-        _write(args.out, allocation_to_json(trace.allocation()) + "\n")
+        _write(args.out, allocation_to_json(alloc) + "\n")
     if args.trace:
         _write(args.trace, trace.to_jsonl())
     _write(args.report or "-", report.to_csv() if args.format == "csv" else report.to_json() + "\n")

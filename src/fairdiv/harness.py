@@ -9,7 +9,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .adversary import certify_ratio, scaled_disutilities, scaled_mms_report  # certify_ratio: patched here by perfbench/tracer.py
+from .adversary import certify_ratio, mms_report, scaled_disutilities  # certify_ratio: patched here by perfbench/tracer.py
 from .allocator import (
     BiValuePolicy,
     DumpToOnePolicy,
@@ -21,7 +21,7 @@ from .allocator import (
     run_online,
     validate_pressure_trace,
 )
-from .core import FairdivError, Instance, format_rational, instance_digest
+from .core import Allocation, FairdivError, Instance, format_rational, instance_digest
 from .mms import mms_exact  # mms_exact: patched here by perfbench/tracer.py
 from .stacking import allocator_to_stacking, check_bound  # check_bound: patched here by perfbench/tracer.py
 
@@ -144,7 +144,7 @@ class AgentOutcome:
 @dataclass
 class RunReport:
     policy: str
-    assignment: tuple[int, ...]
+    allocation: Allocation
     agents: list[AgentOutcome]
     max_pressure: Fraction | None
     stacking_margin: Fraction | None
@@ -189,7 +189,7 @@ class ExperimentReport:
             runs.append(
                 {
                     "policy": r.policy,
-                    "assignment": list(r.assignment),
+                    "assignment": list(r.allocation.assignment),
                     "agents": agents,
                     "max_pressure": None if r.max_pressure is None else format_rational(r.max_pressure),
                     "stacking_margin": None
@@ -241,9 +241,10 @@ def leq_two_plus_sqrt3(d: Fraction, mms: Fraction) -> bool:
 def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
     """Run policies over one instance and flag every theoretical-bound check.
 
-    Each agent's MMS record comes from one :func:`scaled_mms_report` call
-    per instance, shared by every policy, and each run's d_A are summed in
-    one pass over its assignment on the records' integer scales. Per-agent
+    Each agent's MMS record comes from one :func:`mms_report` call per
+    instance, shared by every policy, and each run's d_A are summed in one
+    pass over its assignment on the integer scales the records keep. Each
+    run's ``allocation`` is the one :func:`run_online` returned. Per-agent
     ratios are exact when the record holds the exact MMS; otherwise they
     are the certified interval [d_A/upper, d_A/lower] of the record's
     bounds. For the rounded greedy policy the checks include the trace
@@ -260,14 +261,14 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
     report = ExperimentReport(digest=instance_digest(inst), n=inst.n, m=inst.m)
     if inst.m == 0:
         return report
-    scaled = scaled_mms_report(inst)
-    exact_mms = [r.exact for r, _, _ in scaled]
+    mms = mms_report(inst)
+    exact_mms = [r.exact for r in mms]
     all_exact = None not in exact_mms
 
     for policy in policies:
         alloc, trace = run_online(inst, policy)
         outcomes = []
-        for (r, _, _), d_a in zip(scaled, scaled_disutilities(inst, alloc, scaled)):
+        for r, d_a in zip(mms, scaled_disutilities(inst, alloc, mms)):
             if r.exact is not None:
                 outcomes.append(AgentOutcome(r.agent, d_a, "exact", d_a / r.exact, None, None))
             else:
@@ -305,7 +306,7 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
         report.runs.append(
             RunReport(
                 policy=policy.name,
-                assignment=alloc.assignment,
+                allocation=alloc,
                 agents=outcomes,
                 max_pressure=max_pressure,
                 stacking_margin=stacking_margin,

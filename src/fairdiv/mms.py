@@ -12,14 +12,14 @@ largest-first partition gives a certified upper bound instead, with its max
 load, so downstream ratio reports never state an exact number without an
 exact benchmark. Each agent's :class:`AgentMms` record is
 assembled by :func:`fairdiv.adversary.agent_mms`, from one integer scale of
-its values.
+its values, which the record keeps.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heapreplace
 from itertools import groupby
@@ -125,7 +125,7 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
     order = sorted(range(m), key=vals.__getitem__, reverse=True)
     svals = [vals[p] for p in order]
     # some bundle holds the average, the largest item, and ceil(m/n) items
-    lower = max(Fraction(sum(vals), n), svals[0], sum(sorted(vals)[: ceil_div(m, n)]))
+    lower = max(ceil_div(sum(vals), n), svals[0], sum(sorted(vals)[: ceil_div(m, n)]))
 
     # The largest-first greedy partition seeds the incumbent.
     best, greedy = lpt_partition(vals, n)
@@ -178,7 +178,7 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
 _COUNT_STATES_LIMIT = 4096
 
 
-def _count_vector_optimum(vals, n: int, lower, upper: int):
+def _count_vector_optimum(vals, n: int, lower: int, upper: int) -> int:
     """The least max load over n-way partitions of ``vals``, or ``lower`` past the state limit.
 
     ``lower`` and ``upper`` bracket the optimum, and ``upper`` is a max load
@@ -315,7 +315,8 @@ class AgentMms:
 
     ``witness`` is a partition (1-based item indices) whose max bundle is
     ``upper``. ``exact`` is the MMS when the search found it, and then
-    equals ``upper``; otherwise None.
+    equals ``upper``; otherwise None. ``scaled[j]`` is the agent's value of
+    item j+1 times ``scale``, an integer: the scale the record was built on.
     """
 
     agent: int
@@ -323,6 +324,8 @@ class AgentMms:
     upper: Fraction
     exact: Fraction | None
     witness: tuple[tuple[int, ...], ...]
+    scale: int = field(default=1, compare=False, repr=False)
+    scaled: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def source(self) -> str:

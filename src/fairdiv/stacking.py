@@ -24,10 +24,10 @@ sequence of moves: the nk pressure counters map to the nk cells so that the
 multiset of pressures always equals the multiset of cell values. It reads
 the pressures off the one replay of :func:`validate_pressure_trace` and keeps
 that replay's checks in ``ReductionResult.check``, with the moves and the
-final grid; ``ReductionResult.replay()`` rebuilds each step. The bound's
-margin on the final grid comes from its integers
-(:meth:`GridGame.bound_margin`); ``ReductionResult.final``, the grid as a
-:class:`StackingFunction`, serves tests and demos.
+final grid. The bound's margin on the final grid comes from its integers
+(:meth:`GridGame.bound_margin`), and ``game.to_function()`` gives the grid as
+a :class:`StackingFunction`. :func:`stacking_trace_to_jsonl` replays the moves
+on the reference engine, as :func:`replay_stacking_trace` does.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from operator import add
 
@@ -474,24 +473,6 @@ class ReductionResult:
     steps: list[tuple[int, tuple[int, ...]]]
     check: TraceCheck
 
-    @cached_property
-    def final(self) -> StackingFunction:
-        return self.game.to_function()
-
-    def replay(self):
-        """Yield ``(StackingOperation, StackingFunction)`` per step, replayed on a fresh grid."""
-        game = GridGame(k=self.k, cells_per_unit=self.n, scale=self.n - 1)
-        a, b = Fraction(1), Fraction(1, self.n - 1)
-        for raised, lowered in self.steps:
-            op = StackingOperation(
-                a=a, b=b,
-                A=cells_to_intervals(game.Q, [raised]),
-                B=cells_to_intervals(game.Q, lowered),
-                k=self.k,
-            )
-            game.apply_cells(a, b, [raised], lowered, need_order=False)
-            yield op, game.to_function()
-
 
 def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     """Replay a rounded-greedy trace as stacking-game moves.
@@ -590,14 +571,20 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
 # Trace file format ----------------------------------------------------------
 
 def stacking_trace_to_jsonl(result: ReductionResult) -> str:
-    """One JSON line per move of ``result``, with the pieces after it, from ``replay()``."""
+    """One JSON line per move of ``result``, with the pieces after it, replayed from
+    zero on the reference engine (:func:`apply_operation`) that
+    :func:`replay_stacking_trace` reads the file with."""
+    Q, a, b = result.n * result.k, Fraction(1), Fraction(1, result.n - 1)
+    function = StackingFunction.zero()
     lines = []
-    for op, function in result.replay():
+    for raised, lowered in result.steps:
+        A, B = cells_to_intervals(Q, [raised]), cells_to_intervals(Q, lowered)
+        function = apply_operation(function, StackingOperation(a, b, A, B, result.k))
         rec = {
-            "a": format_rational(op.a),
-            "b": format_rational(op.b),
-            "A": [[format_rational(l), format_rational(r)] for l, r in op.A],
-            "B": [[format_rational(l), format_rational(r)] for l, r in op.B],
+            "a": format_rational(a),
+            "b": format_rational(b),
+            "A": [[format_rational(l), format_rational(r)] for l, r in A],
+            "B": [[format_rational(l), format_rational(r)] for l, r in B],
             "pieces_after": [
                 [format_rational(l), format_rational(r), format_rational(v)]
                 for l, r, v in function.pieces

@@ -214,7 +214,7 @@ def test_criterion_4_reduction_consistency():
         assert check.passed
         assert F(check.max_scaled_pressure, n - 1) <= 2 * res.k
         # reduction moves have a+b = n/(n-1), so the sharper bound profile holds
-        bound = check_bound(res.final, BoundProfile(k=res.k, beta=F(n, n - 1)))
+        bound = check_bound(res.game.to_function(), BoundProfile(k=res.k, beta=F(n, n - 1)))
         assert bound.passed
         assert res.game.bound_margin(F(n, n - 1)) == bound.margin  # run_experiment's margin
         if res.k:

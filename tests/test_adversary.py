@@ -16,7 +16,7 @@ from fairdiv import (
     verify_certificate,
 )
 from fairdiv.adversary import (RatioCertificate, RecGameRecord, agent_mms, greedy_bin_packing, lpt_partition,
-                               scaled_disutilities, scaled_mms_report)
+                               mms_report, scaled_disutilities)
 from fairdiv.allocator import DumpToOnePolicy, ExternalPolicy, PressureGreedyPolicy, RoundRobinPolicy
 from fairdiv.core import FairdivError
 from fairdiv.mms import AgentMms, InstanceTooLarge, common_scale, exact_search_limit, mms_exact, witness_max_bundle
@@ -299,14 +299,14 @@ def test_scaled_disutilities_match_bundle_disutility():
     instances = [random_instance(rng, rng.randint(1, 4), rng.randint(1, 30), rng.randint(1, 4))
                  for _ in range(40)] + [game.instance]
     for inst in instances:
-        scaled = scaled_mms_report(inst)
+        report = mms_report(inst)
         for alloc in (Allocation(tuple(rng.randint(1, inst.n) for _ in range(inst.m))),
                       Allocation(tuple(rng.randint(1, inst.n) for _ in range(rng.randrange(inst.m + 1))))):
             want = [alloc.bundle_disutility(inst, agent) for agent in range(1, inst.n + 1)]
-            assert scaled_disutilities(inst, alloc, scaled) == want
+            assert scaled_disutilities(inst, alloc, report) == want
     inst = Instance(2, ((F(1), F(2)),))
     with pytest.raises(FairdivError, match="^allocation of 2 items for an instance of 1$"):
-        scaled_disutilities(inst, Allocation((1, 2)), scaled_mms_report(inst))
+        scaled_disutilities(inst, Allocation((1, 2)), mms_report(inst))
 
 
 @pytest.mark.parametrize("agent", [True, 1.0])
@@ -358,7 +358,9 @@ def _agent_mms_by_rescan(inst, agent, witnesses=()):
 
 def _assert_agent_mms_matches_the_rescan(inst):
     for agent in range(1, inst.n + 1):
-        assert agent_mms(inst, agent) == _agent_mms_by_rescan(inst, agent)
+        record = agent_mms(inst, agent)
+        assert record == _agent_mms_by_rescan(inst, agent)
+        assert (record.scale, list(record.scaled)) == common_scale(inst.agent_values(agent))  # not compared by ==
 
 
 def test_agent_mms_matches_the_rescan_on_random_instances():

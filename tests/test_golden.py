@@ -41,7 +41,9 @@ from fairdiv import (
     instance_to_json,
     load_instance,
     make_recursive_adversary,
+    parse_rational,
     play_game,
+    replay_stacking_trace,
     run_experiment,
     run_online,
 )
@@ -343,6 +345,24 @@ def test_noncanonical_file_runs_like_its_canonical_twin():
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_golden_digest(key):
     assert _digest(key) == GOLDEN[key]
+
+
+def test_stacking_traces_replay_to_the_final_grid():
+    # each corpus reduction's stacking trace re-verifies, and its last
+    # recorded pieces are the reduction's final grid
+    replayed = 0
+    for make in CORPUS.values():
+        inst = make()
+        if inst.n < 2:
+            continue
+        res = allocator_to_stacking(run_online(inst, PressureGreedyPolicy())[1], inst.n)
+        text = stacking_trace_to_jsonl(res)
+        report = replay_stacking_trace(text)
+        assert report.passed and report.steps == len(res.steps) == inst.m
+        last = json.loads(text.splitlines()[-1])["pieces_after"]
+        assert [tuple(map(parse_rational, piece)) for piece in last] == list(res.game.to_function().pieces)
+        replayed += 1
+    assert replayed == len(CORPUS) - 1
 
 
 if __name__ == "__main__":

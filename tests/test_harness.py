@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fairdiv import (
+    Allocation,
     FairdivError,
     GeneratorConfig,
     Instance,
@@ -21,11 +22,13 @@ from fairdiv import (
     leq_two_plus_sqrt3,
     load_allocation,
     load_instance,
+    make_recursive_adversary,
     parse_rational,
+    play_game,
     run_experiment,
     verify_certificate,
 )
-from fairdiv.allocator import PressureGreedyPolicy
+from fairdiv.allocator import PressureGreedyPolicy, make_policy
 from fairdiv.cli import main
 from fairdiv.mms import exact_search_limit, witness_max_bundle
 from fairdiv.harness import NEAR_THRESHOLD_ABOVE, NEAR_THRESHOLD_BELOW, policy_zoo
@@ -526,3 +529,33 @@ def test_cli_run_and_mms_accept_an_empty_instance(tmp_path):
     for e in entries:
         assert e["lower_bound"] == e["upper_bound"] == e["exact_mms"] == "0"
         assert e["witness_partition"] == []
+
+
+def _count_allocations(monkeypatch) -> list:
+    """The allocations built from here on, by their ``__post_init__``."""
+    built = []
+    post_init = Allocation.__post_init__
+    monkeypatch.setattr(Allocation, "__post_init__", lambda self: built.append(self) or post_init(self))
+    return built
+
+
+@pytest.mark.parametrize("items", [12, 0])
+@pytest.mark.parametrize("policy", ["pressure-greedy", "bi-value"])
+def test_cli_run_builds_one_allocation(tmp_path, monkeypatch, policy, items):
+    inst = random_instance(random.Random(113), n=3, m=items, k=2) if items else Instance(3, ())
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    inst_path.write_text(instance_to_json(inst) + "\n")
+    built = _count_allocations(monkeypatch)
+    assert main(["run", "--in", str(inst_path), "--policy", policy, "--out", str(alloc_path),
+                 "--trace", str(tmp_path / "trace.jsonl"), "--report", str(tmp_path / "report.json")]) == 0
+    assert len(built) == 1
+    assert load_allocation(alloc_path.read_text()) == built[0]
+    assert built[0].m == inst.m
+
+
+@pytest.mark.parametrize("policy, exhausted", [("pressure-greedy", True), ("dump-to-one", False)])
+def test_play_game_builds_one_allocation(monkeypatch, policy, exhausted):
+    built = _count_allocations(monkeypatch)
+    result = play_game(make_recursive_adversary(3, 1, 60), make_policy(policy), 60)
+    assert result.budget_exhausted == exhausted  # an exhausted game certifies through certify_ratio
+    assert built == [result.allocation]

@@ -21,7 +21,7 @@ from fairdiv import (
 )
 from fairdiv.allocator import PressureGreedyPolicy, PressureState, RunTrace, TraceStep, validate_pressure_trace
 from fairdiv.core import FairdivError, instance_to_json
-from fairdiv.stacking import BoundReport, is_contiguous, stacking_trace_to_jsonl
+from fairdiv.stacking import BoundReport, cells_to_intervals, is_contiguous, stacking_trace_to_jsonl
 
 from conftest import random_instance
 
@@ -208,7 +208,6 @@ def test_grid_matches_general_engine():
             t = Fraction(rng.randint(1, 4), 4) * tmax
             a, b = cells_b * t, cells_a * t
             chosen = sorted(rng.sample(range(q), 6))
-            from fairdiv.stacking import cells_to_intervals
 
             o = StackingOperation(
                 a=a, b=b,
@@ -224,17 +223,27 @@ def test_grid_matches_general_engine():
 
 # reduction --------------------------------------------------------------------
 
+def _replay(res):
+    """Yield ``(StackingOperation, StackingFunction)`` per move of ``res``, replayed on a fresh grid."""
+    game = GridGame(k=res.k, cells_per_unit=res.n, scale=res.n - 1)
+    a, b = Fraction(1), Fraction(1, res.n - 1)
+    for raised, lowered in res.steps:
+        A, B = cells_to_intervals(game.Q, [raised]), cells_to_intervals(game.Q, lowered)
+        game.apply_cells(a, b, [raised], lowered)
+        yield StackingOperation(a, b, A, B, res.k), game.to_function()
+
+
 def test_reduction_empty_trace():
     res = allocator_to_stacking(RunTrace(n=3, policy="pressure-greedy"), 3)
     assert res.steps == []
-    assert res.final == StackingFunction.zero()
+    assert res.game.to_function() == StackingFunction.zero()
 
 
 def test_reduction_two_agent_oscillation():
     inst = Instance(2, tuple(((Fraction(1), Fraction(1)),) * 6))
     _, trace = run_online(inst, PressureGreedyPolicy())
     res = allocator_to_stacking(trace, 2)
-    patterns = [tuple(v for _, _, v in f.pieces) for _, f in res.replay()]
+    patterns = [tuple(v for _, _, v in f.pieces) for _, f in _replay(res)]
     assert patterns == [(-1, 1), (0,), (-1, 1), (0,), (-1, 1), (0,)]
 
 
@@ -245,7 +254,7 @@ def test_reduction_consistency_random():
         _, trace = run_online(inst, PressureGreedyPolicy())
         res = allocator_to_stacking(trace, inst.n)
         beta = Fraction(inst.n, inst.n - 1)
-        for _, f in res.replay():
+        for _, f in _replay(res):
             assert check_bound(f, BoundProfile(k=res.k, beta=beta)).passed
 
 
@@ -343,8 +352,8 @@ def test_stacking_trace_replay_detects_tampering():
 
 
 def test_replay_matches_reference_engine():
-    # the general engine, fed replay()'s operations from zero, reproduces
-    # every replayed function and the final grid
+    # the general engine, fed the reduction's moves from zero, reproduces
+    # the grid after every move and the final grid
     rng = random.Random(73)
     for _ in range(12):
         inst = random_instance(rng, n=rng.randint(2, 5), m=rng.randint(1, 30), k=rng.randint(1, 3))
@@ -352,12 +361,12 @@ def test_replay_matches_reference_engine():
         res = allocator_to_stacking(trace, inst.n)
         f = StackingFunction.zero()
         replayed = 0
-        for o, g in res.replay():
+        for o, g in _replay(res):
             f = apply_operation(f, o)
             assert f == g
             replayed += 1
         assert replayed == len(res.steps) == inst.m
-        assert f == res.final
+        assert f == res.game.to_function()
 
 
 def test_cli_run_converts_the_grid_once(tmp_path, monkeypatch):
