@@ -623,7 +623,10 @@ def play_game(adversary, policy: Policy, budget: int) -> GameResult:
         if cert is not None and cert.ratio_lower > target_ratio:
             certified = True
             break
-    inst, alloc = adversary.instance(), trace.allocation()
+    # from the codes the tables already made, not adversary.instance(), which interns the emissions
+    # again; an instance without items has no tables
+    inst = Instance.from_codes(n, tables.values if trace.steps else (), [s.raw_codes for s in trace.steps])
+    alloc = trace.allocation()
     if not certified:
         cert = max(certify_ratio(inst, alloc), key=lambda c: c.ratio_lower)
     record = adversary.record() if isinstance(adversary, RecursiveAdversary) else None

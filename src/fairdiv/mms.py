@@ -49,9 +49,13 @@ def exact_search_limit(n: int) -> int:
 
 def common_scale(values) -> tuple[int, list[int]]:
     """``(d, [v * d for v in values])`` for ``d`` the least common denominator:
-    integers with every order, tie and ratio of the rationals."""
+    integers with every order, tie and ratio of the rationals. When every
+    denominator divides the largest, as in the adversaries' geometric
+    values, that is the least common one and no lcm is taken."""
     denominators = {v.denominator for v in values}
-    common = lcm(*denominators)
+    common = max(denominators, default=1)
+    if any(common % d for d in denominators):
+        common = lcm(*denominators)
     factors = {d: common // d for d in denominators}
     return common, [v.numerator * factors[v.denominator] for v in values]
 

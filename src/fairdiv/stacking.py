@@ -313,6 +313,12 @@ class GridGame:
     Cell values are stored as integers scaled by ``scale``: a move with
     raise ``a`` and lower ``b`` requires a*scale and b*scale integral. All
     invariant checks are exact integer arithmetic.
+
+    Per-game caches keep Fraction work off the per-move path, keyed by
+    integer pairs because a ``Fraction`` hash is Python code: a move shape's
+    scaled raise and lower by a's and b's ``(numerator, denominator)`` and
+    the two cell counts, stored only once the shape passed every check, and
+    the bound constants by beta's pair.
     """
 
     def __init__(self, k: int, cells_per_unit: int, scale: int):
@@ -323,7 +329,11 @@ class GridGame:
         self.cells_per_unit = cells_per_unit  # cells touched by one move
         self.scale = scale
         self.values: list[int] = [0] * self.Q
-        self._bounds: dict = {}  # beta -> the integer constants of bound_ok and bound_margin
+        # beta's (numerator, denominator) -> the integer constants of bound_ok
+        # and bound_margin; 2, Fraction(2) and "4/2" share one entry
+        self._bounds: dict[tuple[int, int], tuple] = {}
+        # (a's pair, b's pair, |A|, |B|) of a move shape that passed every check -> its scaled (raise, lower)
+        self._units: dict[tuple, tuple[int, int]] = {}
 
     def _move_units(self, a, b, a_count: int, b_count: int) -> tuple[int, int]:
         """The scaled raise and lower of a move (a, b) on ``a_count`` and
@@ -333,7 +343,11 @@ class GridGame:
             a = Fraction(a)
         if type(b) is not Fraction and type(b) is not int:
             b = Fraction(b)
-        pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+        key = (a.as_integer_ratio(), b.as_integer_ratio(), a_count, b_count)
+        units = self._units.get(key)
+        if units is not None:
+            return units
+        (pa, qa), (pb, qb) = key[:2]
         if not (0 < pa <= qa and 0 < pb <= qb):
             raise FairdivError("a and b must lie in (0, 1]")
         av, a_rem = divmod(pa * self.scale, qa)
@@ -347,7 +361,8 @@ class GridGame:
                 f"cell counts ({a_count}, {b_count}) do not match measures "
                 f"({Fraction(want_a, total)}, {Fraction(want_b, total)}) for a={a}, b={b}"
             )
-        return av, bv
+        units = self._units[key] = (av, bv)  # only a shape that passed every check
+        return units
 
     def _check_cells(self, a_cells, b_cells) -> None:
         """Cell indices are ints on the grid, A lies strictly left of B, and A and B are disjoint."""
@@ -393,12 +408,16 @@ class GridGame:
         ``lhs_factor * suffix_i <= rhs[i]``, with suffix_i the scaled
         integral over cells i..Q-1; max f <= beta*k reads ``max * bq <= top``.
         """
-        if beta not in self._bounds:
-            bp, bq = Fraction(beta).as_integer_ratio()
+        if type(beta) is not Fraction and type(beta) is not int:
+            beta = Fraction(beta)
+        key = beta.as_integer_ratio()
+        constants = self._bounds.get(key)
+        if constants is None:
+            bp, bq = key
             top = bp * self.k * self.scale
             rhs = [top * (self.Q * self.Q - (2 * i - self.Q) ** 2) for i in range(self.Q + 1)]
-            self._bounds[beta] = (bq, top, 4 * bq * self.Q, rhs)
-        return self._bounds[beta]
+            constants = self._bounds[key] = (bq, top, 4 * bq * self.Q, rhs)
+        return constants
 
     def bound_ok(self, beta) -> bool:
         """Exact check of the suffix-integral bound and max value, at every cell edge."""

@@ -12,6 +12,7 @@ from fairdiv import (
     check_O1_O2,
     make_recursive_adversary,
     play_game,
+    policy_zoo,
     run_online,
     verify_certificate,
 )
@@ -102,6 +103,19 @@ def test_n2_budget_zero_trivial():
     res = play_game(TwoAgentAdversary(F(1, 2)), DumpToOnePolicy(), budget=0)
     assert res.budget_exhausted and not res.certified
     assert res.certificate.ratio_lower >= 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_play_game_instance_equals_the_adversarys(n):
+    """play_game builds its instance from its trace's codes; the adversary's
+    own instance(), interned afresh from the emissions, is the reference."""
+    for policy in policy_zoo():
+        for budget in (0, 1, 150):
+            adv = TwoAgentAdversary(F(1, 2)) if n == 2 else make_recursive_adversary(3, F(1), pin_horizon=150)
+            res = play_game(adv, policy, budget=budget)
+            ref = adv.instance()
+            assert res.instance == ref, (policy.name, budget)
+            assert (res.instance.values, res.instance.codes) == (ref.values, ref.codes), (policy.name, budget)
 
 
 def test_n2_emissions_deterministic():

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import runpy
@@ -240,6 +241,33 @@ def test_lpt_partition_matches_fraction_reference():
         load, bundles = lpt_partition(scaled, n, positions)
         assert bundles == _fraction_lpt(values, n, positions)
         assert Fraction(load, common) == max(sum((values[j - 1] for j in b), Fraction(0)) for b in bundles)
+
+
+def test_common_scale_matches_math_lcm():
+    """The largest denominator stands in for the lcm only when every other one divides it."""
+    rng = random.Random(97)
+    big = rng.getrandbits(1000) | (1 << 999)
+    for trial in range(300):
+        kind = trial % 5
+        if kind == 0:  # nested powers: every denominator divides the largest
+            base = rng.choice([2, 3, 6, 10])
+            dens = [base ** rng.randint(0, 40) for _ in range(rng.randint(1, 8))]
+        elif kind == 1:  # pairwise coprime
+            dens = rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23], rng.randint(2, 5))
+        elif kind == 2:  # a single denominator
+            dens = [rng.randint(1, 10 ** 6)]
+        elif kind == 3:  # thousand-bit ints: a divisor chain of the big one, then maybe a stray
+            dens = [big, big * 3, big * 12, big * 12 * rng.getrandbits(900)]
+            if trial % 2:
+                dens.append(big + 2 * rng.getrandbits(500) + 1)
+        else:  # small random sets, mostly not a chain
+            dens = [rng.randint(1, 60) for _ in range(rng.randint(1, 6))]
+        top = 1 if kind in (0, 3) else 10 ** 6  # numerator 1 keeps a divisor chain after reduction
+        values = [Fraction(rng.randint(1, top), d) for d in dens for _ in range(rng.randint(1, 3))]
+        common, scaled = common_scale(values)
+        assert common == math.lcm(*{v.denominator for v in values})
+        assert scaled == [v.numerator * (common // v.denominator) for v in values]
+    assert common_scale([]) == (1, [])
 
 
 def _scan_lpt(values, n, positions=None):

@@ -485,3 +485,66 @@ def test_apply_cells_rejects_invalid_moves():
     # every accepted argument type still works: int, Fraction, str, float
     game.apply_cells("1", 0.5, (0,), range(1, 3))
     assert game.values == [-1, -1, 0, 0, 0, 2]
+
+
+def test_rejections_hold_once_a_shape_is_cached():
+    """A move shape is cached only once it passed every check: each rejection
+    raises again on a repeat, after a valid move of the same cell counts."""
+    game = GridGame(k=1, cells_per_unit=2, scale=1)
+    game.apply_cells(1, 1, [0], [1])  # warms the shape (1, 1, 1, 1)
+    game.apply_cells(1, 1, [0], [1])
+    for _ in range(2):
+        _rejects(game, 1, 1, [-1], [0], r"cell index -1 ")
+        _rejects(game, 1, 1, [0], [2], r"cell index 2 ")
+        _rejects(game, 1, 1, [0], [True], r"cell index True ")
+        _rejects(game, 1, 1, [0.0], [1], r"cell index 0.0 ")
+    game = GridGame(k=2, cells_per_unit=3, scale=2)
+    game.apply_cells(1, Fraction(1, 2), [0], [1, 2])  # warms the shape (1, 1/2, 1, 2)
+    game.apply_cells(Fraction(1, 2), 1, [0, 1], [2])  # and (1/2, 1, 2, 1)
+    for _ in range(2):  # the same cell counts, another a or b
+        _rejects(game, 0, 1, [0], [1, 2], r"a and b must lie in \(0, 1\]")
+        _rejects(game, Fraction(3, 2), 1, [0], [1, 2], r"a and b must lie in \(0, 1\]")
+        _rejects(game, 1, Fraction(1, 3), [0], [1, 2], r"a=1, b=1/3 not representable at scale 2")
+        _rejects(game, 1, Fraction(1, 2), [0, 1], [2],
+                 r"cell counts \(2, 1\) do not match measures \(1, 2\)")
+        _rejects(game, Fraction(1, 2), 1, [0], [1, 2],
+                 r"cell counts \(1, 2\) do not match measures \(2, 1\)")
+        _rejects(game, 1, Fraction(1, 2), [3], [1, 2], "A cells must lie strictly left of B cells")
+        _rejects(game, 1, Fraction(1, 2), [0], [1, 1], "A and B cells must be disjoint")
+        _rejects(game, 1, Fraction(1, 2), [0], [1, 6], r"cell index 6 ")
+    assert game.values == [-2, 0, 0, 0, 0, 2]  # the two warm-up moves only
+
+
+def test_cached_move_units_follow_a_and_b():
+    """Moves of one cell count but other a and b move the cells by their own amounts."""
+    game = GridGame(k=2, cells_per_unit=3, scale=6)
+    game.apply_cells(1, Fraction(1, 2), [0], [4, 5], need_order=False)
+    assert game.values == [-3, -3, 0, 0, 0, 6]
+    game.apply_cells(Fraction(2, 3), Fraction(1, 3), [1], [2, 3], need_order=False)
+    assert game.values == [-3, -2, -2, 0, 1, 6]
+    game.apply_cells("2/3", Fraction(1, 3), (0,), (4, 5), need_order=False)  # the same shape, from a string
+    assert game.values == [-2, -2, -1, 0, 1, 4]
+    assert game.integral_is_zero()
+
+
+def test_bound_constants_keyed_by_beta_value():
+    """2, Fraction(2) and Fraction(4, 2) share one cached entry, and every
+    check agrees with check_bound on the same function."""
+    rng = random.Random(41)
+    for k in (1, 2, 3):
+        game = GridGame(k=k, cells_per_unit=6, scale=720)
+        q = 6 * k
+        for _ in range(25):
+            cells_a = rng.randint(1, 5)
+            tmax = min(Fraction(1, max(cells_a, 6 - cells_a)), Fraction(2 * k, q))
+            t = Fraction(rng.randint(1, 4), 4) * tmax
+            chosen = sorted(rng.sample(range(q), 6))
+            game.apply_cells((6 - cells_a) * t, cells_a * t, chosen[:cells_a], chosen[cells_a:])
+            f = game.to_function()
+            for profile_beta, betas in ((Fraction(2), (2, Fraction(2), Fraction(4, 2))),
+                                        (Fraction(1, 2), (Fraction(1, 2), "1/2", 0.5))):
+                report = check_bound(f, BoundProfile(k=k, beta=profile_beta))
+                for beta in betas:
+                    assert game.bound_ok(beta) == report.passed
+                    assert game.bound_margin(beta) == report.margin
+        assert sorted(game._bounds) == [(1, 2), (2, 1)]
