@@ -545,12 +545,20 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
     """
     if trace.n < 2:
         raise FairdivError("validate_pressure_trace requires n >= 2")
-    return _replay_pressure_trace(trace, PressureState(trace.n))
+    return _replay_pressure_trace(trace, PressureState(trace.n))[0]
 
 
-def _replay_pressure_trace(trace: RunTrace, state: PressureState, after_step=None) -> TraceCheck:
-    """The one replay of a trace on ``state`` behind :func:`validate_pressure_trace`;
-    ``after_step(step)``, if given, runs once the step's checks are made."""
+def _replay_pressure_trace(trace: RunTrace, state: PressureState, off_pace=None) -> tuple[TraceCheck, list[list[int]]]:
+    """The one replay of a trace on ``state`` behind :func:`validate_pressure_trace`:
+    its :class:`TraceCheck` and the closed-form rows at the end.
+
+    With ``off_pace``, each step finds ``low``, the least closed-form value
+    among its touched counters once they are lowered by one, and, once its
+    checks are made, calls ``off_pace(step, low, closed)`` if the engine's
+    rows are not the closed-form rows ``closed`` or its receiving counter is
+    not ``low + n``: with rows equal, when the agent did not hold the least
+    pressure among the touched counters.
+    """
     n, scaled = state.n, state.scaled
     closed: list[list[int]] = [[] for _ in range(n)]  # n*|A_i ^ M_i^u| - N_i^u
     agents = range(n)
@@ -571,23 +579,31 @@ def _replay_pressure_trace(trace: RunTrace, state: PressureState, after_step=Non
             opened = min(map(len, closed))
             pressure_cap, count_cap = 2 * game_k * (n - 1), 2 * game_k * n
         state.step(types, s.agent)
-        for row, u in zip(closed, types):
-            row[u - 1] -= 1
         u = types[a] - 1
+        if off_pace is None:  # without low: validate_pressure_trace keeps its pace
+            for row, v in zip(closed, types):
+                row[v - 1] -= 1
+        else:
+            low = closed[a][u]
+            for row, v in zip(closed, types):
+                x = row[v - 1] = row[v - 1] - 1
+                if x < low:
+                    low = x
         closed[a][u] += n
-        if scaled != closed:
-            ok_closed = False
         h = scaled[a][u]
+        diverged = scaled != closed
+        if diverged:
+            ok_closed = False
         if h > max_scaled:  # the earlier maximum met a cap no larger than this one
             max_scaled = h
             if h > pressure_cap:
                 ok_pressure = False
         if closed[a][u] >= count_cap:  # r <= ceil(N/n) - 1 + 2k fails
             ok_count = False
-        if s.pressures is not None and s.pressures != state.snapshot():
+        if s.pressures is not None and s.pressures != tuple(map(tuple, scaled)):  # state.snapshot(), inline
             ok_closed = False
-        if after_step is not None:
-            after_step(s)
+        if off_pace is not None and (diverged or h != low + n):
+            off_pace(s, low, closed)
     return TraceCheck(
         closed_form=ok_closed,
         rounding_sandwich=all(  # p/q <= r/s < 2p/q, times the positive denominators q and s
@@ -597,7 +613,7 @@ def _replay_pressure_trace(trace: RunTrace, state: PressureState, after_step=Non
         count_bound=ok_count,
         max_scaled_pressure=max_scaled,
         game_k=max(game_k, 1),
-    )
+    ), closed
 
 
 __all__ = [

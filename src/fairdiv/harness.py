@@ -285,7 +285,7 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
             tc = validate_pressure_trace(trace) if reduction is None else reduction.check
             run_checks["trace-invariants"] = tc.passed
             run_checks["stacking-consistency"] = reduction is not None
-            if reduction is not None and reduction.steps:
+            if reduction is not None and trace.steps:  # reduction.steps would walk the cells
                 stacking_margin = reduction.game.bound_margin(Fraction(inst.n, inst.n - 1))
             if all_exact:
                 k_rounded = tc.game_k

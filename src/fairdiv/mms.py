@@ -7,7 +7,8 @@ common denominator. Its stop value is the optimum of the agent's count
 vector (each distinct value with its count), found by a bin-packing
 feasibility search over remaining count vectors when the vector has few
 enough states, so the branch and bound ends at its first optimal leaf
-instead of proving optimality. When the item-count guard refuses, the
+instead of proving optimality; below the largest-first load, one above it
+is the search's first incumbent. When the item-count guard refuses, the
 largest-first partition gives a certified upper bound instead, with its max
 load, so downstream ratio reports never state an exact number without an
 exact benchmark. Each agent's :class:`AgentMms` record is
@@ -136,8 +137,14 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
     best_assign = None
     # At the optimum, the stop value ends the search at its first optimal
     # leaf: the leaf it would keep after proving that no better one exists.
+    # Below the greedy load, an incumbent one above it prunes every path
+    # that cannot end there, and no path to an optimal leaf, so the search
+    # meets the same first optimal leaf in the same child order.
     if best > lower:
-        lower = _count_vector_optimum(vals, n, lower, best)
+        optimum = _count_vector_optimum(vals, n, lower, best)
+        if optimum is not None:
+            lower = optimum
+            best = min(best, optimum + 1)
 
     assign = [0] * m
 
@@ -182,8 +189,8 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
 _COUNT_STATES_LIMIT = 4096
 
 
-def _count_vector_optimum(vals, n: int, lower: int, upper: int) -> int:
-    """The least max load over n-way partitions of ``vals``, or ``lower`` past the state limit.
+def _count_vector_optimum(vals, n: int, lower: int, upper: int) -> int | None:
+    """The least max load over n-way partitions of ``vals``, or None past the state limit.
 
     ``lower`` and ``upper`` bracket the optimum, and ``upper`` is a max load
     some partition attains. The optimum is a bundle sum, so it is the least
@@ -196,7 +203,7 @@ def _count_vector_optimum(vals, n: int, lower: int, upper: int) -> int:
     sizes = sorted(counts, reverse=True)
     full = tuple(counts[u] for u in sizes)
     if prod(c + 1 for c in full) > _COUNT_STATES_LIMIT:
-        return lower
+        return None
     if not _fits(sizes, full, n, upper - 1):
         return upper
     sums = {0}

@@ -21,21 +21,25 @@ Two engines implement the same dynamics:
 
 :func:`allocator_to_stacking` replays a rounded-greedy allocation trace as a
 sequence of moves: the nk pressure counters map to the nk cells so that the
-multiset of pressures always equals the multiset of cell values. It reads
-the pressures off the one replay of :func:`validate_pressure_trace` and keeps
-that replay's checks in ``ReductionResult.check``, with the moves and the
-final grid. The bound's margin on the final grid comes from its integers
-(:meth:`GridGame.bound_margin`), and ``game.to_function()`` gives the grid as
-a :class:`StackingFunction`. :func:`stacking_trace_to_jsonl` replays the moves
-on the reference engine, as :func:`replay_stacking_trace` does.
+multiset of pressures always equals the multiset of cell values. A move
+changes each touched cell as the closed form changes its counter, so the
+moves are checked on counter values inside the one replay of
+:func:`validate_pressure_trace`, whose checks ``ReductionResult.check``
+keeps, with the final grid; the moves' cell positions are walked only when
+``ReductionResult.steps`` is read. The bound's margin on the final grid
+comes from its integers (:meth:`GridGame.bound_margin`), and
+``game.to_function()`` gives the grid as a :class:`StackingFunction`.
+:func:`stacking_trace_to_jsonl` replays the moves on the reference engine,
+as :func:`replay_stacking_trace` does.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import add
 
@@ -482,15 +486,21 @@ def cells_to_intervals(game_q: int, cells) -> tuple[tuple[Fraction, Fraction], .
 
 @dataclass
 class ReductionResult:
-    """One ``(raised cell, lowered cells)`` move per item, on the sorted grid of
-    n*k cells before it (raise 1, lower 1/(n-1)), the final ``game`` and the
-    replay's ``check``."""
+    """The final ``game`` and the replay's ``check`` of a reduction, and
+    ``moves``, a copy of the trace's ``(types, agent)`` pairs. ``steps``, one
+    ``(raised cell, lowered cells)`` move per item on the sorted grid of n*k
+    cells before it (raise 1, lower 1/(n-1)), is walked from ``moves`` on
+    first read."""
 
     n: int
     k: int
     game: GridGame
-    steps: list[tuple[int, tuple[int, ...]]]
     check: TraceCheck
+    moves: list[tuple[tuple[int, ...], int]] = field(repr=False)
+
+    @cached_property
+    def steps(self) -> list[tuple[int, tuple[int, ...]]]:
+        return _cell_moves(self.game, self.moves)
 
 
 def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
@@ -504,40 +514,72 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     relabeling sits on the leftmost touched cell; that cell is raised by 1
     and the other n-1 touched cells are lowered by 1/(n-1).
 
-    A move edits the sorted grid in place: the raised cell goes first in its
-    new value's run and the lowered ones last in theirs, in their old order,
-    which is where a stable sort puts them, so the grid stays sorted. Each
-    move reads the pressures of :func:`validate_pressure_trace`'s replay
-    after its step, and that replay's :class:`TraceCheck` is ``check``.
-    :class:`InvariantViolation` is raised unless: the move's shape, whose
-    raise cancels its lowers, holds (checked once); each move's fresh
-    counters take zero cells, its leftmost touched cell carries the chosen
-    pressure and each lowered cell's new value is its counter's pressure;
-    and, after the replay, the grid equals the sorted pressures with zero
-    integral, which also catches a counter that changed while untouched.
+    Scaled, that is the closed form's update, n-1 up for the chosen counter
+    and 1 down for the others, so each counter's cell carries the counter's
+    closed-form value, and the moves are checked on those values inside the
+    one replay of :func:`validate_pressure_trace`, whose :class:`TraceCheck`
+    is ``check``. :class:`InvariantViolation` is raised unless: the move's
+    shape, whose raise cancels its lowers, holds (checked once); the least
+    touched closed-form value, the leftmost touched cell's, is the chosen
+    counter's engine pressure before each step; each touched counter's
+    engine pressure after it is its closed form; and, after the replay, the
+    sorted closed form padded with zero cells, the final grid, equals the
+    sorted pressures with zero integral, which also catches a counter that
+    changed while untouched. These raise what checks on walked cell
+    positions raise, at the same step, unless one step finds the engine off
+    the closed form on two touched counters. ``steps`` walks the cell
+    positions on first read.
     """
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
-    k = max(trace.max_type_count(), 1)
+    state = PressureState(n)
+    scaled = state.scaled
+
+    def off_pace(step, low, closed):
+        types, a = step.types, step.agent - 1
+        if scaled[a][types[a] - 1] != low + n:  # its pressure before the step, n-1 below, is not low + 1
+            raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
+        # a lowered cell now carries its counter's closed form; the raised one carries low + n,
+        # which is the chosen counter's closed form unless it was above the minimum, and then
+        # the counter it displaced from the leftmost touched cell gets a value not its own
+        for row, engine_row, u in zip(closed, scaled, types):
+            if engine_row[u - 1] != row[u - 1]:
+                raise InvariantViolation("pressure multiset != cell value multiset")
+
+    check, closed = _replay_pressure_trace(trace, state, off_pace)
+    k = check.game_k  # the trace's largest type index
     game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
-    Q = game.Q
     av, bv = game._move_units(1, Fraction(1, n - 1), 1, n - 1)  # every move has this shape
     if (av, bv) != (n - 1, 1):  # the raise cancels the lowers, and a lower drops a value by one
         raise InvariantViolation("grid state lost sortedness or zero integral")
-    values = game.values
-    state = PressureState(n)
-    scaled = state.scaled
-    # Counter (agent i, type u) is slot (i-1)*k + (u-1); holder[c] is the slot
-    # on cell c, or -1 for none yet.
-    holder = [-1] * Q
+    free = [0] * (game.Q - sum(map(len, closed)))
+    values = sorted(chain(free, *closed))
+    if values != sorted(chain(free, *scaled)):
+        raise InvariantViolation("pressure multiset != cell value multiset")
+    game.values = values
+    if not game.integral_is_zero():
+        raise InvariantViolation("grid state lost sortedness or zero integral")
+    return ReductionResult(n, k, game, check, [(s.types, s.agent) for s in trace.steps])
+
+
+def _cell_moves(game: GridGame, moves) -> list[tuple[int, tuple[int, ...]]]:
+    """The ``(raised cell, lowered cells)`` of each ``(types, agent)`` move of a
+    reduction onto ``game``'s cells, walked from the zero grid. Counter (agent
+    i, type u) is slot (i-1)*k + (u-1); holder[c] is the slot on cell c, or -1
+    for none yet, and a fresh counter takes the leftmost free cell. A move
+    edits the sorted grid in place: the raised cell goes first in its new
+    value's run and the lowered ones last in theirs, in their old order, which
+    is where a stable sort puts them, so the grid stays sorted."""
+    n, k = game.cells_per_unit, game.k
+    values = [0] * game.Q
+    holder = [-1] * game.Q
     first_slots = range(-1, n * k - 1, k)
     steps: list[tuple[int, tuple[int, ...]]] = []
-
-    def move(step):
-        slots = list(map(add, first_slots, step.types))
+    for types, agent in moves:
+        slots = list(map(add, first_slots, types))
         try:
             cells = list(map(holder.index, slots))
-        except ValueError:  # a fresh counter takes the leftmost free cell
+        except ValueError:
             for slot in slots:
                 if slot not in holder:
                     free = holder.index(-1)
@@ -545,19 +587,15 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
                         raise InvariantViolation("fresh pressure assigned to a nonzero cell") from None
                     holder[free] = slot
             cells = list(map(holder.index, slots))
-        a = step.agent - 1
-        chosen, old_cell = slots[a], cells[a]
+        chosen, old_cell = slots[agent - 1], cells[agent - 1]
         cells.sort()
         c_star, b_cells = cells[0], tuple(cells[1:])
-        # after the step: the chosen counter rose by n-1
-        if values[c_star] != scaled[a][step.types[a] - 1] - (n - 1):
-            raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
         if len(set(cells)) < n:  # only coinciding cells can fail the shape check, which names the fault
             game._check_cells((c_star,), b_cells)
         holder[old_cell], holder[c_star] = holder[c_star], chosen
         # the raised cell goes first in its new value's run; a lowered cell of value v
-        # goes last in v-1's run, the front of v's, so only its holder moves (bv is 1)
-        raised = values[c_star] + av
+        # goes last in v-1's run, the front of v's, so only its holder moves
+        raised = values[c_star] + n - 1
         del values[c_star], holder[c_star]
         top = bisect_left(values, raised, c_star)
         values.insert(top, raised)
@@ -565,26 +603,13 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
         for c in b_cells:
             if c <= top:
                 c -= 1
-            value, slot = values[c] - bv, holder[c]
-            if value != scaled[slot // k][slot % k]:
-                raise InvariantViolation("pressure multiset != cell value multiset")
+            value = values[c] - 1
             at = bisect_right(values, value, 0, c)
             values[at] = value
             if at != c:
                 holder.insert(at, holder.pop(c))
         steps.append((c_star, b_cells))
-
-    check = _replay_pressure_trace(trace, state, move)
-    want = list(chain.from_iterable(scaled))
-    want += [0] * (Q - len(want))
-    want.sort()
-    if values != want:
-        if sorted(values) != want:
-            raise InvariantViolation("pressure multiset != cell value multiset")
-        raise InvariantViolation("grid state lost sortedness or zero integral")
-    if not game.integral_is_zero():
-        raise InvariantViolation("grid state lost sortedness or zero integral")
-    return ReductionResult(n, k, game, steps, check)
+    return steps
 
 
 # Trace file format ----------------------------------------------------------

@@ -21,6 +21,7 @@ from fairdiv import (
     run_online,
     validate_pressure_trace,
 )
+from fairdiv import stacking
 from fairdiv.adversary import make_recursive_adversary, play_game
 from fairdiv.allocator import (
     BiValuePolicy,
@@ -32,7 +33,9 @@ from fairdiv.allocator import (
     SeededMixturePolicy,
     trace_from_jsonl,
 )
-from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance
+from fairdiv.cli import main
+from fairdiv.core import instance_to_json
+from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance, run_experiment
 from fairdiv.mms import mms_exact
 
 from conftest import random_instance
@@ -324,9 +327,13 @@ def _corrupt(rng, trace):
         trace.steps[j] = replace(s, types=tuple(types), agent=rng.randint(1, trace.n))
 
 
-def _reduction_on_its_own_replay(trace, n):
+def _reduction_on_its_own_replay(trace, n, rescan=True):
     """Reference: ``allocator_to_stacking`` replaying the trace on a
-    :class:`PressureState` of its own; ``(steps, k, grid values)``."""
+    :class:`PressureState` of its own; ``(steps, k, grid values)``. After
+    each engine step the leftmost touched cell must carry the chosen
+    counter's pressure before it. With ``rescan`` the whole grid is then
+    compared with the pressures; without, each lowered cell is compared
+    with its counter's pressure, and the whole grid once, at the end."""
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
     k = max(trace.max_type_count(), 1)
@@ -346,9 +353,10 @@ def _reduction_on_its_own_replay(trace, n):
                 cell_of[slot], holder[free] = free, slot
                 while len(state.scaled[i - 1]) < step.types[i - 1]:
                     state.add_type(i)
+        state.step(step.types, step.agent)
         chosen = slots[step.agent - 1]
         c_star = min(cell_of[slot] for slot in slots)
-        if game.values[c_star] != state.scaled[step.agent - 1][step.types[step.agent - 1] - 1]:
+        if game.values[c_star] != state.scaled[chosen // k][chosen % k] - (n - 1):
             raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
         displaced, old_cell = holder[c_star], cell_of[chosen]
         cell_of[chosen], cell_of[displaced] = c_star, old_cell
@@ -359,14 +367,22 @@ def _reduction_on_its_own_replay(trace, n):
         for c, slot in enumerate(holder):
             if slot >= 0:
                 cell_of[slot] = c
-        state.step(step.types, step.agent)
-        pressures = [h for row in state.scaled for h in row]
-        if sorted(game.values) != sorted(pressures + [0] * (Q - len(pressures))):
+        if rescan:
+            _compare_grid(game, state)
+        elif any(game.values[cell_of[slot]] != state.scaled[slot // k][slot % k] for slot in slots if slot != chosen):
             raise InvariantViolation("pressure multiset != cell value multiset")
-        if game.values != sorted(game.values) or not game.integral_is_zero():
-            raise InvariantViolation("grid state lost sortedness or zero integral")
         steps.append((c_star, b_cells))
+    if not rescan:
+        _compare_grid(game, state)
     return steps, k, game.values
+
+
+def _compare_grid(game, state):
+    pressures = [h for row in state.scaled for h in row]
+    if sorted(game.values) != sorted(pressures + [0] * (game.Q - len(pressures))):
+        raise InvariantViolation("pressure multiset != cell value multiset")
+    if game.values != sorted(game.values) or not game.integral_is_zero():
+        raise InvariantViolation("grid state lost sortedness or zero integral")
 
 
 def _rescan_corpus(rng):
@@ -425,6 +441,99 @@ def test_validate_matches_the_full_rescan_reference():
     assert 20 <= reduced <= 380, reduced
     assert long_reduced >= 3, long_reduced
     assert late_reduced >= 2, late_reduced
+
+
+def _skew_engine(monkeypatch):
+    """Patch ``PressureState.step`` to add ``plan["delta"]`` on its
+    ``plan["at"]``-th call to one counter, by ``plan["kind"]``: the chosen
+    one, a lowered one (the next agent's) or an untouched open one (picked
+    by ``plan["pick"]``). Returns ``(plan, calls)``; ``calls`` records every
+    call and is cleared with a new plan."""
+    real, plan, calls = PressureState.step, {}, []
+
+    def step(self, types, agent=None):
+        winner = real(self, types, agent)
+        calls.append(winner)
+        if len(calls) == plan["at"]:
+            i = winner - 1 if plan["kind"] == "chosen" else winner % self.n
+            counters = [(i, types[i] - 1)]
+            if plan["kind"] == "untouched":
+                counters = [(i, u) for i, row in enumerate(self.scaled) for u in range(len(row)) if u != types[i] - 1]
+            if counters:
+                i, u = counters[plan["pick"] % len(counters)]
+                self.scaled[i][u] += plan["delta"]
+        return winner
+
+    monkeypatch.setattr(PressureState, "step", step)
+    return plan, calls
+
+
+def _skew_corpus(rng):
+    """``(n, trace)``: small pressure-greedy traces, and long ones whose
+    counters are touched seldom."""
+    for _ in range(300):
+        n, m, k = rng.randint(2, 5), rng.randint(1, 50), rng.randint(1, 4)
+        yield n, run_online(random_instance(rng, n, m, k), PressureGreedyPolicy())[1]
+    for _ in range(4):
+        cfg = GeneratorConfig(n=8, m=300, k=4, D=Fraction(8), seed=rng.randrange(10**6))
+        yield 8, run_online(generate_instance(cfg), PressureGreedyPolicy())[1]
+
+
+def test_reduction_matches_the_positional_reference_under_engine_skews(monkeypatch):
+    # one ±1 on the engine, on the chosen counter, a lowered one or an
+    # untouched one: the checks on counters raise what the checks on cell
+    # positions raise, after as many engine steps
+    def reduction(trace, n):
+        res = allocator_to_stacking(trace, n)
+        return res.steps, res.k, res.game.values
+
+    def positional(trace, n):
+        return _reduction_on_its_own_replay(trace, n, rescan=False)
+
+    rng = random.Random(59)
+    corpus = list(_skew_corpus(rng))
+    plan, calls = _skew_engine(monkeypatch)
+    seen = {}
+    for n, trace in corpus:
+        plan.update(at=rng.randint(1, trace.m), kind=rng.choice(("chosen", "lowered", "untouched")),
+                    delta=rng.choice((-1, 1)), pick=rng.randrange(64))
+        outcomes = []
+        for reduce in (reduction, positional):
+            calls.clear()
+            try:
+                outcome = "reduced", reduce(trace, n)
+            except FairdivError as exc:
+                outcome = type(exc), str(exc)
+            outcomes.append((outcome, len(calls)))
+        assert outcomes[0] == outcomes[1], (plan, n, trace.m)
+        ((kind, detail), count), _ = outcomes
+        key = (plan["kind"], "reduced" if kind == "reduced" else detail, count == plan["at"])
+        seen[key] = seen.get(key, 0) + 1
+    # the chosen counter and a lowered one are caught on the move of the skewed step
+    assert seen.get(("chosen", "leftmost touched cell does not carry the minimum pressure", True), 0) >= 20, seen
+    assert seen.get(("lowered", "pressure multiset != cell value multiset", True), 0) >= 20, seen
+    # an untouched one when it is next touched, or by the end check
+    assert seen.get(("untouched", "leftmost touched cell does not carry the minimum pressure", False), 0) >= 5, seen
+    assert seen.get(("untouched", "pressure multiset != cell value multiset", False), 0) >= 20, seen
+
+
+def test_run_path_walks_no_cell_positions(tmp_path, monkeypatch):
+    walks = []
+    walk = stacking._cell_moves
+    monkeypatch.setattr(stacking, "_cell_moves", lambda *args: walks.append(1) or walk(*args))
+    inst = random_instance(random.Random(61), n=4, m=60, k=3)
+    path = tmp_path / "instance.json"
+    path.write_text(instance_to_json(inst) + "\n")
+    argv = ["run", "--in", str(path), "--policy", "pressure-greedy", "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    report = run_experiment(inst, [PressureGreedyPolicy()])
+    assert report.runs[0].checks["stacking-consistency"] and report.runs[0].stacking_margin is not None
+    assert walks == []  # the margin is taken when the trace has steps, not when the reduction's do
+    trace = run_online(inst, PressureGreedyPolicy())[1]
+    res = allocator_to_stacking(trace, inst.n)
+    assert walks == []
+    assert res.steps == _reduction_on_its_own_replay(trace, inst.n)[0]
+    assert res.steps is res.steps and walks == [1]  # walked once, on the first read
 
 
 _STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1], "agent": 1}

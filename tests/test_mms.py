@@ -416,9 +416,12 @@ def _reference_mms_exact(values, n):
 
 
 def test_count_vector_bound_keeps_value_and_witness():
+    # below the largest-first load the search starts at incumbent optimum + 1,
+    # and must still stop at the leaf the unseeded search keeps
     rng = random.Random(131)
+    seeded = 0
     for trial in range(500):
-        n = rng.randint(2, 4)
+        n = rng.randint(2, 5)
         m = rng.randint(n + 1, exact_search_limit(n))
         if trial % 10 == 0:  # thousand-digit denominators
             pool = [Fraction(rng.randint(1, 10 ** 1100), rng.choice(HUGE)) for _ in range(rng.randint(1, 4))]
@@ -426,6 +429,11 @@ def test_count_vector_bound_keeps_value_and_witness():
             pool = [Fraction(rng.randint(1, 9), rng.choice([1, 2, 3, 4])) for _ in range(rng.randint(1, 4))]
         values = [rng.choice(pool) for _ in range(m)]
         assert mms_exact(values, n) == _reference_mms_exact(values, n), (values, n)
+        vals = common_scale(values)[1]
+        greedy_load = lpt_partition(vals, n)[0]
+        optimum = _count_vector_optimum(vals, n, max(vals), greedy_load)
+        seeded += optimum is not None and optimum < greedy_load
+    assert seeded >= 30, seeded
 
 
 def _at_guard_instances():
@@ -456,6 +464,11 @@ def test_count_vector_optimum_against_brute_force():
         # from no bound at all up to the one-bundle partition, so the
         # binary search runs over every achievable sum
         assert _count_vector_optimum(values, n, 0, sum(values)) == brute_force_mms(values, n), (values, n)
+
+
+def test_count_vector_optimum_says_when_it_is_not_proven():
+    values = list(range(1, 23))  # 2**22 count vectors: past the state limit, no optimum
+    assert _count_vector_optimum(values, 2, 127, 130) is None
 
 
 def _forbid_count_vector_search(monkeypatch):
