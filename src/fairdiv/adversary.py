@@ -170,9 +170,9 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
     return AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness), common, values)
 
 
-def mms_report(inst: Instance, witnesses=()) -> list[AgentMms]:
+def mms_report(inst: Instance) -> list[AgentMms]:
     """Each agent's :func:`agent_mms` record, computed once per instance."""
-    return [agent_mms(inst, agent, witnesses) for agent in range(1, inst.n + 1)]
+    return [agent_mms(inst, agent) for agent in range(1, inst.n + 1)]
 
 
 def scaled_disutilities(inst: Instance, alloc: Allocation, report) -> list[Fraction]:
@@ -191,7 +191,7 @@ def scaled_disutilities(inst: Instance, alloc: Allocation, report) -> list[Fract
     return [Fraction(total, r.scale) for total, r in zip(sums, report)]
 
 
-def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[RatioCertificate]:
+def certify_ratio(inst: Instance, alloc: Allocation) -> list[RatioCertificate]:
     """Certified per-agent ratio lower bounds for a finished allocation.
 
     Pairs each agent's :func:`agent_mms` record with the agent's disutility
@@ -201,7 +201,7 @@ def certify_ratio(inst: Instance, alloc: Allocation, witnesses=None) -> list[Rat
     """
     if inst.m == 0:
         return [TRIVIAL_CERTIFICATE]
-    report = mms_report(inst, witnesses or ())
+    report = mms_report(inst)
     return [
         _build_certificate(r.agent, d_a, r.upper, r.witness, r.source)
         for r, d_a in zip(report, scaled_disutilities(inst, alloc, report))

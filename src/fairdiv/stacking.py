@@ -25,18 +25,18 @@ multiset of pressures always equals the multiset of cell values. A move
 changes each touched cell as the closed form changes its counter, so the
 moves are checked on counter values inside the one replay of
 :func:`validate_pressure_trace`, whose checks ``ReductionResult.check``
-keeps, with the final grid; the moves' cell positions are walked only when
-``ReductionResult.steps`` is read. The bound's margin on the final grid
-comes from its integers (:meth:`GridGame.bound_margin`), and
+keeps, with the final grid. The moves' cell positions are walked on a
+fresh grid through :meth:`GridGame.apply_cells` only when
+``ReductionResult.steps`` is read or :func:`stacking_trace_to_jsonl` writes
+the grid after each move; :func:`replay_stacking_trace` reads that file
+back on the reference engine. The bound's margin on the final grid comes
+from its integers (:meth:`GridGame.bound_margin`), and
 ``game.to_function()`` gives the grid as a :class:`StackingFunction`.
-:func:`stacking_trace_to_jsonl` replays the moves on the reference engine,
-as :func:`replay_stacking_trace` does.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -489,8 +489,8 @@ class ReductionResult:
     """The final ``game`` and the replay's ``check`` of a reduction, and
     ``moves``, a copy of the trace's ``(types, agent)`` pairs. ``steps``, one
     ``(raised cell, lowered cells)`` move per item on the sorted grid of n*k
-    cells before it (raise 1, lower 1/(n-1)), is walked from ``moves`` on
-    first read."""
+    cells before it (raise 1, lower 1/(n-1)), is walked from ``moves`` on a
+    fresh grid on first read."""
 
     n: int
     k: int
@@ -500,7 +500,7 @@ class ReductionResult:
 
     @cached_property
     def steps(self) -> list[tuple[int, tuple[int, ...]]]:
-        return _cell_moves(self.game, self.moves)
+        return [(raised, lowered) for raised, lowered, _ in _walk(self.n, self.k, self.moves)]
 
 
 def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
@@ -562,68 +562,43 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     return ReductionResult(n, k, game, check, [(s.types, s.agent) for s in trace.steps])
 
 
-def _cell_moves(game: GridGame, moves) -> list[tuple[int, tuple[int, ...]]]:
-    """The ``(raised cell, lowered cells)`` of each ``(types, agent)`` move of a
-    reduction onto ``game``'s cells, walked from the zero grid. Counter (agent
-    i, type u) is slot (i-1)*k + (u-1); holder[c] is the slot on cell c, or -1
-    for none yet, and a fresh counter takes the leftmost free cell. A move
-    edits the sorted grid in place: the raised cell goes first in its new
-    value's run and the lowered ones last in theirs, in their old order, which
-    is where a stable sort puts them, so the grid stays sorted."""
-    n, k = game.cells_per_unit, game.k
-    values = [0] * game.Q
+def _walk(n: int, k: int, moves):
+    """Walk a reduction's ``(types, agent)`` moves on a fresh grid of n*k
+    cells, yielding ``(raised cell, lowered cells, game)`` after each move.
+    Counter (agent i, type u) is slot (i-1)*k + (u-1); holder[c] is the slot
+    on cell c, or -1 for none yet, and a fresh counter takes the leftmost
+    free cell, which is untouched and so 0. The chosen counter takes the
+    leftmost touched cell, and the holders follow the sort order that
+    :meth:`GridGame.apply_cells` returns."""
+    game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
+    b = Fraction(1, n - 1)
     holder = [-1] * game.Q
     first_slots = range(-1, n * k - 1, k)
-    steps: list[tuple[int, tuple[int, ...]]] = []
     for types, agent in moves:
         slots = list(map(add, first_slots, types))
-        try:
-            cells = list(map(holder.index, slots))
-        except ValueError:
-            for slot in slots:
-                if slot not in holder:
-                    free = holder.index(-1)
-                    if values[free] != 0:
-                        raise InvariantViolation("fresh pressure assigned to a nonzero cell") from None
-                    holder[free] = slot
-            cells = list(map(holder.index, slots))
+        for slot in slots:
+            if slot not in holder:
+                holder[holder.index(-1)] = slot
+        cells = list(map(holder.index, slots))
         chosen, old_cell = slots[agent - 1], cells[agent - 1]
         cells.sort()
         c_star, b_cells = cells[0], tuple(cells[1:])
-        if len(set(cells)) < n:  # only coinciding cells can fail the shape check, which names the fault
-            game._check_cells((c_star,), b_cells)
         holder[old_cell], holder[c_star] = holder[c_star], chosen
-        # the raised cell goes first in its new value's run; a lowered cell of value v
-        # goes last in v-1's run, the front of v's, so only its holder moves
-        raised = values[c_star] + n - 1
-        del values[c_star], holder[c_star]
-        top = bisect_left(values, raised, c_star)
-        values.insert(top, raised)
-        holder.insert(top, chosen)
-        for c in b_cells:
-            if c <= top:
-                c -= 1
-            value = values[c] - 1
-            at = bisect_right(values, value, 0, c)
-            values[at] = value
-            if at != c:
-                holder.insert(at, holder.pop(c))
-        steps.append((c_star, b_cells))
-    return steps
+        order = game.apply_cells(1, b, (c_star,), b_cells)
+        holder = [holder[c] for c in order]
+        yield c_star, b_cells, game
 
 
 # Trace file format ----------------------------------------------------------
 
 def stacking_trace_to_jsonl(result: ReductionResult) -> str:
-    """One JSON line per move of ``result``, with the pieces after it, replayed from
-    zero on the reference engine (:func:`apply_operation`) that
-    :func:`replay_stacking_trace` reads the file with."""
+    """One JSON line per move of ``result``, with the pieces of the grid after
+    it, walked from zero; :func:`replay_stacking_trace` reads the file back
+    on the reference engine (:func:`apply_operation`)."""
     Q, a, b = result.n * result.k, Fraction(1), Fraction(1, result.n - 1)
-    function = StackingFunction.zero()
     lines = []
-    for raised, lowered in result.steps:
+    for raised, lowered, game in _walk(result.n, result.k, result.moves):
         A, B = cells_to_intervals(Q, [raised]), cells_to_intervals(Q, lowered)
-        function = apply_operation(function, StackingOperation(a, b, A, B, result.k))
         rec = {
             "a": format_rational(a),
             "b": format_rational(b),
@@ -631,7 +606,7 @@ def stacking_trace_to_jsonl(result: ReductionResult) -> str:
             "B": [[format_rational(l), format_rational(r)] for l, r in B],
             "pieces_after": [
                 [format_rational(l), format_rational(r), format_rational(v)]
-                for l, r, v in function.pieces
+                for l, r, v in game.to_function().pieces
             ],
         }
         lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))

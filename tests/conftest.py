@@ -7,7 +7,9 @@ from fractions import Fraction
 from itertools import product
 
 from fairdiv import Instance
+from fairdiv.allocator import PressureGreedyPolicy, run_online
 from fairdiv.core import ceil_div
+from fairdiv.harness import GeneratorConfig, generate_instance
 
 
 def brute_force_mms(values, n: int) -> Fraction:
@@ -44,6 +46,19 @@ def random_instance(rng: random.Random, n: int, m: int, k: int) -> Instance:
     for j in range(m):
         items.append(tuple(value_sets[i][rng.randrange(k)] for i in range(n)))
     return Instance(n=n, items=tuple(items))
+
+
+def late_opening_trace(rng: random.Random):
+    """``(n, trace)``: pressure-greedy on a uniform-rational instance with one
+    value per agent for 260 items and four after, so its counters open late
+    and fresh cells join a grid of nonzero ones."""
+    n = rng.randint(3, 8)
+    early, late = (
+        generate_instance(GeneratorConfig(n=n, m=m, k=k, D=Fraction(16), value_grid="uniform-rational",
+                                          seed=rng.randrange(10**6)))
+        for m, k in ((260, 1), (300, 4))
+    )
+    return n, run_online(Instance(n, early.items + late.items), PressureGreedyPolicy())[1]
 
 
 class OracleRec3:

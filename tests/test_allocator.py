@@ -38,7 +38,7 @@ from fairdiv.core import instance_to_json
 from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance, run_experiment
 from fairdiv.mms import mms_exact
 
-from conftest import random_instance
+from conftest import late_opening_trace, random_instance
 
 
 # round_up_pow2 -------------------------------------------------------------
@@ -390,7 +390,8 @@ def _rescan_corpus(rng):
     through the reduction's move: three stream-shaped (n=8, k=4, m=1000,
     powers of two), three tie-heavy (n=2, k=1) and four whose counters open
     late (uniform-rational, m=560, one value per agent for 260 items and
-    four after), so fresh cells join a grid of nonzero ones."""
+    four after, :func:`late_opening_trace`), so fresh cells join a grid of
+    nonzero ones."""
     policies = ("pressure-greedy", "bi-value", "round-robin", "dump-to-one", "mixture:5")
     for _ in range(400):
         n, m, k = rng.randint(2, 5), rng.randint(1, 60), rng.randint(1, 4)
@@ -401,13 +402,7 @@ def _rescan_corpus(rng):
     for _ in range(3):
         yield 2, run_online(random_instance(rng, 2, rng.randint(200, 400), 1), PressureGreedyPolicy())[1]
     for _ in range(4):
-        n = rng.randint(3, 8)
-        early, late = (
-            generate_instance(GeneratorConfig(n=n, m=m, k=k, D=Fraction(16), value_grid="uniform-rational",
-                                              seed=rng.randrange(10**6)))
-            for m, k in ((260, 1), (300, 4))
-        )
-        yield n, run_online(Instance(n, early.items + late.items), PressureGreedyPolicy())[1]
+        yield late_opening_trace(rng)
 
 
 def test_validate_matches_the_full_rescan_reference():
@@ -518,9 +513,10 @@ def test_reduction_matches_the_positional_reference_under_engine_skews(monkeypat
 
 
 def test_run_path_walks_no_cell_positions(tmp_path, monkeypatch):
-    walks = []
-    walk = stacking._cell_moves
-    monkeypatch.setattr(stacking, "_cell_moves", lambda *args: walks.append(1) or walk(*args))
+    walks, moves = [], []
+    walk, apply_cells = stacking._walk, GridGame.apply_cells
+    monkeypatch.setattr(stacking, "_walk", lambda *args: walks.append(1) or walk(*args))
+    monkeypatch.setattr(GridGame, "apply_cells", lambda *args: moves.append(1) or apply_cells(*args))
     inst = random_instance(random.Random(61), n=4, m=60, k=3)
     path = tmp_path / "instance.json"
     path.write_text(instance_to_json(inst) + "\n")
@@ -528,12 +524,14 @@ def test_run_path_walks_no_cell_positions(tmp_path, monkeypatch):
     assert main(argv) == 0
     report = run_experiment(inst, [PressureGreedyPolicy()])
     assert report.runs[0].checks["stacking-consistency"] and report.runs[0].stacking_margin is not None
-    assert walks == []  # the margin is taken when the trace has steps, not when the reduction's do
+    assert walks == moves == []  # the margin is taken when the trace has steps, not when the reduction's do
     trace = run_online(inst, PressureGreedyPolicy())[1]
     res = allocator_to_stacking(trace, inst.n)
-    assert walks == []
-    assert res.steps == _reduction_on_its_own_replay(trace, inst.n)[0]
-    assert res.steps is res.steps and walks == [1]  # walked once, on the first read
+    assert walks == moves == []
+    steps = res.steps
+    assert walks == [1] and len(moves) == inst.m  # walked once, on the first read
+    assert res.steps is steps and walks == [1] and len(moves) == inst.m
+    assert steps == _reduction_on_its_own_replay(trace, inst.n)[0]
 
 
 _STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1], "agent": 1}

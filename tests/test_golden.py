@@ -47,6 +47,7 @@ from fairdiv import (
     run_experiment,
     run_online,
 )
+from fairdiv.adversary import _build_certificate, agent_mms, scaled_disutilities
 from fairdiv.allocator import BiValuePolicy, ExternalPolicy, PressureGreedyPolicy, make_policy
 from fairdiv.cli import main
 from fairdiv.harness import GeneratorConfig, generate_instance
@@ -94,7 +95,7 @@ CORPUS = {
 }
 
 # Cases whose pressure-greedy allocation is certified, mapped to the extra
-# witness partitions (1-based item indices) passed to certify_ratio.
+# witness partitions (1-based item indices) offered to each agent's MMS record.
 CERTIFIED = {
     "n2-k3-fallback": [[[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]],
     "n4-past-guard": None,
@@ -248,6 +249,18 @@ GOLDEN = {
 }
 
 
+def _certify_with(inst, alloc, witnesses):
+    """:func:`certify_ratio`, with ``witnesses`` (if not None) offered to
+    every agent's :func:`agent_mms` record."""
+    if witnesses is None:
+        return certify_ratio(inst, alloc)
+    report = [agent_mms(inst, agent, witnesses) for agent in range(1, inst.n + 1)]
+    return [
+        _build_certificate(r.agent, d_a, r.upper, r.witness, r.source)
+        for r, d_a in zip(report, scaled_disutilities(inst, alloc, report))
+    ]
+
+
 @functools.lru_cache(maxsize=None)
 def _artifacts(case: str) -> dict[str, str]:
     inst = CORPUS[case]()
@@ -260,7 +273,7 @@ def _artifacts(case: str) -> dict[str, str]:
     out["report"] = run_experiment(inst).to_json()
     for name in (c for c in CERTIFIED if c.split("+")[0] == case):
         alloc, _ = run_online(inst, PressureGreedyPolicy())
-        certs = certify_ratio(inst, alloc, CERTIFIED[name])
+        certs = _certify_with(inst, alloc, CERTIFIED[name])
         out["certificates" + name[len(case):]] = json.dumps([c.to_obj() for c in certs], sort_keys=True)
     for policy in CLI_RUNS.get(case, ()):
         out.update({f"cli/{policy}/{f}": text for f, text in _cli_run(inst, policy).items()})

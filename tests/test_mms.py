@@ -16,7 +16,6 @@ from fairdiv import (
     InstanceTooLarge,
     agent_mms,
     agent_type_shares,
-    certify_ratio,
     check_mms_decomposition,
     generate_instance,
     mms_exact,
@@ -107,7 +106,7 @@ def test_bounds_with_witness():
         (Fraction(1), Fraction(1)),
     ))
     assert agent_mms(inst, 1).lower == 4  # max(6/2, 4)
-    assert mms_report(inst, [[[1], [2, 3]]])[0].upper == 4  # witness attains it: exact
+    assert agent_mms(inst, 1, [[[1], [2, 3]]]).upper == 4  # witness attains it: exact
 
 
 def test_bounds_single_item():
@@ -169,7 +168,7 @@ def test_witness_rejects_items_outside_the_instance():
         with pytest.raises(FairdivError, match="outside 1..3"):
             witness_max_bundle(inst, 1, bad)
         with pytest.raises(FairdivError, match="outside 1..3"):
-            certify_ratio(inst, alloc, [bad])
+            agent_mms(inst, 1, [bad])
 
 
 def test_witness_rejects_more_than_n_bundles():
@@ -187,8 +186,8 @@ def test_supplied_witness_past_the_guard_has_at_most_n_bundles():
     inst = Instance(2, ((Fraction(1), Fraction(1)),) * 30)
     singletons = [[j] for j in range(1, 31)]
     with pytest.raises(FairdivError, match="more than n=2 bundles"):
-        mms_report(inst, [singletons])
-    (entry, _) = mms_report(inst, [[list(range(1, 16)), list(range(16, 31))]])
+        agent_mms(inst, 1, [singletons])
+    entry = agent_mms(inst, 1, [[list(range(1, 16)), list(range(16, 31))]])
     assert entry.exact is None and entry.lower == entry.upper == 15
     with pytest.raises(FairdivError, match="lower bound 15 exceeds 1"):
         AgentMms(1, Fraction(15), Fraction(1), None, tuple(map(tuple, singletons)))
@@ -365,11 +364,11 @@ def test_mms_report_matches_fraction_reference():
         common, scaled = common_scale(inst.agent_values(1))
         # built-in witnesses with their bundles in another order: they tie, and win
         witnesses = [list(reversed(partition(scaled, n)[1])) for partition in (lpt_partition, type_union_partition)]
-        for supplied in ((), witnesses):
-            expected = [_fraction_agent_mms(inst, agent, supplied) for agent in range(1, n + 1)]
-            assert mms_report(inst, supplied) == expected
+        assert mms_report(inst) == [_fraction_agent_mms(inst, agent, ()) for agent in range(1, n + 1)]
+        for agent in range(1, n + 1):
+            assert agent_mms(inst, agent, witnesses) == _fraction_agent_mms(inst, agent, witnesses)
         if past_guard:  # agent 1's record is a supplied witness, not the built-in it ties
-            assert mms_report(inst, witnesses)[0].witness in [tuple(map(tuple, w)) for w in witnesses]
+            assert agent_mms(inst, 1, witnesses).witness in [tuple(map(tuple, w)) for w in witnesses]
 
 
 def _reference_mms_exact(values, n):

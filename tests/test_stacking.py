@@ -23,7 +23,7 @@ from fairdiv.allocator import PressureGreedyPolicy, PressureState, RunTrace, Tra
 from fairdiv.core import FairdivError, instance_to_json
 from fairdiv.stacking import BoundReport, cells_to_intervals, is_contiguous, stacking_trace_to_jsonl
 
-from conftest import random_instance
+from conftest import late_opening_trace, random_instance
 
 H = Fraction(1, 2)
 
@@ -349,6 +349,43 @@ def test_stacking_trace_replay_detects_tampering():
     text = stacking_trace_to_jsonl(res)
     tampered = text.replace('"-1"', '"-2"', 1)
     assert not replay_stacking_trace(tampered).passed
+
+
+def test_stacking_trace_readback_checks_the_grid_against_the_reference(monkeypatch):
+    # the writer records the walked grid, so reading the file back on the
+    # reference engine names the first move after which the grid is off;
+    # the skew keeps the grid sorted and its integral zero
+    inst = random_instance(random.Random(83), n=3, m=20, k=2)
+    res = allocator_to_stacking(run_online(inst, PressureGreedyPolicy())[1], 3)
+    apply_cells, calls, skew = GridGame.apply_cells, [], []
+
+    def skewed(game, *args):
+        order = apply_cells(game, *args)
+        calls.append(1)
+        if len(calls) in skew:
+            game.values[-1] += 1
+            game.values[0] -= 1
+        return order
+
+    monkeypatch.setattr(GridGame, "apply_cells", skewed)
+    assert replay_stacking_trace(stacking_trace_to_jsonl(res)).passed
+    for j in (1, 7, 20):
+        calls.clear()
+        skew[:] = [j]
+        report = replay_stacking_trace(stacking_trace_to_jsonl(res))
+        assert len(calls) == inst.m and report.steps == inst.m
+        assert report.failures[:1] == (f"line {j}: recorded pieces do not match replay",)
+
+
+def test_stacking_trace_roundtrip_with_late_opening_counters():
+    # fresh counters take free cells of a grid whose other cells are nonzero
+    rng = random.Random(89)
+    for _ in range(4):
+        n, trace = late_opening_trace(rng)
+        res = allocator_to_stacking(trace, n)
+        assert max(max(s.types) for s in trace.steps[:260]) < res.k
+        report = replay_stacking_trace(stacking_trace_to_jsonl(res))
+        assert report.passed and report.steps == trace.m
 
 
 def test_replay_matches_reference_engine():
