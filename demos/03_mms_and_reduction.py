@@ -33,7 +33,7 @@ print("agent 1 types:", [(str(t.value), t.count, str(t.share)) for t in shares])
 
 print("\nreduction to the stacking game:")
 _, trace = run_online(inst, PressureGreedyPolicy())
-reduction = allocator_to_stacking(trace, inst.n)
+reduction = allocator_to_stacking(trace)
 final = reduction.game.to_function()
 print(f"{len(reduction.steps)} moves at k = {reduction.k}; "
       f"final piece values {[str(v) for _, _, v in final.pieces]}")

@@ -617,8 +617,7 @@ def play_game(adversary, policy: Policy, budget: int) -> GameResult:
 
     certified = False
     for _ in range(budget):
-        raw = adversary.next_item()
-        adversary.observe(trace.feed(policy, raw, tables.encode(raw)))
+        adversary.observe(trace.feed(policy, tables.encode(adversary.next_item())))
         cert = adversary.certificate()
         if cert is not None and cert.ratio_lower > target_ratio:
             certified = True

@@ -14,10 +14,10 @@ argmin over them is exact and fast. Trace snapshots are these (n-1)*H int
 rows too; public accessors and trace files expose Fractions.
 
 :class:`PressureState` is the one pressure engine and holds only the
-pressures. Policies see each item's values with their codes (see
-:class:`fairdiv.core.ValueTables`); each agent's table maps a raw value's
-code to its (effective value's code, type), and the policies differ only in
-the rule that fills it.
+pressures. A policy is started on the run's raw value tables and then sees
+each item only as its codes (see :class:`fairdiv.core.ValueTables`); each
+agent's table maps a raw value's code to its (effective value's code,
+type), and the policies differ only in the rule that fills it.
 Pressure-greedy rounds up to powers of two. The bi-value variant skips the
 rounding: when an agent reveals a second distinct value, the two values are
 merged into a single type when the smaller-to-larger ratio exceeds
@@ -32,8 +32,7 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from operator import attrgetter, getitem
+from operator import getitem
 
 from .core import (
     Allocation, FairdivError, Instance, ParseError, ValueTables, format_rational,
@@ -138,8 +137,8 @@ class RunTrace:
     @classmethod
     def begin(cls, policy: Policy, n: int, raw_values) -> RunTrace:
         """Start ``policy`` on n agents and an empty trace whose raw codes index ``raw_values``."""
-        policy.start(n)
-        return cls(n, policy.name, raw_values=raw_values, effective_values=policy.effective_values(raw_values))
+        policy.start(n, raw_values)
+        return cls(n, policy.name, raw_values=raw_values, effective_values=policy.effective_values())
 
     @property
     def m(self) -> int:
@@ -154,19 +153,16 @@ class RunTrace:
     def allocation(self) -> Allocation:
         return Allocation(tuple(s.agent for s in self.steps))
 
-    def feed(self, policy: Policy, raw, codes) -> int:
-        """Offer the next item, its raw vector and its codes into ``raw_values``,
-        to ``policy``, check its choice, record the step."""
-        agent = policy.choose(raw, codes)
+    def feed(self, policy: Policy, codes) -> int:
+        """Offer the next item, as its codes into ``raw_values``, to ``policy``,
+        check its choice, record the step."""
+        agent = policy.choose(codes)
         if not (1 <= agent <= self.n):
             raise FairdivError(f"policy chose invalid agent {agent}")
         steps = self.steps
         steps.append(TraceStep(len(steps) + 1, codes, policy.last_effective(codes), policy.last_types(),
                                agent, policy.pressure_snapshot()))
         return agent
-
-    def max_type_count(self) -> int:
-        return max(chain.from_iterable(map(attrgetter("types"), self.steps)), default=0)
 
     def to_jsonl(self) -> str:
         """One JSON line per step, as ``json.dumps`` with sorted keys writes it,
@@ -252,27 +248,28 @@ def trace_from_jsonl(text, n: int, policy: str = "external") -> RunTrace:
 class Policy:
     """A deterministic online allocation rule fed one item at a time.
 
-    :meth:`choose` gets each item's raw vector and, from :func:`run_online`
-    and the adversary games, its codes: per agent, the index of the value in
-    a table of that agent's distinct values in first-appearance order
-    (:class:`ValueTables`). A code says only which values are equal. Called
-    without codes, a policy that needs them codes the values itself.
+    :meth:`start` binds the run's raw value tables: ``raw_values[i][c]`` is
+    agent i+1's value of code c, in first-appearance order
+    (:class:`ValueTables`), and the tables may grow as items arrive.
+    :meth:`choose` gets each item as its codes, one per agent, whose values
+    are already in the tables. A code says only which values are equal.
     """
 
     name = "abstract"
 
-    def start(self, n: int) -> None:
+    def start(self, n: int, raw_values) -> None:
         self.n = n
+        self.raw_values = raw_values
         self._ones = (1,) * n
 
-    def choose(self, raw, codes=None) -> int:
+    def choose(self, codes) -> int:
         raise NotImplementedError
 
     # Effective values (as codes) and type indices recorded in traces; policies
     # without pressure accounting report the raw codes and type 1.
-    def effective_values(self, raw_values):
+    def effective_values(self):
         """Per agent, the table that the codes of :meth:`last_effective` index."""
-        return raw_values
+        return self.raw_values
 
     def last_effective(self, codes) -> tuple[int, ...]:
         return codes
@@ -299,10 +296,9 @@ class PressureGreedyPolicy(Policy):
 
     name = "pressure-greedy"
 
-    def start(self, n: int) -> None:
-        super().start(n)
+    def start(self, n: int, raw_values) -> None:
+        super().start(n, raw_values)
         self.effective = ValueTables(n)
-        self._own_codes = ValueTables(n)  # for calls without codes
         self._new_tables()
         self._types: tuple[int, ...] = ()
         self._effective: tuple[int, ...] = ()
@@ -314,7 +310,7 @@ class PressureGreedyPolicy(Policy):
         self.table: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         self._pow2_types: list[dict[int, int]] = [{} for _ in range(self.n)]  # effective code -> type
 
-    def effective_values(self, raw_values):
+    def effective_values(self):
         return self.effective.values
 
     def _value_type(self, agent: int, value: Fraction) -> tuple[int, int]:
@@ -329,22 +325,20 @@ class PressureGreedyPolicy(Policy):
             u = types[eff] = self.state.add_type(agent)
         return eff, u
 
-    def _classify(self, raw, codes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _classify(self, codes) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Effective codes and type indices of one item."""
         try:
             entries = tuple(map(getitem, self.table, codes))
         except IndexError:  # some agent's next new value: codes are dense
-            for agent, (table, c, v) in enumerate(zip(self.table, codes, raw), 1):
+            for agent, (table, values, c) in enumerate(zip(self.table, self.raw_values, codes), 1):
                 if c == len(table):
-                    table.append(self._value_type(agent, v))
+                    table.append(self._value_type(agent, values[c]))
             entries = tuple(map(getitem, self.table, codes))
         effective, types = zip(*entries)
         return effective, types
 
-    def choose(self, raw, codes=None) -> int:
-        if codes is None:
-            codes = self._own_codes.encode(raw)
-        self._effective, self._types = self._classify(raw, codes)
+    def choose(self, codes) -> int:
+        self._effective, self._types = self._classify(codes)
         if self.state is None:
             return 1
         winner = self.state.step(self._types)
@@ -396,9 +390,9 @@ class BiValuePolicy(PressureGreedyPolicy):
 
     name = "bi-value"
 
-    def start(self, n: int) -> None:
-        super().start(n)
-        self.history: list[tuple[tuple, tuple[int, ...], int]] = []  # (raw, codes, agent)
+    def start(self, n: int, raw_values) -> None:
+        super().start(n, raw_values)
+        self.history: list[tuple[tuple[int, ...], int]] = []  # (codes, agent)
         self.fell_back = False
 
     def _value_type(self, agent: int, value: Fraction) -> tuple[int, int]:
@@ -416,30 +410,28 @@ class BiValuePolicy(PressureGreedyPolicy):
                 return merged
         return self.effective.code(agent - 1, value), self.state.add_type(agent)
 
-    def choose(self, raw, codes=None) -> int:
-        if codes is None:
-            codes = self._own_codes.encode(raw)
+    def choose(self, codes) -> int:
         try:
-            agent = super().choose(raw, codes)
+            agent = super().choose(codes)
         except BiValuePromiseViolated:
             self.fell_back = True
             self._new_tables()
-            for past, past_codes, past_agent in self.history:
-                self.state.step(self._classify(past, past_codes)[1], past_agent)
+            for past, past_agent in self.history:
+                self.state.step(self._classify(past)[1], past_agent)
             self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))
-            agent = super().choose(raw, codes)
-        self.history.append((tuple(raw), codes, agent))
+            agent = super().choose(codes)
+        self.history.append((codes, agent))
         return agent
 
 
 class RoundRobinPolicy(Policy):
     name = "round-robin"
 
-    def start(self, n: int) -> None:
-        super().start(n)
+    def start(self, n: int, raw_values) -> None:
+        super().start(n, raw_values)
         self.step_index = 0
 
-    def choose(self, raw, codes=None) -> int:
+    def choose(self, codes) -> int:
         agent = self.step_index % self.n + 1
         self.step_index += 1
         return agent
@@ -448,7 +440,7 @@ class RoundRobinPolicy(Policy):
 class DumpToOnePolicy(Policy):
     name = "dump-to-one"
 
-    def choose(self, raw, codes=None) -> int:
+    def choose(self, codes) -> int:
         return 1
 
 
@@ -459,13 +451,13 @@ class SeededMixturePolicy(Policy):
         self.seed = seed
         self.name = f"mixture-{seed}"
 
-    def start(self, n: int) -> None:
-        super().start(n)
+    def start(self, n: int, raw_values) -> None:
+        super().start(n, raw_values)
         import random
 
         self.rng = random.Random(self.seed)
 
-    def choose(self, raw, codes=None) -> int:
+    def choose(self, codes) -> int:
         return self.rng.randrange(self.n) + 1
 
 
@@ -477,8 +469,8 @@ class ExternalPolicy(Policy):
     def __init__(self, fn):
         self.fn = fn
 
-    def choose(self, raw, codes=None) -> int:
-        return self.fn(tuple(raw))
+    def choose(self, codes) -> int:
+        return self.fn(tuple(map(getitem, self.raw_values, codes)))
 
 
 def make_policy(name: str) -> Policy:
@@ -499,10 +491,10 @@ def make_policy(name: str) -> Policy:
 
 
 def run_online(inst: Instance, policy: Policy) -> tuple[Allocation, RunTrace]:
-    """Feed the instance's items, with their codes, in arrival order through a policy."""
+    """Feed the instance's items, as their codes, in arrival order through a policy."""
     trace = RunTrace.begin(policy, inst.n, inst.values)
-    for raw, codes in zip(inst.items, inst.codes):
-        trace.feed(policy, raw, codes)
+    for codes in inst.codes:
+        trace.feed(policy, codes)
     return trace.allocation(), trace
 
 
@@ -552,9 +544,9 @@ def _replay_pressure_trace(trace: RunTrace, state: PressureState, off_pace=None)
     """The one replay of a trace on ``state`` behind :func:`validate_pressure_trace`:
     its :class:`TraceCheck` and the closed-form rows at the end.
 
-    With ``off_pace``, each step finds ``low``, the least closed-form value
-    among its touched counters once they are lowered by one, and, once its
-    checks are made, calls ``off_pace(step, low, closed)`` if the engine's
+    Each step finds ``low``, the least closed-form value among its touched
+    counters once they are lowered by one. With ``off_pace``, once a step's
+    checks are made, it calls ``off_pace(step, low, closed)`` if the engine's
     rows are not the closed-form rows ``closed`` or its receiving counter is
     not ``low + n``: with rows equal, when the agent did not hold the least
     pressure among the touched counters.
@@ -580,15 +572,11 @@ def _replay_pressure_trace(trace: RunTrace, state: PressureState, off_pace=None)
             pressure_cap, count_cap = 2 * game_k * (n - 1), 2 * game_k * n
         state.step(types, s.agent)
         u = types[a] - 1
-        if off_pace is None:  # without low: validate_pressure_trace keeps its pace
-            for row, v in zip(closed, types):
-                row[v - 1] -= 1
-        else:
-            low = closed[a][u]
-            for row, v in zip(closed, types):
-                x = row[v - 1] = row[v - 1] - 1
-                if x < low:
-                    low = x
+        low = closed[a][u]
+        for row, v in zip(closed, types):
+            x = row[v - 1] = row[v - 1] - 1
+            if x < low:
+                low = x
         closed[a][u] += n
         h = scaled[a][u]
         diverged = scaled != closed

@@ -279,7 +279,7 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
         if policy.name == "pressure-greedy" and inst.n >= 2:
             # the reduction's replay checks the trace too; validation replays it only if that fails
             try:
-                reduction = allocator_to_stacking(trace, inst.n)
+                reduction = allocator_to_stacking(trace)
             except FairdivError:
                 reduction = None
             tc = validate_pressure_trace(trace) if reduction is None else reduction.check

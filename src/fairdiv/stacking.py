@@ -503,8 +503,8 @@ class ReductionResult:
         return [(raised, lowered) for raised, lowered, _ in _walk(self.n, self.k, self.moves)]
 
 
-def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
-    """Replay a rounded-greedy trace as stacking-game moves.
+def allocator_to_stacking(trace: RunTrace) -> ReductionResult:
+    """Replay a rounded-greedy trace (n = ``trace.n``) as stacking-game moves.
 
     The interval is divided into n*k cells of width 1/(nk), with k the
     trace's largest type index; each pressure counter holds one cell, and
@@ -530,6 +530,7 @@ def allocator_to_stacking(trace: RunTrace, n: int) -> ReductionResult:
     the closed form on two touched counters. ``steps`` walks the cell
     positions on first read.
     """
+    n = trace.n
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
     state = PressureState(n)

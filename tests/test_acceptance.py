@@ -59,8 +59,8 @@ def report(criterion: int, text: str) -> None:
 class CountingPolicy(PressureGreedyPolicy):
     """Pressure-greedy that counts its value classifications."""
 
-    def start(self, n):
-        super().start(n)
+    def start(self, n, raw_values):
+        super().start(n, raw_values)
         self.classified = 0
 
     def _value_type(self, agent, value):
@@ -208,7 +208,7 @@ def test_criterion_4_reduction_consistency():
         _, trace = run_online(inst, PressureGreedyPolicy())
         # inside: each move checks its n touched cells against their pressures, and
         # the end of the replay checks the whole grid against the sorted pressures
-        res = allocator_to_stacking(trace, n)
+        res = allocator_to_stacking(trace)
         check = validate_pressure_trace(trace)
         assert res.check == check  # the reduction rides on the validator's replay
         assert check.passed

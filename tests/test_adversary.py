@@ -19,7 +19,7 @@ from fairdiv import (
 from fairdiv.adversary import (RatioCertificate, RecGameRecord, agent_mms, greedy_bin_packing, lpt_partition,
                                mms_report, scaled_disutilities)
 from fairdiv.allocator import DumpToOnePolicy, ExternalPolicy, PressureGreedyPolicy, RoundRobinPolicy
-from fairdiv.core import FairdivError
+from fairdiv.core import FairdivError, ValueTables
 from fairdiv.mms import AgentMms, InstanceTooLarge, common_scale, exact_search_limit, mms_exact, witness_max_bundle
 
 from conftest import random_instance, type_union_partition
@@ -237,12 +237,13 @@ def test_rec_n3_matches_independent_oracle():
         (ExternalPolicy(lambda d: 3), 60),
     ]:
         adv = make_recursive_adversary(3, F(1), pin_horizon=200)
-        policy.start(3)
+        tables = ValueTables(3)
+        policy.start(3, tables.values)
         oracle = OracleRec3(F(1), pin_horizon=200)
         for _ in range(budget):
             d = adv.next_item()
             assert oracle.next() == d
-            agent = policy.choose(d)
+            agent = policy.choose(tables.encode(d))
             adv.observe(agent)
             oracle.observe(agent)
 

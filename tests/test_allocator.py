@@ -27,14 +27,16 @@ from fairdiv.allocator import (
     BiValuePolicy,
     BiValuePromiseViolated,
     DumpToOnePolicy,
+    ExternalPolicy,
     Policy,
     PressureGreedyPolicy,
     RoundRobinPolicy,
+    RunTrace,
     SeededMixturePolicy,
     trace_from_jsonl,
 )
 from fairdiv.cli import main
-from fairdiv.core import instance_to_json
+from fairdiv.core import ValueTables, instance_to_json
 from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance, run_experiment
 from fairdiv.mms import mms_exact
 
@@ -91,9 +93,9 @@ def test_rounding_matches_the_fraction_arithmetic():
 
 def test_first_item_three_agents():
     pol = PressureGreedyPolicy()
-    pol.start(3)
     raw = (Fraction(2), Fraction(3), Fraction(5))
-    agent = pol.choose(raw)
+    pol.start(3, [[v] for v in raw])
+    agent = pol.choose((0, 0, 0))
     assert pol.table == [[(0, 1)] for _ in raw]  # code 0 -> (effective code 0, type 1)
     assert pol.effective.values == [[round_up_pow2(v)] for v in raw]
     state = pol.state
@@ -336,7 +338,7 @@ def _reduction_on_its_own_replay(trace, n, rescan=True):
     with its counter's pressure, and the whole grid once, at the end."""
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
-    k = max(trace.max_type_count(), 1)
+    k = max([1, *(max(s.types) for s in trace.steps)])
     game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
     Q = game.Q
     cell_of, holder = [-1] * Q, [-1] * Q
@@ -412,7 +414,7 @@ def test_validate_matches_the_full_rescan_reference():
     failed = dict.fromkeys(("closed_form", "rounding_sandwich", "pressure_bound", "count_bound"), 0)
     reduced = long_reduced = late_reduced = 0
     for n, trace in _rescan_corpus(rng):
-        late = trace.m >= 500 and max(max(s.types) for s in trace.steps[:250]) < trace.max_type_count()
+        late = trace.m >= 500 and max(max(s.types) for s in trace.steps[:250]) < max(max(s.types) for s in trace.steps)
         _corrupt(rng, trace)
         check = validate_pressure_trace(trace)
         expected = _full_rescan_check(trace)
@@ -423,10 +425,10 @@ def test_validate_matches_the_full_rescan_reference():
             want = _reduction_on_its_own_replay(trace, n)
         except FairdivError as exc:
             with pytest.raises(FairdivError) as raised:
-                allocator_to_stacking(trace, n)
+                allocator_to_stacking(trace)
             assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
         else:
-            res = allocator_to_stacking(trace, n)
+            res = allocator_to_stacking(trace)
             assert (res.steps, res.k, res.game.values) == want
             assert {key: getattr(res.check, key) for key in expected} == expected
             reduced += 1
@@ -479,7 +481,7 @@ def test_reduction_matches_the_positional_reference_under_engine_skews(monkeypat
     # untouched one: the checks on counters raise what the checks on cell
     # positions raise, after as many engine steps
     def reduction(trace, n):
-        res = allocator_to_stacking(trace, n)
+        res = allocator_to_stacking(trace)
         return res.steps, res.k, res.game.values
 
     def positional(trace, n):
@@ -526,7 +528,7 @@ def test_run_path_walks_no_cell_positions(tmp_path, monkeypatch):
     assert report.runs[0].checks["stacking-consistency"] and report.runs[0].stacking_margin is not None
     assert walks == moves == []  # the margin is taken when the trace has steps, not when the reduction's do
     trace = run_online(inst, PressureGreedyPolicy())[1]
-    res = allocator_to_stacking(trace, inst.n)
+    res = allocator_to_stacking(trace)
     assert walks == moves == []
     steps = res.steps
     assert walks == [1] and len(moves) == inst.m  # walked once, on the first read
@@ -606,11 +608,11 @@ def test_merge_rule_near_threshold():
 
 
 def test_bi_value_registration():
-    pol = BiValuePolicy()
-    pol.start(2)
-    pol.choose((Fraction(2), Fraction(10)))
+    pol, tables = BiValuePolicy(), ValueTables(2)
+    pol.start(2, tables.values)
+    pol.choose(tables.encode((Fraction(2), Fraction(10))))
     assert pol.table == [[(0, 1)], [(0, 1)]]
-    pol.choose((Fraction(1), Fraction(1)))
+    pol.choose(tables.encode((Fraction(1), Fraction(1))))
     assert pol.table[0][1][1] == 1  # merged
     assert pol.table[1][1][1] == 2  # separate
     # the merged type reports the larger value, for both of its raw values
@@ -684,7 +686,7 @@ def test_bi_value_fallback_matches_closed_form_replay():
 
 class _FractionKeyedGreedy(Policy):
     def start(self, n):
-        super().start(n)
+        super().start(n, ())
         self._new_tables()
         self._types = ()
         self._effective = ()
@@ -716,7 +718,7 @@ class _FractionKeyedGreedy(Policy):
         effective, types = zip(*entries)
         return effective, types
 
-    def choose(self, raw, codes=None):
+    def choose(self, raw):
         if raw != self._last_raw:
             self._effective, self._types = self._classify(raw)
             self._last_raw = tuple(raw)
@@ -754,7 +756,7 @@ class _FractionKeyedBiValue(_FractionKeyedGreedy):
                 return merged
         return value, self.state.add_type(agent)
 
-    def choose(self, raw, codes=None):
+    def choose(self, raw):
         try:
             agent = super().choose(raw)
         except BiValuePromiseViolated:
@@ -771,16 +773,17 @@ class _FractionKeyedBiValue(_FractionKeyedGreedy):
 def _assert_lockstep(inst):
     """The coded tables agree with the Fraction-keyed ones after every item of
     ``inst``: in a ``run_online`` trace, which feeds the instance's codes, and
-    in direct ``choose(raw)`` calls, where the policy codes the values itself."""
+    in a trace fed item by item with codes from tables of its own, as
+    ``play_game`` feeds one."""
     fell_back = False
     for make, old in ((PressureGreedyPolicy, _FractionKeyedGreedy()), (BiValuePolicy, _FractionKeyedBiValue())):
         run = make()
         _, trace = run_online(inst, run)
-        direct = make()
-        direct.start(inst.n)
+        direct, tables = make(), ValueTables(inst.n)
+        direct_trace = RunTrace.begin(direct, inst.n, tables.values)
         old.start(inst.n)
         for raw, step in zip(inst.items, trace.steps):
-            assert direct.choose(raw) == step.agent == old.choose(raw)
+            assert direct_trace.feed(direct, tables.encode(raw)) == step.agent == old.choose(raw)
             effective = tuple(map(getitem, direct.effective.values, direct.last_effective(None)))
             assert trace.effective(step) == effective == old._effective
             assert step.types == direct.last_types() == old._types
@@ -817,11 +820,36 @@ def test_coded_tables_match_the_fraction_keyed_tables_on_an_adversary_game():
     _assert_lockstep(game.instance)
 
 
+def test_a_new_code_is_classified_from_the_bound_tables():
+    # (4, 4) is new to both agents: a type of its own, effective value 4,
+    # and with both of its pressures at zero the lowest agent gets it
+    pol, tables = PressureGreedyPolicy(), ValueTables(2)
+    pol.start(2, tables.values)
+    assert pol.choose(tables.encode((Fraction(1), Fraction(1)))) == 1
+    assert pol.choose(tables.encode((Fraction(4), Fraction(4)))) == 1
+    assert pol.last_types() == (2, 2)
+    assert tuple(map(getitem, pol.effective.values, pol.last_effective(None))) == (Fraction(4), Fraction(4))
+
+
+def test_external_policy_gets_each_items_raw_values():
+    seen = []
+    external = ExternalPolicy(lambda d: seen.append(d) or len(seen) % 3 + 1)
+    inst = generate_instance(GeneratorConfig(n=3, m=60, k=3, D=Fraction(20), value_grid="uniform-rational", seed=9))
+    run_online(inst, external)
+    assert len(seen) == inst.m and all(seen[j - 1] == inst.items[j - 1] for j in range(1, inst.m + 1))
+    seen.clear()
+    adversary, emitted = make_recursive_adversary(3, 1, pin_horizon=80), []
+    next_item = adversary.next_item
+    adversary.next_item = lambda: emitted.append(next_item()) or emitted[-1]
+    game = play_game(adversary, external, budget=80)
+    assert seen == emitted == list(game.instance.items) and len(seen) == game.rounds
+
+
 def test_policy_factory():
     for name in ["pressure-greedy", "bi-value", "round-robin", "dump-to-one", "mixture:7"]:
         pol = make_policy(name)
-        pol.start(3)
-        agent = pol.choose((Fraction(1), Fraction(1), Fraction(1)))
+        pol.start(3, [[Fraction(1)]] * 3)
+        agent = pol.choose((0, 0, 0))
         assert 1 <= agent <= 3
     for name in ["nope", "mixture:abc"]:
         with pytest.raises(FairdivError):

@@ -269,7 +269,7 @@ def _artifacts(case: str) -> dict[str, str]:
         _, trace = run_online(inst, policy)
         out[f"trace/{policy.name}"] = trace.to_jsonl()
         if policy.name == "pressure-greedy" and inst.n >= 2:
-            out["stacking"] = stacking_trace_to_jsonl(allocator_to_stacking(trace, inst.n))
+            out["stacking"] = stacking_trace_to_jsonl(allocator_to_stacking(trace))
     out["report"] = run_experiment(inst).to_json()
     for name in (c for c in CERTIFIED if c.split("+")[0] == case):
         alloc, _ = run_online(inst, PressureGreedyPolicy())
@@ -368,7 +368,7 @@ def test_stacking_traces_replay_to_the_final_grid():
         inst = make()
         if inst.n < 2:
             continue
-        res = allocator_to_stacking(run_online(inst, PressureGreedyPolicy())[1], inst.n)
+        res = allocator_to_stacking(run_online(inst, PressureGreedyPolicy())[1])
         text = stacking_trace_to_jsonl(res)
         report = replay_stacking_trace(text)
         assert report.passed and report.steps == len(res.steps) == inst.m

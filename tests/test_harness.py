@@ -181,12 +181,12 @@ class _WrongAgentPolicy(PressureGreedyPolicy):
     def __init__(self, every, snapshots):
         self.every, self.snapshots = every, snapshots
 
-    def start(self, n):
-        super().start(n)
+    def start(self, n, raw_values):
+        super().start(n, raw_values)
         self.calls = 0
 
-    def choose(self, raw, codes=None):
-        winner = super().choose(raw, codes)
+    def choose(self, codes):
+        winner = super().choose(codes)
         self.calls += 1
         return winner % self.n + 1 if self.calls % self.every == 0 else winner
 
@@ -401,7 +401,7 @@ def test_cli_stacking_replay(tmp_path):
 
     inst = load_instance(inst_path.read_text())
     _, trace = run_online(inst, PressureGreedyPolicy())
-    res = allocator_to_stacking(trace, 3)
+    res = allocator_to_stacking(trace)
     trace_path.write_text(stacking_trace_to_jsonl(res))
     assert main(["stacking", "replay", "--in", str(trace_path)]) == 0
     trace_path.write_text(trace_path.read_text().replace('"-1/2"', '"-1/3"', 1))

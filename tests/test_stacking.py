@@ -234,15 +234,15 @@ def _replay(res):
 
 
 def test_reduction_empty_trace():
-    res = allocator_to_stacking(RunTrace(n=3, policy="pressure-greedy"), 3)
-    assert res.steps == []
+    res = allocator_to_stacking(RunTrace(n=3, policy="pressure-greedy"))
+    assert res.steps == [] and res.n == 3
     assert res.game.to_function() == StackingFunction.zero()
 
 
 def test_reduction_two_agent_oscillation():
     inst = Instance(2, tuple(((Fraction(1), Fraction(1)),) * 6))
     _, trace = run_online(inst, PressureGreedyPolicy())
-    res = allocator_to_stacking(trace, 2)
+    res = allocator_to_stacking(trace)
     patterns = [tuple(v for _, _, v in f.pieces) for _, f in _replay(res)]
     assert patterns == [(-1, 1), (0,), (-1, 1), (0,), (-1, 1), (0,)]
 
@@ -252,7 +252,7 @@ def test_reduction_consistency_random():
     for _ in range(10):
         inst = random_instance(rng, n=rng.randint(2, 5), m=rng.randint(5, 40), k=rng.randint(1, 3))
         _, trace = run_online(inst, PressureGreedyPolicy())
-        res = allocator_to_stacking(trace, inst.n)
+        res = allocator_to_stacking(trace)
         beta = Fraction(inst.n, inst.n - 1)
         for _, f in _replay(res):
             assert check_bound(f, BoundProfile(k=res.k, beta=beta)).passed
@@ -268,7 +268,7 @@ def test_reduction_rejects_corrupted_trace():
         agent=1 if s.agent == 2 else 2, pressures=None,
     )
     with pytest.raises(InvariantViolation):
-        allocator_to_stacking(bad, 2)
+        allocator_to_stacking(bad)
 
 
 def _skew_at_step(monkeypatch, at, counter):
@@ -300,7 +300,7 @@ def test_reduction_end_check_catches_an_untouched_counter(monkeypatch):
     trace = _late_switch_trace()
     winners = _skew_at_step(monkeypatch, 6, lambda types, winner: (0, 0))
     with pytest.raises(InvariantViolation) as raised:
-        allocator_to_stacking(trace, 3)
+        allocator_to_stacking(trace)
     assert str(raised.value) == "pressure multiset != cell value multiset"
     assert len(winners) == trace.m  # no per-move check saw it: the end of the replay did
 
@@ -310,7 +310,7 @@ def test_reduction_move_check_catches_a_lowered_counter(monkeypatch):
     lowered = lambda types, winner: next((i, u - 1) for i, u in enumerate(types) if i != winner - 1)
     winners = _skew_at_step(monkeypatch, 6, lowered)
     with pytest.raises(InvariantViolation) as raised:
-        allocator_to_stacking(trace, 3)
+        allocator_to_stacking(trace)
     assert str(raised.value) == "pressure multiset != cell value multiset"
     assert len(winners) == 6  # caught on the move of the skewed step
 
@@ -327,7 +327,7 @@ def test_reduction_rejects_out_of_range_indices():
             steps[2] = TraceStep(s.item, s.raw_codes, s.effective_codes, types=types, agent=agent)
             bad_trace = replace(trace, steps=steps)
             with pytest.raises(FairdivError, match="item 3: agent or type indices out of range"):
-                allocator_to_stacking(bad_trace, n)
+                allocator_to_stacking(bad_trace)
             with pytest.raises(FairdivError, match="item 3: agent or type indices out of range"):
                 validate_pressure_trace(bad_trace)
 
@@ -336,7 +336,7 @@ def test_stacking_trace_replay_roundtrip():
     rng = random.Random(71)
     inst = random_instance(rng, n=3, m=20, k=2)
     _, trace = run_online(inst, PressureGreedyPolicy())
-    res = allocator_to_stacking(trace, 3)
+    res = allocator_to_stacking(trace)
     text = stacking_trace_to_jsonl(res)
     report = replay_stacking_trace(text)
     assert report.passed and report.steps == len(res.steps)
@@ -345,7 +345,7 @@ def test_stacking_trace_replay_roundtrip():
 def test_stacking_trace_replay_detects_tampering():
     inst = Instance(2, tuple(((Fraction(1), Fraction(1)),) * 4))
     _, trace = run_online(inst, PressureGreedyPolicy())
-    res = allocator_to_stacking(trace, 2)
+    res = allocator_to_stacking(trace)
     text = stacking_trace_to_jsonl(res)
     tampered = text.replace('"-1"', '"-2"', 1)
     assert not replay_stacking_trace(tampered).passed
@@ -356,7 +356,7 @@ def test_stacking_trace_readback_checks_the_grid_against_the_reference(monkeypat
     # reference engine names the first move after which the grid is off;
     # the skew keeps the grid sorted and its integral zero
     inst = random_instance(random.Random(83), n=3, m=20, k=2)
-    res = allocator_to_stacking(run_online(inst, PressureGreedyPolicy())[1], 3)
+    res = allocator_to_stacking(run_online(inst, PressureGreedyPolicy())[1])
     apply_cells, calls, skew = GridGame.apply_cells, [], []
 
     def skewed(game, *args):
@@ -382,7 +382,7 @@ def test_stacking_trace_roundtrip_with_late_opening_counters():
     rng = random.Random(89)
     for _ in range(4):
         n, trace = late_opening_trace(rng)
-        res = allocator_to_stacking(trace, n)
+        res = allocator_to_stacking(trace)
         assert max(max(s.types) for s in trace.steps[:260]) < res.k
         report = replay_stacking_trace(stacking_trace_to_jsonl(res))
         assert report.passed and report.steps == trace.m
@@ -395,7 +395,7 @@ def test_replay_matches_reference_engine():
     for _ in range(12):
         inst = random_instance(rng, n=rng.randint(2, 5), m=rng.randint(1, 30), k=rng.randint(1, 3))
         _, trace = run_online(inst, PressureGreedyPolicy())
-        res = allocator_to_stacking(trace, inst.n)
+        res = allocator_to_stacking(trace)
         f = StackingFunction.zero()
         replayed = 0
         for o, g in _replay(res):
@@ -433,7 +433,7 @@ def _margin_grids():
     for _ in range(60):
         n, k = rng.randint(2, 5), rng.randint(1, 3)
         _, trace = run_online(random_instance(rng, n=n, m=rng.randint(1, 40), k=k), PressureGreedyPolicy())
-        yield allocator_to_stacking(trace, n).game
+        yield allocator_to_stacking(trace).game
     for k, cpu in ((1, 2), (1, 3), (2, 3), (3, 3), (2, 4)):
         yield GridGame(k=k, cells_per_unit=cpu, scale=cpu - 1)
     long_first = GridGame(k=1, cells_per_unit=5, scale=1)
