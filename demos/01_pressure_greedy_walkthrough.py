@@ -21,10 +21,11 @@ stream = [
 inst = Instance(2, tuple(stream))
 
 alloc, trace = run_online(inst, PressureGreedyPolicy())
-for step in trace.steps:
-    # snapshots hold the scaled pressures (n-1)*H as ints
+# the trace keeps each step's (types, agent); a replay rebuilds the scaled
+# pressures (n-1)*H as ints after every step
+for step, (pressures, _) in zip(trace.steps, trace.pressure_rows()):
     rows = ", ".join(
-        f"H_{i + 1}={[str(F(h, inst.n - 1)) for h in hs]}" for i, hs in enumerate(step.pressures)
+        f"H_{i + 1}={[str(F(h, inst.n - 1)) for h in hs]}" for i, hs in enumerate(pressures)
     )
     print(f"item {step.item}: raw={tuple(map(str, trace.raw(step)))} -> agent {step.agent}   {rows}")
 

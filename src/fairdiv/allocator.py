@@ -10,8 +10,8 @@ per type out of every n.
 
 Pressures are stored scaled by (n-1): every reachable pressure value is an
 integer multiple of 1/(n-1), so the scaled values are plain ints and the
-argmin over them is exact and fast. Trace snapshots are these (n-1)*H int
-rows too; public accessors and trace files expose Fractions.
+argmin over them is exact and fast. Trace rows are these (n-1)*H int rows
+too, rebuilt when a trace is written; accessors and trace files expose Fractions.
 
 :class:`PressureState` is the one pressure engine and holds only the
 pressures. A policy is started on the run's raw value tables and then sees
@@ -103,10 +103,10 @@ class PressureState:
 @dataclass(slots=True)
 class TraceStep:
     """One allocated item. ``raw_codes`` and ``effective_codes`` index the
-    trace's per-agent tables (:class:`RunTrace`); ``pressures`` is the
-    post-step snapshot, the int rows (n-1)*H of :meth:`PressureState.snapshot`,
-    or None without pressures. A slots class, cheap to build once per item;
-    it is mutable and unhashable, but nothing mutates or hashes a step."""
+    trace's per-agent tables (:class:`RunTrace`); ``pressures`` is None or
+    recorded post-step rows (n-1)*H (see :meth:`RunTrace.pressure_rows`). A
+    slots class, cheap to build once per item; it is mutable and unhashable,
+    but nothing mutates or hashes a step."""
 
     item: int
     raw_codes: tuple[int, ...]
@@ -126,19 +126,22 @@ class RunTrace:
     """The steps of one run, with the tables their codes index:
     ``raw_values[i][c]`` is agent i+1's raw value of code c, and
     ``effective_values`` likewise; a policy that reports raw values as
-    effective shares the raw tables."""
+    effective shares the raw tables. A ``pressured`` trace, of a policy with a
+    pressure engine, has rows on every step; others, where recorded."""
 
     n: int
     policy: str
     steps: list[TraceStep] = field(default_factory=list)
     raw_values: Sequence[Sequence[Fraction]] = ()
     effective_values: Sequence[Sequence[Fraction]] = ()
+    pressured: bool = False
 
     @classmethod
     def begin(cls, policy: Policy, n: int, raw_values) -> RunTrace:
         """Start ``policy`` on n agents and an empty trace whose raw codes index ``raw_values``."""
         policy.start(n, raw_values)
-        return cls(n, policy.name, raw_values=raw_values, effective_values=policy.effective_values())
+        return cls(n, policy.name, raw_values=raw_values, effective_values=policy.effective_values(),
+                   pressured=policy.state is not None)
 
     @property
     def m(self) -> int:
@@ -164,37 +167,81 @@ class RunTrace:
                                agent, policy.pressure_snapshot()))
         return agent
 
+    def pressure_rows(self):
+        """Each step's ``(rows, whole)``: its recorded rows, else on a pressured
+        trace the engine's rows in one :class:`PressureState` replay that
+        continues from recorded ones, else None; ``whole`` is False when only
+        the step's n touched cells changed."""
+        if not self.pressured:
+            yield from ((s.pressures, True) for s in self.steps)
+            return
+        state = PressureState(self.n)
+        scaled = state.scaled
+        opened = 0  # the fewest types any agent has open
+        known = set()  # types tuples whose every type is open
+        for s in self.steps:
+            whole = s.pressures is not None
+            if whole:
+                scaled[:] = map(list, s.pressures)
+                opened = min(map(len, scaled))
+                known.clear()
+            else:
+                if s.types not in known:
+                    known.add(s.types)
+                    if max(s.types) > opened:
+                        for i, u in enumerate(s.types):
+                            while len(scaled[i]) < u:
+                                state.add_type(i + 1)
+                                whole = True
+                        opened = min(map(len, scaled))
+                state.step(s.types, s.agent)
+            yield scaled, whole
+
     def to_jsonl(self) -> str:
         """One JSON line per step, as ``json.dumps`` with sorted keys writes it,
         by one ``%`` format. Each distinct value's text is made once per agent
-        and table, the effective, raw and types text once per distinct
-        (effective codes, raw codes, types), and each distinct pressure row's
-        once; a scaled pressure h is written as h/(n-1)."""
+        and table, and the effective, raw and types text once per distinct
+        (effective codes, raw codes, types). The rows of :meth:`pressure_rows`
+        are one list of cell texts and separators, in which a step replaces
+        its n touched cells; a scaled pressure h is written as h/(n-1)."""
         raw = list(map(json_texts, self.raw_values))
         effective = raw if self.effective_values is self.raw_values else list(map(json_texts, self.effective_values))
-        cell = functools.cache(lambda h: '"' + format_rational(Fraction(h, self.n - 1)) + '"')
         number = functools.cache(str)
         texts: dict[tuple, tuple[str, str, str]] = {}
-        rows: dict[tuple[int, ...], str] = {}
+        cells: dict[int, str] = {}
+        pieces: list[str] = []
+        base: list[int] = []  # cell u of row i is pieces[base[i] + 2*u]
         lines = []
-        for s in self.steps:
+        for s, (rows, whole) in zip(self.steps, self.pressure_rows()):
             key = s.effective_codes, s.raw_codes, s.types
             text = texts.get(key)
             if text is None:
                 text = texts[key] = (",".join(map(getitem, effective, s.effective_codes)),
                                      ",".join(map(getitem, raw, s.raw_codes)), ",".join(map(number, s.types)))
             e, r, t = text
-            if s.pressures is None:
+            if rows is None:
                 lines.append('{"agent":%s,"effective":[%s],"item":%s,"raw":[%s],"types":[%s]}' % (s.agent, e, s.item, r, t))
                 continue
-            row_texts = []
-            for row in s.pressures:
-                x = rows.get(row)
-                if x is None:
-                    x = rows[row] = ",".join(map(cell, row))
-                row_texts.append(x)
+            if not whole:
+                try:
+                    for b, u, row in zip(base, s.types, rows):
+                        pieces[b + 2 * u] = cells[row[u - 1]]
+                except KeyError:  # a value without its text yet
+                    whole = True
+            if whole:  # lay every row out afresh
+                for h in set().union(*rows).difference(cells):
+                    cells[h] = '"' + format_rational(Fraction(h, self.n - 1)) + '"'
+                pieces.clear()
+                base.clear()
+                for row in rows:
+                    if base:
+                        pieces.append("],[")
+                    base.append(len(pieces) - 2)
+                    row_pieces = [","] * (2 * len(row) - 1)
+                    row_pieces[::2] = map(cells.__getitem__, row)
+                    pieces += row_pieces
             lines.append('{"agent":%s,"effective":[%s],"item":%s,"pressures":[[%s]],"raw":[%s],"types":[%s]}'
-                         % (s.agent, e, s.item, "],[".join(row_texts), r, t))
+                         % (s.agent, e, s.item, "".join(pieces), r, t))
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -256,6 +303,7 @@ class Policy:
     """
 
     name = "abstract"
+    state: PressureState | None = None  # the pressure engine, if the policy keeps one
 
     def start(self, n: int, raw_values) -> None:
         self.n = n
@@ -278,6 +326,7 @@ class Policy:
         return self._ones
 
     def pressure_snapshot(self):
+        """The rows (n-1)*H after the last item where a replay of the trace cannot rebuild them."""
         return None
 
     def max_pressure_seen(self) -> Fraction | None:
@@ -353,9 +402,6 @@ class PressureGreedyPolicy(Policy):
     def last_types(self):
         return self._types
 
-    def pressure_snapshot(self):
-        return None if self.state is None else self.state.snapshot()
-
     def max_pressure_seen(self):
         if self.state is None:
             return None
@@ -385,7 +431,9 @@ class BiValuePolicy(PressureGreedyPolicy):
     table entry so that both report the larger of the pair. On a third
     distinct value the policy sets ``fell_back`` and switches to the rounded
     rule: it clears its tables, rebuilds its pressures by replaying the
-    realized history through that rule, and continues from there.
+    realized history through that rule, and continues from there; that
+    step's :meth:`pressure_snapshot` gives the rows, which the trace's types
+    cannot rebuild.
     """
 
     name = "bi-value"
@@ -394,6 +442,7 @@ class BiValuePolicy(PressureGreedyPolicy):
         super().start(n, raw_values)
         self.history: list[tuple[tuple[int, ...], int]] = []  # (codes, agent)
         self.fell_back = False
+        self._fallback_item = 0
 
     def _value_type(self, agent: int, value: Fraction) -> tuple[int, int]:
         if self.fell_back:
@@ -420,8 +469,12 @@ class BiValuePolicy(PressureGreedyPolicy):
                 self.state.step(self._classify(past)[1], past_agent)
             self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))
             agent = super().choose(codes)
+            self._fallback_item = len(self.history) + 1
         self.history.append((codes, agent))
         return agent
+
+    def pressure_snapshot(self):
+        return self.state.snapshot() if len(self.history) == self._fallback_item else None
 
 
 class RoundRobinPolicy(Policy):

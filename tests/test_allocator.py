@@ -41,6 +41,7 @@ from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance, run_
 from fairdiv.mms import mms_exact
 
 from conftest import late_opening_trace, random_instance
+from test_golden import CORPUS
 
 
 # round_up_pow2 -------------------------------------------------------------
@@ -109,8 +110,7 @@ def test_two_unit_items_alternate():
     inst = Instance(2, ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
     alloc, trace = run_online(inst, PressureGreedyPolicy())
     assert alloc.assignment == (1, 2)
-    assert trace.steps[0].pressures == ((Fraction(1),), (Fraction(-1),))
-    assert trace.steps[1].pressures == ((Fraction(0),), (Fraction(0),))
+    assert _rows(trace) == [((Fraction(1),), (Fraction(-1),)), ((Fraction(0),), (Fraction(0),))]
 
 
 def test_two_type_forced_mistake():
@@ -155,8 +155,14 @@ def test_determinism():
     assert t1.to_jsonl() == t2.to_jsonl()
 
 
+def _rows(trace):
+    """Each step's rows from the trace's row replay, as snapshots, or None."""
+    return [None if rows is None else tuple(map(tuple, rows)) for rows, _ in trace.pressure_rows()]
+
+
 def _decoded_steps(trace):
-    return [(s.item, trace.raw(s), trace.effective(s), s.types, s.agent, s.pressures) for s in trace.steps]
+    return [(s.item, trace.raw(s), trace.effective(s), s.types, s.agent, rows)
+            for s, rows in zip(trace.steps, _rows(trace))]
 
 
 def test_trace_jsonl_roundtrip():
@@ -165,10 +171,12 @@ def test_trace_jsonl_roundtrip():
         inst = random_instance(rng, n=n, m=m, k=2)
         _, trace = run_online(inst, PressureGreedyPolicy())
         again = trace_from_jsonl(trace.to_jsonl(), n=n, policy=trace.policy)
-        assert again.steps == trace.steps  # the scaled (n-1)*H rows included
+        # the file records the scaled (n-1)*H rows that the run rebuilds
+        assert [s.pressures for s in again.steps] == _rows(trace)
+        assert [replace(s, pressures=None) for s in again.steps] == trace.steps
         assert again.to_jsonl() == trace.to_jsonl()
     # the n=4 trace holds pressures that are not whole numbers
-    assert any(h % 3 for s in trace.steps for row in s.pressures for h in row)
+    assert any(h % 3 for rows in _rows(trace) for row in rows for h in row)
     # bi-value, merged and fallen back, and round-robin, without pressures
     fell_back = 0
     for n, m, k in ((3, 40, 2), (4, 40, 3), (5, 60, 3), (3, 30, 1)):
@@ -183,9 +191,9 @@ def test_trace_jsonl_roundtrip():
     assert fell_back
 
 
-def _step_record(trace, s) -> dict:
-    """The JSON record of one trace step, built field by field; ``str`` writes
-    a short Fraction as "p" or "p/q"."""
+def _step_record(trace, s, rows) -> dict:
+    """The JSON record of one trace step with its ``rows``, built field by
+    field; ``str`` writes a short Fraction as "p" or "p/q"."""
     rec = {
         "item": s.item,
         "raw": [str(v) for v in trace.raw(s)],
@@ -193,8 +201,8 @@ def _step_record(trace, s) -> dict:
         "types": list(s.types),
         "agent": s.agent,
     }
-    if s.pressures is not None:
-        rec["pressures"] = [[str(Fraction(h, trace.n - 1)) for h in row] for row in s.pressures]
+    if rows is not None:
+        rec["pressures"] = [[str(Fraction(h, trace.n - 1)) for h in row] for row in rows]
     return rec
 
 
@@ -210,8 +218,8 @@ def test_to_jsonl_matches_json_dumps_of_each_record():
                 _, trace = run_online(inst, policy)
                 lines = trace.to_jsonl().split("\n")
                 assert lines.pop() == ""
-                assert lines == [json.dumps(_step_record(trace, s), sort_keys=True, separators=(",", ":"))
-                                 for s in trace.steps]
+                assert lines == [json.dumps(_step_record(trace, s, rows), sort_keys=True, separators=(",", ":"))
+                                 for s, rows in zip(trace.steps, _rows(trace))]
                 if getattr(policy, "fell_back", False):
                     fell_back.add(n)
     assert len(fell_back) >= 5
@@ -222,9 +230,91 @@ def test_to_jsonl_matches_json_dumps_of_each_record():
     assert trace_from_jsonl(text, n=2).to_jsonl() == text
 
 
+def _live_rows(inst, policy):
+    """A trace of ``inst`` fed item by item to ``policy``, and the rows the
+    policy's own engine holds after every feed (None without one)."""
+    trace = RunTrace.begin(policy, inst.n, inst.values)
+    live = []
+    for codes in inst.codes:
+        trace.feed(policy, codes)
+        live.append(None if policy.state is None else policy.state.snapshot())
+    return trace, live
+
+
+def _assert_rows_rebuilt(inst) -> int | None:
+    """The rows that pressure-greedy's and bi-value's traces of ``inst``
+    rebuild are the rows each policy held after every item, and only a
+    bi-value fallback step records rows. Returns the fallback's item, or None."""
+    for policy in (PressureGreedyPolicy(), BiValuePolicy()):
+        trace, live = _live_rows(inst, policy)
+        assert trace.pressured == (inst.n >= 2)
+        assert _rows(trace) == live
+        recorded = [s.item for s in trace.steps if s.pressures is not None]
+        assert len(recorded) == getattr(policy, "fell_back", False)
+    return recorded[0] if recorded else None
+
+
+def test_rebuilt_rows_match_the_live_rows_on_the_golden_corpus():
+    fallbacks = [_assert_rows_rebuilt(make()) for make in CORPUS.values()]
+    assert sum(item is not None for item in fallbacks) >= 6
+
+
+def test_rebuilt_rows_match_the_live_rows_on_random_instances():
+    rng = random.Random(103)
+    early = late = 0  # fallbacks at one of the first three items, and in the second half
+    instances = [_third_value_instance(), *_fallback_instances()]
+    for n in (2, 3, 4):  # two split values for every agent, and agent 1's third at the last item
+        items = [tuple(Fraction(rng.choice((1, 3))) for _ in range(n)) for _ in range(rng.randint(4, 20))]
+        instances.append(Instance(n, (*items, (Fraction(7),) * n)))
+    for trial in range(240):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        grid = GRID_NAMES[trial % 3]
+        if grid == "adversarial-near-threshold":  # merges near the threshold
+            k = min(k, 2)
+        D = Fraction(2 ** rng.randint(k - 1, 6)) if grid == "powers-of-two" else Fraction(rng.randint(3, 40), 3) + 3
+        m = rng.randint(k, 40)
+        instances.append(generate_instance(GeneratorConfig(n=n, m=m, k=k, D=D, value_grid=grid, seed=trial)))
+    fallbacks = 0
+    for inst in instances:
+        item = _assert_rows_rebuilt(inst)
+        if item is not None:
+            fallbacks += 1
+            early += item <= 3
+            late += 2 * item > inst.m
+    assert fallbacks >= 40 and early >= 3 and late >= 3, (fallbacks, early, late)
+    assert {inst.n for inst in instances} == {1, 2, 3, 4}
+
+
+def test_file_traces_are_written_back_byte_for_byte():
+    inst = random_instance(random.Random(53), n=3, m=30, k=3)
+    bi_value, texts = BiValuePolicy(), {}
+    for policy in (PressureGreedyPolicy(), bi_value, RoundRobinPolicy()):
+        _, trace = run_online(inst, policy)
+        texts[policy.name] = text = trace.to_jsonl()
+        again = trace_from_jsonl(text, n=3, policy=trace.policy)
+        assert not again.pressured
+        assert again.to_jsonl() == text
+    assert bi_value.fell_back
+    assert texts["bi-value"].count('"pressures"') == inst.m and '"pressures"' not in texts["round-robin"]
+    # a file with rows on some steps only, one of them off by a scaled unit,
+    # is written back with exactly those rows
+    records = [json.loads(line) for line in texts["bi-value"].splitlines()]
+    assert any(rec["types"] != records[0]["types"] for rec in records)
+    for j, rec in enumerate(records):
+        if j % 3:
+            del rec["pressures"]
+    records[3]["pressures"][0][0] = str(Fraction(records[3]["pressures"][0][0]) + Fraction(1, 2))
+    text = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in records)
+    again = trace_from_jsonl(text, n=3)
+    assert [s.item for s in again.steps if s.pressures is not None] == list(range(1, inst.m + 1, 3))
+    assert again.to_jsonl() == text
+    assert not validate_pressure_trace(again).closed_form
+
+
 def test_validate_catches_a_snapshot_off_by_one_scaled_unit():
     inst = random_instance(random.Random(41), n=3, m=20, k=2)
-    _, trace = run_online(inst, PressureGreedyPolicy())
+    _, run = run_online(inst, PressureGreedyPolicy())
+    trace = trace_from_jsonl(run.to_jsonl(), n=3, policy=run.policy)  # the file records the rows
     assert validate_pressure_trace(trace).passed
     step = trace.steps[9]
     rows = [list(row) for row in step.pressures]
@@ -310,11 +400,16 @@ def _full_rescan_check(trace) -> dict:
 
 
 def _corrupt(rng, trace):
-    """Damage one step of ``trace`` in one of four ways, or leave it whole."""
+    """Damage one step of ``trace`` in one of four ways, or leave it whole,
+    and return the trace. A run records no rows, so rows are damaged in the
+    trace read back from its file."""
     j = rng.randrange(trace.m)
     s = trace.steps[j]
     i = rng.randrange(trace.n)
     kind = rng.randrange(5)
+    if kind == 1 and trace.pressured:  # a run records no rows: damage those its file records
+        trace = trace_from_jsonl(trace.to_jsonl(), trace.n, trace.policy)
+        s = trace.steps[j]
     if kind == 1 and s.pressures is not None:
         rows = [list(row) for row in s.pressures]
         rows[i][rng.randrange(len(rows[i]))] += rng.choice((-1, 1))
@@ -327,6 +422,7 @@ def _corrupt(rng, trace):
         types = list(s.types)
         types[i] += rng.randint(1, 2)
         trace.steps[j] = replace(s, types=tuple(types), agent=rng.randint(1, trace.n))
+    return trace
 
 
 def _reduction_on_its_own_replay(trace, n, rescan=True):
@@ -415,7 +511,7 @@ def test_validate_matches_the_full_rescan_reference():
     reduced = long_reduced = late_reduced = 0
     for n, trace in _rescan_corpus(rng):
         late = trace.m >= 500 and max(max(s.types) for s in trace.steps[:250]) < max(max(s.types) for s in trace.steps)
-        _corrupt(rng, trace)
+        trace = _corrupt(rng, trace)
         check = validate_pressure_trace(trace)
         expected = _full_rescan_check(trace)
         assert {key: getattr(check, key) for key in expected} == expected
@@ -782,12 +878,13 @@ def _assert_lockstep(inst):
         direct, tables = make(), ValueTables(inst.n)
         direct_trace = RunTrace.begin(direct, inst.n, tables.values)
         old.start(inst.n)
-        for raw, step in zip(inst.items, trace.steps):
+        for raw, step, rows in zip(inst.items, trace.steps, _rows(trace)):
             assert direct_trace.feed(direct, tables.encode(raw)) == step.agent == old.choose(raw)
             effective = tuple(map(getitem, direct.effective.values, direct.last_effective(None)))
             assert trace.effective(step) == effective == old._effective
             assert step.types == direct.last_types() == old._types
-            assert step.pressures == direct.pressure_snapshot() == old.pressure_snapshot()
+            # the rows the run's trace rebuilds are the engine's and the Fraction-keyed policy's
+            assert rows == old.pressure_snapshot() == (None if direct.state is None else direct.state.snapshot())
         assert run.max_pressure_seen() == direct.max_pressure_seen() == old.max_pressure_seen()
         if make is BiValuePolicy:
             assert run.fell_back == direct.fell_back == old.fell_back

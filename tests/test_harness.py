@@ -176,7 +176,8 @@ def test_run_experiment_single_type():
 
 class _WrongAgentPolicy(PressureGreedyPolicy):
     """Pressure-greedy that hands every ``every``-th item to the next agent,
-    with or without its pressure snapshots."""
+    and with ``snapshots`` records its own pressure rows on every step, for
+    the trace's replay to compare."""
 
     def __init__(self, every, snapshots):
         self.every, self.snapshots = every, snapshots
@@ -191,7 +192,7 @@ class _WrongAgentPolicy(PressureGreedyPolicy):
         return winner % self.n + 1 if self.calls % self.every == 0 else winner
 
     def pressure_snapshot(self):
-        return super().pressure_snapshot() if self.snapshots else None
+        return self.state.snapshot() if self.snapshots else None
 
 
 # (trace-invariants, stacking-consistency, ratio-bound-8k+2, stacking margin),

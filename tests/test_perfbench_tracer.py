@@ -3,12 +3,12 @@
 ``perfbench/tracer.py`` swaps names in the fairdiv modules that call them, so
 it breaks when a patched name disappears. These tests install it on a fresh
 import of fairdiv, as ``perfbench/run.py`` does, and check that an experiment
-searches each agent's MMS once, that ``fairdiv run`` runs its policy once
-with one pressure snapshot per item and one replay of its trace (the
+searches each agent's MMS once, that ``fairdiv run`` runs its policy once,
+asking it for pressure rows once per item, and replays its trace once (the
 reduction's, with no separate validation), that past the search guard the
 built-in witnesses are not re-summed, that the two-agent game searches
 only the agent it certifies, and that a bi-value run which falls back still
-calls its policy once per item.
+calls its policy once per item and records rows on that step only.
 """
 
 from __future__ import annotations
@@ -90,7 +90,13 @@ def test_cli_run_runs_its_policy_once(fresh_fairdiv, tmp_path):
     assert metrics["cli.main.calls"] == 1
     assert metrics["allocator.run_online.calls"] == 1
     assert metrics["allocator.RunTrace.to_jsonl.calls"] == 1
-    assert metrics["allocator.Policy.pressure_snapshot.calls"] == inst.m  # snapshots are always on
+    # the run asks for rows once per item; pressure-greedy records none, and
+    # the trace file's rows are rebuilt by a replay when it is written
+    assert metrics["allocator.Policy.pressure_snapshot.calls"] == inst.m
+    trace = fd.allocator.trace_from_jsonl((tmp_path / "trace.jsonl").read_text(), inst.n)
+    assert all(s.pressures is not None for s in trace.steps)
+    _, run = fd.allocator.run_online(fd.core.Instance(inst.n, inst.items), fd.allocator.PressureGreedyPolicy())
+    assert all(s.pressures is None for s in run.steps)
 
 
 def test_cli_run_past_the_guard_sums_no_witness(fresh_fairdiv, tmp_path):
@@ -148,3 +154,7 @@ def test_cli_bi_value_fallback_chooses_once_per_item(fresh_fairdiv, tmp_path):
     assert codes == [0]
     assert metrics["allocator.Policy.choose.calls"] == inst.m
     assert metrics["allocator.Policy.pressure_snapshot.calls"] == inst.m
+    # only the fallback step records rows: a replay of the trace cannot rebuild them
+    policy = fd.allocator.BiValuePolicy()
+    _, run = fd.allocator.run_online(inst, policy)
+    assert policy.fell_back and sum(s.pressures is not None for s in run.steps) == 1
