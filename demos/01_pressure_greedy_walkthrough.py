@@ -23,7 +23,7 @@ inst = Instance(2, tuple(stream))
 alloc, trace = run_online(inst, PressureGreedyPolicy())
 # the trace keeps each step's (types, agent); a replay rebuilds the scaled
 # pressures (n-1)*H as ints after every step
-for step, (pressures, _) in zip(trace.steps, trace.pressure_rows()):
+for step, pressures in zip(trace.steps, trace.pressure_rows()):
     rows = ", ".join(
         f"H_{i + 1}={[str(F(h, inst.n - 1)) for h in hs]}" for i, hs in enumerate(pressures)
     )

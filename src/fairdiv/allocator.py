@@ -168,17 +168,22 @@ class RunTrace:
         return agent
 
     def pressure_rows(self):
-        """Each step's ``(rows, whole)``: its recorded rows, else on a pressured
-        trace the engine's rows in one :class:`PressureState` replay that
-        continues from recorded ones, else None; ``whole`` is False when only
-        the step's n touched cells changed."""
+        """Each step's post-step rows (n-1)*H as a tuple of tuples, or None; see :meth:`_replayed_rows`."""
+        return (None if rows is None else tuple(map(tuple, rows)) for rows, _ in self._replayed_rows())
+
+    def _replayed_rows(self):
+        """Each step's ``(rows, whole)``: its recorded rows, else on a
+        pressured trace the engine's rows, live only until the next step, in
+        one :class:`PressureState` replay that continues from recorded ones,
+        else None; ``whole`` is False when only the step's n touched cells
+        changed."""
         if not self.pressured:
             yield from ((s.pressures, True) for s in self.steps)
             return
         state = PressureState(self.n)
         scaled = state.scaled
         opened = 0  # the fewest types any agent has open
-        known = set()  # types tuples whose every type is open
+        known = set()  # types tuples whose every type is open: one agent may never open a higher type
         for s in self.steps:
             whole = s.pressures is not None
             if whole:
@@ -188,11 +193,8 @@ class RunTrace:
             else:
                 if s.types not in known:
                     known.add(s.types)
-                    if max(s.types) > opened:
-                        for i, u in enumerate(s.types):
-                            while len(scaled[i]) < u:
-                                state.add_type(i + 1)
-                                whole = True
+                    if max(s.types) > opened and _open_types(scaled, s.types):
+                        whole = True
                         opened = min(map(len, scaled))
                 state.step(s.types, s.agent)
             yield scaled, whole
@@ -208,11 +210,11 @@ class RunTrace:
         effective = raw if self.effective_values is self.raw_values else list(map(json_texts, self.effective_values))
         number = functools.cache(str)
         texts: dict[tuple, tuple[str, str, str]] = {}
-        cells: dict[int, str] = {}
+        cells = _PressureTexts(self.n)
         pieces: list[str] = []
         base: list[int] = []  # cell u of row i is pieces[base[i] + 2*u]
         lines = []
-        for s, (rows, whole) in zip(self.steps, self.pressure_rows()):
+        for s, (rows, whole) in zip(self.steps, self._replayed_rows()):
             key = s.effective_codes, s.raw_codes, s.types
             text = texts.get(key)
             if text is None:
@@ -222,15 +224,7 @@ class RunTrace:
             if rows is None:
                 lines.append('{"agent":%s,"effective":[%s],"item":%s,"raw":[%s],"types":[%s]}' % (s.agent, e, s.item, r, t))
                 continue
-            if not whole:
-                try:
-                    for b, u, row in zip(base, s.types, rows):
-                        pieces[b + 2 * u] = cells[row[u - 1]]
-                except KeyError:  # a value without its text yet
-                    whole = True
             if whole:  # lay every row out afresh
-                for h in set().union(*rows).difference(cells):
-                    cells[h] = '"' + format_rational(Fraction(h, self.n - 1)) + '"'
                 pieces.clear()
                 base.clear()
                 for row in rows:
@@ -240,9 +234,33 @@ class RunTrace:
                     row_pieces = [","] * (2 * len(row) - 1)
                     row_pieces[::2] = map(cells.__getitem__, row)
                     pieces += row_pieces
+            else:
+                for b, u, row in zip(base, s.types, rows):
+                    pieces[b + 2 * u] = cells[row[u - 1]]
             lines.append('{"agent":%s,"effective":[%s],"item":%s,"pressures":[[%s]],"raw":[%s],"types":[%s]}'
                          % (s.agent, e, s.item, "".join(pieces), r, t))
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _open_types(rows: list[list[int]], types) -> bool:
+    """Open zero slots until row i has types[i] of them; whether any opened."""
+    grew = False
+    for row, u in zip(rows, types):
+        if len(row) < u:
+            row += [0] * (u - len(row))
+            grew = True
+    return grew
+
+
+class _PressureTexts(dict):
+    """Scaled pressure h -> its JSON text, h/(n-1) quoted, made on first use."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, h: int) -> str:
+        text = self[h] = '"' + format_rational(Fraction(h, self.n - 1)) + '"'
+        return text
 
 
 _TRACE_KEYS = ("item", "raw", "effective", "types", "agent")
@@ -616,10 +634,8 @@ def _replay_pressure_trace(trace: RunTrace, state: PressureState, off_pace=None)
         values.update(zip(agents, s.raw_codes, s.effective_codes))
         types, a = s.types, s.agent - 1
         if max(types) > opened:
-            for i, u in enumerate(types):
-                while len(closed[i]) < u:
-                    state.add_type(i + 1)
-                    closed[i].append(0)
+            _open_types(scaled, types)
+            _open_types(closed, types)
             game_k = max(game_k, *types)
             opened = min(map(len, closed))
             pressure_cap, count_cap = 2 * game_k * (n - 1), 2 * game_k * n

@@ -156,8 +156,8 @@ def test_determinism():
 
 
 def _rows(trace):
-    """Each step's rows from the trace's row replay, as snapshots, or None."""
-    return [None if rows is None else tuple(map(tuple, rows)) for rows, _ in trace.pressure_rows()]
+    """Each step's rows from the trace's row replay, or None."""
+    return list(trace.pressure_rows())
 
 
 def _decoded_steps(trace):
@@ -401,15 +401,14 @@ def _full_rescan_check(trace) -> dict:
 
 def _corrupt(rng, trace):
     """Damage one step of ``trace`` in one of four ways, or leave it whole,
-    and return the trace. A run records no rows, so rows are damaged in the
-    trace read back from its file."""
+    and return the trace. A run records no rows, so a pressured trace is
+    read back from its file, which records them on every step."""
+    if trace.pressured:
+        trace = trace_from_jsonl(trace.to_jsonl(), trace.n, trace.policy)
     j = rng.randrange(trace.m)
     s = trace.steps[j]
     i = rng.randrange(trace.n)
     kind = rng.randrange(5)
-    if kind == 1 and trace.pressured:  # a run records no rows: damage those its file records
-        trace = trace_from_jsonl(trace.to_jsonl(), trace.n, trace.policy)
-        s = trace.steps[j]
     if kind == 1 and s.pressures is not None:
         rows = [list(row) for row in s.pressures]
         rows[i][rng.randrange(len(rows[i]))] += rng.choice((-1, 1))
@@ -508,10 +507,11 @@ def test_validate_matches_the_full_rescan_reference():
     # replay, against a reduction on a replay of its own
     rng = random.Random(47)
     failed = dict.fromkeys(("closed_form", "rounding_sandwich", "pressure_bound", "count_bound"), 0)
-    reduced = long_reduced = late_reduced = 0
+    reduced = long_reduced = late_reduced = with_rows = 0
     for n, trace in _rescan_corpus(rng):
         late = trace.m >= 500 and max(max(s.types) for s in trace.steps[:250]) < max(max(s.types) for s in trace.steps)
         trace = _corrupt(rng, trace)
+        with_rows += all(s.pressures is not None for s in trace.steps)
         check = validate_pressure_trace(trace)
         expected = _full_rescan_check(trace)
         assert {key: getattr(check, key) for key in expected} == expected
@@ -534,6 +534,7 @@ def test_validate_matches_the_full_rescan_reference():
     assert 20 <= reduced <= 380, reduced
     assert long_reduced >= 3, long_reduced
     assert late_reduced >= 2, late_reduced
+    assert with_rows >= 100, with_rows  # the validator and the reference compare rows on these
 
 
 def _skew_engine(monkeypatch):
