@@ -79,7 +79,7 @@ TRIVIAL_CERTIFICATE = RatioCertificate(
 
 
 def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate) -> bool:
-    """Recompute everything a certificate claims."""
+    """Recompute everything a certificate claims, an "exact" source's MMS included."""
     if cert.mms_source == "trivial":
         return inst.m == 0
     if not is_positive_int(cert.agent) or cert.agent > inst.n or cert.mms_upper == 0:
@@ -88,6 +88,12 @@ def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate
         return False
     if witness_max_bundle(inst, cert.agent, cert.witness) != cert.mms_upper:
         return False
+    if cert.mms_source == "exact":  # the library claims "exact" only within the search guard
+        try:
+            if mms_exact(inst.agent_values(cert.agent), inst.n)[0] != cert.mms_upper:
+                return False
+        except InstanceTooLarge:
+            return False
     if alloc.bundle_disutility(inst, cert.agent) != cert.d_A:
         return False
     return cert.ratio_lower == cert.d_A / cert.mms_upper
@@ -137,7 +143,7 @@ def _add_to_heaviest(values, bundles, items) -> tuple[Fraction, list[list[int]]]
     return loads[heaviest] + sum((values[j - 1] for j in items), Fraction(0)), bundles
 
 
-def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
+def agent_mms(inst: Instance, agent: int, witnesses=(), column=None) -> AgentMms:
     """One agent's certified MMS bounds, on one integer scale of its value table.
 
     ``lower`` is max(average, largest item): some bundle carries at least
@@ -150,13 +156,14 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
     u*ceil(c/n), so no type-union partition is tried. Only supplied
     witnesses are checked by :func:`witness_max_bundle`: the largest-first
     one comes with its max load. The record keeps the scale it was built on.
+    ``column``, when given, is the agent's codes in arrival order.
     """
     if inst.m == 0:  # the empty partition (every bundle empty): every bound is 0
         return AgentMms(agent, Fraction(0), Fraction(0), Fraction(0), ())
     n = inst.n
     supplied = [(witness_max_bundle(inst, agent, w), w) for w in witnesses]
     common, scaled = common_scale(inst.values[agent - 1])
-    values = tuple(scaled[row[agent - 1]] for row in inst.codes)
+    values = tuple(map(scaled.__getitem__, column or [row[agent - 1] for row in inst.codes]))
     lower = Fraction(max(sum(values), n * max(values)), n * common)
     try:
         exact, positions = mms_exact(values, n)
@@ -171,8 +178,9 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
 
 
 def mms_report(inst: Instance) -> list[AgentMms]:
-    """Each agent's :func:`agent_mms` record, computed once per instance."""
-    return [agent_mms(inst, agent) for agent in range(1, inst.n + 1)]
+    """Each agent's :func:`agent_mms` record, computed once per instance on its code column."""
+    columns = list(zip(*inst.codes)) or [()] * inst.n  # an instance without items has no columns
+    return [agent_mms(inst, agent, (), column) for agent, column in enumerate(columns, 1)]
 
 
 def scaled_disutilities(inst: Instance, alloc: Allocation, report) -> list[Fraction]:

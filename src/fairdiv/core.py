@@ -178,6 +178,16 @@ def _interned(n: int, items) -> tuple[tuple, tuple]:
     return tuple(map(tuple, tables.values)), tuple(codes)
 
 
+class _ItemsFromTables:
+    """``Instance.items`` of an instance made from its tables: built on first read, then kept."""
+
+    def __get__(self, inst, owner=None):
+        if inst is None:  # no class-level default: Instance(n, items) takes items
+            raise AttributeError("items")
+        inst.__dict__["items"] = items = tuple(tuple(map(tuple.__getitem__, inst.values, row)) for row in inst.codes)
+        return items
+
+
 @dataclass(frozen=True)
 class Instance:
     """An ordered stream of chores with per-agent positive disutilities.
@@ -190,11 +200,12 @@ class Instance:
     items has no tables. A code says only which values are equal. ``items``
     alone decides equality; ``tables``, when a producer passes it, is the
     ``(values, codes)`` pair it built (see :meth:`from_codes`), else the
-    tables are interned from ``items``.
+    tables are interned from ``items``. An instance made from its tables
+    builds ``items`` on first read; every accessor reads the tables.
     """
 
     n: int
-    items: tuple[tuple[Fraction, ...], ...]
+    items: tuple[tuple[Fraction, ...], ...] = _ItemsFromTables()
     tables: InitVar[tuple | None] = None
     values: tuple[tuple[Fraction, ...], ...] = field(init=False, compare=False, repr=False)
     codes: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
@@ -203,6 +214,8 @@ class Instance:
         if not is_positive_int(self.n):
             raise ParseError(f"agent count must be a positive integer, got {self.n!r}")
         values, codes = _interned(self.n, self.items) if tables is None else tables
+        if self.items is None:  # built on first read
+            del self.__dict__["items"]
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "codes", codes)
         bad = {(i, c) for i, table in enumerate(values) for c, v in enumerate(table) if v.numerator <= 0}
@@ -215,21 +228,19 @@ class Instance:
         """The instance whose item j gives agent i the value ``values[i-1][codes[j-1][i-1]]``.
         Only the values' signs are checked: the caller makes each table distinct
         Fractions in first-appearance order, and each row n codes long."""
-        values = tuple(map(tuple, values))
-        codes = tuple(codes)
-        return cls(n, tuple(tuple(map(tuple.__getitem__, values, row)) for row in codes), (values, codes))
+        return cls(n, None, (tuple(map(tuple, values)), tuple(codes)))
 
     @property
     def m(self) -> int:
-        return len(self.items)
+        return len(self.codes)
 
     def disutility(self, agent: int, item: int) -> Fraction:
         """d_i(j) with 1-based agent and item indices."""
-        return self.items[item - 1][agent - 1]
+        return self.values[agent - 1][self.codes[item - 1][agent - 1]]
 
     def agent_values(self, agent: int) -> tuple[Fraction, ...]:
         """All of one agent's disutilities, in arrival order."""
-        return tuple(d[agent - 1] for d in self.items)
+        return tuple(self.values[agent - 1][row[agent - 1]] for row in self.codes)
 
     def total(self, agent: int) -> Fraction:
         return sum(self.agent_values(agent), Fraction(0))

@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heapreplace
-from itertools import groupby
 from math import lcm, prod
 
 from .core import FairdivError, Instance, ceil_div, format_rational
@@ -64,21 +63,21 @@ def common_scale(values) -> tuple[int, list[int]]:
 def lpt_partition(values, n: int, positions=None) -> tuple[int, list[list[int]]]:
     """``(max load, n sorted bundles of 1-based indices)``: largest item first to the least-loaded.
 
-    ``positions`` (0-based, default all) selects the items. Ties: a stable
-    descending sort, and the lowest-indexed least-loaded bundle. ``values``
-    are the integers of :func:`common_scale`, and so is the load.
-
-    Once every load is less than v above the least, for v the value of a
-    run of equal items, the heap would place the rest of the run round by
-    round in (load, index) order, so each bundle takes its share at once.
+    ``positions`` (0-based, default all) selects the items, grouped in one
+    pass into runs of equal value, placed largest first. Ties: the order
+    given, and the lowest-indexed least-loaded bundle. ``values`` are the
+    integers of :func:`common_scale`, and so is the load. Once every load
+    is less than v above the least, for v a run's value, the heap would
+    place the rest of the run round by round in (load, index) order, so
+    each bundle takes its share at once.
     """
-    if positions is None:
-        positions = range(len(values))
+    runs: dict[int, list[int]] = {}
+    for p in range(len(values)) if positions is None else positions:
+        runs.setdefault(values[p], []).append(p + 1)
     heap = [(0, b) for b in range(n)]  # (load, bundle): the top is the least load, lowest index
     top = 0  # the largest load
     bundles: list[list[int]] = [[] for _ in range(n)]
-    for v, run in groupby(sorted(positions, key=values.__getitem__, reverse=True), values.__getitem__):
-        run = [p + 1 for p in run]
+    for v, run in sorted(runs.items(), reverse=True):  # keys differ: no list is compared
         t = 0
         while t < len(run) and top - heap[0][0] >= v:  # one item; the new load is at most top
             load, b = heap[0]
@@ -299,25 +298,27 @@ def witness_max_bundle(inst: Instance, agent: int, partition) -> Fraction:
 
     ``partition`` is an iterable of at most n bundles of 1-based item
     indices (missing bundles are empty); it must cover every arrived item
-    exactly once.
+    exactly once. Bundles are summed on the integers of :func:`common_scale`
+    of the agent's value table, read by each item's code.
     """
     seen: set[int] = set()
-    worst = Fraction(0)
+    common, scaled = common_scale(inst.values[agent - 1] if inst.m else ())
+    worst = 0
     for count, bundle in enumerate(partition, start=1):
         if count > inst.n:
             raise FairdivError(f"witness partition has more than n={inst.n} bundles")
-        s = Fraction(0)
+        s = 0
         for j in bundle:
             if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= inst.m:
                 raise FairdivError(f"witness partition names item {j!r} outside 1..{inst.m}")
             if j in seen:
                 raise FairdivError(f"witness partition repeats item {j}")
             seen.add(j)
-            s += inst.disutility(agent, j)
+            s += scaled[inst.codes[j - 1][agent - 1]]
         worst = max(worst, s)
     if len(seen) != inst.m:
         raise FairdivError("witness partition does not cover all items")
-    return worst
+    return Fraction(worst, common)
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,10 @@ from its integers (:meth:`GridGame.bound_margin`), and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
+from functools import cache, cached_property
+from itertools import chain, groupby
 from operator import add
 
 from .core import (
@@ -465,21 +464,24 @@ class GridGame:
         )
 
 
+def _runs(keys):
+    """``(first, past last)`` index of each run of equal adjacent keys."""
+    left = 0
+    for _, run in groupby(keys):
+        right = left + sum(1 for _ in run)
+        yield left, right
+        left = right
+
+
+def _cell_runs(cells) -> list[tuple[int, int]]:
+    """``(first, past last)`` cell of each maximal run of adjacent cells, in order."""
+    cells = sorted(cells)
+    return [(cells[l], cells[r - 1] + 1) for l, r in _runs([c - i for i, c in enumerate(cells)])]
+
+
 def cells_to_intervals(game_q: int, cells) -> tuple[tuple[Fraction, Fraction], ...]:
     """Merge sorted cell indices into maximal (left, right] intervals."""
-    out = []
-    run_start = None
-    prev = None
-    for c in sorted(cells):
-        if run_start is None:
-            run_start = c
-        elif c != prev + 1:
-            out.append((-HALF + Fraction(run_start, game_q), -HALF + Fraction(prev + 1, game_q)))
-            run_start = c
-        prev = c
-    if run_start is not None:
-        out.append((-HALF + Fraction(run_start, game_q), -HALF + Fraction(prev + 1, game_q)))
-    return tuple(out)
+    return tuple((-HALF + Fraction(l, game_q), -HALF + Fraction(r, game_q)) for l, r in _cell_runs(cells))
 
 
 # Allocator reduction --------------------------------------------------------
@@ -595,22 +597,19 @@ def _walk(n: int, k: int, moves):
 def stacking_trace_to_jsonl(result: ReductionResult) -> str:
     """One JSON line per move of ``result``, with the pieces of the grid after
     it, walked from zero; :func:`replay_stacking_trace` reads the file back
-    on the reference engine (:func:`apply_operation`)."""
-    Q, a, b = result.n * result.k, Fraction(1), Fraction(1, result.n - 1)
+    on the reference engine (:func:`apply_operation`). The pieces are the
+    runs of equal cells of the integer grid, written as ``json.dumps`` writes
+    ``game.to_function()``, with the text of each cell edge and of each
+    distinct cell value made once."""
+    n, Q = result.n, result.n * result.k
+    edges = ['"%s"' % format_rational(-HALF + Fraction(c, Q)) for c in range(Q + 1)]
+    value = cache(lambda v: '"%s"' % format_rational(Fraction(v, n - 1)))  # the grid's scale
+    line = '{"A":[[%s,%s]],"B":[%s],"a":"1","b":"' + format_rational(Fraction(1, n - 1)) + '","pieces_after":[%s]}'
     lines = []
-    for raised, lowered, game in _walk(result.n, result.k, result.moves):
-        A, B = cells_to_intervals(Q, [raised]), cells_to_intervals(Q, lowered)
-        rec = {
-            "a": format_rational(a),
-            "b": format_rational(b),
-            "A": [[format_rational(l), format_rational(r)] for l, r in A],
-            "B": [[format_rational(l), format_rational(r)] for l, r in B],
-            "pieces_after": [
-                [format_rational(l), format_rational(r), format_rational(v)]
-                for l, r, v in game.to_function().pieces
-            ],
-        }
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    for raised, lowered, game in _walk(n, result.k, result.moves):
+        B = [f"[{edges[l]},{edges[r]}]" for l, r in _cell_runs(lowered)]
+        pieces = [f"[{edges[l]},{edges[r]},{value(game.values[l])}]" for l, r in _runs(game.values)]
+        lines.append(line % (edges[raised], edges[raised + 1], ",".join(B), ",".join(pieces)))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

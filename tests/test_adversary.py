@@ -334,6 +334,25 @@ def test_verify_rejects_an_agent_that_is_not_a_positive_int(agent):
     assert verify_certificate(inst, Allocation((1,)), bad) is False
 
 
+def test_verify_rederives_an_exact_claim():
+    # agent 1's MMS is 6 ([3, 3] against [2, 2, 2]); the witness's max bundle is 7
+    inst = Instance(2, tuple((F(v), F(1)) for v in (3, 3, 2, 2, 2)))
+    alloc = Allocation((1, 1, 2, 2, 2))
+    witness = ((1, 3), (2, 4, 5))
+    for source, sound in (("witness", True), ("exact", False)):
+        cert = RatioCertificate(1, F(6), F(7), witness, source, F(6, 7))
+        assert verify_certificate(inst, alloc, cert) is sound
+    cert = RatioCertificate(1, F(6), F(6), ((1, 2), (3, 4, 5)), "exact", F(1))
+    assert verify_certificate(inst, alloc, cert)
+    # past the search guard no value is claimed exact, even an optimal one
+    m = exact_search_limit(2) + 2
+    inst = Instance(2, ((F(1), F(1)),) * m)
+    halves = (tuple(range(1, m // 2 + 1)), tuple(range(m // 2 + 1, m + 1)))
+    for source, sound in (("witness", True), ("exact", False)):
+        cert = RatioCertificate(1, F(m), F(m // 2), halves, source, F(2))
+        assert verify_certificate(inst, Allocation((1,) * m), cert) is sound
+
+
 def test_verify_rejects_zero_mms_upper():
     cert = RatioCertificate(1, F(0), F(0), (), "witness", F(1))
     assert not verify_certificate(Instance(2, ()), Allocation(()), cert)

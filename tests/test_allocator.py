@@ -21,7 +21,7 @@ from fairdiv import (
     run_online,
     validate_pressure_trace,
 )
-from fairdiv import stacking
+from fairdiv import core, stacking
 from fairdiv.adversary import make_recursive_adversary, play_game
 from fairdiv.allocator import (
     BiValuePolicy,
@@ -36,7 +36,7 @@ from fairdiv.allocator import (
     trace_from_jsonl,
 )
 from fairdiv.cli import main
-from fairdiv.core import ValueTables, instance_to_json
+from fairdiv.core import ValueTables, instance_to_json, load_instance
 from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance, run_experiment
 from fairdiv.mms import mms_exact
 
@@ -631,6 +631,30 @@ def test_run_path_walks_no_cell_positions(tmp_path, monkeypatch):
     assert walks == [1] and len(moves) == inst.m  # walked once, on the first read
     assert res.steps is steps and walks == [1] and len(moves) == inst.m
     assert steps == _reduction_on_its_own_replay(trace, inst.n)[0]
+
+
+def test_run_and_adversary_paths_build_no_item_rows(tmp_path, monkeypatch):
+    # load_instance and play_game keep only tables and codes; a spy on the
+    # first-read build shows that nothing on these paths reads Instance.items
+    built = []
+    build = core._ItemsFromTables.__get__
+    monkeypatch.setattr(core._ItemsFromTables, "__get__", lambda self, *args: built.append(1) or build(self, *args))
+    def outputs(prefix, *flags):
+        return [x for flag in flags for x in (flag, str(tmp_path / f"{prefix}{flag}"))]
+
+    pg = GeneratorConfig(n=4, m=80, k=4, D=Fraction(8), value_grid="powers-of-two", seed=3)
+    bv = GeneratorConfig(n=4, m=120, k=2, D=Fraction(4), value_grid="adversarial-near-threshold", seed=4)
+    for policy, cfg in (("pressure-greedy", pg), ("bi-value", bv)):
+        path = tmp_path / f"{policy}.json"
+        path.write_text(instance_to_json(generate_instance(cfg)) + "\n")
+        argv = ["run", "--in", str(path), "--policy", policy]
+        assert main(argv + outputs(policy, "--out", "--trace", "--report")) == 0
+    for n, budget in ((2, 100), (3, 60)):
+        argv = ["adversary", "run", "--n", str(n), "--eps", "1", "--budget", str(budget)]
+        assert main(argv + outputs(f"game{n}", "--out-instance", "--out-allocation", "--out-certificate")) == 0
+    assert built == []
+    inst = load_instance(path.read_text())
+    assert len(inst.items) == inst.m and inst.items[0] and built == [1]  # one build, on the first read
 
 
 _STEP = {"item": 1, "raw": ["1", "2"], "effective": ["1", "2"], "types": [1, 1], "agent": 1}

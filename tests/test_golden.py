@@ -50,9 +50,10 @@ from fairdiv import (
 from fairdiv.adversary import _build_certificate, agent_mms, scaled_disutilities
 from fairdiv.allocator import BiValuePolicy, ExternalPolicy, PressureGreedyPolicy, make_policy
 from fairdiv.cli import main
-from fairdiv.harness import GeneratorConfig, generate_instance
+from fairdiv.core import format_rational
+from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance
 from fairdiv.mms import exact_search_limit
-from fairdiv.stacking import allocator_to_stacking, stacking_trace_to_jsonl
+from fairdiv.stacking import _walk, allocator_to_stacking, cells_to_intervals, stacking_trace_to_jsonl
 
 from conftest import random_instance
 
@@ -360,9 +361,25 @@ def test_golden_digest(key):
     assert _digest(key) == GOLDEN[key]
 
 
+def _stacking_lines_from_functions(res):
+    """The stacking trace's lines as json.dumps writes each move's intervals and
+    the grid's ``to_function()`` after it: the writer's reference."""
+    Q, b = res.n * res.k, Fraction(1, res.n - 1)
+    for raised, lowered, game in _walk(res.n, res.k, res.moves):
+        rec = {
+            "a": "1",
+            "b": format_rational(b),
+            "A": [list(map(format_rational, span)) for span in cells_to_intervals(Q, [raised])],
+            "B": [list(map(format_rational, span)) for span in cells_to_intervals(Q, lowered)],
+            "pieces_after": [list(map(format_rational, piece)) for piece in game.to_function().pieces],
+        }
+        yield json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
 def test_stacking_traces_replay_to_the_final_grid():
-    # each corpus reduction's stacking trace re-verifies, and its last
-    # recorded pieces are the reduction's final grid
+    # each corpus reduction's stacking trace re-verifies, its lines are those
+    # written from the grid functions, and its last recorded pieces are the
+    # reduction's final grid
     replayed = 0
     for make in CORPUS.values():
         inst = make()
@@ -370,12 +387,37 @@ def test_stacking_traces_replay_to_the_final_grid():
             continue
         res = allocator_to_stacking(run_online(inst, PressureGreedyPolicy())[1])
         text = stacking_trace_to_jsonl(res)
+        assert text.splitlines() == list(_stacking_lines_from_functions(res))
         report = replay_stacking_trace(text)
         assert report.passed and report.steps == len(res.steps) == inst.m
         last = json.loads(text.splitlines()[-1])["pieces_after"]
         assert [tuple(map(parse_rational, piece)) for piece in last] == list(res.game.to_function().pieces)
         replayed += 1
     assert replayed == len(CORPUS) - 1
+
+
+def test_instances_from_codes_match_their_items():
+    # an instance made from its tables builds items on first read; it equals,
+    # hashes and counts items as Instance(n, items) on the same rows
+    rng = random.Random(137)
+    draws = []
+    for _ in range(60):
+        grid = rng.choice(GRID_NAMES)
+        k = rng.randint(1, 2 if grid == "adversarial-near-threshold" else 4)
+        draws.append(_generated(rng.randint(1, 6), rng.randint(k, 40), k, 8, grid, rng.randrange(10 ** 6)))
+    for inst in [make() for make in CORPUS.values()] + draws:
+        text = instance_to_json(inst)
+        rows = tuple(tuple(map(parse_rational, item["d"])) for item in json.loads(text)["items"])
+        eager, lazy = Instance(inst.n, rows), load_instance(text)
+        agents = range(1, inst.n + 1)
+        assert [lazy.agent_values(i) for i in agents] == [tuple(row[i - 1] for row in rows) for i in agents]
+        assert [lazy.total(i) for i in agents] == [eager.total(i) for i in agents]
+        assert lazy.disutility(inst.n, len(rows)) == rows[-1][-1]
+        assert lazy.m == eager.m == len(rows) and "items" not in vars(lazy)
+        assert hash(lazy) == hash(eager) and lazy == eager and eager == lazy
+        assert type(lazy.items) is tuple and lazy.items == rows
+        again = Instance.from_codes(lazy.n, lazy.values, lazy.codes)
+        assert again == lazy and again.items + lazy.items == rows + rows
 
 
 if __name__ == "__main__":

@@ -18,12 +18,15 @@ from fairdiv import (
     agent_type_shares,
     check_mms_decomposition,
     generate_instance,
+    make_recursive_adversary,
     mms_exact,
     mms_report,
     per_type_share,
+    play_game,
     verify_certificate,
 )
 from fairdiv.adversary import RatioCertificate
+from fairdiv.allocator import RoundRobinPolicy
 from fairdiv import mms as mms_module
 from fairdiv.mms import _count_vector_optimum, common_scale, exact_search_limit, lpt_partition, witness_max_bundle
 
@@ -155,6 +158,18 @@ def test_agent_mms_witness_consistent():
         entry = mms_report(inst)[agent - 1]
         assert entry.exact is not None
         assert witness_max_bundle(inst, agent, entry.witness) == entry.exact
+    # summed on the agent's integer scale, a bundle is the sum of its values,
+    # also for the thousands of digits of a recursive game's values
+    game = play_game(make_recursive_adversary(3, 1, pin_horizon=200), RoundRobinPolicy(), budget=200)
+    draws = [random_instance(rng, n=rng.randint(1, 4), m=rng.randint(1, 30), k=rng.randint(1, 4)) for _ in range(30)]
+    for inst in draws + [game.instance]:
+        for agent in range(1, inst.n + 1):
+            bundles = [[] for _ in range(inst.n)]
+            for j in range(1, inst.m + 1):
+                rng.choice(bundles).append(j)
+            column = inst.agent_values(agent)
+            want = max(sum((column[j - 1] for j in bundle), Fraction(0)) for bundle in bundles)
+            assert witness_max_bundle(inst, agent, bundles) == want
 
 
 def test_witness_rejects_items_outside_the_instance():
@@ -285,12 +300,19 @@ def _scan_lpt(values, n, positions=None):
 
 
 def test_lpt_partition_heap_matches_the_scan():
+    # equal values scattered through the stream, in runs grouped in the order
+    # the positions come (all, a sorted subset or an unsorted one), and values
+    # of over 4000 bits, as in the recursive game's scaled columns
     rng = random.Random(97)
-    for trial in range(800):
+    for trial in range(1200):
         n, m = rng.randint(2, 8), rng.randint(0, 60)
         pool = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]  # few values: ties everywhere
+        if trial % 3 == 2:
+            pool = [u << 4100 for u in pool] + [3 ** 2600 + u for u in pool]
         values = [rng.choice(pool) for _ in range(m)]
-        positions = None if trial % 2 else sorted(rng.sample(range(m), rng.randint(0, m)))
+        positions = None if trial % 4 == 0 else rng.sample(range(m), rng.randint(0, m))
+        if trial % 4 == 1:
+            positions.sort()
         assert lpt_partition(values, n, positions) == _scan_lpt(values, n, positions)
 
 
