@@ -31,13 +31,15 @@ upper bound, hence sound regardless of any construction detail.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .allocator import Policy, RunTrace
 from .core import Allocation, FairdivError, Instance, ValueTables, ceil_div, format_rational, is_positive_int
-from .mms import AgentMms, InstanceTooLarge, common_scale, lpt_partition, mms_exact, witness_max_bundle
+from .mms import (AgentMms, InstanceTooLarge, common_scale, exact_search_limit, lpt_deal, lpt_partition, lpt_schedule,
+                  mms_exact, witness_max_bundle)
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def _add_to_heaviest(values, bundles, items) -> tuple[Fraction, list[list[int]]]
     return loads[heaviest] + sum((values[j - 1] for j in items), Fraction(0)), bundles
 
 
-def agent_mms(inst: Instance, agent: int, witnesses=(), column=None) -> AgentMms:
+def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
     """One agent's certified MMS bounds, on one integer scale of its value table.
 
     ``lower`` is max(average, largest item): some bundle carries at least
@@ -154,33 +156,42 @@ def agent_mms(inst: Instance, agent: int, witnesses=(), column=None) -> AgentMms
     sum_u u*ceil(c_u/n) is never below the largest-first load, since placing
     c equal items of size u greedily raises the max load by at most
     u*ceil(c/n), so no type-union partition is tried. Only supplied
-    witnesses are checked by :func:`witness_max_bundle`: the largest-first
-    one comes with its max load. The record keeps the scale it was built on.
-    ``column``, when given, is the agent's codes in arrival order.
+    witnesses are checked by :func:`witness_max_bundle`. Past the guard the
+    bounds and the largest-first load come from the agent's count vector,
+    and the largest-first partition is dealt only when ``witness`` is read.
+    The record keeps the scale it was built on.
     """
     if inst.m == 0:  # the empty partition (every bundle empty): every bound is 0
         return AgentMms(agent, Fraction(0), Fraction(0), Fraction(0), ())
     n = inst.n
     supplied = [(witness_max_bundle(inst, agent, w), w) for w in witnesses]
     common, scaled = common_scale(inst.values[agent - 1])
-    values = tuple(map(scaled.__getitem__, column or [row[agent - 1] for row in inst.codes]))
-    lower = Fraction(max(sum(values), n * max(values)), n * common)
-    try:
-        exact, positions = mms_exact(values, n)
-    except InstanceTooLarge:
-        exact = None
-        load, bundles = lpt_partition(values, n)
-        upper, witness = min(supplied + [(Fraction(load, common), bundles)], key=lambda c: c[0])
-    else:
-        exact = upper = exact / common
-        witness = [[p + 1 for p in bundle] for bundle in positions]
-    return AgentMms(agent, lower, upper, exact, tuple(tuple(b) for b in witness), common, values)
+    column = inst.columns[agent - 1]
+    counts = Counter(column)
+    codes = sorted(counts, key=scaled.__getitem__, reverse=True)  # the count vector, largest value first
+    runs = [(scaled[c], counts[c]) for c in codes]
+    lower = Fraction(max(sum(v * count for v, count in runs), n * runs[0][0]), n * common)
+    if inst.m <= exact_search_limit(n):
+        exact, positions = mms_exact([scaled[c] for c in column], n)
+        exact = exact / common
+        witness = tuple(tuple(p + 1 for p in bundle) for bundle in positions)
+        return AgentMms(agent, lower, exact, exact, witness, common, tuple(scaled))
+    load, schedule = lpt_schedule(runs, n)
+    upper, witness = min(supplied + [(Fraction(load, common), None)], key=lambda c: c[0])
+
+    def deal():
+        runs = [[] for _ in scaled]
+        for j, c in enumerate(column, 1):
+            runs[c].append(j)
+        return tuple(map(tuple, lpt_deal(schedule, [runs[c] for c in codes], n)))
+
+    witness = None if witness is None else tuple(map(tuple, witness))
+    return AgentMms(agent, lower, upper, None, witness, common, tuple(scaled), deal)
 
 
 def mms_report(inst: Instance) -> list[AgentMms]:
-    """Each agent's :func:`agent_mms` record, computed once per instance on its code column."""
-    columns = list(zip(*inst.codes)) or [()] * inst.n  # an instance without items has no columns
-    return [agent_mms(inst, agent, (), column) for agent, column in enumerate(columns, 1)]
+    """Each agent's :func:`agent_mms` record, computed once per instance."""
+    return [agent_mms(inst, agent) for agent in range(1, inst.n + 1)]
 
 
 def scaled_disutilities(inst: Instance, alloc: Allocation, report) -> list[Fraction]:
@@ -192,10 +203,10 @@ def scaled_disutilities(inst: Instance, alloc: Allocation, report) -> list[Fract
     if assignment and max(assignment) > n:
         j, a = next((j, a) for j, a in enumerate(assignment, 1) if a > n)
         raise FairdivError(f"item {j}: agent index {a} exceeds n={n}")
-    columns = [r.scaled for r in report]
+    tables = [r.scaled for r in report]
     sums = [0] * n
-    for j, a in enumerate(assignment):
-        sums[a - 1] += columns[a - 1][j]
+    for row, a in zip(inst.codes, assignment):
+        sums[a - 1] += tables[a - 1][row[a - 1]]
     return [Fraction(total, r.scale) for total, r in zip(sums, report)]
 
 

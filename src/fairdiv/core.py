@@ -178,14 +178,22 @@ def _interned(n: int, items) -> tuple[tuple, tuple]:
     return tuple(map(tuple, tables.values)), tuple(codes)
 
 
-class _ItemsFromTables:
-    """``Instance.items`` of an instance made from its tables: built on first read, then kept."""
+class BuiltOnRead:
+    """A dataclass field whose constructor may be passed None: ``build(obj)``
+    then makes it on first read, and it is kept. The class has no default for
+    it, and ``__post_init__`` drops the None so that the first read builds."""
 
-    def __get__(self, inst, owner=None):
-        if inst is None:  # no class-level default: Instance(n, items) takes items
-            raise AttributeError("items")
-        inst.__dict__["items"] = items = tuple(tuple(map(tuple.__getitem__, inst.values, row)) for row in inst.codes)
-        return items
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # no class-level default: the constructor takes the field
+            raise AttributeError(self.name)
+        obj.__dict__[self.name] = value = self.build(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -205,7 +213,9 @@ class Instance:
     """
 
     n: int
-    items: tuple[tuple[Fraction, ...], ...] = _ItemsFromTables()
+    items: tuple[tuple[Fraction, ...], ...] = BuiltOnRead(
+        lambda inst: tuple(tuple(map(tuple.__getitem__, inst.values, row)) for row in inst.codes)
+    )
     tables: InitVar[tuple | None] = None
     values: tuple[tuple[Fraction, ...], ...] = field(init=False, compare=False, repr=False)
     codes: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
@@ -234,13 +244,17 @@ class Instance:
     def m(self) -> int:
         return len(self.codes)
 
+    @functools.cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.codes)) if self.codes else ((),) * self.n
+
     def disutility(self, agent: int, item: int) -> Fraction:
         """d_i(j) with 1-based agent and item indices."""
         return self.values[agent - 1][self.codes[item - 1][agent - 1]]
 
     def agent_values(self, agent: int) -> tuple[Fraction, ...]:
         """All of one agent's disutilities, in arrival order."""
-        return tuple(self.values[agent - 1][row[agent - 1]] for row in self.codes)
+        return tuple(map(self.values[agent - 1].__getitem__, self.columns[agent - 1]))
 
     def total(self, agent: int) -> Fraction:
         return sum(self.agent_values(agent), Fraction(0))
@@ -304,11 +318,17 @@ def json_texts(values) -> list[str]:
 
 
 def instance_to_json(inst: Instance) -> str:
-    """Canonical JSON, sorted keys and no spaces; each distinct value of an
-    agent is formatted once."""
-    texts = list(map(json_texts, inst.values))
-    items = ",".join('{"d":[' + ",".join(map(list.__getitem__, texts, row)) + "]}" for row in inst.codes)
-    return '{"items":[' + items + '],"n":' + str(inst.n) + "}"
+    """Canonical JSON, sorted keys and no spaces, joined once from the code
+    columns. Each distinct value of an agent is formatted once, with the
+    text that follows it in an item (for agent 1, also the text before)."""
+    n, m = inst.n, inst.m
+    parts = ['{"items":['] + [""] * (n * m) + ['],"n":' + str(n) + "}"]
+    for i, (table, column) in enumerate(zip(inst.values, inst.columns)):
+        texts = [('{"d":[' if i == 0 else "") + t + ("]}," if i == n - 1 else ",") for t in json_texts(table)]
+        parts[1 + i : 1 + n * m : n] = [texts[c] for c in column]
+    if m:
+        parts[n * m] = parts[n * m][:-1]  # no comma after the last item
+    return "".join(parts)
 
 
 def parse_json(data, keys, what: str) -> dict:
@@ -394,6 +414,7 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "ValueTables",
+    "BuiltOnRead",
     "Instance",
     "Allocation",
     "InstanceStats",

@@ -8,24 +8,26 @@ vector (each distinct value with its count), found by a bin-packing
 feasibility search over remaining count vectors when the vector has few
 enough states, so the branch and bound ends at its first optimal leaf
 instead of proving optimality; below the largest-first load, one above it
-is the search's first incumbent. When the item-count guard refuses, the
-largest-first partition gives a certified upper bound instead, with its max
-load, so downstream ratio reports never state an exact number without an
-exact benchmark. Each agent's :class:`AgentMms` record is
-assembled by :func:`fairdiv.adversary.agent_mms`, from one integer scale of
-its values, which the record keeps.
+is the search's first incumbent. Past the item-count guard, the
+largest-first load of the count vector gives a certified upper bound
+instead, so downstream ratio reports never state an exact number without
+an exact benchmark; its partition is dealt from the same schedule only when
+read. Each agent's :class:`AgentMms` record is assembled by
+:func:`fairdiv.adversary.agent_mms`, from one integer scale of its value
+table, which the record keeps.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heapreplace
 from math import lcm, prod
 
-from .core import FairdivError, Instance, ceil_div, format_rational
+from .core import BuiltOnRead, FairdivError, Instance, ceil_div, format_rational
 
 
 class InstanceTooLarge(FairdivError):
@@ -60,41 +62,69 @@ def common_scale(values) -> tuple[int, list[int]]:
     return common, [v.numerator * factors[v.denominator] for v in values]
 
 
+def lpt_schedule(runs, n: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """Largest-first, stage 1: ``(max load, schedule)`` for ``runs``, the
+    ``(value, count)`` pairs of distinct values in descending order.
+
+    Each item goes to the least-loaded bundle, the lowest index on a tie.
+    ``schedule[r]`` is ``(singles, order)`` for run r: the bundles that take
+    its first items one at a time, then the bundles, in (load, index) order,
+    that deal the rest round by round. Once every load is less than v above
+    the least, for v the run's value, the one-at-a-time rule would place
+    the rest of the run in exactly that deal. No item is placed here.
+    """
+    heap = [(0, b) for b in range(n)]  # (load, bundle): the top is the least load, lowest index
+    top = 0  # the largest load
+    schedule = []
+    for v, count in runs:
+        singles: list[int] = []
+        while len(singles) < count and top - heap[0][0] >= v:  # one item; the new load is at most top
+            load, b = heap[0]
+            heapreplace(heap, (load + v, b))
+            singles.append(b)
+        order: list[int] = []
+        rest = count - len(singles)
+        if rest:
+            heap.sort()
+            order = [b for _, b in heap]
+            for j, (load, b) in enumerate(heap):
+                heap[j] = (load + v * ceil_div(rest - j, n), b)
+            heapify(heap)
+            top = max(heap)[0]
+        schedule.append((singles, order))
+    return max(heap)[0], schedule
+
+
+def lpt_deal(schedule, runs, n: int) -> list[list[int]]:
+    """Largest-first, stage 2: n sorted bundles dealt by :func:`lpt_schedule`'s
+    ``schedule``; ``runs[r]`` lists run r's item indices in the order given."""
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    for (singles, order), run in zip(schedule, runs):
+        for b, j in zip(singles, run):
+            bundles[b].append(j)
+        t = len(singles)
+        for r, b in enumerate(order):
+            bundles[b] += run[t + r :: n]
+    for bundle in bundles:
+        bundle.sort()
+    return bundles
+
+
 def lpt_partition(values, n: int, positions=None) -> tuple[int, list[list[int]]]:
     """``(max load, n sorted bundles of 1-based indices)``: largest item first to the least-loaded.
 
     ``positions`` (0-based, default all) selects the items, grouped in one
-    pass into runs of equal value, placed largest first. Ties: the order
-    given, and the lowest-indexed least-loaded bundle. ``values`` are the
-    integers of :func:`common_scale`, and so is the load. Once every load
-    is less than v above the least, for v a run's value, the heap would
-    place the rest of the run round by round in (load, index) order, so
-    each bundle takes its share at once.
+    pass into runs of equal value, then scheduled by :func:`lpt_schedule`
+    and dealt by :func:`lpt_deal`. Ties: the order given, and the
+    lowest-indexed least-loaded bundle. ``values`` are the integers of
+    :func:`common_scale`, and so is the load.
     """
     runs: dict[int, list[int]] = {}
     for p in range(len(values)) if positions is None else positions:
         runs.setdefault(values[p], []).append(p + 1)
-    heap = [(0, b) for b in range(n)]  # (load, bundle): the top is the least load, lowest index
-    top = 0  # the largest load
-    bundles: list[list[int]] = [[] for _ in range(n)]
-    for v, run in sorted(runs.items(), reverse=True):  # keys differ: no list is compared
-        t = 0
-        while t < len(run) and top - heap[0][0] >= v:  # one item; the new load is at most top
-            load, b = heap[0]
-            heapreplace(heap, (load + v, b))
-            bundles[b].append(run[t])
-            t += 1
-        if t < len(run):
-            heap.sort()
-            for j, (load, b) in enumerate(heap):
-                share = run[t + j::n]
-                bundles[b] += share
-                heap[j] = (load + v * len(share), b)
-            heapify(heap)
-            top = max(heap)[0]
-    for bundle in bundles:
-        bundle.sort()
-    return max(heap)[0], bundles
+    ordered = sorted(runs.items(), reverse=True)  # keys differ: no list is compared
+    load, schedule = lpt_schedule([(v, len(run)) for v, run in ordered], n)
+    return load, lpt_deal(schedule, [run for _, run in ordered], n)
 
 
 def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
@@ -326,18 +356,20 @@ class AgentMms:
     """One agent's certified MMS bounds: lower <= MMS <= upper.
 
     ``witness`` is a partition (1-based item indices) whose max bundle is
-    ``upper``. ``exact`` is the MMS when the search found it, and then
-    equals ``upper``; otherwise None. ``scaled[j]`` is the agent's value of
-    item j+1 times ``scale``, an integer: the scale the record was built on.
+    ``upper``. A record built with ``witness`` None gets it from ``deal()``
+    on first read. ``exact`` is the MMS when the search found it, and then
+    equals ``upper``; otherwise None. ``scaled[c]`` is the agent's value of
+    code c times ``scale``, an integer: the scale the record was built on.
     """
 
     agent: int
     lower: Fraction
     upper: Fraction
     exact: Fraction | None
-    witness: tuple[tuple[int, ...], ...]
+    witness: tuple[tuple[int, ...], ...] = BuiltOnRead(lambda record: record.deal())
     scale: int = field(default=1, compare=False, repr=False)
     scaled: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    deal: Callable[[], tuple[tuple[int, ...], ...]] | None = field(default=None, compare=False, repr=False)
 
     @property
     def source(self) -> str:
@@ -345,6 +377,8 @@ class AgentMms:
         return "witness" if self.exact is None else "exact"
 
     def __post_init__(self):
+        if self.witness is None:  # dealt on first read
+            del self.__dict__["witness"]
         if not self.lower <= self.upper:
             raise FairdivError(f"agent {self.agent}: lower bound {self.lower} exceeds {self.upper}")
         if self.exact is not None and not (self.lower <= self.exact <= self.upper):
@@ -401,6 +435,8 @@ __all__ = [
     "InstanceTooLarge",
     "exact_search_limit",
     "common_scale",
+    "lpt_schedule",
+    "lpt_deal",
     "lpt_partition",
     "mms_exact",
     "TypeShare",

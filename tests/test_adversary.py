@@ -394,7 +394,7 @@ def _assert_agent_mms_matches_the_rescan(inst):
     for agent in range(1, inst.n + 1):
         record = agent_mms(inst, agent)
         assert record == _agent_mms_by_rescan(inst, agent)
-        assert (record.scale, list(record.scaled)) == common_scale(inst.agent_values(agent))  # not compared by ==
+        assert (record.scale, list(record.scaled)) == common_scale(inst.values[agent - 1])  # not compared by ==
 
 
 def test_agent_mms_matches_the_rescan_on_random_instances():

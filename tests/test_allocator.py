@@ -637,8 +637,9 @@ def test_run_and_adversary_paths_build_no_item_rows(tmp_path, monkeypatch):
     # load_instance and play_game keep only tables and codes; a spy on the
     # first-read build shows that nothing on these paths reads Instance.items
     built = []
-    build = core._ItemsFromTables.__get__
-    monkeypatch.setattr(core._ItemsFromTables, "__get__", lambda self, *args: built.append(1) or build(self, *args))
+    items = core.Instance.__dict__["items"]
+    build = items.build
+    monkeypatch.setattr(items, "build", lambda inst: built.append(1) or build(inst))
     def outputs(prefix, *flags):
         return [x for flag in flags for x in (flag, str(tmp_path / f"{prefix}{flag}"))]
 

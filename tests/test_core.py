@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -302,3 +303,22 @@ def test_bundle_disutility_and_stats_match_rescans():
                 assert alloc.bundle_disutility(inst, agent) == expected
     with pytest.raises(FairdivError, match="allocation of 3 items for an instance of 2"):
         Allocation((1, 1, 1)).bundle_disutility(Instance(1, ((Fraction(1),),) * 2), 1)
+
+
+def test_columns_are_the_agents_codes_and_no_part_of_identity():
+    # Instance(n, items) and from_codes give each agent its codes in arrival
+    # order, built on first read; columns take no part in ==, hash or repr
+    rng = random.Random(163)
+    instances = [random_instance(rng, rng.randint(1, 5), rng.randint(0, 30), rng.randint(1, 4)) for _ in range(40)]
+    instances += [Instance(3, ()), Instance(1, ((Fraction(2),), (Fraction(1, 3),), (Fraction(2),)))]
+    assert "columns" not in {f.name for f in dataclasses.fields(Instance)}
+    for inst in instances:
+        made = Instance.from_codes(inst.n, inst.values, inst.codes)
+        assert "columns" not in vars(inst) and "columns" not in vars(made)
+        before = repr(made)
+        assert made.columns == inst.columns == tuple(tuple(row[i] for row in inst.codes) for i in range(inst.n))
+        assert made.columns is made.columns and "columns" in vars(made)
+        fresh = Instance.from_codes(inst.n, inst.values, inst.codes)
+        assert made == fresh and fresh == made and hash(made) == hash(fresh) == hash(inst)
+        assert repr(made) == repr(fresh) == before and "columns" not in before
+    assert instances[-2].columns == ((), (), ()) and instances[-1].columns == ((0, 1, 0),)

@@ -420,6 +420,32 @@ def test_instances_from_codes_match_their_items():
         assert again == lazy and again.items + lazy.items == rows + rows
 
 
+def _json_from_rows(inst) -> str:
+    """instance_to_json's reference: each item's row of values through json.dumps."""
+    items = [{"d": [format_rational(v) for v in row]} for row in inst.items]
+    return json.dumps({"items": items, "n": inst.n}, sort_keys=True, separators=(",", ":"))
+
+
+def test_instance_json_from_columns_matches_the_rows():
+    # the canonical JSON, joined once from the code columns, is the rows'
+    # JSON byte for byte, on the corpus, generator draws, thousand-digit
+    # values and an instance without items
+    rng = random.Random(139)
+    instances = [make() for make in CORPUS.values()]
+    for _ in range(60):
+        grid = rng.choice(GRID_NAMES)
+        k = rng.randint(1, 2 if grid == "adversarial-near-threshold" else 4)
+        instances.append(_generated(rng.randint(1, 6), rng.randint(k, 40), k, 8, grid, rng.randrange(10 ** 6)))
+    huge = [Fraction(rng.randint(1, 10 ** 1100), rng.choice([1, 7, 3 ** 2200 + 1])) for _ in range(4)]
+    instances.append(Instance(3, tuple(tuple(rng.choice(huge) for _ in range(3)) for _ in range(9))))
+    instances.append(load_instance('{"n":3,"items":[]}'))
+    for inst in instances:
+        text = instance_to_json(inst)
+        assert text == _json_from_rows(inst)
+        assert instance_to_json(load_instance(text)) == text
+    assert instance_to_json(instances[-1]) == '{"items":[],"n":3}'
+
+
 if __name__ == "__main__":
     for key in _all_keys():
         print(f"    {key!r}: {_digest(key)!r},")

@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import random
 import runpy
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from fairdiv import (
     InstanceTooLarge,
     agent_mms,
     agent_type_shares,
+    certify_ratio,
     check_mms_decomposition,
     generate_instance,
     make_recursive_adversary,
@@ -28,7 +31,11 @@ from fairdiv import (
 from fairdiv.adversary import RatioCertificate
 from fairdiv.allocator import RoundRobinPolicy
 from fairdiv import mms as mms_module
-from fairdiv.mms import _count_vector_optimum, common_scale, exact_search_limit, lpt_partition, witness_max_bundle
+from fairdiv import adversary as adversary_module
+from fairdiv.cli import main
+from fairdiv.core import instance_to_json, load_allocation, load_instance
+from fairdiv.mms import (_count_vector_optimum, common_scale, exact_search_limit, lpt_deal, lpt_partition, lpt_schedule,
+                         witness_max_bundle)
 
 from conftest import brute_force_mms, random_instance, type_union_partition
 
@@ -332,6 +339,93 @@ def test_lpt_partition_matches_the_scan_at_stream_scale():
         positions = None if trial % 2 else sorted(rng.sample(range(m), rng.randint(0, m)))
         assert lpt_partition(values, n, positions) == _scan_lpt(values, n, positions)
         assert lpt_partition(values, n) == _scan_lpt(values, n)
+
+
+def _stage_draw(rng, trial, m):
+    """m values: few small ones (ties everywhere), a few of over 4000 bits,
+    or all distinct (k = m, the shape of the recursive game's columns)."""
+    if trial % 3 == 2:
+        values = rng.sample(range(1, 10 ** 6), m)
+        return [v << 4100 for v in values] if trial % 2 else values
+    pool = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+    if trial % 3 == 1:
+        pool = [u << 4100 for u in pool] + [3 ** 2600 + u for u in pool]
+    return [rng.choice(pool) for _ in range(m)]
+
+
+def test_lpt_stages_match_the_scan():
+    # stage 1 on a count vector alone gives the load lpt_partition and the
+    # scan give, and stage 2 deals the scan's bundles from its schedule,
+    # on all items or on a subset of positions
+    rng = random.Random(151)
+    for trial in range(1500):
+        n, m = rng.randint(2, 8), rng.randint(0, 80)
+        values = _stage_draw(rng, trial, m)
+        load = lpt_schedule(sorted(Counter(values).items(), reverse=True), n)[0]
+        assert load == lpt_partition(values, n)[0] == _scan_lpt(values, n)[0]
+        positions = sorted(rng.sample(range(m), rng.randint(0, m)))
+        runs = {}
+        for p in positions:
+            runs.setdefault(values[p], []).append(p + 1)
+        ordered = sorted(runs.items(), reverse=True)
+        load, schedule = lpt_schedule([(v, len(run)) for v, run in ordered], n)
+        bundles = lpt_deal(schedule, [run for _, run in ordered], n)
+        assert (load, bundles) == lpt_partition(values, n, positions) == _scan_lpt(values, n, positions)
+
+
+def _lpt_witness(inst, agent):
+    """The largest-first partition of one agent's items, placed item by item."""
+    return tuple(map(tuple, lpt_partition(common_scale(inst.agent_values(agent))[1], inst.n)[1]))
+
+
+def test_witness_past_the_guard_is_dealt_on_first_read():
+    # agent_mms schedules the agent's count vector; the witness, dealt from
+    # that schedule when first read, is the partition lpt_partition places
+    rng = random.Random(157)
+    for trial in range(120):
+        n = rng.randint(2, 8)
+        m = exact_search_limit(n) + rng.randint(1, 60)
+        columns = [_stage_draw(rng, trial, m) for _ in range(n)]
+        inst = Instance(n, tuple(tuple(Fraction(v, 7) for v in row) for row in zip(*columns)))
+        for agent, record in enumerate(mms_report(inst), 1):
+            assert "witness" not in vars(record) and record.exact is None
+            common, scaled = common_scale(inst.agent_values(agent))
+            assert record.upper == Fraction(lpt_partition(scaled, n)[0], common)
+            assert record.witness == _lpt_witness(inst, agent) and "witness" in vars(record)
+            assert witness_max_bundle(inst, agent, record.witness) == record.upper
+
+
+def test_run_past_the_guard_deals_no_witness(tmp_path, monkeypatch):
+    # a spy on the dealing stage: fairdiv run reads no witness and deals
+    # none; fairdiv mms, certify_ratio and an n=3 adversary game deal theirs
+    # and get the partition lpt_partition places item by item
+    dealt = []
+    deal = adversary_module.lpt_deal
+    monkeypatch.setattr(adversary_module, "lpt_deal", lambda *args: dealt.append(1) or deal(*args))
+    pg = GeneratorConfig(n=4, m=80, k=4, D=Fraction(8), value_grid="powers-of-two", seed=3)
+    bv = GeneratorConfig(n=4, m=120, k=2, D=Fraction(4), value_grid="adversarial-near-threshold", seed=4)
+    for policy, cfg in (("pressure-greedy", pg), ("bi-value", bv)):
+        inst = generate_instance(cfg)
+        assert inst.m > exact_search_limit(inst.n)
+        path, out = tmp_path / f"{policy}.json", tmp_path / f"{policy}-allocation.json"
+        path.write_text(instance_to_json(inst) + "\n")
+        argv = ["run", "--in", str(path), "--policy", policy, "--out", str(out),
+                "--trace", str(tmp_path / "trace.jsonl"), "--report", str(tmp_path / "report.json")]
+        assert main(argv) == 0 and dealt == []
+        witnesses = [_lpt_witness(inst, agent) for agent in range(1, inst.n + 1)]
+        assert main(["mms", "--in", str(path), "--out", str(tmp_path / "mms.json")]) == 0
+        records = json.loads((tmp_path / "mms.json").read_text())
+        assert [tuple(map(tuple, r["witness_partition"])) for r in records] == witnesses
+        assert [c.witness for c in certify_ratio(inst, load_allocation(out.read_text()))] == witnesses
+        assert len(dealt) == 2 * inst.n
+        dealt.clear()
+    files = {flag: tmp_path / f"game{flag}" for flag in ("--out-instance", "--out-certificate")}
+    argv = ["adversary", "run", "--n", "3", "--eps", "1", "--budget", "60"]
+    assert main(argv + [x for flag, path in files.items() for x in (flag, str(path))]) == 0
+    cert = json.loads(files["--out-certificate"].read_text())
+    assert cert["budget_exhausted"] and cert["mms_source"] == "witness" and len(dealt) == 3  # certify_ratio
+    inst = load_instance(files["--out-instance"].read_text())
+    assert tuple(map(tuple, cert["witness"])) == _lpt_witness(inst, cert["agent"])
 
 
 def test_largest_first_never_above_the_type_union_load():

@@ -109,8 +109,9 @@ def test_cli_run_past_the_guard_sums_no_witness(fresh_fairdiv, tmp_path):
     argv = ["run", "--in", str(path), "--report", str(tmp_path / "report.json")]
     metrics = _traced(tracer, fd, lambda: codes.append(fd.cli.main(argv)))
     assert codes == [0]
-    assert metrics["mms.mms_exact.calls"] == 3
-    assert metrics["mms.mms_exact.refused"] == 3
+    # past the guard no exact search is tried, so none is refused either
+    assert metrics["mms.mms_exact.calls"] == 0
+    assert metrics["mms.mms_exact.refused"] == 0
     assert metrics["mms.witness_max_bundle.calls"] == 0
 
 
