@@ -18,12 +18,9 @@ pressures. A policy is started on the run's raw value tables and then sees
 each item only as its codes (see :class:`fairdiv.core.ValueTables`); each
 agent's table maps a raw value's code to its (effective value's code,
 type), and the policies differ only in the rule that fills it.
-Pressure-greedy rounds up to powers of two. The bi-value variant skips the
-rounding: when an agent reveals a second distinct value, the two values are
-merged into a single type when the smaller-to-larger ratio exceeds
-(sqrt(3)-1)/2, and kept separate otherwise. If a third distinct value ever
-appears the variant falls back to the rounded rule, clearing its tables and
-rebuilding its pressures by replaying the history so far through that rule.
+Pressure-greedy rounds up to powers of two; the bi-value variant merges
+two close values into one type instead, and falls back to the rounded rule
+on a third (see :class:`BiValuePolicy`).
 """
 
 from __future__ import annotations
@@ -103,10 +100,10 @@ class PressureState:
 @dataclass(slots=True)
 class TraceStep:
     """One allocated item. ``raw_codes`` and ``effective_codes`` index the
-    trace's per-agent tables (:class:`RunTrace`); ``pressures`` is None or
-    recorded post-step rows (n-1)*H (see :meth:`RunTrace.pressure_rows`). A
-    slots class, cheap to build once per item; it is mutable and unhashable,
-    but nothing mutates or hashes a step."""
+    trace's per-agent tables (:class:`RunTrace`); ``types`` are at most
+    ``item``; ``pressures`` is None or recorded rows (n-1)*H, which a replay
+    cannot rebuild. A slots class, cheap to build once per item; it is
+    mutable and unhashable, but nothing mutates or hashes a step."""
 
     item: int
     raw_codes: tuple[int, ...]
@@ -168,65 +165,61 @@ class RunTrace:
         return agent
 
     def pressure_rows(self):
-        """Each step's post-step rows (n-1)*H as a tuple of tuples, or None; see :meth:`_replayed_rows`."""
-        return (None if rows is None else tuple(map(tuple, rows)) for rows, _ in self._replayed_rows())
-
-    def _replayed_rows(self):
-        """Each step's ``(rows, whole)``: its recorded rows, else on a
-        pressured trace the engine's rows, live only until the next step, in
-        one :class:`PressureState` replay that continues from recorded ones,
-        else None; ``whole`` is False when only the step's n touched cells
-        changed."""
+        """Each step's rows (n-1)*H as a tuple of tuples: its recorded rows,
+        else on a pressured trace those of one :class:`PressureState` replay
+        restarted from recorded ones, else None. The writer's reference."""
         if not self.pressured:
-            yield from ((s.pressures, True) for s in self.steps)
+            yield from (s.pressures for s in self.steps)
             return
         state = PressureState(self.n)
-        scaled = state.scaled
-        opened = 0  # the fewest types any agent has open
-        known = set()  # types tuples whose every type is open: one agent may never open a higher type
         for s in self.steps:
-            whole = s.pressures is not None
-            if whole:
-                scaled[:] = map(list, s.pressures)
-                opened = min(map(len, scaled))
-                known.clear()
+            if s.pressures is not None:
+                state.scaled[:] = map(list, s.pressures)
             else:
-                if s.types not in known:
-                    known.add(s.types)
-                    if max(s.types) > opened and _open_types(scaled, s.types):
-                        whole = True
-                        opened = min(map(len, scaled))
+                _open_types(state.scaled, s.types)
                 state.step(s.types, s.agent)
-            yield scaled, whole
+            yield state.snapshot()
 
     def to_jsonl(self) -> str:
-        """One JSON line per step, as ``json.dumps`` with sorted keys writes it,
-        by one ``%`` format. Each distinct value's text is made once per agent
-        and table, and the effective, raw and types text once per distinct
-        (effective codes, raw codes, types). The rows of :meth:`pressure_rows`
-        are one list of cell texts and separators, in which a step replaces
-        its n touched cells; a scaled pressure h is written as h/(n-1)."""
-        raw = list(map(json_texts, self.raw_values))
-        effective = raw if self.effective_values is self.raw_values else list(map(json_texts, self.effective_values))
-        number = functools.cache(str)
-        texts: dict[tuple, tuple[str, str, str]] = {}
-        cells = _PressureTexts(self.n)
-        pieces: list[str] = []
-        base: list[int] = []  # cell u of row i is pieces[base[i] + 2*u]
-        lines = []
-        for s, (rows, whole) in zip(self.steps, self._replayed_rows()):
-            key = s.effective_codes, s.raw_codes, s.types
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = (",".join(map(getitem, effective, s.effective_codes)),
-                                     ",".join(map(getitem, raw, s.raw_codes)), ",".join(map(number, s.types)))
-            e, r, t = text
-            if rows is None:
-                lines.append('{"agent":%s,"effective":[%s],"item":%s,"raw":[%s],"types":[%s]}' % (s.agent, e, s.item, r, t))
+        """One line per step, as ``json.dumps`` with sorted keys writes it. A
+        line is 3n+2 parts, each ending in the text that follows it: the
+        head, n effective texts, item and rows, n raw texts and n types, each
+        field laid out one agent's column at a time, as in
+        :func:`instance_to_json`. The rows of :meth:`pressure_rows` are counts
+        in closed form; a step rewrites its n touched cells' text, row i's
+        cell u being ``pieces[base[i] + 2*u]``."""
+        n, steps, pressured = self.n, self.steps, self.pressured
+        stride = 3 * n + 2
+        parts = [""] * (stride * len(steps))
+        heads = ['{"agent":%d,"effective":[' % a for a in range(n + 1)]
+        parts[::stride] = [heads[s.agent] for s in steps]
+        types = list(zip(*[s.types for s in steps]))
+        fields = (
+            (1, map(json_texts, self.effective_values), '],"item":', zip(*[s.effective_codes for s in steps])),
+            (n + 2, map(json_texts, self.raw_values), '],"types":[', zip(*[s.raw_codes for s in steps])),
+            (2 * n + 2, (map(str, range(max(column) + 1)) for column in types), "]}\n", types),
+        )
+        for first, tables, end, columns in fields:
+            for i, table, column in zip(range(n), tables, columns):
+                texts = [t + ("," if i < n - 1 else end) for t in table]
+                parts[first + i::stride] = [texts[c] for c in column]
+        # a type opens only where an agent first shows it since the last recorded rows
+        ends = [j + 1 for j, s in enumerate(steps) if s.pressures is not None] + [len(steps)]
+        may_open = set()
+        for column in types if pressured else ():
+            for lo, hi in zip([0] + ends, ends):
+                may_open.update(column.index(u, lo, hi) for u in set(column[lo:hi]))
+        cells = _PressureTexts(n)
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for j, s in enumerate(steps):
+            recorded = s.pressures is not None
+            if not (recorded or pressured):
+                parts[j * stride + n + 1] = str(s.item) + ',"raw":['
                 continue
-            if whole:  # lay every row out afresh
-                pieces.clear()
-                base.clear()
+            if recorded:
+                rows = list(map(list, s.pressures))
+            if recorded or j in may_open and _open_types(rows, s.types):
+                pieces, base = ["", ',"pressures":[['], []
                 for row in rows:
                     if base:
                         pieces.append("],[")
@@ -234,12 +227,16 @@ class RunTrace:
                     row_pieces = [","] * (2 * len(row) - 1)
                     row_pieces[::2] = map(cells.__getitem__, row)
                     pieces += row_pieces
-            else:
-                for b, u, row in zip(base, s.types, rows):
-                    pieces[b + 2 * u] = cells[row[u - 1]]
-            lines.append('{"agent":%s,"effective":[%s],"item":%s,"pressures":[[%s]],"raw":[%s],"types":[%s]}'
-                         % (s.agent, e, s.item, "".join(pieces), r, t))
-        return "\n".join(lines) + ("\n" if lines else "")
+                pieces.append(']],"raw":[')
+            if not recorded:
+                t, a = s.types, s.agent - 1
+                rows[a][t[a] - 1] += n
+                for row, u, b in zip(rows, t, base):
+                    h = row[u - 1] = row[u - 1] - 1
+                    pieces[b + 2 * u] = cells[h]
+            pieces[0] = str(s.item)
+            parts[j * stride + n + 1] = "".join(pieces)
+        return "".join(parts)
 
 
 def _open_types(rows: list[list[int]], types) -> bool:
@@ -278,6 +275,8 @@ def _parse_trace_step(line, trace: RunTrace, raw: ValueTables, effective: ValueT
             raise ParseError(f"{key} must be a list of {n} entries")
     if not all(is_positive_int(u) for u in rec["types"]):
         raise ParseError(f"types must be positive integers, got {rec['types']!r}")
+    if max(rec["types"]) > item:  # an agent opens at most one type per item
+        raise ParseError(f"type index {max(rec['types'])} exceeds the item number {item}")
     raw_codes = raw.parse(rec["raw"])
     effective_codes = effective.parse(rec["effective"])
     if not is_positive_int(rec["item"]) or rec["item"] != item:

@@ -33,6 +33,7 @@ from fairdiv.allocator import (
     RoundRobinPolicy,
     RunTrace,
     SeededMixturePolicy,
+    TraceStep,
     trace_from_jsonl,
 )
 from fairdiv.cli import main
@@ -206,23 +207,58 @@ def _step_record(trace, s, rows) -> dict:
     return rec
 
 
+def _assert_dumps_lines(trace) -> None:
+    """Each line ``to_jsonl`` writes is its record's ``json.dumps``, with the
+    rows of the reference replay ``pressure_rows``."""
+    text = trace.to_jsonl()
+    assert text == "".join(json.dumps(_step_record(trace, s, rows), sort_keys=True, separators=(",", ":")) + "\n"
+                           for s, rows in zip(trace.steps, _rows(trace)))
+
+
 def test_to_jsonl_matches_json_dumps_of_each_record():
     rng = random.Random(43)
     policies = (PressureGreedyPolicy, BiValuePolicy, RoundRobinPolicy, DumpToOnePolicy, lambda: SeededMixturePolicy(5))
     fell_back = set()
-    for n in range(2, 9):
+    for n in range(1, 9):
         for k in (1, 2, 3):  # three values break the bi-value promise
             inst = random_instance(rng, n=n, m=rng.randint(1, 60), k=k)
             for make in policies:
                 policy = make()
-                _, trace = run_online(inst, policy)
-                lines = trace.to_jsonl().split("\n")
-                assert lines.pop() == ""
-                assert lines == [json.dumps(_step_record(trace, s, rows), sort_keys=True, separators=(",", ":"))
-                                 for s, rows in zip(trace.steps, _rows(trace))]
+                _assert_dumps_lines(run_online(inst, policy)[1])
                 if getattr(policy, "fell_back", False):
                     fell_back.add(n)
     assert len(fell_back) >= 5
+    # no items
+    for n in (1, 3):
+        for make in policies:
+            trace = run_online(Instance(n, ()), make())[1]
+            assert trace.to_jsonl() == ""
+    # counters that open late, next to nonzero ones
+    for seed in range(4):
+        _assert_dumps_lines(late_opening_trace(random.Random(seed))[1])
+    # a bi-value fallback records its rows, and the rows after it continue from them
+    policy = BiValuePolicy()
+    trace = run_online(_third_value_instance(), policy)[1]
+    assert policy.fell_back and any(s.pressures is not None for s in trace.steps)
+    _assert_dumps_lines(trace)
+    # recorded rows shorter than a type shown before them: the type opens again
+    trace = RunTrace(2, "pressure-greedy", raw_values=[[Fraction(1)]] * 2, effective_values=[[Fraction(1)]] * 2,
+                     pressured=True)
+    for j, (types, agent, rows) in enumerate((((1, 1), 1, None), ((2, 1), 2, None), ((1, 1), 1, ((1,), (-1,))),
+                                              ((2, 1), 2, None)), 1):
+        trace.steps.append(TraceStep(j, (0, 0), (0, 0), types, agent, rows))
+    assert _rows(trace)[-1] == ((1, -1), (0,))
+    _assert_dumps_lines(trace)
+    # read back with rows on every third line only
+    for make in (PressureGreedyPolicy, BiValuePolicy):
+        inst = random_instance(rng, n=4, m=40, k=3)
+        records = [json.loads(line) for line in run_online(inst, make())[1].to_jsonl().splitlines()]
+        for j, rec in enumerate(records):
+            if j % 3:
+                del rec["pressures"]
+        again = trace_from_jsonl("".join(json.dumps(rec) + "\n" for rec in records), n=4)
+        assert [s.item for s in again.steps if s.pressures is not None] == list(range(1, 41, 3))
+        _assert_dumps_lines(again)
     # a read trace may repeat values under other types; each line keeps its own
     text = "".join(json.dumps({"item": j, "raw": ["1", "3/2"], "effective": ["1", "2"], "types": types,
                                "agent": agent}, sort_keys=True, separators=(",", ":")) + "\n"
@@ -680,6 +716,8 @@ def _step(n):
         (json.dumps({**_STEP, "types": [1]}), "types must be a list of 2"),
         (json.dumps({**_STEP, "types": [0, 1]}), "types must be positive"),
         (json.dumps({**_STEP, "types": [1, False]}), "types must be positive"),
+        (json.dumps({**_STEP, "item": 2, "types": [3, 1]}), "type index 3 exceeds the item number 2"),
+        (json.dumps({**_STEP, "item": 2, "types": [1, 10**7]}), "type index 10000000 exceeds the item number 2"),
         (json.dumps({**_STEP, "raw": ["1", 0.5]}), "not a rational"),
         (json.dumps({**_STEP, "item": "x"}), "item 'x' is not the record's position 2"),
         (json.dumps({**_STEP, "item": True}), "item True is not the record's position 2"),
