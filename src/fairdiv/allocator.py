@@ -29,7 +29,7 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import getitem
+from operator import getitem, gt
 
 from .core import (
     Allocation, FairdivError, Instance, ParseError, ValueTables, format_rational,
@@ -628,15 +628,17 @@ def _replay_pressure_trace(trace: RunTrace, state: PressureState, off_pace=None)
     values: set[tuple[int, int, int]] = set()  # (agent index, raw code, effective code)
     ok_closed = ok_pressure = ok_count = True
     max_scaled = game_k = opened = 0  # opened: the fewest types any agent has open
+    widths = [0] * n  # the types each agent has open
     for s in trace.steps:
         s.check_indices(n)
         values.update(zip(agents, s.raw_codes, s.effective_codes))
         types, a = s.types, s.agent - 1
-        if max(types) > opened:
+        if max(types) > opened and any(map(gt, types, widths)):
             _open_types(scaled, types)
             _open_types(closed, types)
             game_k = max(game_k, *types)
-            opened = min(map(len, closed))
+            widths = list(map(len, closed))
+            opened = min(widths)
             pressure_cap, count_cap = 2 * game_k * (n - 1), 2 * game_k * n
         state.step(types, s.agent)
         u = types[a] - 1

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 from .adversary import (
@@ -45,11 +47,25 @@ def _read(path: str) -> bytes:
 
 
 def _write(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, or to stdout for ``-``. A file is
+    created (mode 0o666 less the umask) or overwritten in place, then cut to
+    the new length if it is a regular file that was longer: truncating on
+    open instead would make ext4 flush the file on close. There is no fsync,
+    as before, so after a crash a rewritten file may hold its old bytes."""
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_CLOEXEC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def cmd_gen(args) -> int:

@@ -2,7 +2,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from operator import getitem
+from operator import getitem, gt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +21,7 @@ from fairdiv import (
     run_online,
     validate_pressure_trace,
 )
-from fairdiv import core, stacking
+from fairdiv import allocator, core, stacking
 from fairdiv.adversary import make_recursive_adversary, play_game
 from fairdiv.allocator import (
     BiValuePolicy,
@@ -571,6 +571,32 @@ def test_validate_matches_the_full_rescan_reference():
     assert long_reduced >= 3, long_reduced
     assert late_reduced >= 2, late_reduced
     assert with_rows >= 100, with_rows  # the validator and the reference compare rows on these
+
+
+def test_replay_opens_types_only_on_steps_that_show_a_new_one(monkeypatch):
+    # on the bi-value stream shape one agent never shows a second type, which
+    # must not send every later step through the type opening
+    cfg = GeneratorConfig(n=8, m=2000, k=2, D=Fraction(4), value_grid="adversarial-near-threshold", seed=101)
+    _, trace = run_online(generate_instance(cfg), make_policy("bi-value"))
+    tops, opening = [0] * 8, 0
+    for s in trace.steps:
+        if any(map(gt, s.types, tops)):
+            opening += 1
+            tops = list(map(max, s.types, tops))
+    assert min(tops) == 1 < max(tops)
+    calls = []
+    open_types = allocator._open_types
+    monkeypatch.setattr(allocator, "_open_types", lambda rows, types: calls.append(types) or open_types(rows, types))
+    expected = _full_rescan_check(trace)
+    check = validate_pressure_trace(trace)
+    assert {key: getattr(check, key) for key in expected} == expected
+    assert len(calls) == 2 * opening == 6  # engine and closed-form rows, on three steps
+    want = _reduction_on_its_own_replay(trace, 8)
+    del calls[:]
+    res = allocator_to_stacking(trace)  # the reduction rides on the same replay
+    assert len(calls) == 2 * opening
+    assert (res.steps, res.k, res.game.values) == want
+    assert {key: getattr(res.check, key) for key in expected} == expected
 
 
 def _skew_engine(monkeypatch):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -530,6 +531,79 @@ def test_cli_run_and_mms_accept_an_empty_instance(tmp_path):
     for e in entries:
         assert e["lower_bound"] == e["upper_bound"] == e["exact_mms"] == "0"
         assert e["witness_partition"] == []
+
+
+def _cli_outputs(out: Path) -> dict:
+    """Run gen, run, mms and a two-agent adversary game with every output
+    flag pointing into ``out``; each file's bytes by name."""
+    paths = {name: out / name for name in (
+        "inst.json", "alloc.json", "trace.jsonl", "report.json", "mms.json",
+        "game_inst.json", "game_alloc.json", "cert.json")}
+    p = {name: str(path) for name, path in paths.items()}
+    for argv in (
+        ["gen", "--n", "3", "--m", "12", "--k", "2", "--D", "4", "--seed", "7", "--out", p["inst.json"]],
+        ["run", "--in", p["inst.json"], "--out", p["alloc.json"], "--trace", p["trace.jsonl"],
+         "--report", p["report.json"]],
+        ["mms", "--in", p["inst.json"], "--out", p["mms.json"]],
+        ["adversary", "run", "--n", "2", "--budget", "50", "--policy", "round-robin",
+         "--out-instance", p["game_inst.json"], "--out-allocation", p["game_alloc.json"],
+         "--out-certificate", p["cert.json"]],
+    ):
+        assert main(argv) == 0, argv
+    return {name: path.read_bytes() for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("longer", [True, False], ids=["longer-junk", "shorter-junk"])
+def test_cli_overwrites_existing_files_byte_for_byte(tmp_path, capsys, longer):
+    fresh_dir, reused_dir = tmp_path / "fresh", tmp_path / "reused"
+    fresh_dir.mkdir()
+    reused_dir.mkdir()
+    fresh = _cli_outputs(fresh_dir)
+    assert all(fresh.values())
+    for name, data in fresh.items():
+        (reused_dir / name).write_bytes(b"#" * (2 * len(data) + 1 if longer else len(data) // 2))
+    assert _cli_outputs(reused_dir) == fresh  # no stale tail survives
+    # "-" is still stdout, with the bytes a file gets
+    capsys.readouterr()
+    assert main(["mms", "--in", str(fresh_dir / "inst.json"), "--out", "-"]) == 0
+    assert main(["run", "--in", str(fresh_dir / "inst.json")]) == 0
+    assert capsys.readouterr().out.encode() == fresh["mms.json"] + fresh["report.json"]
+
+
+def test_cli_writes_to_non_regular_targets(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "--n", "3", "--m", "8", "--k", "2", "--D", "4", "--out", str(inst_path)]) == 0
+    assert main(["run", "--in", str(inst_path), "--report", os.devnull]) == 0
+    assert "Is a directory" in _one_line_error(capsys, ["run", "--in", str(inst_path), "--report", str(tmp_path)])
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["run", "--in", str(inst_path), "--report", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert main(["run", "--in", str(inst_path), "--report", "-"]) == 0
+    assert got == [capsys.readouterr().out.encode()]
+
+
+def test_cli_write_loops_on_short_writes(tmp_path, monkeypatch):
+    from fairdiv import cli
+
+    path = tmp_path / "out.json"
+    path.write_bytes(b"#" * 1000)
+    text = '{"key":"v\u00e9rit\u00e9 \u2264 1"}\n' * 3  # multi-byte characters cut across writes
+    write, calls = os.write, []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    cli._write(str(path), text)
+    monkeypatch.undo()
+    assert path.read_bytes() == text.encode("utf-8")
+    assert len(calls) == -(-len(text.encode("utf-8")) // 7)
 
 
 def _count_allocations(monkeypatch) -> list:
