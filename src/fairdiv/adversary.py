@@ -368,8 +368,8 @@ class RecursiveAdversary:
         if level < 1 or level > n_total:
             raise FairdivError(f"level must lie in 1..{n_total}, got {level}")
         eps = Fraction(eps)
-        if eps <= 0:
-            raise FairdivError(f"eps must be positive, got {eps}")
+        if not 0 < eps < n_total:  # then every sub-level's eps/n_total lies there too
+            raise FairdivError(f"eps must lie in (0, {n_total}), got {eps}")
         self.n_total = n_total
         self.level = level
         self.eps = eps

@@ -311,24 +311,49 @@ def instance_stats(inst: Instance) -> InstanceStats:
 def json_texts(values) -> list[str]:
     """The JSON string of each value, as ``json.dumps`` writes its
     :func:`format_rational` text (which needs no escaping). Each distinct
-    numerator and denominator is written in decimal once."""
-    digits = functools.cache(_decimal)
-    return ['"' + digits(v.numerator) + ('"' if v.denominator == 1 else "/" + digits(v.denominator) + '"')
-            for v in values]
+    numerator and denominator is written in decimal once, and its digits
+    are kept only up to the last value that shows them."""
+    ratios = [v.as_integer_ratio() for v in values]
+    last = {x: k for k, ratio in enumerate(ratios) for x in ratio}
+    kept = {}
+
+    def digits(x: int, k: int) -> str:
+        text = kept.pop(x, None) or _decimal(x)
+        if last[x] > k:
+            kept[x] = text
+        return text
+
+    return ['"' + digits(p, k) + ('"' if q == 1 else "/" + digits(q, k) + '"') for k, (p, q) in enumerate(ratios)]
 
 
-def instance_to_json(inst: Instance) -> str:
-    """Canonical JSON, sorted keys and no spaces, joined once from the code
-    columns. Each distinct value of an agent is formatted once, with the
-    text that follows it in an item (for agent 1, also the text before)."""
+def instance_json_parts(inst: Instance) -> list[bytes]:
+    """Canonical JSON, sorted keys and no spaces, as ASCII byte parts from the
+    code columns: a head, one part per (item, agent) and a tail. Each distinct
+    value of an agent is formatted and encoded once, with the text that follows
+    it in an item (for agent 1, also the text before), and every item showing
+    that value shares the part; nothing joins the file."""
     n, m = inst.n, inst.m
-    parts = ['{"items":['] + [""] * (n * m) + ['],"n":' + str(n) + "}"]
+    parts = [b'{"items":['] + [b""] * (n * m) + [b'],"n":%d}' % n]
     for i, (table, column) in enumerate(zip(inst.values, inst.columns)):
-        texts = [('{"d":[' if i == 0 else "") + t + ("]}," if i == n - 1 else ",") for t in json_texts(table)]
+        pre, post = '{"d":[' if i == 0 else "", "]}," if i == n - 1 else ","
+        texts = json_texts(table)
+        for c, t in enumerate(texts):  # in place: each str is freed as its bytes are made
+            texts[c] = (pre + t + post).encode("ascii")
         parts[1 + i : 1 + n * m : n] = [texts[c] for c in column]
     if m:
         parts[n * m] = parts[n * m][:-1]  # no comma after the last item
-    return "".join(parts)
+    return parts
+
+
+def _joined(parts: list[bytes]):
+    """``parts`` joined 1024 at a time: ``bytes.join`` holds an 80-byte buffer
+    view of every part it joins, more than most parts' own length."""
+    return (b"".join(parts[k : k + 1024]) for k in range(0, len(parts), 1024))
+
+
+def instance_to_json(inst: Instance) -> str:
+    """The file of :func:`instance_json_parts`, as one string."""
+    return "".join([chunk.decode("ascii") for chunk in _joined(instance_json_parts(inst))])
 
 
 def parse_json(data, keys, what: str) -> dict:
@@ -399,7 +424,11 @@ def load_allocation(data) -> Allocation:
 
 
 def instance_digest(inst: Instance) -> str:
-    return hashlib.sha256(instance_to_json(inst).encode("utf-8")).hexdigest()
+    """SHA-256 of the instance file less its newline, hashed as it is joined."""
+    digest = hashlib.sha256()
+    for chunk in _joined(instance_json_parts(inst)):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -420,6 +449,7 @@ __all__ = [
     "InstanceStats",
     "instance_stats",
     "json_texts",
+    "instance_json_parts",
     "instance_to_json",
     "parse_json",
     "at_line",

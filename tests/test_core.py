@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from fairdiv import (
 )
 from fairdiv.adversary import make_recursive_adversary, play_game
 from fairdiv.allocator import RoundRobinPolicy
-from fairdiv.core import json_texts
+from fairdiv.core import instance_json_parts, json_texts
 
 from conftest import random_instance
 
@@ -124,6 +125,50 @@ def test_json_texts_share_each_denominator_and_pass_the_digit_limit():
         assert text == json.dumps(format_rational(value))
         if len(text) < 100:  # short enough for str
             assert text == json.dumps(str(value))
+
+
+def test_json_texts_convert_each_integer_once(monkeypatch):
+    import fairdiv.core as core
+
+    converted = []
+    monkeypatch.setattr(core, "_decimal", lambda x: converted.append(x) or str(x))
+    values = [Fraction(5, 7), Fraction(5, 3), Fraction(2, 7), Fraction(9), Fraction(1, 9), Fraction(9, 5)]
+    assert json_texts(values) == [json.dumps(str(v)) for v in values]
+    assert sorted(converted) == [1, 2, 3, 5, 7, 9]  # each distinct numerator and denominator once
+
+
+def test_instance_json_parts_share_each_agents_value_texts():
+    rng = random.Random(29)
+    instances = [random_instance(rng, rng.randint(1, 4), rng.randint(0, 25), rng.randint(1, 3)) for _ in range(30)]
+    instances += [Instance(3, ()), Instance(1, ((Fraction(2),),)), random_instance(rng, 5, 300, 3)]  # 1502 parts
+    for inst in instances:
+        parts = instance_json_parts(inst)
+        assert all(type(p) is bytes for p in parts) and len(parts) == inst.n * inst.m + 2
+        assert b"".join(parts).decode("ascii") == instance_to_json(inst)
+        assert instance_digest(inst) == hashlib.sha256(instance_to_json(inst).encode("utf-8")).hexdigest()
+        # items showing one value share its part, up to the last item's, which has no comma
+        for i, column in enumerate(inst.columns):
+            seen = {}
+            for j, c in enumerate(column[:-1]):
+                assert seen.setdefault(c, parts[1 + j * inst.n + i]) is parts[1 + j * inst.n + i]
+
+
+def test_instance_json_parts_allocate_less_than_the_file():
+    import tracemalloc
+
+    game = play_game(make_recursive_adversary(3, 1, pin_horizon=300), RoundRobinPolicy(), budget=300)
+    inst = game.instance
+    inst.columns  # built once, before the count
+    size = len(instance_to_json(inst))
+    assert size > 300_000
+    tracemalloc.start()
+    try:
+        parts = instance_json_parts(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size, (peak, size)
+    assert sum(map(len, parts)) == size
 
 
 @pytest.mark.parametrize("digits", [4300, 4301, 100_000])

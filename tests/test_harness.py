@@ -16,6 +16,7 @@ from fairdiv import (
     GeneratorConfig,
     Instance,
     RatioCertificate,
+    TwoAgentAdversary,
     generate_instance,
     instance_digest,
     instance_stats,
@@ -31,6 +32,7 @@ from fairdiv import (
 )
 from fairdiv.allocator import PressureGreedyPolicy, make_policy
 from fairdiv.cli import main
+from fairdiv.core import instance_json_parts
 from fairdiv.mms import exact_search_limit, witness_max_bundle
 from fairdiv.harness import NEAR_THRESHOLD_ABOVE, NEAR_THRESHOLD_BELOW, policy_zoo
 
@@ -604,6 +606,98 @@ def test_cli_write_loops_on_short_writes(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_bytes() == text.encode("utf-8")
     assert len(calls) == -(-len(text.encode("utf-8")) // 7)
+
+
+def _game_instance(n: int, eps: str, policy: str, budget: int) -> Instance:
+    adv = TwoAgentAdversary(parse_rational(eps)) if n == 2 else make_recursive_adversary(n, parse_rational(eps), budget)
+    return play_game(adv, make_policy(policy), budget).instance
+
+
+_INSTANCE_WRITERS = {
+    "gen-n3": (["gen", "--n", "3", "--m", "12", "--k", "2", "--D", "4", "--seed", "7"],
+               lambda: generate_instance(GeneratorConfig(n=3, m=12, k=2, D=F(4), seed=7))),
+    "gen-n1": (["gen", "--n", "1", "--m", "5", "--k", "3", "--D", "8", "--seed", "3"],
+               lambda: generate_instance(GeneratorConfig(n=1, m=5, k=3, D=F(8), seed=3))),
+    "adversary-n2": (["adversary", "run", "--n", "2", "--eps", "1/2", "--policy", "pressure-greedy",
+                      "--budget", "50", "--out-certificate", os.devnull],
+                     lambda: _game_instance(2, "1/2", "pressure-greedy", 50)),
+    # an exhausted game: values past 1000 bits
+    "adversary-n3": (["adversary", "run", "--n", "3", "--eps", "1", "--policy", "round-robin",
+                      "--budget", "300", "--out-certificate", os.devnull],
+                     lambda: _game_instance(3, "1", "round-robin", 300)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INSTANCE_WRITERS))
+def test_cli_instance_files_are_the_canonical_json(tmp_path, capsys, name):
+    argv, make = _INSTANCE_WRITERS[name]
+    flag = "--out" if argv[0] == "gen" else "--out-instance"
+    expected = (instance_to_json(make()) + "\n").encode("ascii")
+    path = tmp_path / "inst.json"
+    assert main(argv + [flag, str(path)]) == 0
+    assert path.read_bytes() == expected
+    path.write_bytes(b"#" * (2 * len(expected) + 1))  # through the parts path, no stale tail survives
+    assert main(argv + [flag, str(path)]) == 0
+    assert path.read_bytes() == expected
+    capsys.readouterr()
+    assert main(argv + [flag, "-"]) == 0
+    assert capsys.readouterr().out.encode("ascii") == expected
+    assert main(argv + [flag, os.devnull]) == 0
+
+
+@pytest.mark.parametrize("n", [3, 1])
+def test_cli_write_of_an_instance_without_items(tmp_path, n):
+    from fairdiv import cli
+
+    path = tmp_path / "inst.json"
+    path.write_bytes(b"#" * 100)
+    cli._write(str(path), instance_json_parts(Instance(n, ())) + [b"\n"])
+    assert path.read_text() == instance_to_json(Instance(n, ())) + "\n" == '{"items":[],"n":%d}\n' % n
+
+
+def test_cli_write_of_parts_loops_on_short_writev(tmp_path, monkeypatch):
+    from fairdiv import cli
+
+    parts = instance_json_parts(random_instance(random.Random(7), n=3, m=22, k=2)) + [b"\n"]
+    path = tmp_path / "inst.json"
+    path.write_bytes(b"#" * 10000)
+    write, calls = os.write, []
+
+    def short_writev(fd, buffers):
+        calls.append(len(buffers))
+        return write(fd, b"".join(buffers)[:7])
+
+    monkeypatch.setattr(cli, "_IOV_MAX", 4)  # batches of four parts, the last one of one part
+    monkeypatch.setattr(os, "writev", short_writev)
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+    cli._write(str(path), parts)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"".join(parts)
+    assert len(parts) % 4 == 1 and calls == [4] * (len(parts) // 4)  # a single part goes to os.write
+
+
+def test_cli_write_of_parts_allocates_no_copy_of_the_file(tmp_path):
+    import tracemalloc
+
+    from fairdiv import cli
+
+    parts = instance_json_parts(_game_instance(3, "1", "round-robin", 300)) + [b"\n"]
+    size = sum(map(len, parts))
+    assert size > 300_000
+    tracemalloc.start()
+    try:
+        cli._write(str(tmp_path / "inst.json"), parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2, (peak, size)
+    assert (tmp_path / "inst.json").read_bytes() == b"".join(parts)
+
+
+@pytest.mark.parametrize("eps", ["3", "5", "7/2"])
+def test_cli_recursive_adversary_rejects_eps_of_n_or_more(capsys, eps):
+    err = _one_line_error(capsys, ["adversary", "run", "--n", "3", "--eps", eps, "--budget", "10"])
+    assert f"eps must lie in (0, 3), got {eps}" in err
 
 
 def _count_allocations(monkeypatch) -> list:
