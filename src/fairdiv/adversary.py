@@ -81,12 +81,12 @@ TRIVIAL_CERTIFICATE = RatioCertificate(
 
 
 def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate) -> bool:
-    """Recompute everything a certificate claims, an "exact" source's MMS included."""
+    """Recompute everything a full allocation's certificate claims, an "exact" source's MMS included."""
     if cert.mms_source == "trivial":
-        return inst.m == 0
+        return inst.m == alloc.m == 0
     if not is_positive_int(cert.agent) or cert.agent > inst.n or cert.mms_upper == 0:
         return False
-    if alloc.m and max(alloc.assignment) > inst.n:  # some item goes to no agent of the instance
+    if alloc.m != inst.m or max(alloc.assignment, default=0) > inst.n:  # an item missing or extra, or one past agent n
         return False
     if witness_max_bundle(inst, cert.agent, cert.witness) != cert.mms_upper:
         return False

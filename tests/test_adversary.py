@@ -308,6 +308,18 @@ def test_verify_rejects_an_item_given_past_n():
     assert not verify_certificate(inst, Allocation((1, 3, 2)), cert)
 
 
+def test_verify_rejects_an_allocation_of_other_items():
+    inst = Instance(2, ((F(4), F(1)), (F(1), F(1)), (F(1), F(1))))
+    cert = certify_ratio(inst, Allocation((1, 2, 2)))[0]
+    assert cert.agent == 1 and verify_certificate(inst, Allocation((1, 2, 2)), cert)
+    for short_or_long in ((1,), (1, 2), (1, 2, 2, 1)):  # agent 1's bundle is item 1 in each
+        assert not verify_certificate(inst, Allocation(short_or_long), cert)
+    empty = Instance(2, ())
+    (trivial,) = certify_ratio(empty, Allocation(()))
+    assert verify_certificate(empty, Allocation(()), trivial)
+    assert not verify_certificate(empty, Allocation((1,)), trivial)
+
+
 def test_scaled_disutilities_match_bundle_disutility():
     rng = random.Random(109)
     game = play_game(make_recursive_adversary(3, 1, pin_horizon=200), PressureGreedyPolicy(), budget=200)

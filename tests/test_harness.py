@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -589,25 +591,6 @@ def test_cli_writes_to_non_regular_targets(tmp_path, capsys):
     assert got == [capsys.readouterr().out.encode()]
 
 
-def test_cli_write_loops_on_short_writes(tmp_path, monkeypatch):
-    from fairdiv import cli
-
-    path = tmp_path / "out.json"
-    path.write_bytes(b"#" * 1000)
-    text = '{"key":"v\u00e9rit\u00e9 \u2264 1"}\n' * 3  # multi-byte characters cut across writes
-    write, calls = os.write, []
-
-    def short_write(fd, data):
-        calls.append(len(data))
-        return write(fd, bytes(data[:7]))
-
-    monkeypatch.setattr(os, "write", short_write)
-    cli._write(str(path), text)
-    monkeypatch.undo()
-    assert path.read_bytes() == text.encode("utf-8")
-    assert len(calls) == -(-len(text.encode("utf-8")) // 7)
-
-
 def _game_instance(n: int, eps: str, policy: str, budget: int) -> Instance:
     adv = TwoAgentAdversary(parse_rational(eps)) if n == 2 else make_recursive_adversary(n, parse_rational(eps), budget)
     return play_game(adv, make_policy(policy), budget).instance
@@ -629,7 +612,7 @@ _INSTANCE_WRITERS = {
 
 
 @pytest.mark.parametrize("name", sorted(_INSTANCE_WRITERS))
-def test_cli_instance_files_are_the_canonical_json(tmp_path, capsys, name):
+def test_cli_instance_files_are_the_canonical_json(tmp_path, name):
     argv, make = _INSTANCE_WRITERS[name]
     flag = "--out" if argv[0] == "gen" else "--out-instance"
     expected = (instance_to_json(make()) + "\n").encode("ascii")
@@ -639,59 +622,92 @@ def test_cli_instance_files_are_the_canonical_json(tmp_path, capsys, name):
     path.write_bytes(b"#" * (2 * len(expected) + 1))  # through the parts path, no stale tail survives
     assert main(argv + [flag, str(path)]) == 0
     assert path.read_bytes() == expected
-    capsys.readouterr()
-    assert main(argv + [flag, "-"]) == 0
-    assert capsys.readouterr().out.encode("ascii") == expected
+    with contextlib.redirect_stdout(io.StringIO()) as out:  # a text stream only: no sys.stdout.buffer
+        assert main(argv + [flag, "-"]) == 0
+    assert out.getvalue().encode("ascii") == expected
     assert main(argv + [flag, os.devnull]) == 0
 
 
-@pytest.mark.parametrize("n", [3, 1])
-def test_cli_write_of_an_instance_without_items(tmp_path, n):
+def _parts_and_json(inst: Instance) -> tuple:
+    return instance_json_parts(inst) + [b"\n"], (instance_to_json(inst) + "\n").encode()
+
+
+_TEXT = '{"key":"v\u00e9rit\u00e9 \u2264 1"}\n' * 3
+_PARTS = {  # name: (parts and the bytes they make, the length of the longer file they overwrite)
+    "empty-n3": (lambda: _parts_and_json(Instance(3, ())), 100),
+    "empty-n1": (lambda: _parts_and_json(Instance(1, ())), 100),
+    "non-ascii": (lambda: ([c.encode() for c in _TEXT], _TEXT.encode()), 1000),  # one part per character
+    "69-parts": (lambda: _parts_and_json(random_instance(random.Random(7), n=3, m=22, k=2)), 10000),
+}
+
+
+@pytest.mark.parametrize("name", list(_PARTS))
+def test_cli_write_of_parts(tmp_path, capsys, name):
     from fairdiv import cli
 
-    path = tmp_path / "inst.json"
-    path.write_bytes(b"#" * 100)
-    cli._write(str(path), instance_json_parts(Instance(n, ())) + [b"\n"])
-    assert path.read_text() == instance_to_json(Instance(n, ())) + "\n" == '{"items":[],"n":%d}\n' % n
-
-
-def test_cli_write_of_parts_loops_on_short_writev(tmp_path, monkeypatch):
-    from fairdiv import cli
-
-    parts = instance_json_parts(random_instance(random.Random(7), n=3, m=22, k=2)) + [b"\n"]
-    path = tmp_path / "inst.json"
-    path.write_bytes(b"#" * 10000)
-    write, calls = os.write, []
-
-    def short_writev(fd, buffers):
-        calls.append(len(buffers))
-        return write(fd, b"".join(buffers)[:7])
-
-    monkeypatch.setattr(cli, "_IOV_MAX", 4)  # batches of four parts, the last one of one part
-    monkeypatch.setattr(os, "writev", short_writev)
-    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+    make, old_size = _PARTS[name]
+    parts, expected = make()
+    assert old_size > len(expected)
+    path = tmp_path / "out.json"
+    path.write_bytes(b"#" * old_size)
     cli._write(str(path), parts)
-    monkeypatch.undo()
-    assert path.read_bytes() == b"".join(parts)
-    assert len(parts) % 4 == 1 and calls == [4] * (len(parts) // 4)  # a single part goes to os.write
+    assert path.read_bytes() == expected
+    capsys.readouterr()
+    cli._write("-", parts)
+    assert capsys.readouterr().out.encode() == expected
 
 
-def test_cli_write_of_parts_allocates_no_copy_of_the_file(tmp_path):
+def test_cli_write_of_a_large_instance_to_a_slow_fifo(tmp_path):
+    from fairdiv import cli
+
+    parts = instance_json_parts(_game_instance(3, "1", "round-robin", 1000)) + [b"\n"]
+    assert len(parts) > 3000 and sum(map(len, parts)) > 3_000_000
+    fifo = tmp_path / "inst.fifo"
+    os.mkfifo(fifo)
+    chunks = []
+
+    def read():
+        with open(fifo, "rb", buffering=0) as fh:
+            while chunk := fh.read(4096):
+                chunks.append(chunk)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    cli._write(str(fifo), parts)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert b"".join(chunks) == b"".join(parts)
+
+
+def _write_peak(path: str, parts: list) -> int:
+    """The ``tracemalloc`` peak of one ``cli._write(path, parts)``."""
     import tracemalloc
 
     from fairdiv import cli
 
+    tracemalloc.start()
+    try:
+        cli._write(path, parts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_write_of_parts_allocates_no_copy_of_the_file(tmp_path):
     parts = instance_json_parts(_game_instance(3, "1", "round-robin", 300)) + [b"\n"]
     size = sum(map(len, parts))
     assert size > 300_000
-    tracemalloc.start()
-    try:
-        cli._write(str(tmp_path / "inst.json"), parts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _write_peak(str(tmp_path / "inst.json"), parts)
     assert peak < size / 2, (peak, size)
     assert (tmp_path / "inst.json").read_bytes() == b"".join(parts)
+
+
+def test_cli_write_to_stdout_allocates_no_copy_of_the_file():
+    parts = instance_json_parts(_game_instance(3, "1", "round-robin", 300)) + [b"\n"]
+    size = sum(map(len, parts))
+    with open(os.devnull, "w", encoding="utf-8") as devnull, contextlib.redirect_stdout(devnull):
+        peak = _write_peak("-", parts)
+    assert peak < size / 2, (peak, size)
 
 
 @pytest.mark.parametrize("eps", ["3", "5", "7/2"])
