@@ -27,10 +27,7 @@ from .core import (
 from .mms import (
     AgentMms,
     InstanceTooLarge,
-    agent_type_shares,
-    check_mms_decomposition,
     mms_exact,
-    per_type_share,
 )
 from .allocator import (
     BiValuePolicy,

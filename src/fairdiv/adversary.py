@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 
 from .allocator import Policy, RunTrace
@@ -84,6 +85,8 @@ def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate
     """Recompute everything a full allocation's certificate claims, an "exact" source's MMS included."""
     if cert.mms_source == "trivial":
         return inst.m == alloc.m == 0
+    if cert.mms_source not in ("exact", "witness"):  # the only other labels the library writes
+        return False
     if not is_positive_int(cert.agent) or cert.agent > inst.n or cert.mms_upper == 0:
         return False
     if alloc.m != inst.m or max(alloc.assignment, default=0) > inst.n:  # an item missing or extra, or one past agent n
@@ -157,9 +160,9 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
     c equal items of size u greedily raises the max load by at most
     u*ceil(c/n), so no type-union partition is tried. Only supplied
     witnesses are checked by :func:`witness_max_bundle`. Past the guard the
-    bounds and the largest-first load come from the agent's count vector,
-    and the largest-first partition is dealt only when ``witness`` is read.
-    The record keeps the scale it was built on.
+    bounds and the largest-first load come from the agent's count vector.
+    The exact or largest-first partition is dealt only when ``witness`` is
+    read, and the record keeps the scale it was built on.
     """
     if inst.m == 0:  # the empty partition (every bundle empty): every bound is 0
         return AgentMms(agent, Fraction(0), Fraction(0), Fraction(0), ())
@@ -174,8 +177,9 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
     if inst.m <= exact_search_limit(n):
         exact, positions = mms_exact([scaled[c] for c in column], n)
         exact = exact / common
-        witness = tuple(tuple(p + 1 for p in bundle) for bundle in positions)
-        return AgentMms(agent, lower, exact, exact, witness, common, tuple(scaled))
+        placed = {b: tuple(p + 1 for p in bundle) for b, bundle in compress(enumerate(positions), positions)}
+        deal = lambda: tuple(placed.get(b, ()) for b in range(n))  # the n bundles, padded on read
+        return AgentMms(agent, lower, exact, exact, None, common, tuple(scaled), deal)
     load, schedule = lpt_schedule(runs, n)
     upper, witness = min(supplied + [(Fraction(load, common), None)], key=lambda c: c[0])
 

@@ -1,4 +1,4 @@
-"""Exact min-max-share values, per-type closed forms, and certified bounds.
+"""Exact min-max-share values and certified bounds.
 
 The MMS of an agent is the minimum over n-way partitions of the item set of
 the largest bundle disutility under that agent's valuation. Exact values are
@@ -11,10 +11,10 @@ instead of proving optimality; below the largest-first load, one above it
 is the search's first incumbent. Past the item-count guard, the
 largest-first load of the count vector gives a certified upper bound
 instead, so downstream ratio reports never state an exact number without
-an exact benchmark; its partition is dealt from the same schedule only when
-read. Each agent's :class:`AgentMms` record is assembled by
+an exact benchmark. Each agent's :class:`AgentMms` record is assembled by
 :func:`fairdiv.adversary.agent_mms`, from one integer scale of its value
-table, which the record keeps.
+table, which the record keeps, and deals its witness partition only when
+it is read.
 """
 
 from __future__ import annotations
@@ -293,36 +293,6 @@ def _fits(sizes, counts, n: int, cap: int) -> bool:
     return pack(counts, n)
 
 
-@dataclass(frozen=True)
-class TypeShare:
-    """One distinct value of one agent: its count and per-type share."""
-
-    value: Fraction
-    count: int
-    share: Fraction  # ceil(count / n) * value
-
-
-def per_type_share(count: int, value: Fraction, n: int) -> Fraction:
-    """Closed-form MMS over `count` identical items of `value`: ceil(count/n)*value."""
-    if n < 1:
-        raise FairdivError("per_type_share: n must be >= 1")
-    if count < 0:
-        raise FairdivError("per_type_share: negative count")
-    if value <= 0:
-        raise FairdivError("per_type_share: non-positive value")
-    if count == 0:
-        return Fraction(0)
-    return ceil_div(count, n) * value
-
-
-def agent_type_shares(values, n: int) -> list[TypeShare]:
-    """Group a value stream by distinct value (first-appearance order)."""
-    if n < 1:
-        raise FairdivError("agent_type_shares: n must be >= 1")
-    counts = Counter(values)
-    return [TypeShare(value=v, count=c, share=per_type_share(c, v, n)) for v, c in counts.items()]
-
-
 def witness_max_bundle(inst: Instance, agent: int, partition) -> Fraction:
     """Largest bundle disutility of a partition, under one agent's valuation.
 
@@ -356,7 +326,8 @@ class AgentMms:
     """One agent's certified MMS bounds: lower <= MMS <= upper.
 
     ``witness`` is a partition (1-based item indices) whose max bundle is
-    ``upper``. A record built with ``witness`` None gets it from ``deal()``
+    ``upper``. A record built with ``witness`` None, as ``agent_mms``
+    builds each one unless a supplied witness wins, gets it from ``deal()``
     on first read. ``exact`` is the MMS when the search found it, and then
     equals ``upper``; otherwise None. ``scaled[c]`` is the agent's value of
     code c times ``scale``, an integer: the scale the record was built on.
@@ -401,36 +372,6 @@ def mms_report_to_obj(report) -> list[dict]:
     ]
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
-    agent: int
-    lhs: Fraction  # sum over types of (share - value)
-    exact: Fraction
-    rhs: Fraction  # sum over types of share
-    passed: bool
-
-
-def check_mms_decomposition(inst: Instance) -> list[DecompositionCheck]:
-    """Verify, per agent, that sum(share_u - V_u) <= MMS <= sum(share_u).
-
-    The upper side holds because the per-type optimal partitions can be
-    unioned into one partition; the lower side because each per-type share
-    overshoots the per-type average by at most one item. Requires the exact
-    search to be feasible.
-    """
-    out = []
-    for i in range(1, inst.n + 1):
-        vals = inst.agent_values(i)
-        shares = agent_type_shares(vals, inst.n)
-        exact, _ = mms_exact(vals, inst.n)
-        lhs = sum((ts.share - ts.value for ts in shares), Fraction(0))
-        rhs = sum((ts.share for ts in shares), Fraction(0))
-        out.append(
-            DecompositionCheck(agent=i, lhs=lhs, exact=exact, rhs=rhs, passed=lhs <= exact <= rhs)
-        )
-    return out
-
-
 __all__ = [
     "InstanceTooLarge",
     "exact_search_limit",
@@ -439,12 +380,7 @@ __all__ = [
     "lpt_deal",
     "lpt_partition",
     "mms_exact",
-    "TypeShare",
-    "per_type_share",
-    "agent_type_shares",
     "witness_max_bundle",
     "AgentMms",
     "mms_report_to_obj",
-    "DecompositionCheck",
-    "check_mms_decomposition",
 ]

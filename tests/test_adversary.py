@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -356,6 +357,9 @@ def test_verify_rederives_an_exact_claim():
         assert verify_certificate(inst, alloc, cert) is sound
     cert = RatioCertificate(1, F(6), F(6), ((1, 2), (3, 4, 5)), "exact", F(1))
     assert verify_certificate(inst, alloc, cert)
+    # a source the library never writes is rejected, not verified without the re-derivation
+    for source in ("Exact", "bogus", ""):
+        assert verify_certificate(inst, alloc, replace(cert, mms_source=source)) is False
     # past the search guard no value is claimed exact, even an optimal one
     m = exact_search_limit(2) + 2
     inst = Instance(2, ((F(1), F(1)),) * m)

@@ -17,14 +17,11 @@ from fairdiv import (
     Instance,
     InstanceTooLarge,
     agent_mms,
-    agent_type_shares,
     certify_ratio,
-    check_mms_decomposition,
     generate_instance,
     make_recursive_adversary,
     mms_exact,
     mms_report,
-    per_type_share,
     play_game,
     verify_certificate,
 )
@@ -33,7 +30,7 @@ from fairdiv.allocator import RoundRobinPolicy
 from fairdiv import mms as mms_module
 from fairdiv import adversary as adversary_module
 from fairdiv.cli import main
-from fairdiv.core import instance_to_json, load_allocation, load_instance
+from fairdiv.core import ceil_div, instance_to_json, load_allocation, load_instance
 from fairdiv.mms import (_count_vector_optimum, common_scale, exact_search_limit, lpt_deal, lpt_partition, lpt_schedule,
                          witness_max_bundle)
 
@@ -81,12 +78,6 @@ def test_against_brute_force():
         assert mms_exact(values, n)[0] == brute_force_mms(values, n)
 
 
-def test_per_type_closed_form():
-    assert per_type_share(7, Fraction(2), 3) == 6  # ceil(7/3) * 2
-    assert per_type_share(0, Fraction(5), 4) == 0
-    assert per_type_share(3, Fraction(5), 3) == 5
-
-
 def test_single_type_equivalence():
     rng = random.Random(5)
     for _ in range(20):
@@ -94,7 +85,7 @@ def test_single_type_equivalence():
         count = rng.randint(1, 12)
         v = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         got, _ = mms_exact([v] * count, n)
-        assert got == per_type_share(count, v, n)
+        assert got == ceil_div(count, n) * v
 
 
 def _type_union_load(inst, agent):
@@ -131,31 +122,6 @@ def test_bounds_bracket_exact():
         for agent in range(1, inst.n + 1):
             exact, _ = mms_exact(inst.agent_values(agent), inst.n)
             assert agent_mms(inst, agent).lower <= exact <= _type_union_load(inst, agent)
-
-
-def test_decomposition_single_type():
-    inst = Instance(2, tuple(((Fraction(3), Fraction(3)),) * 5))
-    for check in check_mms_decomposition(inst):
-        assert check.passed
-
-
-def test_decomposition_411():
-    inst = Instance(2, (
-        (Fraction(4), Fraction(4)),
-        (Fraction(1), Fraction(1)),
-        (Fraction(1), Fraction(1)),
-    ))
-    checks = check_mms_decomposition(inst)
-    for check in checks:
-        assert check.lhs == 0 and check.exact == 4 and check.rhs == 5
-        assert check.passed
-
-
-def test_decomposition_random():
-    rng = random.Random(17)
-    for _ in range(15):
-        inst = random_instance(rng, n=3, m=9, k=2)
-        assert all(c.passed for c in check_mms_decomposition(inst))
 
 
 def test_agent_mms_witness_consistent():
@@ -428,6 +394,25 @@ def test_run_past_the_guard_deals_no_witness(tmp_path, monkeypatch):
     assert tuple(map(tuple, cert["witness"])) == _lpt_witness(inst, cert["agent"])
 
 
+def test_exact_records_deal_their_witness_on_first_read():
+    # within the guard too a record holds no n bundles until its witness is
+    # read: n bundles per record would make the report quadratic in n
+    import tracemalloc
+
+    n = 2000
+    inst = Instance(n, ((Fraction(1),) * n,) * 2)
+    inst.columns  # built once, before the count
+    tracemalloc.start()
+    try:
+        report = mms_report(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert all("witness" not in vars(record) and record.exact == 1 for record in report)
+    assert report[-1].witness == ((1,), (2,)) + ((),) * (n - 2)
+
+
 def test_largest_first_never_above_the_type_union_load():
     # why agent_mms tries no type-union partition: placing c equal items of
     # size u greedily raises the max load by at most u*ceil(c/n)
@@ -615,13 +600,3 @@ def test_mms_exact_rejects_values_that_are_not_int_or_fraction(bad):
     # past the guard a refusal still comes first, reading no value
     with pytest.raises(InstanceTooLarge):
         mms_exact(values * 10, 2)
-
-
-@pytest.mark.parametrize("n", [0, -1, -3])
-def test_per_type_shares_need_an_agent(n):
-    with pytest.raises(FairdivError, match="n must be >= 1"):
-        per_type_share(3, Fraction(2), n)
-    with pytest.raises(FairdivError, match="n must be >= 1"):
-        agent_type_shares([Fraction(2)] * 3, n)
-    with pytest.raises(FairdivError, match="n must be >= 1"):
-        agent_type_shares([], n)
