@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -46,6 +47,12 @@ def random_instance(rng: random.Random, n: int, m: int, k: int) -> Instance:
     for j in range(m):
         items.append(tuple(value_sets[i][rng.randrange(k)] for i in range(n)))
     return Instance(n=n, items=tuple(items))
+
+
+def per_type_sums(inst: Instance, agent: int) -> tuple[Fraction, Fraction]:
+    """sum_u (ceil(c_u/n) - 1) * u and sum_u ceil(c_u/n) * u, for c_u items of each value u."""
+    shares = [(ceil_div(c, inst.n), u) for u, c in Counter(inst.agent_values(agent)).items()]
+    return sum((s - 1) * u for s, u in shares), sum(s * u for s, u in shares)
 
 
 def late_opening_trace(rng: random.Random):

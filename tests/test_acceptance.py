@@ -13,7 +13,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines.
 import functools
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 
 from fairdiv import (
@@ -46,7 +45,7 @@ from fairdiv.harness import policy_zoo
 from fairdiv.mms import exact_search_limit
 from fairdiv.stacking import cells_to_intervals, is_contiguous
 
-from conftest import OracleRec3, random_instance
+from conftest import OracleRec3, per_type_sums, random_instance
 
 F = Fraction
 H = F(1, 2)
@@ -352,12 +351,6 @@ def test_criterion_8_recursive_adversary_properties():
 
 # 9 ---------------------------------------------------------------------------
 
-def _per_type_sums(inst, agent):
-    """sum_u (ceil(c_u/n) - 1) * u and sum_u ceil(c_u/n) * u, for c_u items of each value u."""
-    shares = [(ceil_div(c, inst.n), u) for u, c in Counter(inst.agent_values(agent)).items()]
-    return sum((s - 1) * u for s, u in shares), sum(s * u for s, u in shares)
-
-
 def test_criterion_9_per_type_sandwich():
     rng = random.Random(1009)
     for _ in range(300):
@@ -366,7 +359,7 @@ def test_criterion_9_per_type_sandwich():
         m = rng.randint(k, 9 if n == 3 else 10)
         inst = random_instance(rng, n=n, m=m, k=k)
         for record in mms_report(inst):
-            lhs, rhs = _per_type_sums(inst, record.agent)
+            lhs, rhs = per_type_sums(inst, record.agent)
             assert lhs <= record.lower <= record.exact == record.upper <= rhs, record
     # past the search guard the largest-first load stays within the per-type sum
     rng = random.Random(9009)
@@ -374,7 +367,7 @@ def test_criterion_9_per_type_sandwich():
         n = rng.randint(2, 4)
         inst = random_instance(rng, n=n, m=exact_search_limit(n) + rng.randint(1, 8), k=rng.randint(1, 3))
         for record in mms_report(inst):
-            lhs, rhs = _per_type_sums(inst, record.agent)
+            lhs, rhs = per_type_sums(inst, record.agent)
             assert record.exact is None and lhs <= record.lower <= record.upper <= rhs, record
     report(9, "300 instances: sum(share_u - u) <= MMS <= sum(share_u), every agent; "
               "100 past the guard: the same around the certified bounds")

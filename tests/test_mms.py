@@ -34,7 +34,7 @@ from fairdiv.core import ceil_div, instance_to_json, load_allocation, load_insta
 from fairdiv.mms import (_count_vector_optimum, common_scale, exact_search_limit, lpt_deal, lpt_partition, lpt_schedule,
                          witness_max_bundle)
 
-from conftest import brute_force_mms, random_instance, type_union_partition
+from conftest import brute_force_mms, per_type_sums, random_instance, type_union_partition
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -76,6 +76,13 @@ def test_against_brute_force():
         m = rng.randint(n, 8)
         values = [Fraction(rng.randint(1, 20), rng.randint(1, 6)) for _ in range(m)]
         assert mms_exact(values, n)[0] == brute_force_mms(values, n)
+
+
+def test_per_type_closed_form():
+    # one value: MMS is the per-type share ceil(count/n) * v
+    assert mms_exact([Fraction(2)] * 7, 3)[0] == 6  # ceil(7/3) * 2
+    assert mms_exact([Fraction(5)], 4)[0] == 5
+    assert mms_exact([Fraction(5)] * 3, 3)[0] == 5
 
 
 def test_single_type_equivalence():
@@ -122,6 +129,35 @@ def test_bounds_bracket_exact():
         for agent in range(1, inst.n + 1):
             exact, _ = mms_exact(inst.agent_values(agent), inst.n)
             assert agent_mms(inst, agent).lower <= exact <= _type_union_load(inst, agent)
+
+
+def _assert_sandwich(inst):
+    for record in mms_report(inst):
+        lhs, rhs = per_type_sums(inst, record.agent)
+        assert lhs <= record.lower <= record.exact == record.upper <= rhs, record
+
+
+def test_decomposition_single_type():
+    inst = Instance(2, tuple(((Fraction(3), Fraction(3)),) * 5))
+    _assert_sandwich(inst)
+    assert all(per_type_sums(inst, a) == (6, 9) and r.exact == 9 for a, r in enumerate(mms_report(inst), 1))
+
+
+def test_decomposition_411():
+    inst = Instance(2, (
+        (Fraction(4), Fraction(4)),
+        (Fraction(1), Fraction(1)),
+        (Fraction(1), Fraction(1)),
+    ))
+    _assert_sandwich(inst)
+    for record in mms_report(inst):
+        assert per_type_sums(inst, record.agent) == (0, 5) and record.exact == 4
+
+
+def test_decomposition_random():
+    rng = random.Random(17)
+    for _ in range(15):
+        _assert_sandwich(random_instance(rng, n=3, m=9, k=2))
 
 
 def test_agent_mms_witness_consistent():
@@ -600,3 +636,12 @@ def test_mms_exact_rejects_values_that_are_not_int_or_fraction(bad):
     # past the guard a refusal still comes first, reading no value
     with pytest.raises(InstanceTooLarge):
         mms_exact(values * 10, 2)
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_per_type_shares_need_an_agent(n):
+    # a single-type MMS, ceil(count/n) * v, like any MMS needs an agent
+    with pytest.raises(FairdivError, match="n must be >= 1"):
+        mms_exact([Fraction(2)] * 3, n)
+    with pytest.raises(FairdivError, match="n must be >= 1"):
+        mms_exact([], n)
