@@ -21,13 +21,13 @@ stream = [
 inst = Instance(2, tuple(stream))
 
 alloc, trace = run_online(inst, PressureGreedyPolicy())
-# the trace keeps each step's (types, agent); a replay rebuilds the scaled
-# pressures (n-1)*H as ints after every step
-for step, pressures in zip(trace.steps, trace.pressure_rows()):
+# the trace keeps each item's types and agent; a replay rebuilds the scaled
+# pressures (n-1)*H as ints after every item
+for item, (raw, agent, pressures) in enumerate(zip(inst.items, trace.agents, trace.pressure_rows()), 1):
     rows = ", ".join(
         f"H_{i + 1}={[str(F(h, inst.n - 1)) for h in hs]}" for i, hs in enumerate(pressures)
     )
-    print(f"item {step.item}: raw={tuple(map(str, trace.raw(step)))} -> agent {step.agent}   {rows}")
+    print(f"item {item}: raw={tuple(map(str, raw))} -> agent {agent}   {rows}")
 
 check = validate_pressure_trace(trace)
 print(f"\nassignment: {alloc.assignment}")

@@ -175,9 +175,12 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
     runs = [(scaled[c], counts[c]) for c in codes]
     lower = Fraction(max(sum(v * count for v, count in runs), n * runs[0][0]), n * common)
     if inst.m <= exact_search_limit(n):
-        exact, positions = mms_exact([scaled[c] for c in column], n)
-        exact = exact / common
-        placed = {b: tuple(p + 1 for p in bundle) for b, bundle in compress(enumerate(positions), positions)}
+        if inst.m <= n:  # one item a bundle, as mms_exact deals them: the largest item is the MMS
+            exact, placed = Fraction(runs[0][0], common), {b: (b + 1,) for b in range(inst.m)}
+        else:
+            exact, positions = mms_exact([scaled[c] for c in column], n)
+            exact = exact / common
+            placed = {b: tuple(p + 1 for p in bundle) for b, bundle in compress(enumerate(positions), positions)}
         deal = lambda: tuple(placed.get(b, ()) for b in range(n))  # the n bundles, padded on read
         return AgentMms(agent, lower, exact, exact, None, common, tuple(scaled), deal)
     load, schedule = lpt_schedule(runs, n)
@@ -640,14 +643,14 @@ def play_game(adversary, policy: Policy, budget: int) -> GameResult:
 
     certified = False
     for _ in range(budget):
-        adversary.observe(trace.feed(policy, tables.encode(adversary.next_item())))
+        adversary.observe(trace.feed(policy, [tables.encode(adversary.next_item())]))
         cert = adversary.certificate()
         if cert is not None and cert.ratio_lower > target_ratio:
             certified = True
             break
     # from the codes the tables already made, not adversary.instance(), which interns the emissions
     # again; an instance without items has no tables
-    inst = Instance.from_codes(n, tables.values if trace.steps else (), [s.raw_codes for s in trace.steps])
+    inst = Instance.from_codes(n, tables.values if trace.raw else (), trace.raw)
     alloc = trace.allocation()
     if not certified:
         cert = max(certify_ratio(inst, alloc), key=lambda c: c.ratio_lower)

@@ -29,7 +29,8 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import getitem, gt
+from math import inf
+from operator import getitem, itemgetter
 
 from .core import (
     Allocation, FairdivError, Instance, ParseError, ValueTables, format_rational,
@@ -97,106 +98,105 @@ class PressureState:
         return winner + 1
 
 
-@dataclass(slots=True)
-class TraceStep:
-    """One allocated item. ``raw_codes`` and ``effective_codes`` index the
-    trace's per-agent tables (:class:`RunTrace`); ``types`` are at most
-    ``item``; ``pressures`` is None or recorded rows (n-1)*H, which a replay
-    cannot rebuild. A slots class, cheap to build once per item; it is
-    mutable and unhashable, but nothing mutates or hashes a step."""
-
-    item: int
-    raw_codes: tuple[int, ...]
-    effective_codes: tuple[int, ...]  # of rounded values, or the bi-value rule's
-    types: tuple[int, ...]
-    agent: int
-    pressures: tuple[tuple[int, ...], ...] | None = None
-
-    def check_indices(self, n: int) -> None:
-        """Raise unless the agent is in 1..n and there are n types, each >= 1."""
-        if not 1 <= self.agent <= n or len(self.types) != n or min(self.types) < 1:
-            raise FairdivError(f"item {self.item}: agent or type indices out of range for n={n}")
-
-
 @dataclass
 class RunTrace:
-    """The steps of one run, with the tables their codes index:
-    ``raw_values[i][c]`` is agent i+1's raw value of code c, and
-    ``effective_values`` likewise; a policy that reports raw values as
-    effective shares the raw tables. A ``pressured`` trace, of a policy with a
-    pressure engine, has rows on every step; others, where recorded."""
+    """One run, kept as columns by item: item j+1 went to ``agents[j]``, with
+    the codes ``raw[j]`` and ``effective[j]`` and the type indices
+    ``types[j]``, each at most j+1; ``pressures`` maps an item number to its
+    recorded rows (n-1)*H, which a replay cannot rebuild. Codes index the
+    per-agent tables: ``raw_values[i][c]`` is agent i+1's raw value of code
+    c, and ``effective_values`` likewise; a policy that reports raw values
+    as effective shares the raw tables. A ``pressured`` trace, of a policy with a pressure engine, has rows on
+    every item; others, where recorded."""
 
     n: int
     policy: str
-    steps: list[TraceStep] = field(default_factory=list)
     raw_values: Sequence[Sequence[Fraction]] = ()
     effective_values: Sequence[Sequence[Fraction]] = ()
     pressured: bool = False
+    agents: list[int] = field(default_factory=list)
+    raw: list[tuple[int, ...]] = field(default_factory=list)
+    effective: list[tuple[int, ...]] = field(default_factory=list)
+    types: list[tuple[int, ...]] = field(default_factory=list)
+    pressures: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
 
     @classmethod
     def begin(cls, policy: Policy, n: int, raw_values) -> RunTrace:
         """Start ``policy`` on n agents and an empty trace whose raw codes index ``raw_values``."""
         policy.start(n, raw_values)
-        return cls(n, policy.name, raw_values=raw_values, effective_values=policy.effective_values(),
-                   pressured=policy.state is not None)
+        policy.trace = cls(n, policy.name, raw_values=raw_values, effective_values=policy.effective_values(),
+                           pressured=policy.state is not None)
+        return policy.trace
 
     @property
     def m(self) -> int:
-        return len(self.steps)
-
-    def raw(self, step: TraceStep) -> tuple[Fraction, ...]:
-        return tuple(map(getitem, self.raw_values, step.raw_codes))
-
-    def effective(self, step: TraceStep) -> tuple[Fraction, ...]:
-        return tuple(map(getitem, self.effective_values, step.effective_codes))
+        return len(self.agents)
 
     def allocation(self) -> Allocation:
-        return Allocation(tuple(s.agent for s in self.steps))
+        return Allocation(tuple(self.agents))
 
-    def feed(self, policy: Policy, codes) -> int:
-        """Offer the next item, as its codes into ``raw_values``, to ``policy``,
-        check its choice, record the step."""
-        agent = policy.choose(codes)
-        if not (1 <= agent <= self.n):
-            raise FairdivError(f"policy chose invalid agent {agent}")
-        steps = self.steps
-        steps.append(TraceStep(len(steps) + 1, codes, policy.last_effective(codes), policy.last_types(),
-                               agent, policy.pressure_snapshot()))
+    def feed(self, policy: Policy, rows, checks=None) -> int:
+        """Offer the items ``rows``, each as its codes into ``raw_values``, to
+        ``policy`` in order, check each choice and record it; returns the last
+        agent. ``checks`` (:func:`_pressure_checks`) is sent each item once
+        the policy's engine has taken it."""
+        n, agents, pressures, own = self.n, self.agents, self.pressures, self.effective_values is not self.raw_values
+        choose, snapshot, ones = policy.choose, policy.pressure_snapshot, (1,) * n
+        add_agent, add_effective, add_types = agents.append, self.effective.append, self.types.append
+        self.raw += rows
+        agent = 0
+        for item, codes in enumerate(rows, len(agents) + 1):
+            agent = choose(codes)
+            if not 1 <= agent <= n:
+                raise FairdivError(f"policy chose invalid agent {agent}")
+            add_agent(agent)
+            if own:
+                effective, types = policy.effective_codes, policy.types
+            else:
+                effective, types = codes, ones
+            add_effective(effective)
+            add_types(types)
+            recorded = snapshot()
+            if recorded is not None:
+                pressures[item] = recorded
+            if checks is not None:
+                checks.send((types, agent, recorded))
         return agent
 
     def pressure_rows(self):
-        """Each step's rows (n-1)*H as a tuple of tuples: its recorded rows,
+        """Each item's rows (n-1)*H as a tuple of tuples: its recorded rows,
         else on a pressured trace those of one :class:`PressureState` replay
         restarted from recorded ones, else None. The writer's reference."""
+        recorded = self.pressures
         if not self.pressured:
-            yield from (s.pressures for s in self.steps)
+            yield from map(recorded.get, range(1, self.m + 1))
             return
         state = PressureState(self.n)
-        for s in self.steps:
-            if s.pressures is not None:
-                state.scaled[:] = map(list, s.pressures)
+        for item, (types, agent) in enumerate(zip(self.types, self.agents), 1):
+            if item in recorded:
+                state.scaled[:] = map(list, recorded[item])
             else:
-                _open_types(state.scaled, s.types)
-                state.step(s.types, s.agent)
+                _open_types(state.scaled, types)
+                state.step(types, agent)
             yield state.snapshot()
 
     def to_jsonl(self) -> str:
-        """One line per step, as ``json.dumps`` with sorted keys writes it. A
+        """One line per item, as ``json.dumps`` with sorted keys writes it. A
         line is 3n+2 parts, each ending in the text that follows it: the
         head, n effective texts, item and rows, n raw texts and n types, each
         field laid out one agent's column at a time, as in
         :func:`instance_to_json`. The rows of :meth:`pressure_rows` are counts
-        in closed form; a step rewrites its n touched cells' text, row i's
+        in closed form; an item rewrites its n touched cells' text, row i's
         cell u being ``pieces[base[i] + 2*u]``."""
-        n, steps, pressured = self.n, self.steps, self.pressured
+        n, pressured, recorded = self.n, self.pressured, self.pressures
         stride = 3 * n + 2
-        parts = [""] * (stride * len(steps))
+        parts = [""] * (stride * self.m)
         heads = ['{"agent":%d,"effective":[' % a for a in range(n + 1)]
-        parts[::stride] = [heads[s.agent] for s in steps]
-        types = list(zip(*[s.types for s in steps]))
+        parts[::stride] = [heads[a] for a in self.agents]
+        types = list(zip(*self.types))
         fields = (
-            (1, map(json_texts, self.effective_values), '],"item":', zip(*[s.effective_codes for s in steps])),
-            (n + 2, map(json_texts, self.raw_values), '],"types":[', zip(*[s.raw_codes for s in steps])),
+            (1, map(json_texts, self.effective_values), '],"item":', zip(*self.effective)),
+            (n + 2, map(json_texts, self.raw_values), '],"types":[', zip(*self.raw)),
             (2 * n + 2, (map(str, range(max(column) + 1)) for column in types), "]}\n", types),
         )
         for first, tables, end, columns in fields:
@@ -204,21 +204,21 @@ class RunTrace:
                 texts = [t + ("," if i < n - 1 else end) for t in table]
                 parts[first + i::stride] = [texts[c] for c in column]
         # a type opens only where an agent first shows it since the last recorded rows
-        ends = [j + 1 for j, s in enumerate(steps) if s.pressures is not None] + [len(steps)]
+        ends = sorted(recorded) + [self.m]
         may_open = set()
         for column in types if pressured else ():
             for lo, hi in zip([0] + ends, ends):
                 may_open.update(column.index(u, lo, hi) for u in set(column[lo:hi]))
         cells = _PressureTexts(n)
         rows: list[list[int]] = [[] for _ in range(n)]
-        for j, s in enumerate(steps):
-            recorded = s.pressures is not None
-            if not (recorded or pressured):
-                parts[j * stride + n + 1] = str(s.item) + ',"raw":['
+        for j, (t, agent) in enumerate(zip(self.types, self.agents)):
+            written = recorded.get(j + 1)
+            if written is None and not pressured:
+                parts[j * stride + n + 1] = str(j + 1) + ',"raw":['
                 continue
-            if recorded:
-                rows = list(map(list, s.pressures))
-            if recorded or j in may_open and _open_types(rows, s.types):
+            if written is not None:
+                rows = list(map(list, written))
+            if written is not None or j in may_open and _open_types(rows, t):
                 pieces, base = ["", ',"pressures":[['], []
                 for row in rows:
                     if base:
@@ -228,13 +228,13 @@ class RunTrace:
                     row_pieces[::2] = map(cells.__getitem__, row)
                     pieces += row_pieces
                 pieces.append(']],"raw":[')
-            if not recorded:
-                t, a = s.types, s.agent - 1
+            if written is None:
+                a = agent - 1
                 rows[a][t[a] - 1] += n
                 for row, u, b in zip(rows, t, base):
                     h = row[u - 1] = row[u - 1] - 1
                     pieces[b + 2 * u] = cells[h]
-            pieces[0] = str(s.item)
+            pieces[0] = str(j + 1)
             parts[j * stride + n + 1] = "".join(pieces)
         return "".join(parts)
 
@@ -263,9 +263,9 @@ class _PressureTexts(dict):
 _TRACE_KEYS = ("item", "raw", "effective", "types", "agent")
 
 
-def _parse_trace_step(line, trace: RunTrace, raw: ValueTables, effective: ValueTables) -> TraceStep:
-    """One trace record, which must be the next record of ``trace``; its values
-    are coded in ``raw`` and ``effective``."""
+def _parse_trace_step(line, trace: RunTrace, raw: ValueTables, effective: ValueTables) -> None:
+    """Append one trace record, which must be the next record of ``trace``; its
+    values are coded in ``raw`` and ``effective``."""
     n, item = trace.n, trace.m + 1
     rec = parse_json(line, _TRACE_KEYS, "a trace record")
     if not is_positive_int(rec["agent"]) or rec["agent"] > n:
@@ -281,7 +281,6 @@ def _parse_trace_step(line, trace: RunTrace, raw: ValueTables, effective: ValueT
     effective_codes = effective.parse(rec["effective"])
     if not is_positive_int(rec["item"]) or rec["item"] != item:
         raise ParseError(f"item {rec['item']!r} is not the record's position {item}")
-    pressures = None
     if "pressures" in rec:
         if n < 2:
             raise ParseError("pressures are not recorded for n=1")
@@ -291,8 +290,11 @@ def _parse_trace_step(line, trace: RunTrace, raw: ValueTables, effective: ValueT
         scaled = [[parse_rational(h) * (n - 1) for h in row] for row in rows]
         if any(h.denominator != 1 for row in scaled for h in row):
             raise ParseError(f"pressures must be multiples of 1/{n - 1}")
-        pressures = tuple(tuple(int(h) for h in row) for row in scaled)
-    return TraceStep(item, raw_codes, effective_codes, tuple(rec["types"]), rec["agent"], pressures)
+        trace.pressures[item] = tuple(tuple(int(h) for h in row) for row in scaled)
+    trace.agents.append(rec["agent"])
+    trace.raw.append(raw_codes)
+    trace.effective.append(effective_codes)
+    trace.types.append(tuple(rec["types"]))
 
 
 def trace_from_jsonl(text, n: int, policy: str = "external") -> RunTrace:
@@ -302,8 +304,8 @@ def trace_from_jsonl(text, n: int, policy: str = "external") -> RunTrace:
     raw, effective = ValueTables(n), ValueTables(n)
     trace = RunTrace(n=n, policy=policy, raw_values=raw.values, effective_values=effective.values)
     # parse_jsonl is lazy, so each record is parsed after its predecessors are appended
-    for _, step in parse_jsonl(text, lambda line: _parse_trace_step(line, trace, raw, effective)):
-        trace.steps.append(step)
+    for _ in parse_jsonl(text, lambda line: _parse_trace_step(line, trace, raw, effective)):
+        pass
     return trace
 
 
@@ -316,7 +318,11 @@ class Policy:
     agent i+1's value of code c, in first-appearance order
     (:class:`ValueTables`), and the tables may grow as items arrive.
     :meth:`choose` gets each item as its codes, one per agent, whose values
-    are already in the tables. A code says only which values are equal.
+    are already in the tables. A code says only which values are equal. A
+    policy whose :meth:`effective_values` are tables of its own leaves each
+    item's effective codes and type indices in ``effective_codes`` and
+    ``types`` when :meth:`choose` returns; the others report the raw codes
+    and type 1. ``trace`` is the :class:`RunTrace` the policy is fed into.
     """
 
     name = "abstract"
@@ -325,22 +331,13 @@ class Policy:
     def start(self, n: int, raw_values) -> None:
         self.n = n
         self.raw_values = raw_values
-        self._ones = (1,) * n
 
     def choose(self, codes) -> int:
         raise NotImplementedError
 
-    # Effective values (as codes) and type indices recorded in traces; policies
-    # without pressure accounting report the raw codes and type 1.
     def effective_values(self):
-        """Per agent, the table that the codes of :meth:`last_effective` index."""
+        """Per agent, the table that the effective codes index."""
         return self.raw_values
-
-    def last_effective(self, codes) -> tuple[int, ...]:
-        return codes
-
-    def last_types(self) -> tuple[int, ...]:
-        return self._ones
 
     def pressure_snapshot(self):
         """The rows (n-1)*H after the last item where a replay of the trace cannot rebuild them."""
@@ -366,8 +363,8 @@ class PressureGreedyPolicy(Policy):
         super().start(n, raw_values)
         self.effective = ValueTables(n)
         self._new_tables()
-        self._types: tuple[int, ...] = ()
-        self._effective: tuple[int, ...] = ()
+        self.effective_codes: tuple[int, ...] = ()
+        self.types: tuple[int, ...] = ()
         self._max_scaled = 0
 
     def _new_tables(self) -> None:
@@ -392,32 +389,33 @@ class PressureGreedyPolicy(Policy):
         return eff, u
 
     def _classify(self, codes) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Effective codes and type indices of one item."""
-        try:
-            entries = tuple(map(getitem, self.table, codes))
-        except IndexError:  # some agent's next new value: codes are dense
-            for agent, (table, values, c) in enumerate(zip(self.table, self.raw_values, codes), 1):
-                if c == len(table):
-                    table.append(self._value_type(agent, values[c]))
-            entries = tuple(map(getitem, self.table, codes))
-        effective, types = zip(*entries)
+        """Effective codes and type indices of one item, whose new values the
+        value rule classifies; a rule that starts the tables afresh has the
+        item classified again in the new ones."""
+        table = self.table
+        for agent, (values, c) in enumerate(zip(self.raw_values, codes), 1):
+            if c == len(table[agent - 1]):  # codes are dense: the agent's next new value
+                entry = self._value_type(agent, values[c])
+                if table is not self.table:
+                    return self._classify(codes)
+                table[agent - 1].append(entry)
+        effective, types = zip(*map(getitem, table, codes))
         return effective, types
 
     def choose(self, codes) -> int:
-        self._effective, self._types = self._classify(codes)
-        if self.state is None:
+        try:
+            self.effective_codes, self.types = zip(*map(getitem, self.table, codes))
+        except IndexError:  # a value new to some agent
+            self.effective_codes, self.types = self._classify(codes)
+        state = self.state
+        if state is None:
             return 1
-        winner = self.state.step(self._types)
-        touched = self.state.scaled[winner - 1][self._types[winner - 1] - 1]
+        types = self.types
+        winner = state.step(types)
+        touched = state.scaled[winner - 1][types[winner - 1] - 1]
         if touched > self._max_scaled:
             self._max_scaled = touched
         return winner
-
-    def last_effective(self, codes):
-        return self._effective
-
-    def last_types(self):
-        return self._types
 
     def max_pressure_seen(self):
         if self.state is None:
@@ -435,10 +433,6 @@ def bi_value_merges(v1: Fraction, v2: Fraction) -> bool:
     return (2 * r + 1) ** 2 > MERGE_THRESHOLD_SQUARED
 
 
-class BiValuePromiseViolated(FairdivError):
-    """An agent revealed a third distinct disutility value."""
-
-
 class BiValuePolicy(PressureGreedyPolicy):
     """Pressure-greedy with the bi-value type rule instead of rounding.
 
@@ -446,29 +440,36 @@ class BiValuePolicy(PressureGreedyPolicy):
     is merged into type 1 if the smaller-to-larger ratio exceeds
     (sqrt(3)-1)/2, else given type 2; a merge rewrites the first value's
     table entry so that both report the larger of the pair. On a third
-    distinct value the policy sets ``fell_back`` and switches to the rounded
-    rule: it clears its tables, rebuilds its pressures by replaying the
-    realized history through that rule, and continues from there; that
-    step's :meth:`pressure_snapshot` gives the rows, which the trace's types
-    cannot rebuild.
+    distinct value the rule sets ``fell_back`` and switches to the rounded
+    rule: it clears the tables, rebuilds the pressures by replaying the
+    realized history, the codes and agents of its ``trace``, through that
+    rule, and the item is classified again; that item's
+    :meth:`pressure_snapshot` gives the rows, which the trace's types cannot
+    rebuild.
     """
 
     name = "bi-value"
 
     def start(self, n: int, raw_values) -> None:
         super().start(n, raw_values)
-        self.history: list[tuple[tuple[int, ...], int]] = []  # (codes, agent)
         self.fell_back = False
         self._fallback_item = 0
 
-    def _value_type(self, agent: int, value: Fraction) -> tuple[int, int]:
+    def _value_type(self, agent: int, value: Fraction) -> tuple[int, int] | None:
         if self.fell_back:
             return super()._value_type(agent, value)
         if self.state is None:  # n == 1: effective values stay raw
             return self.effective.code(agent - 1, value), 1
         table = self.table[agent - 1]
-        if len(table) == 2:
-            raise BiValuePromiseViolated(f"agent {agent}: third distinct value {value}")
+        if len(table) == 2:  # a third value
+            self.fell_back = True
+            self._new_tables()
+            past = self.trace.agents
+            for codes, past_agent in zip(self.trace.raw, past):
+                self.state.step(self._classify(codes)[1], past_agent)
+            self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))
+            self._fallback_item = len(past) + 1
+            return None  # the new tables classify the item again
         if table:  # before a merge, the first value is its own effective value
             first = self.effective.values[agent - 1][table[0][0]]
             if bi_value_merges(first, value):
@@ -476,22 +477,8 @@ class BiValuePolicy(PressureGreedyPolicy):
                 return merged
         return self.effective.code(agent - 1, value), self.state.add_type(agent)
 
-    def choose(self, codes) -> int:
-        try:
-            agent = super().choose(codes)
-        except BiValuePromiseViolated:
-            self.fell_back = True
-            self._new_tables()
-            for past, past_agent in self.history:
-                self.state.step(self._classify(past)[1], past_agent)
-            self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))
-            agent = super().choose(codes)
-            self._fallback_item = len(self.history) + 1
-        self.history.append((codes, agent))
-        return agent
-
     def pressure_snapshot(self):
-        return self.state.snapshot() if len(self.history) == self._fallback_item else None
+        return self.state.snapshot() if len(self.trace.agents) == self._fallback_item else None
 
 
 class RoundRobinPolicy(Policy):
@@ -560,11 +547,31 @@ def make_policy(name: str) -> Policy:
     raise FairdivError(f"unknown policy {name!r}")
 
 
-def run_online(inst: Instance, policy: Policy) -> tuple[Allocation, RunTrace]:
-    """Feed the instance's items, as their codes, in arrival order through a policy."""
+class LiveCheck:
+    """:func:`validate_pressure_trace`'s checks on a run's own engine, made as
+    :func:`run_online` feeds it, for :func:`fairdiv.stacking.allocator_to_stacking`
+    to take in place of a replay. ``outcome`` holds the flags, closed-form
+    rows, engine rows and raw code columns, or None, to replay, when the
+    policy has no engine or anything was off: a type index out of range,
+    engine rows off the closed form, or a chosen counter above the least."""
+
+    outcome = None
+
+
+def run_online(inst: Instance, policy: Policy, check: LiveCheck | None = None) -> tuple[Allocation, RunTrace]:
+    """Feed the instance's items, as their codes, in arrival order through a
+    policy; with ``check``, make the trace's checks on the policy's engine."""
     trace = RunTrace.begin(policy, inst.n, inst.values)
-    for codes in inst.codes:
-        trace.feed(policy, codes)
+    state = policy.state
+    if check is None or state is None:
+        trace.feed(policy, inst.codes)
+    else:
+        checks = _pressure_checks(state)
+        next(checks)
+        trace.feed(policy, inst.codes, checks)
+        outcome, types = checks.send(None), trace.types
+        if outcome is not None and set(map(len, types)) <= {inst.n} and min(map(min, types), default=1) >= 1:
+            check.outcome = outcome, state.scaled, inst.columns
     return trace.allocation(), trace
 
 
@@ -593,7 +600,7 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
     """Replay a rounded-greedy trace on :class:`PressureState` and check every
     stated invariant.
 
-    Each step goes through ``PressureState.step(types, agent)``, after which
+    Each item goes through ``PressureState.step(types, agent)``, after which
     the engine's rows must equal the closed form (n-1)*H_i^u =
     n*|A_i ^ M_i^u| - N_i^u, counted apart (n per receipt, -1 per sighting).
     Only the receiving counter rises while k only grows, so it alone is
@@ -602,53 +609,72 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
     in integers n*|A_i ^ M_i^u| - N_i^u < 2kn. The rounding sandwich raw <=
     effective < 2*raw is checked once per distinct (agent, raw code,
     effective code), on numerators and denominators. A recorded snapshot
-    must equal the engine's (n-1)*H rows, or the closed form fails. A step
+    must equal the engine's (n-1)*H rows, or the closed form fails. An item
     whose agent or type indices are out of range raises :class:`FairdivError`.
     """
     if trace.n < 2:
         raise FairdivError("validate_pressure_trace requires n >= 2")
-    return _replay_pressure_trace(trace, PressureState(trace.n))[0]
+    return _trace_check(trace, _replay(trace, PressureState(trace.n), lambda *off: None)[0])
 
 
-def _replay_pressure_trace(trace: RunTrace, state: PressureState, off_pace=None) -> tuple[TraceCheck, list[list[int]]]:
-    """The one replay of a trace on ``state`` behind :func:`validate_pressure_trace`:
-    its :class:`TraceCheck` and the closed-form rows at the end.
+def _replay(trace: RunTrace, state: PressureState, off_pace):
+    """The outcome of :func:`_pressure_checks` on ``state``, a fresh engine,
+    sent every item of ``trace``, each with its indices checked."""
+    n, recorded = state.n, trace.pressures
+    checks = _pressure_checks(state, off_pace)
+    next(checks)
+    for item, (types, agent) in enumerate(zip(trace.types, trace.agents), 1):
+        if not 1 <= agent <= n or len(types) != n or min(types) < 1:
+            raise FairdivError(f"item {item}: agent or type indices out of range for n={n}")
+        checks.send((types, agent, recorded.get(item)))
+    return checks.send(None)
 
-    Each step finds ``low``, the least closed-form value among its touched
-    counters once they are lowered by one. With ``off_pace``, once a step's
-    checks are made, it calls ``off_pace(step, low, closed)`` if the engine's
-    rows are not the closed-form rows ``closed`` or its receiving counter is
-    not ``low + n``: with rows equal, when the agent did not hold the least
-    pressure among the touched counters.
+
+def _pressure_checks(state: PressureState, off_pace=None):
+    """:func:`validate_pressure_trace`'s per-item checks on ``state``'s rows,
+    as a generator: send each item's ``(types, agent, recorded rows or
+    None)``, then None for the flags ``(closed_form, pressure_bound,
+    count_bound, max scaled pressure, k)`` and the closed-form rows. With
+    ``off_pace`` the item steps ``state`` here, a replay; without, ``state``
+    is a run's own engine, which has taken it. A type opens where an item
+    lowers a closed-form counter not yet open. ``low`` is the least touched
+    closed-form value once lowered; the item is off pace if the engine's
+    rows are not the closed form or its receiving counter is not ``low + n``
+    (with rows equal, the agent did not hold the least pressure). Then
+    ``off_pace(types, agent, low, closed)`` is called once the item's checks
+    are made; without it the checks stop, as on a run's type index out of
+    range, and the final send gets None.
     """
     n, scaled = state.n, state.scaled
     closed: list[list[int]] = [[] for _ in range(n)]  # n*|A_i ^ M_i^u| - N_i^u
-    agents = range(n)
-    raw, eff = trace.raw_values, trace.effective_values
-    values: set[tuple[int, int, int]] = set()  # (agent index, raw code, effective code)
     ok_closed = ok_pressure = ok_count = True
-    max_scaled = game_k = opened = 0  # opened: the fewest types any agent has open
-    widths = [0] * n  # the types each agent has open
-    for s in trace.steps:
-        s.check_indices(n)
-        values.update(zip(agents, s.raw_codes, s.effective_codes))
-        types, a = s.types, s.agent - 1
-        if max(types) > opened and any(map(gt, types, widths)):
-            _open_types(scaled, types)
-            _open_types(closed, types)
+    max_scaled = game_k = pressure_cap = count_cap = 0
+    item = yield
+    while item is not None:
+        types, agent, rows = item
+        a, low = agent - 1, inf
+        try:
+            for row, v in zip(closed, types):
+                x = row[v - 1] = row[v - 1] - 1
+                if x < low:
+                    low = x
+            if off_pace is not None:
+                state.step(types, agent)
+            own, u = closed[a], types[a] - 1
+            c = own[u] = own[u] + n
+            h = scaled[a][u]
+        except IndexError:  # a type opens here, or a run's type index is out of range
+            for back, v in zip(closed, types):  # the rows lowered so far go back up
+                if back is row:
+                    break
+                back[v - 1] += 1
+            if not _open_types(closed, types):
+                break
+            if off_pace is not None:
+                _open_types(scaled, types)
             game_k = max(game_k, *types)
-            widths = list(map(len, closed))
-            opened = min(widths)
             pressure_cap, count_cap = 2 * game_k * (n - 1), 2 * game_k * n
-        state.step(types, s.agent)
-        u = types[a] - 1
-        low = closed[a][u]
-        for row, v in zip(closed, types):
-            x = row[v - 1] = row[v - 1] - 1
-            if x < low:
-                low = x
-        closed[a][u] += n
-        h = scaled[a][u]
+            continue  # the item again, on the opened rows
         diverged = scaled != closed
         if diverged:
             ok_closed = False
@@ -656,34 +682,57 @@ def _replay_pressure_trace(trace: RunTrace, state: PressureState, off_pace=None)
             max_scaled = h
             if h > pressure_cap:
                 ok_pressure = False
-        if closed[a][u] >= count_cap:  # r <= ceil(N/n) - 1 + 2k fails
+        if c >= count_cap:  # r <= ceil(N/n) - 1 + 2k fails
             ok_count = False
-        if s.pressures is not None and s.pressures != tuple(map(tuple, scaled)):  # state.snapshot(), inline
+        if rows is not None and rows != tuple(map(tuple, scaled)):  # state.snapshot(), inline
             ok_closed = False
-        if off_pace is not None and (diverged or h != low + n):
-            off_pace(s, low, closed)
-    return TraceCheck(
-        closed_form=ok_closed,
-        rounding_sandwich=all(  # p/q <= r/s < 2p/q, times the positive denominators q and s
-            p.numerator * e.denominator <= e.numerator * p.denominator < 2 * p.numerator * e.denominator
-            for p, e in ((raw[i][r], eff[i][c]) for i, r, c in values)),
-        pressure_bound=ok_pressure,
-        count_bound=ok_count,
-        max_scaled_pressure=max_scaled,
-        game_k=max(game_k, 1),
-    ), closed
+        if diverged or h != low + n:
+            if off_pace is None:
+                break
+            off_pace(types, agent, low, closed)
+        item = yield
+    else:
+        yield (ok_closed, ok_pressure, ok_count, max_scaled, max(game_k, 1)), closed
+    while (yield) is not None:
+        pass
+    yield None
+
+
+def _trace_check(trace: RunTrace, flags, raw_columns=None) -> TraceCheck:
+    """The :class:`TraceCheck` of :func:`_pressure_checks`'s ``flags`` on
+    ``trace``, whose rounding sandwich p/q <= r/s < 2p/q, times q and s, is
+    checked once per distinct (agent, raw code, effective code)."""
+    closed_form, pressure_bound, count_bound, max_scaled, k = flags
+    raw_columns = zip(*trace.raw) if raw_columns is None else raw_columns
+    columns = zip(trace.raw_values, trace.effective_values, raw_columns, zip(*trace.effective))
+    sandwich = all(
+        p.numerator * e.denominator <= e.numerator * p.denominator < 2 * p.numerator * e.denominator
+        for raw, eff, raw_codes, effective_codes in columns
+        for p, e in ((raw[r], eff[c]) for r, c in _code_pairs(raw_codes, effective_codes, len(raw))))
+    return TraceCheck(closed_form, sandwich, pressure_bound, count_bound, max_scaled, k)
+
+
+def _code_pairs(raw_codes: tuple[int, ...], effective_codes: tuple[int, ...], size: int):
+    """The distinct (raw code, effective code) pairs of two code columns, read
+    off each raw code below ``size`` at its first item when each shows one
+    effective code throughout, as a policy's table gives it."""
+    try:
+        first = [effective_codes[raw_codes.index(c)] for c in range(size)]
+    except ValueError:  # a raw code that no item shows
+        return set(zip(raw_codes, effective_codes))
+    if len(raw_codes) > 1 and itemgetter(*raw_codes)(first) == effective_codes:
+        return enumerate(first)
+    return set(zip(raw_codes, effective_codes))
 
 
 __all__ = [
     "round_up_pow2",
     "PressureState",
-    "TraceStep",
     "RunTrace",
     "trace_from_jsonl",
     "Policy",
     "PressureGreedyPolicy",
     "bi_value_merges",
-    "BiValuePromiseViolated",
     "BiValuePolicy",
     "RoundRobinPolicy",
     "DumpToOnePolicy",

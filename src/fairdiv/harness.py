@@ -13,6 +13,7 @@ from .adversary import certify_ratio, mms_report, scaled_disutilities  # certify
 from .allocator import (
     BiValuePolicy,
     DumpToOnePolicy,
+    LiveCheck,
     Policy,
     PressureGreedyPolicy,
     RoundRobinPolicy,
@@ -266,7 +267,9 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
     all_exact = None not in exact_mms
 
     for policy in policies:
-        alloc, trace = run_online(inst, policy)
+        greedy = policy.name == "pressure-greedy" and inst.n >= 2
+        check = LiveCheck() if greedy else None
+        alloc, trace = run_online(inst, policy, check)
         outcomes = []
         for r, d_a in zip(mms, scaled_disutilities(inst, alloc, mms)):
             if r.exact is not None:
@@ -276,16 +279,17 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
         run_checks: dict[str, bool] = {}
         max_pressure = policy.max_pressure_seen()
         stacking_margin = None
-        if policy.name == "pressure-greedy" and inst.n >= 2:
-            # the reduction's replay checks the trace too; validation replays it only if that fails
+        if greedy:
+            # the run's own engine checks the trace too, else the reduction's replay does;
+            # validation replays it only if that fails
             try:
-                reduction = allocator_to_stacking(trace)
+                reduction = allocator_to_stacking(trace, check)
             except FairdivError:
                 reduction = None
             tc = validate_pressure_trace(trace) if reduction is None else reduction.check
             run_checks["trace-invariants"] = tc.passed
             run_checks["stacking-consistency"] = reduction is not None
-            if reduction is not None and trace.steps:  # reduction.steps would walk the cells
+            if reduction is not None and trace.agents:  # reduction.steps would walk the cells
                 stacking_margin = reduction.game.bound_margin(Fraction(inst.n, inst.n - 1))
             if all_exact:
                 k_rounded = tc.game_k

@@ -51,14 +51,20 @@ def exact_search_limit(n: int) -> int:
 
 def common_scale(values) -> tuple[int, list[int]]:
     """``(d, [v * d for v in values])`` for ``d`` the least common denominator:
-    integers with every order, tie and ratio of the rationals. When every
-    denominator divides the largest, as in the adversaries' geometric
-    values, that is the least common one and no lcm is taken."""
-    denominators = {v.denominator for v in values}
-    common = max(denominators, default=1)
-    if any(common % d for d in denominators):
-        common = lcm(*denominators)
-    factors = {d: common // d for d in denominators}
+    integers with every order, tie and ratio of the rationals. When the
+    denominators, largest first, form a divisibility chain, as the
+    adversaries' geometric values do, the largest is ``d`` and each factor
+    is its larger neighbour's times their quotient; otherwise the lcm is
+    divided by each."""
+    denominators = sorted({v.denominator for v in values}, reverse=True) or [1]
+    common, factors = denominators[0], {denominators[0]: 1}
+    for hi, lo in zip(denominators, denominators[1:]):
+        quotient, rest = divmod(hi, lo)
+        if rest:  # not a chain
+            common = lcm(*denominators)
+            factors = {d: common // d for d in denominators}
+            break
+        factors[lo] = factors[hi] * quotient
     return common, [v.numerator * factors[v.denominator] for v in values]
 
 

@@ -23,9 +23,9 @@ Two engines implement the same dynamics:
 sequence of moves: the nk pressure counters map to the nk cells so that the
 multiset of pressures always equals the multiset of cell values. A move
 changes each touched cell as the closed form changes its counter, so the
-moves are checked on counter values inside the one replay of
-:func:`validate_pressure_trace`, whose checks ``ReductionResult.check``
-keeps, with the final grid. The moves' cell positions are walked on a
+moves are checked on counter values by :func:`validate_pressure_trace`'s
+checks, made on the run's own engine or in one replay, which
+``ReductionResult.check`` keeps, with the final grid. The moves' cell positions are walked on a
 fresh grid through :meth:`GridGame.apply_cells` only when
 ``ReductionResult.steps`` is read or :func:`stacking_trace_to_jsonl` writes
 the grid after each move; :func:`replay_stacking_trace` reads that file
@@ -45,7 +45,7 @@ from operator import add
 from .core import (
     FairdivError, InvariantViolation, at_line, format_rational, parse_json, parse_jsonl, parse_rational,
 )
-from .allocator import PressureState, RunTrace, TraceCheck, _replay_pressure_trace
+from .allocator import LiveCheck, PressureState, RunTrace, TraceCheck, _replay, _trace_check
 
 HALF = Fraction(1, 2)
 
@@ -505,7 +505,7 @@ class ReductionResult:
         return [(raised, lowered) for raised, lowered, _ in _walk(self.n, self.k, self.moves)]
 
 
-def allocator_to_stacking(trace: RunTrace) -> ReductionResult:
+def allocator_to_stacking(trace: RunTrace, check: LiveCheck | None = None) -> ReductionResult:
     """Replay a rounded-greedy trace (n = ``trace.n``) as stacking-game moves.
 
     The interval is divided into n*k cells of width 1/(nk), with k the
@@ -531,26 +531,34 @@ def allocator_to_stacking(trace: RunTrace) -> ReductionResult:
     positions raise, at the same step, unless one step finds the engine off
     the closed form on two touched counters. ``steps`` walks the cell
     positions on first read.
+
+    With ``check``, the :class:`LiveCheck` of the run, its outcome, which
+    made the replay's checks on the same values, stands in for the replay.
     """
     n = trace.n
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
-    state = PressureState(n)
-    scaled = state.scaled
+    outcome = None if check is None else check.outcome
+    if outcome is None:
+        state = PressureState(n)
+        scaled = state.scaled
 
-    def off_pace(step, low, closed):
-        types, a = step.types, step.agent - 1
-        if scaled[a][types[a] - 1] != low + n:  # its pressure before the step, n-1 below, is not low + 1
-            raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
-        # a lowered cell now carries its counter's closed form; the raised one carries low + n,
-        # which is the chosen counter's closed form unless it was above the minimum, and then
-        # the counter it displaced from the leftmost touched cell gets a value not its own
-        for row, engine_row, u in zip(closed, scaled, types):
-            if engine_row[u - 1] != row[u - 1]:
-                raise InvariantViolation("pressure multiset != cell value multiset")
+        def off_pace(types, agent, low, closed):
+            a = agent - 1
+            if scaled[a][types[a] - 1] != low + n:  # its pressure before the step, n-1 below, is not low + 1
+                raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
+            # a lowered cell now carries its counter's closed form; the raised one carries low + n,
+            # which is the chosen counter's closed form unless it was above the minimum, and then
+            # the counter it displaced from the leftmost touched cell gets a value not its own
+            for row, engine_row, u in zip(closed, scaled, types):
+                if engine_row[u - 1] != row[u - 1]:
+                    raise InvariantViolation("pressure multiset != cell value multiset")
 
-    check, closed = _replay_pressure_trace(trace, state, off_pace)
-    k = check.game_k  # the trace's largest type index
+        (flags, closed), raw_columns = _replay(trace, state, off_pace), None
+    else:
+        (flags, closed), scaled, raw_columns = outcome
+    trace_check = _trace_check(trace, flags, raw_columns)
+    k = trace_check.game_k  # the trace's largest type index
     game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
     av, bv = game._move_units(1, Fraction(1, n - 1), 1, n - 1)  # every move has this shape
     if (av, bv) != (n - 1, 1):  # the raise cancels the lowers, and a lower drops a value by one
@@ -562,7 +570,7 @@ def allocator_to_stacking(trace: RunTrace) -> ReductionResult:
     game.values = values
     if not game.integral_is_zero():
         raise InvariantViolation("grid state lost sortedness or zero integral")
-    return ReductionResult(n, k, game, check, [(s.types, s.agent) for s in trace.steps])
+    return ReductionResult(n, k, game, trace_check, list(zip(trace.types, trace.agents)))
 
 
 def _walk(n: int, k: int, moves):

@@ -428,3 +428,22 @@ def test_agent_mms_matches_the_rescan_on_an_adversary_game():
     game = play_game(make_recursive_adversary(3, 1, pin_horizon=300), PressureGreedyPolicy(), budget=300)
     assert game.rounds == 300
     _assert_agent_mms_matches_the_rescan(game.instance)
+
+
+def test_agent_mms_deals_at_most_n_items_one_a_bundle_without_a_search(monkeypatch):
+    # with m <= n the largest item is the MMS and each item sits alone in the
+    # first m bundles, as the exact search deals them; no search is made
+    from fairdiv import adversary
+
+    rng = random.Random(109)
+    instances = []
+    for _ in range(80):
+        n = rng.randint(1, 40)
+        instances.append(random_instance(rng, n, rng.randint(1, min(n, exact_search_limit(n))), rng.randint(1, 3)))
+    want = [[_agent_mms_by_rescan(inst, agent) for agent in range(1, inst.n + 1)] for inst in instances]
+    searches = []
+    monkeypatch.setattr(adversary, "mms_exact", lambda *args: searches.append(args))
+    for inst, records in zip(instances, want):
+        assert mms_report(inst) == records  # the witnesses too, dealt on read
+    assert searches == []
+    assert {inst.m == inst.n for inst in instances} == {True, False}

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from operator import getitem, gt
 
@@ -25,7 +24,6 @@ from fairdiv import allocator, core, stacking
 from fairdiv.adversary import make_recursive_adversary, play_game
 from fairdiv.allocator import (
     BiValuePolicy,
-    BiValuePromiseViolated,
     DumpToOnePolicy,
     ExternalPolicy,
     Policy,
@@ -33,7 +31,6 @@ from fairdiv.allocator import (
     RoundRobinPolicy,
     RunTrace,
     SeededMixturePolicy,
-    TraceStep,
     trace_from_jsonl,
 )
 from fairdiv.cli import main
@@ -161,9 +158,26 @@ def _rows(trace):
     return list(trace.pressure_rows())
 
 
+def _values(tables, codes):
+    """The values that one item's ``codes`` give in per-agent ``tables``."""
+    return tuple(map(getitem, tables, codes))
+
+
+def _raw(trace, j):
+    return _values(trace.raw_values, trace.raw[j])
+
+
+def _effective(trace, j):
+    return _values(trace.effective_values, trace.effective[j])
+
+
 def _decoded_steps(trace):
-    return [(s.item, trace.raw(s), trace.effective(s), s.types, s.agent, rows)
-            for s, rows in zip(trace.steps, _rows(trace))]
+    return [(j + 1, _raw(trace, j), _effective(trace, j), trace.types[j], trace.agents[j], rows)
+            for j, rows in enumerate(_rows(trace))]
+
+
+def _columns(trace):
+    return trace.agents, trace.raw, trace.effective, trace.types
 
 
 def test_trace_jsonl_roundtrip():
@@ -173,8 +187,8 @@ def test_trace_jsonl_roundtrip():
         _, trace = run_online(inst, PressureGreedyPolicy())
         again = trace_from_jsonl(trace.to_jsonl(), n=n, policy=trace.policy)
         # the file records the scaled (n-1)*H rows that the run rebuilds
-        assert [s.pressures for s in again.steps] == _rows(trace)
-        assert [replace(s, pressures=None) for s in again.steps] == trace.steps
+        assert [again.pressures.get(item) for item in range(1, again.m + 1)] == _rows(trace)
+        assert _columns(again) == _columns(trace)
         assert again.to_jsonl() == trace.to_jsonl()
     # the n=4 trace holds pressures that are not whole numbers
     assert any(h % 3 for rows in _rows(trace) for row in rows for h in row)
@@ -192,15 +206,15 @@ def test_trace_jsonl_roundtrip():
     assert fell_back
 
 
-def _step_record(trace, s, rows) -> dict:
-    """The JSON record of one trace step with its ``rows``, built field by
-    field; ``str`` writes a short Fraction as "p" or "p/q"."""
+def _step_record(trace, j, rows) -> dict:
+    """The JSON record of item j+1 of a trace with its ``rows``, built field
+    by field; ``str`` writes a short Fraction as "p" or "p/q"."""
     rec = {
-        "item": s.item,
-        "raw": [str(v) for v in trace.raw(s)],
-        "effective": [str(v) for v in trace.effective(s)],
-        "types": list(s.types),
-        "agent": s.agent,
+        "item": j + 1,
+        "raw": [str(v) for v in _raw(trace, j)],
+        "effective": [str(v) for v in _effective(trace, j)],
+        "types": list(trace.types[j]),
+        "agent": trace.agents[j],
     }
     if rows is not None:
         rec["pressures"] = [[str(Fraction(h, trace.n - 1)) for h in row] for row in rows]
@@ -211,8 +225,8 @@ def _assert_dumps_lines(trace) -> None:
     """Each line ``to_jsonl`` writes is its record's ``json.dumps``, with the
     rows of the reference replay ``pressure_rows``."""
     text = trace.to_jsonl()
-    assert text == "".join(json.dumps(_step_record(trace, s, rows), sort_keys=True, separators=(",", ":")) + "\n"
-                           for s, rows in zip(trace.steps, _rows(trace)))
+    assert text == "".join(json.dumps(_step_record(trace, j, rows), sort_keys=True, separators=(",", ":")) + "\n"
+                           for j, rows in enumerate(_rows(trace)))
 
 
 def test_to_jsonl_matches_json_dumps_of_each_record():
@@ -239,14 +253,19 @@ def test_to_jsonl_matches_json_dumps_of_each_record():
     # a bi-value fallback records its rows, and the rows after it continue from them
     policy = BiValuePolicy()
     trace = run_online(_third_value_instance(), policy)[1]
-    assert policy.fell_back and any(s.pressures is not None for s in trace.steps)
+    assert policy.fell_back and trace.pressures
     _assert_dumps_lines(trace)
     # recorded rows shorter than a type shown before them: the type opens again
     trace = RunTrace(2, "pressure-greedy", raw_values=[[Fraction(1)]] * 2, effective_values=[[Fraction(1)]] * 2,
                      pressured=True)
     for j, (types, agent, rows) in enumerate((((1, 1), 1, None), ((2, 1), 2, None), ((1, 1), 1, ((1,), (-1,))),
                                               ((2, 1), 2, None)), 1):
-        trace.steps.append(TraceStep(j, (0, 0), (0, 0), types, agent, rows))
+        trace.agents.append(agent)
+        trace.raw.append((0, 0))
+        trace.effective.append((0, 0))
+        trace.types.append(types)
+        if rows is not None:
+            trace.pressures[j] = rows
     assert _rows(trace)[-1] == ((1, -1), (0,))
     _assert_dumps_lines(trace)
     # read back with rows on every third line only
@@ -257,7 +276,7 @@ def test_to_jsonl_matches_json_dumps_of_each_record():
             if j % 3:
                 del rec["pressures"]
         again = trace_from_jsonl("".join(json.dumps(rec) + "\n" for rec in records), n=4)
-        assert [s.item for s in again.steps if s.pressures is not None] == list(range(1, 41, 3))
+        assert sorted(again.pressures) == list(range(1, 41, 3))
         _assert_dumps_lines(again)
     # a read trace may repeat values under other types; each line keeps its own
     text = "".join(json.dumps({"item": j, "raw": ["1", "3/2"], "effective": ["1", "2"], "types": types,
@@ -272,7 +291,7 @@ def _live_rows(inst, policy):
     trace = RunTrace.begin(policy, inst.n, inst.values)
     live = []
     for codes in inst.codes:
-        trace.feed(policy, codes)
+        trace.feed(policy, [codes])
         live.append(None if policy.state is None else policy.state.snapshot())
     return trace, live
 
@@ -285,7 +304,7 @@ def _assert_rows_rebuilt(inst) -> int | None:
         trace, live = _live_rows(inst, policy)
         assert trace.pressured == (inst.n >= 2)
         assert _rows(trace) == live
-        recorded = [s.item for s in trace.steps if s.pressures is not None]
+        recorded = sorted(trace.pressures)
         assert len(recorded) == getattr(policy, "fell_back", False)
     return recorded[0] if recorded else None
 
@@ -342,7 +361,7 @@ def test_file_traces_are_written_back_byte_for_byte():
     records[3]["pressures"][0][0] = str(Fraction(records[3]["pressures"][0][0]) + Fraction(1, 2))
     text = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in records)
     again = trace_from_jsonl(text, n=3)
-    assert [s.item for s in again.steps if s.pressures is not None] == list(range(1, inst.m + 1, 3))
+    assert sorted(again.pressures) == list(range(1, inst.m + 1, 3))
     assert again.to_jsonl() == text
     assert not validate_pressure_trace(again).closed_form
 
@@ -352,28 +371,27 @@ def test_validate_catches_a_snapshot_off_by_one_scaled_unit():
     _, run = run_online(inst, PressureGreedyPolicy())
     trace = trace_from_jsonl(run.to_jsonl(), n=3, policy=run.policy)  # the file records the rows
     assert validate_pressure_trace(trace).passed
-    step = trace.steps[9]
-    rows = [list(row) for row in step.pressures]
+    rows = [list(row) for row in trace.pressures[10]]
     rows[1][0] += 1
-    trace.steps[9] = replace(step, pressures=tuple(map(tuple, rows)))
+    trace.pressures[10] = tuple(map(tuple, rows))
     assert not validate_pressure_trace(trace).closed_form
 
 
 def _set_effective(trace, j, i, value):
-    """Make agent i+1's effective value at step j+1 ``value``, a new entry in a
-    copy of the trace's effective tables."""
+    """Make agent i+1's effective value at item j+1 ``value``, a new entry in a
+    copy of the trace's effective tables and rows."""
     tables = [list(table) for table in trace.effective_values]
     tables[i].append(value)
     trace.effective_values = tables
-    codes = list(trace.steps[j].effective_codes)
+    codes = list(trace.effective[j])
     codes[i] = len(tables[i]) - 1
-    trace.steps[j] = replace(trace.steps[j], effective_codes=tuple(codes))
+    trace.effective[j] = tuple(codes)
 
 
 def test_validate_catches_a_corrupted_effective_value():
     inst = random_instance(random.Random(43), n=3, m=20, k=2)
     _, trace = run_online(inst, PressureGreedyPolicy())
-    _set_effective(trace, 4, 2, 2 * trace.raw(trace.steps[4])[2])
+    _set_effective(trace, 4, 2, 2 * _raw(trace, 4)[2])
     check = validate_pressure_trace(trace)
     assert not check.rounding_sandwich
     assert check.closed_form and check.pressure_bound and check.count_bound
@@ -398,21 +416,21 @@ def _full_rescan_check(trace) -> dict:
     scaled = [[] for _ in range(n)]
     ok_closed = ok_zero = ok_round = ok_pressure = ok_count = True
     max_scaled = game_k = 0
-    for s in trace.steps:
-        raw, eff = trace.raw(s), trace.effective(s)
+    for j, (types, agent) in enumerate(zip(trace.types, trace.agents)):
+        raw, eff = _raw(trace, j), _effective(trace, j)
         for i in range(n):
             if not (raw[i] <= eff[i] < 2 * raw[i]):
                 ok_round = False
-            while len(scaled[i]) < s.types[i]:
+            while len(scaled[i]) < types[i]:
                 scaled[i].append(0)
                 receipts[i].append(0)
                 sightings[i].append(0)
         game_k = max(game_k, max(len(r) for r in scaled))
         delta = 0
         for i in range(n):
-            u = s.types[i] - 1
+            u = types[i] - 1
             sightings[i][u] += 1
-            if i == s.agent - 1:
+            if i == agent - 1:
                 receipts[i][u] += 1
                 scaled[i][u] += n - 1
                 delta += n - 1
@@ -426,7 +444,8 @@ def _full_rescan_check(trace) -> dict:
                 max_scaled = max(max_scaled, scaled[i][u])
                 ok_pressure = ok_pressure and scaled[i][u] <= 2 * game_k * (n - 1)
                 ok_count = ok_count and receipts[i][u] <= -(-sightings[i][u] // n) - 1 + 2 * game_k
-        if s.pressures is not None and s.pressures != tuple(map(tuple, scaled)):
+        recorded = trace.pressures.get(j + 1)
+        if recorded is not None and recorded != tuple(map(tuple, scaled)):
             ok_closed = False
     assert ok_zero
     return {
@@ -436,27 +455,26 @@ def _full_rescan_check(trace) -> dict:
 
 
 def _corrupt(rng, trace):
-    """Damage one step of ``trace`` in one of four ways, or leave it whole,
+    """Damage one item of ``trace`` in one of four ways, or leave it whole,
     and return the trace. A run records no rows, so a pressured trace is
     read back from its file, which records them on every step."""
     if trace.pressured:
         trace = trace_from_jsonl(trace.to_jsonl(), trace.n, trace.policy)
     j = rng.randrange(trace.m)
-    s = trace.steps[j]
     i = rng.randrange(trace.n)
     kind = rng.randrange(5)
-    if kind == 1 and s.pressures is not None:
-        rows = [list(row) for row in s.pressures]
+    if kind == 1 and j + 1 in trace.pressures:
+        rows = [list(row) for row in trace.pressures[j + 1]]
         rows[i][rng.randrange(len(rows[i]))] += rng.choice((-1, 1))
-        trace.steps[j] = replace(s, pressures=tuple(map(tuple, rows)))
+        trace.pressures[j + 1] = tuple(map(tuple, rows))
     elif kind == 2:
-        _set_effective(trace, j, i, trace.raw(s)[i] * rng.choice((Fraction(1, 2), Fraction(3, 2), 2)))
+        _set_effective(trace, j, i, _raw(trace, j)[i] * rng.choice((Fraction(1, 2), Fraction(3, 2), 2)))
     elif kind == 3:
-        trace.steps[:] = [replace(t, pressures=None) for t in trace.steps]
+        trace.pressures.clear()
     elif kind == 4:
-        types = list(s.types)
+        types = list(trace.types[j])
         types[i] += rng.randint(1, 2)
-        trace.steps[j] = replace(s, types=tuple(types), agent=rng.randint(1, trace.n))
+        trace.types[j], trace.agents[j] = tuple(types), rng.randint(1, trace.n)
     return trace
 
 
@@ -469,25 +487,26 @@ def _reduction_on_its_own_replay(trace, n, rescan=True):
     with its counter's pressure, and the whole grid once, at the end."""
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
-    k = max([1, *(max(s.types) for s in trace.steps)])
+    k = max([1, *map(max, trace.types)])
     game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
     Q = game.Q
     cell_of, holder = [-1] * Q, [-1] * Q
     state = PressureState(n)
     steps = []
-    for step in trace.steps:
-        step.check_indices(n)
-        slots = [(i - 1) * k + u - 1 for i, u in enumerate(step.types, 1)]
+    for item, (types, agent) in enumerate(zip(trace.types, trace.agents), 1):
+        if not 1 <= agent <= n or len(types) != n or min(types) < 1:
+            raise FairdivError(f"item {item}: agent or type indices out of range for n={n}")
+        slots = [(i - 1) * k + u - 1 for i, u in enumerate(types, 1)]
         for i, slot in enumerate(slots, 1):
             if cell_of[slot] < 0:
                 free = holder.index(-1)
                 if game.values[free] != 0:
                     raise InvariantViolation("fresh pressure assigned to a nonzero cell")
                 cell_of[slot], holder[free] = free, slot
-                while len(state.scaled[i - 1]) < step.types[i - 1]:
+                while len(state.scaled[i - 1]) < types[i - 1]:
                     state.add_type(i)
-        state.step(step.types, step.agent)
-        chosen = slots[step.agent - 1]
+        state.step(types, agent)
+        chosen = slots[agent - 1]
         c_star = min(cell_of[slot] for slot in slots)
         if game.values[c_star] != state.scaled[chosen // k][chosen % k] - (n - 1):
             raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
@@ -545,9 +564,9 @@ def test_validate_matches_the_full_rescan_reference():
     failed = dict.fromkeys(("closed_form", "rounding_sandwich", "pressure_bound", "count_bound"), 0)
     reduced = long_reduced = late_reduced = with_rows = 0
     for n, trace in _rescan_corpus(rng):
-        late = trace.m >= 500 and max(max(s.types) for s in trace.steps[:250]) < max(max(s.types) for s in trace.steps)
+        late = trace.m >= 500 and max(map(max, trace.types[:250])) < max(map(max, trace.types))
         trace = _corrupt(rng, trace)
-        with_rows += all(s.pressures is not None for s in trace.steps)
+        with_rows += len(trace.pressures) == trace.m
         check = validate_pressure_trace(trace)
         expected = _full_rescan_check(trace)
         assert {key: getattr(check, key) for key in expected} == expected
@@ -579,10 +598,10 @@ def test_replay_opens_types_only_on_steps_that_show_a_new_one(monkeypatch):
     cfg = GeneratorConfig(n=8, m=2000, k=2, D=Fraction(4), value_grid="adversarial-near-threshold", seed=101)
     _, trace = run_online(generate_instance(cfg), make_policy("bi-value"))
     tops, opening = [0] * 8, 0
-    for s in trace.steps:
-        if any(map(gt, s.types, tops)):
+    for types in trace.types:
+        if any(map(gt, types, tops)):
             opening += 1
-            tops = list(map(max, s.types, tops))
+            tops = list(map(max, types, tops))
     assert min(tops) == 1 < max(tops)
     calls = []
     open_types = allocator._open_types
@@ -804,7 +823,7 @@ def test_bi_value_registration():
     # the merged type reports the larger value, for both of its raw values
     assert pol.effective.values == [[Fraction(2)], [Fraction(10), Fraction(1)]]
     assert pol.table[0] == [(0, 1), (0, 1)]
-    assert pol.last_effective(None) == (0, 1)
+    assert pol.effective_codes == (0, 1)
 
 
 def test_bi_value_merged_acts_single_type():
@@ -921,6 +940,10 @@ class _FractionKeyedGreedy(Policy):
         return None if self.state is None else Fraction(self._max_scaled, self.n - 1)
 
 
+class BiValuePromiseViolated(Exception):
+    """An agent revealed a third distinct disutility value."""
+
+
 class _FractionKeyedBiValue(_FractionKeyedGreedy):
     def start(self, n):
         super().start(n)
@@ -968,11 +991,11 @@ def _assert_lockstep(inst):
         direct, tables = make(), ValueTables(inst.n)
         direct_trace = RunTrace.begin(direct, inst.n, tables.values)
         old.start(inst.n)
-        for raw, step, rows in zip(inst.items, trace.steps, _rows(trace)):
-            assert direct_trace.feed(direct, tables.encode(raw)) == step.agent == old.choose(raw)
-            effective = tuple(map(getitem, direct.effective.values, direct.last_effective(None)))
-            assert trace.effective(step) == effective == old._effective
-            assert step.types == direct.last_types() == old._types
+        for j, (raw, rows) in enumerate(zip(inst.items, _rows(trace))):
+            assert direct_trace.feed(direct, [tables.encode(raw)]) == trace.agents[j] == old.choose(raw)
+            effective = _values(direct.effective.values, direct.effective_codes)
+            assert _effective(trace, j) == effective == old._effective
+            assert trace.types[j] == direct.types == old._types
             # the rows the run's trace rebuilds are the engine's and the Fraction-keyed policy's
             assert rows == old.pressure_snapshot() == (None if direct.state is None else direct.state.snapshot())
         assert run.max_pressure_seen() == direct.max_pressure_seen() == old.max_pressure_seen()
@@ -1014,8 +1037,8 @@ def test_a_new_code_is_classified_from_the_bound_tables():
     pol.start(2, tables.values)
     assert pol.choose(tables.encode((Fraction(1), Fraction(1)))) == 1
     assert pol.choose(tables.encode((Fraction(4), Fraction(4)))) == 1
-    assert pol.last_types() == (2, 2)
-    assert tuple(map(getitem, pol.effective.values, pol.last_effective(None))) == (Fraction(4), Fraction(4))
+    assert pol.types == (2, 2)
+    assert _values(pol.effective.values, pol.effective_codes) == (Fraction(4), Fraction(4))
 
 
 def test_external_policy_gets_each_items_raw_values():

@@ -230,8 +230,10 @@ def test_run_experiment_checks_a_misbehaving_pressure_greedy_policy():
 
 def test_run_experiment_raises_on_out_of_range_types():
     class ZeroType(PressureGreedyPolicy):
-        def last_types(self):
-            return (0,) + super().last_types()[1:]
+        def choose(self, codes):
+            agent = super().choose(codes)
+            self.types = (0,) + self.types[1:]
+            return agent
 
     inst = Instance(2, ((F(1), F(1)),) * 3)
     with pytest.raises(FairdivError, match="item 1: agent or type indices out of range"):

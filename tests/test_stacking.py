@@ -19,8 +19,9 @@ from fairdiv import (
     replay_stacking_trace,
     run_online,
 )
-from fairdiv.allocator import PressureGreedyPolicy, PressureState, RunTrace, TraceStep, validate_pressure_trace
+from fairdiv.allocator import PressureGreedyPolicy, PressureState, RunTrace, validate_pressure_trace
 from fairdiv.core import FairdivError, instance_to_json
+from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance, run_experiment
 from fairdiv.stacking import BoundReport, cells_to_intervals, is_contiguous, stacking_trace_to_jsonl
 
 from conftest import late_opening_trace, random_instance
@@ -261,12 +262,8 @@ def test_reduction_consistency_random():
 def test_reduction_rejects_corrupted_trace():
     inst = Instance(2, tuple(((Fraction(1), Fraction(1)),) * 4))
     _, trace = run_online(inst, PressureGreedyPolicy())
-    bad = replace(trace, steps=list(trace.steps))
-    s = bad.steps[1]
-    bad.steps[1] = TraceStep(
-        item=s.item, raw_codes=s.raw_codes, effective_codes=s.effective_codes, types=s.types,
-        agent=1 if s.agent == 2 else 2, pressures=None,
-    )
+    bad = replace(trace, agents=list(trace.agents))
+    bad.agents[1] = 1 if trace.agents[1] == 2 else 2
     with pytest.raises(InvariantViolation):
         allocator_to_stacking(bad)
 
@@ -320,12 +317,11 @@ def test_reduction_rejects_out_of_range_indices():
     for n in (2, 3):
         inst = Instance(n, tuple(((Fraction(1),) * n,) * 5))
         _, trace = run_online(inst, PressureGreedyPolicy())
-        s = trace.steps[2]
-        bad = ((0, s.types), (n + 1, s.types), (s.agent, (0,) + s.types[1:]), (s.agent, s.types[:-1]))
+        t, a = trace.types[2], trace.agents[2]
+        bad = ((0, t), (n + 1, t), (a, (0,) + t[1:]), (a, t[:-1]))
         for agent, types in bad:
-            steps = list(trace.steps)
-            steps[2] = TraceStep(s.item, s.raw_codes, s.effective_codes, types=types, agent=agent)
-            bad_trace = replace(trace, steps=steps)
+            bad_trace = replace(trace, agents=list(trace.agents), types=list(trace.types))
+            bad_trace.agents[2], bad_trace.types[2] = agent, types
             with pytest.raises(FairdivError, match="item 3: agent or type indices out of range"):
                 allocator_to_stacking(bad_trace)
             with pytest.raises(FairdivError, match="item 3: agent or type indices out of range"):
@@ -383,7 +379,7 @@ def test_stacking_trace_roundtrip_with_late_opening_counters():
     for _ in range(4):
         n, trace = late_opening_trace(rng)
         res = allocator_to_stacking(trace)
-        assert max(max(s.types) for s in trace.steps[:260]) < res.k
+        assert max(map(max, trace.types[:260])) < res.k
         report = replay_stacking_trace(stacking_trace_to_jsonl(res))
         assert report.passed and report.steps == trace.m
 
@@ -421,9 +417,89 @@ def test_cli_run_converts_the_grid_once(tmp_path, monkeypatch):
             "--report", str(tmp_path / "r.json")]
     assert main(argv) == 0
     assert len(calls) == 0  # the margin is read off the integer grid
-    # the policy steps the engine once per item, and one replay serves both
-    # the trace invariants and the reduction
-    assert len(steps) == 2 * inst.m
+    # the policy steps the engine once per item, and the trace invariants and
+    # the reduction are checked on that engine as the run goes
+    assert len(steps) == inst.m
+
+
+def _reductions_of_run_experiment(monkeypatch):
+    """The ``[trace, check, result]`` of each reduction ``run_experiment``
+    makes; the result stays None when the reduction raises."""
+    from fairdiv import harness
+
+    seen, reduce = [], harness.allocator_to_stacking
+
+    def recorded(trace, check=None):
+        seen.append([trace, check, None])
+        seen[-1][2] = reduce(trace, check)
+        return seen[-1][2]
+
+    monkeypatch.setattr(harness, "allocator_to_stacking", recorded)
+    return seen
+
+
+def _reduced(res):
+    return res.check, res.k, res.game.values, res.moves, res.steps
+
+
+def test_live_check_matches_the_replay(monkeypatch):
+    # run_experiment checks a pressure-greedy run on the policy's own engine;
+    # the reduction it returns is the one a replay of the trace returns
+    from test_golden import CORPUS
+
+    seen = _reductions_of_run_experiment(monkeypatch)
+    rng = random.Random(131)
+    instances = [make() for make in CORPUS.values()]
+    for trial in range(150):
+        n, k, grid = rng.randint(2, 8), rng.randint(1, 4), GRID_NAMES[trial % 3]
+        if grid == "adversarial-near-threshold":
+            k = min(k, 2)
+        D = Fraction(2 ** rng.randint(k - 1, 6)) if grid == "powers-of-two" else Fraction(rng.randint(3, 40), 3) + 3
+        cfg = GeneratorConfig(n=n, m=rng.randint(k, 300), k=k, D=D, value_grid=grid, seed=trial)
+        instances.append(generate_instance(cfg))
+    live = 0
+    for inst in instances:
+        seen.clear()
+        run_experiment(inst, [PressureGreedyPolicy()])
+        if inst.n < 2 or inst.m == 0:
+            assert seen == []
+            continue
+        ((trace, check, result),) = seen
+        assert check.outcome is not None  # no replay was made
+        assert _reduced(result) == _reduced(allocator_to_stacking(trace))
+        live += 1
+    assert live >= 150 and {inst.n for inst in instances} >= set(range(2, 9))
+
+
+class _LateGreedy(PressureGreedyPolicy):
+    """Pressure-greedy that hands one item to the next agent, its engine unaware."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def choose(self, codes):
+        winner = super().choose(codes)
+        return winner % self.n + 1 if len(self.trace.agents) + 1 == self.at else winner
+
+
+def test_live_check_replays_a_run_that_is_off(monkeypatch):
+    seen = _reductions_of_run_experiment(monkeypatch)
+    rng = random.Random(137)
+    outcomes = set()
+    for _ in range(40):
+        inst = random_instance(rng, n=rng.randint(2, 5), m=rng.randint(2, 40), k=rng.randint(1, 3))
+        seen.clear()
+        run = run_experiment(inst, [_LateGreedy(rng.randint(1, inst.m))]).runs[0]
+        ((trace, check, result),) = seen
+        assert check.outcome is None  # the engine left the closed form: the trace was replayed
+        try:
+            want = _reduced(allocator_to_stacking(trace))
+        except FairdivError:
+            assert not run.checks["stacking-consistency"] and result is None
+        else:
+            assert _reduced(result) == want and run.checks["stacking-consistency"]
+        outcomes.add(run.checks["stacking-consistency"])
+    assert outcomes == {True, False}
 
 
 def _margin_grids():
