@@ -29,8 +29,7 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
-from operator import getitem, itemgetter
+from operator import getitem, gt
 
 from .core import (
     Allocation, FairdivError, Instance, ParseError, ValueTables, format_rational,
@@ -106,8 +105,15 @@ class RunTrace:
     recorded rows (n-1)*H, which a replay cannot rebuild. Codes index the
     per-agent tables: ``raw_values[i][c]`` is agent i+1's raw value of code
     c, and ``effective_values`` likewise; a policy that reports raw values
-    as effective shares the raw tables. A ``pressured`` trace, of a policy with a pressure engine, has rows on
-    every item; others, where recorded."""
+    as effective shares the raw tables. A ``pressured`` trace, of a policy
+    with a pressure engine, has rows on every item; others, where recorded.
+    ``live`` is what :func:`run_online` checked on a pressure-greedy
+    policy's own engine as it ran, for
+    :func:`fairdiv.stacking.allocator_to_stacking` to take in place of a
+    replay: the outcome of :func:`_pressure_checks`, the engine rows and the
+    raw code columns. It holds for the columns as the run left them, and is
+    None on any other trace, on a copy made by ``dataclasses.replace`` and
+    once the trace is fed again."""
 
     n: int
     policy: str
@@ -119,6 +125,7 @@ class RunTrace:
     effective: list[tuple[int, ...]] = field(default_factory=list)
     types: list[tuple[int, ...]] = field(default_factory=list)
     pressures: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
+    live: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def begin(cls, policy: Policy, n: int, raw_values) -> RunTrace:
@@ -138,18 +145,21 @@ class RunTrace:
     def feed(self, policy: Policy, rows, checks=None) -> int:
         """Offer the items ``rows``, each as its codes into ``raw_values``, to
         ``policy`` in order, check each choice and record it; returns the last
-        agent. ``checks`` (:func:`_pressure_checks`) is sent each item once
-        the policy's engine has taken it."""
+        agent. While :meth:`Policy.choose` runs, the columns hold the items
+        before its item. ``checks`` (:func:`_pressure_checks`) is sent each
+        item once the policy's engine has taken it, until it reports the
+        run off pace."""
         n, agents, pressures, own = self.n, self.agents, self.pressures, self.effective_values is not self.raw_values
         choose, snapshot, ones = policy.choose, policy.pressure_snapshot, (1,) * n
-        add_agent, add_effective, add_types = agents.append, self.effective.append, self.types.append
-        self.raw += rows
+        add_agent, add_raw, add_effective, add_types = agents.append, self.raw.append, self.effective.append, self.types.append
+        self.live = None
         agent = 0
         for item, codes in enumerate(rows, len(agents) + 1):
             agent = choose(codes)
             if not 1 <= agent <= n:
                 raise FairdivError(f"policy chose invalid agent {agent}")
             add_agent(agent)
+            add_raw(codes)
             if own:
                 effective, types = policy.effective_codes, policy.types
             else:
@@ -159,8 +169,8 @@ class RunTrace:
             recorded = snapshot()
             if recorded is not None:
                 pressures[item] = recorded
-            if checks is not None:
-                checks.send((types, agent, recorded))
+            if checks is not None and not checks.send((types, agent, recorded)):
+                checks = None
         return agent
 
     def pressure_rows(self):
@@ -322,11 +332,13 @@ class Policy:
     policy whose :meth:`effective_values` are tables of its own leaves each
     item's effective codes and type indices in ``effective_codes`` and
     ``types`` when :meth:`choose` returns; the others report the raw codes
-    and type 1. ``trace`` is the :class:`RunTrace` the policy is fed into.
+    and type 1. ``trace`` is the :class:`RunTrace` the policy is fed into,
+    which :meth:`RunTrace.begin` sets, or None.
     """
 
     name = "abstract"
     state: PressureState | None = None  # the pressure engine, if the policy keeps one
+    trace: RunTrace | None = None
 
     def start(self, n: int, raw_values) -> None:
         self.n = n
@@ -445,7 +457,8 @@ class BiValuePolicy(PressureGreedyPolicy):
     realized history, the codes and agents of its ``trace``, through that
     rule, and the item is classified again; that item's
     :meth:`pressure_snapshot` gives the rows, which the trace's types cannot
-    rebuild.
+    rebuild. A policy driven by :meth:`choose` alone, with no ``trace``, has
+    no history to replay and raises :class:`FairdivError` there.
     """
 
     name = "bi-value"
@@ -462,13 +475,15 @@ class BiValuePolicy(PressureGreedyPolicy):
             return self.effective.code(agent - 1, value), 1
         table = self.table[agent - 1]
         if len(table) == 2:  # a third value
+            trace = self.trace
+            if trace is None:
+                raise FairdivError(f"agent {agent}: a third distinct value, and no trace to replay for the fallback")
             self.fell_back = True
             self._new_tables()
-            past = self.trace.agents
-            for codes, past_agent in zip(self.trace.raw, past):
+            for codes, past_agent in zip(trace.raw, trace.agents):
                 self.state.step(self._classify(codes)[1], past_agent)
             self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))
-            self._fallback_item = len(past) + 1
+            self._fallback_item = trace.m + 1
             return None  # the new tables classify the item again
         if table:  # before a merge, the first value is its own effective value
             first = self.effective.values[agent - 1][table[0][0]]
@@ -478,7 +493,7 @@ class BiValuePolicy(PressureGreedyPolicy):
         return self.effective.code(agent - 1, value), self.state.add_type(agent)
 
     def pressure_snapshot(self):
-        return self.state.snapshot() if len(self.trace.agents) == self._fallback_item else None
+        return self.state.snapshot() if self.fell_back and self.trace.m == self._fallback_item else None
 
 
 class RoundRobinPolicy(Policy):
@@ -547,31 +562,22 @@ def make_policy(name: str) -> Policy:
     raise FairdivError(f"unknown policy {name!r}")
 
 
-class LiveCheck:
-    """:func:`validate_pressure_trace`'s checks on a run's own engine, made as
-    :func:`run_online` feeds it, for :func:`fairdiv.stacking.allocator_to_stacking`
-    to take in place of a replay. ``outcome`` holds the flags, closed-form
-    rows, engine rows and raw code columns, or None, to replay, when the
-    policy has no engine or anything was off: a type index out of range,
-    engine rows off the closed form, or a chosen counter above the least."""
-
-    outcome = None
-
-
-def run_online(inst: Instance, policy: Policy, check: LiveCheck | None = None) -> tuple[Allocation, RunTrace]:
+def run_online(inst: Instance, policy: Policy) -> tuple[Allocation, RunTrace]:
     """Feed the instance's items, as their codes, in arrival order through a
-    policy; with ``check``, make the trace's checks on the policy's engine."""
+    policy. A pressure-greedy run on n >= 2 agents is checked on the
+    policy's own engine as it goes, and a run that kept pace keeps the
+    outcome in its trace's ``live``."""
     trace = RunTrace.begin(policy, inst.n, inst.values)
     state = policy.state
-    if check is None or state is None:
+    if policy.name != "pressure-greedy" or state is None:
         trace.feed(policy, inst.codes)
     else:
         checks = _pressure_checks(state)
         next(checks)
         trace.feed(policy, inst.codes, checks)
-        outcome, types = checks.send(None), trace.types
-        if outcome is not None and set(map(len, types)) <= {inst.n} and min(map(min, types), default=1) >= 1:
-            check.outcome = outcome, state.scaled, inst.columns
+        outcome = checks.send(None)
+        if outcome is not None:
+            trace.live = outcome, state.scaled, inst.columns
     return trace.allocation(), trace
 
 
@@ -619,65 +625,75 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
 
 def _replay(trace: RunTrace, state: PressureState, off_pace):
     """The outcome of :func:`_pressure_checks` on ``state``, a fresh engine,
-    sent every item of ``trace``, each with its indices checked."""
-    n, recorded = state.n, trace.pressures
+    sent every item of ``trace``."""
     checks = _pressure_checks(state, off_pace)
     next(checks)
+    send, recorded = checks.send, trace.pressures
     for item, (types, agent) in enumerate(zip(trace.types, trace.agents), 1):
-        if not 1 <= agent <= n or len(types) != n or min(types) < 1:
-            raise FairdivError(f"item {item}: agent or type indices out of range for n={n}")
-        checks.send((types, agent, recorded.get(item)))
-    return checks.send(None)
+        send((types, agent, recorded.get(item)))
+    return send(None)
 
 
 def _pressure_checks(state: PressureState, off_pace=None):
     """:func:`validate_pressure_trace`'s per-item checks on ``state``'s rows,
     as a generator: send each item's ``(types, agent, recorded rows or
-    None)``, then None for the flags ``(closed_form, pressure_bound,
-    count_bound, max scaled pressure, k)`` and the closed-form rows. With
-    ``off_pace`` the item steps ``state`` here, a replay; without, ``state``
-    is a run's own engine, which has taken it. A type opens where an item
-    lowers a closed-form counter not yet open. ``low`` is the least touched
-    closed-form value once lowered; the item is off pace if the engine's
-    rows are not the closed form or its receiving counter is not ``low + n``
-    (with rows equal, the agent did not hold the least pressure). Then
-    ``off_pace(types, agent, low, closed)`` is called once the item's checks
-    are made; without it the checks stop, as on a run's type index out of
-    range, and the final send gets None.
+    None)``, which returns whether the item kept pace, then None for the
+    outcome, the flags ``(closed_form, pressure_bound, count_bound, max
+    scaled pressure, k)`` and the closed-form rows.
+
+    With ``off_pace`` the item steps ``state`` here, a replay; without,
+    ``state`` is a run's own engine, which has taken it. A type opens on
+    the item that first shows it for its agent. ``low`` is the
+    least touched closed-form value once lowered; the item is off pace if
+    the engine's rows are not the closed form or its receiving counter is
+    not ``low + n`` (with rows equal, the agent did not hold the least
+    pressure). A replay then calls ``off_pace(types, agent, low, closed)``
+    and goes on, and raises :class:`FairdivError` on an item whose agent or
+    type indices are out of range. A run's check reports either as off
+    pace, is sent no more items, and has the outcome None, for a replay to
+    decide.
     """
     n, scaled = state.n, state.scaled
     closed: list[list[int]] = [[] for _ in range(n)]  # n*|A_i ^ M_i^u| - N_i^u
-    ok_closed = ok_pressure = ok_count = True
-    max_scaled = game_k = pressure_cap = count_cap = 0
-    item = yield
-    while item is not None:
-        types, agent, rows = item
-        a, low = agent - 1, inf
-        try:
-            for row, v in zip(closed, types):
-                x = row[v - 1] = row[v - 1] - 1
-                if x < low:
-                    low = x
-            if off_pace is not None:
-                state.step(types, agent)
-            own, u = closed[a], types[a] - 1
-            c = own[u] = own[u] + n
-            h = scaled[a][u]
-        except IndexError:  # a type opens here, or a run's type index is out of range
-            for back, v in zip(closed, types):  # the rows lowered so far go back up
-                if back is row:
-                    break
-                back[v - 1] += 1
-            if not _open_types(closed, types):
-                break
-            if off_pace is not None:
-                _open_types(scaled, types)
-            game_k = max(game_k, *types)
-            pressure_cap, count_cap = 2 * game_k * (n - 1), 2 * game_k * n
-            continue  # the item again, on the opened rows
+    shared = frozenset()  # the type indices every agent has open
+    ok_closed = ok_pressure = ok_count = on_pace = True
+    max_scaled = game_k = pressure_cap = count_cap = item = 0
+    sent = yield
+    while sent is not None:
+        types, agent, rows = sent
+        item += 1
+        if not shared.issuperset(types) or len(types) != n or not 1 <= agent <= n:
+            if not 1 <= agent <= n or len(types) != n or min(types) < 1:
+                if off_pace is not None:
+                    raise FairdivError(f"item {item}: agent or type indices out of range for n={n}")
+                on_pace = False
+                sent = yield False
+                continue
+            if any(map(gt, types, map(len, closed))):  # a type opens
+                _open_types(closed, types)
+                if off_pace is not None:
+                    _open_types(scaled, types)
+                shared = frozenset(range(1, min(map(len, closed)) + 1))
+                game_k = max(game_k, *types)
+                pressure_cap, count_cap = 2 * game_k * (n - 1), 2 * game_k * n
+        if off_pace is not None:
+            state.step(types, agent)
+        a = agent - 1
+        own, u = closed[a], types[a] - 1
+        low = own[u]
+        for row, v in zip(closed, types):
+            x = row[v - 1] = row[v - 1] - 1
+            if x < low:
+                low = x
+        c = own[u] = own[u] + n
         diverged = scaled != closed
         if diverged:
             ok_closed = False
+            if off_pace is None:  # a run's engine, perhaps narrower than the types it reports
+                on_pace = False
+                sent = yield False
+                continue
+        h = scaled[a][u]
         if h > max_scaled:  # the earlier maximum met a cap no larger than this one
             max_scaled = h
             if h > pressure_cap:
@@ -688,14 +704,11 @@ def _pressure_checks(state: PressureState, off_pace=None):
             ok_closed = False
         if diverged or h != low + n:
             if off_pace is None:
-                break
-            off_pace(types, agent, low, closed)
-        item = yield
-    else:
-        yield (ok_closed, ok_pressure, ok_count, max_scaled, max(game_k, 1)), closed
-    while (yield) is not None:
-        pass
-    yield None
+                on_pace = False
+            else:
+                off_pace(types, agent, low, closed)
+        sent = yield on_pace
+    yield ((ok_closed, ok_pressure, ok_count, max_scaled, max(game_k, 1)), closed) if on_pace else None
 
 
 def _trace_check(trace: RunTrace, flags, raw_columns=None) -> TraceCheck:
@@ -708,21 +721,8 @@ def _trace_check(trace: RunTrace, flags, raw_columns=None) -> TraceCheck:
     sandwich = all(
         p.numerator * e.denominator <= e.numerator * p.denominator < 2 * p.numerator * e.denominator
         for raw, eff, raw_codes, effective_codes in columns
-        for p, e in ((raw[r], eff[c]) for r, c in _code_pairs(raw_codes, effective_codes, len(raw))))
+        for p, e in ((raw[r], eff[c]) for r, c in set(zip(raw_codes, effective_codes))))
     return TraceCheck(closed_form, sandwich, pressure_bound, count_bound, max_scaled, k)
-
-
-def _code_pairs(raw_codes: tuple[int, ...], effective_codes: tuple[int, ...], size: int):
-    """The distinct (raw code, effective code) pairs of two code columns, read
-    off each raw code below ``size`` at its first item when each shows one
-    effective code throughout, as a policy's table gives it."""
-    try:
-        first = [effective_codes[raw_codes.index(c)] for c in range(size)]
-    except ValueError:  # a raw code that no item shows
-        return set(zip(raw_codes, effective_codes))
-    if len(raw_codes) > 1 and itemgetter(*raw_codes)(first) == effective_codes:
-        return enumerate(first)
-    return set(zip(raw_codes, effective_codes))
 
 
 __all__ = [

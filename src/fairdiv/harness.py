@@ -13,7 +13,6 @@ from .adversary import certify_ratio, mms_report, scaled_disutilities  # certify
 from .allocator import (
     BiValuePolicy,
     DumpToOnePolicy,
-    LiveCheck,
     Policy,
     PressureGreedyPolicy,
     RoundRobinPolicy,
@@ -267,9 +266,7 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
     all_exact = None not in exact_mms
 
     for policy in policies:
-        greedy = policy.name == "pressure-greedy" and inst.n >= 2
-        check = LiveCheck() if greedy else None
-        alloc, trace = run_online(inst, policy, check)
+        alloc, trace = run_online(inst, policy)
         outcomes = []
         for r, d_a in zip(mms, scaled_disutilities(inst, alloc, mms)):
             if r.exact is not None:
@@ -279,11 +276,11 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
         run_checks: dict[str, bool] = {}
         max_pressure = policy.max_pressure_seen()
         stacking_margin = None
-        if greedy:
+        if policy.name == "pressure-greedy" and inst.n >= 2:
             # the run's own engine checks the trace too, else the reduction's replay does;
             # validation replays it only if that fails
             try:
-                reduction = allocator_to_stacking(trace, check)
+                reduction = allocator_to_stacking(trace)
             except FairdivError:
                 reduction = None
             tc = validate_pressure_trace(trace) if reduction is None else reduction.check

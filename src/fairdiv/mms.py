@@ -54,14 +54,16 @@ def common_scale(values) -> tuple[int, list[int]]:
     integers with every order, tie and ratio of the rationals. When the
     denominators, largest first, form a divisibility chain, as the
     adversaries' geometric values do, the largest is ``d`` and each factor
-    is its larger neighbour's times their quotient; otherwise the lcm is
-    divided by each."""
+    is its larger neighbour's times their quotient; otherwise ``d`` is the
+    largest when every denominator divides it, else the lcm, and is divided
+    by each."""
     denominators = sorted({v.denominator for v in values}, reverse=True) or [1]
     common, factors = denominators[0], {denominators[0]: 1}
     for hi, lo in zip(denominators, denominators[1:]):
         quotient, rest = divmod(hi, lo)
         if rest:  # not a chain
-            common = lcm(*denominators)
+            if any(common % d for d in denominators):
+                common = lcm(*denominators)
             factors = {d: common // d for d in denominators}
             break
         factors[lo] = factors[hi] * quotient

@@ -25,8 +25,8 @@ multiset of pressures always equals the multiset of cell values. A move
 changes each touched cell as the closed form changes its counter, so the
 moves are checked on counter values by :func:`validate_pressure_trace`'s
 checks, made on the run's own engine or in one replay, which
-``ReductionResult.check`` keeps, with the final grid. The moves' cell positions are walked on a
-fresh grid through :meth:`GridGame.apply_cells` only when
+``ReductionResult.check`` keeps, with the final grid. The moves' cell
+positions are walked on a fresh grid through :meth:`GridGame.apply_cells` only when
 ``ReductionResult.steps`` is read or :func:`stacking_trace_to_jsonl` writes
 the grid after each move; :func:`replay_stacking_trace` reads that file
 back on the reference engine. The bound's margin on the final grid comes
@@ -45,7 +45,7 @@ from operator import add
 from .core import (
     FairdivError, InvariantViolation, at_line, format_rational, parse_json, parse_jsonl, parse_rational,
 )
-from .allocator import LiveCheck, PressureState, RunTrace, TraceCheck, _replay, _trace_check
+from .allocator import PressureState, RunTrace, TraceCheck, _replay, _trace_check
 
 HALF = Fraction(1, 2)
 
@@ -505,7 +505,7 @@ class ReductionResult:
         return [(raised, lowered) for raised, lowered, _ in _walk(self.n, self.k, self.moves)]
 
 
-def allocator_to_stacking(trace: RunTrace, check: LiveCheck | None = None) -> ReductionResult:
+def allocator_to_stacking(trace: RunTrace) -> ReductionResult:
     """Replay a rounded-greedy trace (n = ``trace.n``) as stacking-game moves.
 
     The interval is divided into n*k cells of width 1/(nk), with k the
@@ -532,14 +532,13 @@ def allocator_to_stacking(trace: RunTrace, check: LiveCheck | None = None) -> Re
     the closed form on two touched counters. ``steps`` walks the cell
     positions on first read.
 
-    With ``check``, the :class:`LiveCheck` of the run, its outcome, which
-    made the replay's checks on the same values, stands in for the replay.
+    A trace's ``live`` outcome, the same checks made on a pressure-greedy
+    run's own engine as :func:`run_online` ran it, stands in for the replay.
     """
     n = trace.n
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
-    outcome = None if check is None else check.outcome
-    if outcome is None:
+    if trace.live is None:
         state = PressureState(n)
         scaled = state.scaled
 
@@ -556,7 +555,7 @@ def allocator_to_stacking(trace: RunTrace, check: LiveCheck | None = None) -> Re
 
         (flags, closed), raw_columns = _replay(trace, state, off_pace), None
     else:
-        (flags, closed), scaled, raw_columns = outcome
+        (flags, closed), scaled, raw_columns = trace.live
     trace_check = _trace_check(trace, flags, raw_columns)
     k = trace_check.game_k  # the trace's largest type index
     game = GridGame(k=k, cells_per_unit=n, scale=n - 1)

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from operator import getitem, gt
 
@@ -388,6 +389,21 @@ def _set_effective(trace, j, i, value):
     trace.effective[j] = tuple(codes)
 
 
+def test_sandwich_reads_thousands_of_distinct_values_per_agent():
+    # each raw code shows on about one item: the run's live check and a
+    # replay read the same (raw, effective) pairs, and one effective value
+    # off its raw one fails the sandwich
+    rng = random.Random(151)
+    m = 4000
+    items = tuple(tuple(Fraction(rng.randint(1, 10**6), rng.randint(1, 1000)) for _ in range(3)) for _ in range(m))
+    _, trace = run_online(Instance(3, items), PressureGreedyPolicy())
+    assert min(map(len, trace.raw_values)) > 3500 and trace.live is not None
+    check = validate_pressure_trace(trace)
+    assert allocator_to_stacking(trace).check == check and check.rounding_sandwich
+    _set_effective(trace, m - 1, 1, _raw(trace, m - 1)[1] * 2)
+    assert not validate_pressure_trace(trace).rounding_sandwich
+
+
 def test_validate_catches_a_corrupted_effective_value():
     inst = random_instance(random.Random(43), n=3, m=20, k=2)
     _, trace = run_online(inst, PressureGreedyPolicy())
@@ -645,13 +661,14 @@ def _skew_engine(monkeypatch):
 
 def _skew_corpus(rng):
     """``(n, trace)``: small pressure-greedy traces, and long ones whose
-    counters are touched seldom."""
+    counters are touched seldom; copies, without the run's live check, so
+    that the reduction replays them."""
     for _ in range(300):
         n, m, k = rng.randint(2, 5), rng.randint(1, 50), rng.randint(1, 4)
-        yield n, run_online(random_instance(rng, n, m, k), PressureGreedyPolicy())[1]
+        yield n, replace(run_online(random_instance(rng, n, m, k), PressureGreedyPolicy())[1])
     for _ in range(4):
         cfg = GeneratorConfig(n=8, m=300, k=4, D=Fraction(8), seed=rng.randrange(10**6))
-        yield 8, run_online(generate_instance(cfg), PressureGreedyPolicy())[1]
+        yield 8, replace(run_online(generate_instance(cfg), PressureGreedyPolicy())[1])
 
 
 def test_reduction_matches_the_positional_reference_under_engine_skews(monkeypatch):
@@ -845,6 +862,24 @@ def test_bi_value_promise_violation_falls_back():
     pol = BiValuePolicy()
     run_online(_third_value_instance(), pol)
     assert pol.fell_back
+
+
+def test_bi_value_fallback_driven_by_choose_alone_raises():
+    # the fallback replays the run's trace; a policy fed by choose alone has
+    # none, and says so where the third value arrives
+    inst, tables = _third_value_instance(), ValueTables(2)
+    pol = BiValuePolicy()
+    pol.start(2, tables.values)
+    for item in inst.items[:2]:
+        pol.choose(tables.encode(item))
+        assert pol.pressure_snapshot() is None
+    with pytest.raises(FairdivError, match="agent 1: a third distinct value, and no trace"):
+        pol.choose(tables.encode(inst.items[2]))
+    fed, tables = BiValuePolicy(), ValueTables(2)
+    trace = RunTrace.begin(fed, 2, tables.values)
+    trace.feed(fed, [tables.encode(item) for item in inst.items])
+    assert fed.fell_back and trace.allocation() == run_online(inst, BiValuePolicy())[0]
+    assert set(trace.pressures) == {3}  # the fallback item records its rows
 
 
 def _fallback_instances():

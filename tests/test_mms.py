@@ -295,18 +295,21 @@ def test_common_scale_matches_math_lcm():
 
 def test_common_scale_walks_a_divisibility_chain_as_the_lcm_path_scales(monkeypatch):
     """Denominators that form a divisibility chain, some of them thousands of
-    bits long, are scaled with no lcm taken; a chain broken by one stray
-    denominator takes the lcm. Both agree with the lcm reference."""
+    bits long, are scaled with no lcm taken, as are those that all divide
+    the largest without a chain; a stray denominator that does not divide
+    it takes the lcm. All agree with the lcm reference."""
     rng = random.Random(113)
     lcms = []
     monkeypatch.setattr(mms_module, "lcm", lambda *dens: lcms.append(dens) or math.lcm(*dens))
-    chains = 0
+    chains = off_chain = 0
     for trial in range(300):
         dens = [rng.randint(1, 50)]
         for _ in range(rng.randint(0, 40)):
             dens.append(dens[-1] * rng.choice((1, 2, 3, 5, rng.getrandbits(80) | 1)))
         if trial % 3 == 0:  # a stray that is not in the chain
             dens.append(rng.choice(dens) * rng.randint(2, 9) + 1)
+        elif trial % 6 == 2:  # divisors of the largest, off the chain: {12, 6, 4} and the like
+            dens += [dens[-1] * 12 // rng.choice((4, 3, 6, 2)), dens[-1] * 12]
         # numerator 1 keeps each denominator; others may reduce it off the chain
         values = [Fraction(1 if trial % 3 == 1 else rng.randint(1, 10 ** 6), d) for d in dens]
         rng.shuffle(values)
@@ -316,9 +319,12 @@ def test_common_scale_walks_a_divisibility_chain_as_the_lcm_path_scales(monkeypa
         assert common == want and scaled == [v.numerator * (want // v.denominator) for v in values]
         reduced = sorted({v.denominator for v in values}, reverse=True)
         chain = all(hi % lo == 0 for hi, lo in zip(reduced, reduced[1:]))
+        divide = all(reduced[0] % d == 0 for d in reduced)
         chains += chain
-        assert len(lcms) == (not chain)
+        off_chain += divide and not chain
+        assert len(lcms) == (not divide)
     assert 100 <= chains <= 250, chains
+    assert off_chain >= 20, off_chain
 
 
 def _scan_lpt(values, n, positions=None):

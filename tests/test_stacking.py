@@ -288,9 +288,10 @@ def _skew_at_step(monkeypatch, at, counter):
 
 def _late_switch_trace():
     """n=3: agent 1's first item rounds to 4 and the other eleven to 1, so its
-    type-1 counter is touched at step 1 only."""
+    type-1 counter is touched at step 1 only. A copy, without the run's live
+    check, so that the reduction replays it."""
     one = (Fraction(1),) * 3
-    return run_online(Instance(3, ((Fraction(4),) + one[1:],) + (one,) * 11), PressureGreedyPolicy())[1]
+    return replace(run_online(Instance(3, ((Fraction(4),) + one[1:],) + (one,) * 11), PressureGreedyPolicy())[1])
 
 
 def test_reduction_end_check_catches_an_untouched_counter(monkeypatch):
@@ -423,15 +424,16 @@ def test_cli_run_converts_the_grid_once(tmp_path, monkeypatch):
 
 
 def _reductions_of_run_experiment(monkeypatch):
-    """The ``[trace, check, result]`` of each reduction ``run_experiment``
-    makes; the result stays None when the reduction raises."""
+    """The ``[trace, live outcome, result]`` of each reduction
+    ``run_experiment`` makes; the result stays None when the reduction
+    raises."""
     from fairdiv import harness
 
     seen, reduce = [], harness.allocator_to_stacking
 
-    def recorded(trace, check=None):
-        seen.append([trace, check, None])
-        seen[-1][2] = reduce(trace, check)
+    def recorded(trace):
+        seen.append([trace, trace.live, None])
+        seen[-1][2] = reduce(trace)
         return seen[-1][2]
 
     monkeypatch.setattr(harness, "allocator_to_stacking", recorded)
@@ -464,11 +466,21 @@ def test_live_check_matches_the_replay(monkeypatch):
         if inst.n < 2 or inst.m == 0:
             assert seen == []
             continue
-        ((trace, check, result),) = seen
-        assert check.outcome is not None  # no replay was made
-        assert _reduced(result) == _reduced(allocator_to_stacking(trace))
+        ((trace, outcome, result),) = seen
+        assert outcome is not None  # no replay was made
+        assert _reduced(result) == _reduced(allocator_to_stacking(replace(trace)))  # a copy replays
         live += 1
     assert live >= 150 and {inst.n for inst in instances} >= set(range(2, 9))
+
+
+def test_live_check_holds_for_the_trace_as_the_run_left_it():
+    inst = random_instance(random.Random(139), n=3, m=20, k=2)
+    policy = PressureGreedyPolicy()
+    _, trace = run_online(inst, policy)
+    copy = replace(trace)
+    assert trace.live is not None and copy.live is None and copy == trace
+    trace.feed(policy, inst.codes[:1])
+    assert trace.live is None
 
 
 class _LateGreedy(PressureGreedyPolicy):
@@ -490,8 +502,8 @@ def test_live_check_replays_a_run_that_is_off(monkeypatch):
         inst = random_instance(rng, n=rng.randint(2, 5), m=rng.randint(2, 40), k=rng.randint(1, 3))
         seen.clear()
         run = run_experiment(inst, [_LateGreedy(rng.randint(1, inst.m))]).runs[0]
-        ((trace, check, result),) = seen
-        assert check.outcome is None  # the engine left the closed form: the trace was replayed
+        ((trace, outcome, result),) = seen
+        assert outcome is None  # the engine left the closed form: the trace was replayed
         try:
             want = _reduced(allocator_to_stacking(trace))
         except FairdivError:
@@ -500,6 +512,30 @@ def test_live_check_replays_a_run_that_is_off(monkeypatch):
             assert _reduced(result) == want and run.checks["stacking-consistency"]
         outcomes.add(run.checks["stacking-consistency"])
     assert outcomes == {True, False}
+
+
+class _WideGreedy(PressureGreedyPolicy):
+    """Pressure-greedy that reports agent 1's type one past the one its engine stepped."""
+
+    def choose(self, codes):
+        winner = super().choose(codes)
+        self.types = (self.types[0] + 1,) + self.types[1:]
+        return winner
+
+
+def test_live_check_replays_a_run_wider_than_its_engine(monkeypatch):
+    # the engine has no row for the reported type, so the run's check stops
+    # and the reduction replays on a fresh engine, which opens it
+    seen = _reductions_of_run_experiment(monkeypatch)
+    rng = random.Random(149)
+    for _ in range(20):
+        inst = random_instance(rng, n=rng.randint(2, 5), m=rng.randint(1, 30), k=rng.randint(1, 3))
+        seen.clear()
+        run = run_experiment(inst, [_WideGreedy()]).runs[0]
+        ((trace, outcome, result),) = seen
+        assert outcome is None
+        assert _reduced(result) == _reduced(allocator_to_stacking(replace(trace)))
+        assert run.checks["stacking-consistency"]
 
 
 def _margin_grids():
