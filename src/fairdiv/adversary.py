@@ -38,9 +38,9 @@ from itertools import compress
 from operator import mul
 
 from .allocator import Policy, RunTrace
-from .core import Allocation, FairdivError, Instance, ValueTables, ceil_div, format_rational, is_positive_int
-from .mms import (AgentMms, InstanceTooLarge, common_scale, exact_search_limit, lpt_deal, lpt_partition, lpt_schedule,
-                  mms_exact, witness_max_bundle)
+from .core import (Allocation, FairdivError, Instance, ValueTables, ceil_div, common_scale, format_rational,
+                   is_positive_int)
+from .mms import AgentMms, exact_search_limit, lpt_deal, lpt_partition, lpt_schedule, mms_exact, witness_max_bundle
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ TRIVIAL_CERTIFICATE = RatioCertificate(
 
 
 def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate) -> bool:
-    """Recompute everything a full allocation's certificate claims, an "exact" source's MMS included."""
+    """Recompute all a full allocation's certificate claims, an "exact" MMS included, on the agent's integer table."""
     if cert.mms_source == "trivial":
         return inst.m == alloc.m == 0
     if cert.mms_source not in ("exact", "witness"):  # the only other labels the library writes
@@ -93,15 +93,13 @@ def verify_certificate(inst: Instance, alloc: Allocation, cert: RatioCertificate
         return False
     if witness_max_bundle(inst, cert.agent, cert.witness) != cert.mms_upper:
         return False
+    (up, uq), (dp, dq), (rp, rq) = (x.as_integer_ratio() for x in (cert.mms_upper, cert.d_A, cert.ratio_lower))
+    (scale, table), column = inst.scaled(cert.agent), inst.columns[cert.agent - 1]
     if cert.mms_source == "exact":  # the library claims "exact" only within the search guard
-        try:
-            if mms_exact(inst.agent_values(cert.agent), inst.n)[0] != cert.mms_upper:
-                return False
-        except InstanceTooLarge:
+        if inst.m > exact_search_limit(inst.n) or mms_exact([table[c] for c in column], inst.n)[0] * uq != up * scale:
             return False
-    if alloc.bundle_disutility(inst, cert.agent) != cert.d_A:
-        return False
-    return cert.ratio_lower == cert.d_A / cert.mms_upper
+    d_a = sum(table[c] for c, a in zip(column, alloc.assignment) if a == cert.agent)
+    return d_a * dq == dp * scale and rp * dq * up == rq * dp * uq
 
 
 def _build_certificate(agent, d_a, mms_upper, witness, source="witness") -> RatioCertificate:
@@ -149,27 +147,23 @@ def _add_to_heaviest(values, bundles, items) -> tuple[Fraction, list[list[int]]]
 
 
 def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
-    """One agent's certified MMS bounds, on one integer scale of its value table.
+    """One agent's certified MMS bounds, on its integer table (:meth:`Instance.scaled`).
 
     ``lower`` is max(average, largest item): some bundle carries at least
     the average, and some bundle holds the largest item. ``upper`` is the
     exact MMS ("exact") when the search guard allows it, otherwise the least
     of the supplied and largest-first witness partitions ("witness"), ties
-    to the first; ``witness`` attains it. The per-type share sum
-    sum_u u*ceil(c_u/n) is never below the largest-first load, since placing
-    c equal items of size u greedily raises the max load by at most
-    u*ceil(c/n), so no type-union partition is tried. Only supplied
-    witnesses are checked by :func:`witness_max_bundle`. Past the guard the
-    bounds and the largest-first load come from the agent's count vector.
-    The exact or largest-first partition is dealt only when ``witness`` is
-    read, and the record keeps the scale it was built on.
+    to the first; ``witness`` attains it. No type-union partition is tried:
+    the per-type share sum is never below the largest-first load. Only
+    supplied witnesses are checked by :func:`witness_max_bundle`. Past the
+    guard the bounds and the largest-first load come from the agent's count
+    vector. The exact or largest-first partition is dealt when ``witness`` is read.
     """
+    common, scaled = inst.scaled(agent)
     if inst.m == 0:  # the empty partition (every bundle empty): every bound is 0
         return AgentMms(agent, Fraction(0), Fraction(0), Fraction(0), ())
-    n = inst.n
+    n, column = inst.n, inst.columns[agent - 1]
     supplied = [(witness_max_bundle(inst, agent, w), w) for w in witnesses]
-    common, scaled = common_scale(inst.values[agent - 1])
-    column = inst.columns[agent - 1]
     counts = Counter(column)
     codes = sorted(counts, key=scaled.__getitem__, reverse=True)  # the count vector, largest value first
     runs = [(scaled[c], counts[c]) for c in codes]
@@ -182,7 +176,7 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
             exact = exact / common
             placed = {b: tuple(p + 1 for p in bundle) for b, bundle in compress(enumerate(positions), positions)}
         deal = lambda: tuple(placed.get(b, ()) for b in range(n))  # the n bundles, padded on read
-        return AgentMms(agent, lower, exact, exact, None, common, tuple(scaled), deal)
+        return AgentMms(agent, lower, exact, exact, None, deal)
     load, schedule = lpt_schedule(runs, n)
     upper, witness = min(supplied + [(Fraction(load, common), None)], key=lambda c: c[0])
 
@@ -193,7 +187,7 @@ def agent_mms(inst: Instance, agent: int, witnesses=()) -> AgentMms:
         return tuple(map(tuple, lpt_deal(schedule, [runs[c] for c in codes], n)))
 
     witness = None if witness is None else tuple(map(tuple, witness))
-    return AgentMms(agent, lower, upper, None, witness, common, tuple(scaled), deal)
+    return AgentMms(agent, lower, upper, None, witness, deal)
 
 
 def mms_report(inst: Instance) -> list[AgentMms]:
@@ -201,27 +195,27 @@ def mms_report(inst: Instance) -> list[AgentMms]:
     return [agent_mms(inst, agent) for agent in range(1, inst.n + 1)]
 
 
-def scaled_disutilities(inst: Instance, alloc: Allocation, report) -> list[Fraction]:
+def scaled_disutilities(inst: Instance, alloc: Allocation) -> list[Fraction]:
     """Each agent's d_A under ``alloc``, summed in one pass over the assignment
-    on the integer scale of the agent's record in ``report`` (:func:`mms_report`)."""
+    on the agent's integer table (:meth:`Instance.scaled`)."""
     if alloc.m > inst.m:
         raise FairdivError(f"allocation of {alloc.m} items for an instance of {inst.m}")
     n, assignment = inst.n, alloc.assignment
     if assignment and max(assignment) > n:
         j, a = next((j, a) for j, a in enumerate(assignment, 1) if a > n)
         raise FairdivError(f"item {j}: agent index {a} exceeds n={n}")
-    tables = [r.scaled for r in report]
+    scales, tables = zip(*map(inst.scaled, range(1, n + 1)))
     sums = [0] * n
     for row, a in zip(inst.codes, assignment):
         sums[a - 1] += tables[a - 1][row[a - 1]]
-    return [Fraction(total, r.scale) for total, r in zip(sums, report)]
+    return list(map(Fraction, sums, scales))
 
 
 def certify_ratio(inst: Instance, alloc: Allocation) -> list[RatioCertificate]:
     """Certified per-agent ratio lower bounds for a finished allocation.
 
     Pairs each agent's :func:`agent_mms` record with the agent's disutility
-    under ``alloc``, summed on the record's integer scale: ``ratio_lower =
+    under ``alloc``, summed on the agent's integer table: ``ratio_lower =
     d_A / upper``, sourced as the record is. An empty instance gets the
     trivial certificate.
     """
@@ -230,7 +224,7 @@ def certify_ratio(inst: Instance, alloc: Allocation) -> list[RatioCertificate]:
     report = mms_report(inst)
     return [
         _build_certificate(r.agent, d_a, r.upper, r.witness, r.source)
-        for r, d_a in zip(report, scaled_disutilities(inst, alloc, report))
+        for r, d_a in zip(report, scaled_disutilities(inst, alloc))
     ]
 
 
@@ -295,9 +289,10 @@ class TwoAgentAdversary:
         return Instance(n=2, items=tuple(self.emissions[: self.round]))
 
     def _certificate_for(self, agent: int, extra_witnesses) -> RatioCertificate:
-        d_a = sum((e[agent - 1] for e, taker in zip(self.emissions, self.takes) if taker == agent), Fraction(0))
-        r = agent_mms(self.instance(), agent, extra_witnesses)
-        return _build_certificate(agent, d_a, r.upper, r.witness, r.source)
+        inst = self.instance()
+        r = agent_mms(inst, agent, extra_witnesses)
+        return _build_certificate(agent, Allocation(tuple(self.takes)).bundle_disutility(inst, agent), r.upper,
+                                  r.witness, r.source)
 
     def certificate(self) -> RatioCertificate | None:
         """Fires exactly when one of the construction's end states is reached."""
@@ -596,8 +591,10 @@ def check_O1_O2(record: RecGameRecord) -> O1O2Report:
     bound = eps_own * record.V
     o2_failures = [f"O2: item {r} has value {own_values[r - 1]} > eps'*V = {bound}"
                    for r in rounds if r != first and own_values[r - 1] > bound]
-    # O1 on one integer scale: eps_own * taken < skipped iff p * taken < q * skipped
-    common, values = common_scale(own_values[:horizon])
+    # O1 on one integer scale, each value object scaled once: eps_own * taken < skipped iff p * taken < q * skipped
+    distinct = {id(v): v for v in own_values[:horizon]}
+    common, scaled = common_scale(list(distinct.values()))
+    values = list(map(dict(zip(distinct, scaled)).__getitem__, map(id, own_values[:horizon])))
     p, q = eps_own.as_integer_ratio()
     o1_failures = []
     o1_checked = taken = skipped = 0

@@ -16,9 +16,9 @@ import functools
 import hashlib
 import json
 import re
-from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from math import lcm
 
 
 class FairdivError(Exception):
@@ -108,6 +108,25 @@ def format_rational(x: Fraction) -> str:
     x = x if isinstance(x, Fraction) else Fraction(x)
     p = _decimal(x.numerator)
     return p if x.denominator == 1 else p + "/" + _decimal(x.denominator)
+
+
+def common_scale(values) -> tuple[int, list[int]]:
+    """``(d, [v * d for v in values])`` for ``d`` the least common denominator:
+    integers with every order, tie and ratio of the rationals. Denominators
+    that form a divisibility chain, as the adversaries' geometric values do,
+    are walked from the largest by neighbour quotients; otherwise ``d`` is the
+    largest when every denominator divides it, else the lcm."""
+    denominators = sorted({v.denominator for v in values}, reverse=True) or [1]
+    common, factors = denominators[0], {denominators[0]: 1}
+    for hi, lo in zip(denominators, denominators[1:]):
+        quotient, rest = divmod(hi, lo)
+        if rest:  # not a chain
+            if any(common % d for d in denominators):
+                common = lcm(*denominators)
+            factors = {d: common // d for d in denominators}
+            break
+        factors[lo] = factors[hi] * quotient
+    return common, [v.numerator * factors[v.denominator] for v in values]
 
 
 class ValueTables:
@@ -248,6 +267,17 @@ class Instance:
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.codes)) if self.codes else ((),) * self.n
 
+    def scaled(self, agent: int) -> tuple[int, tuple[int, ...]]:
+        """``(scale, table)``, the :func:`common_scale` of agent 1..n's value table, built on
+        first use and kept: ``table[c]`` is code c's value times ``scale``. Other agents raise."""
+        if not is_positive_int(agent) or agent > self.n:
+            raise FairdivError(f"agent {agent!r} outside 1..{self.n}")
+        tables = self.__dict__.setdefault("_scaled", {})
+        if agent not in tables:
+            scale, table = common_scale(self.values[agent - 1] if self.values else ())
+            tables[agent] = scale, tuple(table)
+        return tables[agent]
+
     def disutility(self, agent: int, item: int) -> Fraction:
         """d_i(j) with 1-based agent and item indices."""
         return self.values[agent - 1][self.codes[item - 1][agent - 1]]
@@ -285,11 +315,11 @@ class Allocation:
         return out
 
     def bundle_disutility(self, inst: Instance, agent: int) -> Fraction:
-        """The agent's total over its bundle: count times value, per distinct value."""
+        """The agent's total over its bundle, summed on its integer table (:meth:`Instance.scaled`)."""
         if self.m > inst.m:
             raise FairdivError(f"allocation of {self.m} items for an instance of {inst.m}")
-        counts = Counter(row[agent - 1] for row, a in zip(inst.codes, self.assignment) if a == agent)
-        return sum((count * inst.values[agent - 1][c] for c, count in counts.items()), Fraction(0))
+        scale, table = inst.scaled(agent)
+        return Fraction(sum(table[c] for c, a in zip(inst.columns[agent - 1], self.assignment) if a == agent), scale)
 
 
 @dataclass(frozen=True)
@@ -442,6 +472,7 @@ __all__ = [
     "is_positive_int",
     "parse_rational",
     "format_rational",
+    "common_scale",
     "ValueTables",
     "BuiltOnRead",
     "Instance",

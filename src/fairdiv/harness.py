@@ -243,7 +243,7 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
 
     Each agent's MMS record comes from one :func:`mms_report` call per
     instance, shared by every policy, and each run's d_A are summed in one
-    pass over its assignment on the integer scales the records keep. Each
+    pass over its assignment on the instance's integer tables. Each
     run's ``allocation`` is the one :func:`run_online` returned. Per-agent
     ratios are exact when the record holds the exact MMS; otherwise they
     are the certified interval [d_A/upper, d_A/lower] of the record's
@@ -268,7 +268,7 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
     for policy in policies:
         alloc, trace = run_online(inst, policy)
         outcomes = []
-        for r, d_a in zip(mms, scaled_disutilities(inst, alloc, mms)):
+        for r, d_a in zip(mms, scaled_disutilities(inst, alloc)):
             if r.exact is not None:
                 outcomes.append(AgentOutcome(r.agent, d_a, "exact", d_a / r.exact, None, None))
             else:

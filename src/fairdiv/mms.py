@@ -11,10 +11,7 @@ instead of proving optimality; below the largest-first load, one above it
 is the search's first incumbent. Past the item-count guard, the
 largest-first load of the count vector gives a certified upper bound
 instead, so downstream ratio reports never state an exact number without
-an exact benchmark. Each agent's :class:`AgentMms` record is assembled by
-:func:`fairdiv.adversary.agent_mms`, from one integer scale of its value
-table, which the record keeps, and deals its witness partition only when
-it is read.
+an exact benchmark.
 """
 
 from __future__ import annotations
@@ -25,9 +22,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heapreplace
-from math import lcm, prod
+from math import prod
 
-from .core import BuiltOnRead, FairdivError, Instance, ceil_div, format_rational
+from .core import BuiltOnRead, FairdivError, Instance, ceil_div, common_scale, format_rational
 
 
 class InstanceTooLarge(FairdivError):
@@ -47,27 +44,6 @@ _EXACT_LIMIT_DEFAULT = 10
 
 def exact_search_limit(n: int) -> int:
     return _EXACT_LIMITS.get(n, _EXACT_LIMIT_DEFAULT)
-
-
-def common_scale(values) -> tuple[int, list[int]]:
-    """``(d, [v * d for v in values])`` for ``d`` the least common denominator:
-    integers with every order, tie and ratio of the rationals. When the
-    denominators, largest first, form a divisibility chain, as the
-    adversaries' geometric values do, the largest is ``d`` and each factor
-    is its larger neighbour's times their quotient; otherwise ``d`` is the
-    largest when every denominator divides it, else the lcm, and is divided
-    by each."""
-    denominators = sorted({v.denominator for v in values}, reverse=True) or [1]
-    common, factors = denominators[0], {denominators[0]: 1}
-    for hi, lo in zip(denominators, denominators[1:]):
-        quotient, rest = divmod(hi, lo)
-        if rest:  # not a chain
-            if any(common % d for d in denominators):
-                common = lcm(*denominators)
-            factors = {d: common // d for d in denominators}
-            break
-        factors[lo] = factors[hi] * quotient
-    return common, [v.numerator * factors[v.denominator] for v in values]
 
 
 def lpt_schedule(runs, n: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
@@ -306,11 +282,11 @@ def witness_max_bundle(inst: Instance, agent: int, partition) -> Fraction:
 
     ``partition`` is an iterable of at most n bundles of 1-based item
     indices (missing bundles are empty); it must cover every arrived item
-    exactly once. Bundles are summed on the integers of :func:`common_scale`
-    of the agent's value table, read by each item's code.
+    exactly once. Bundles are summed on the agent's integer table
+    (:meth:`Instance.scaled`), read by each item's code.
     """
     seen: set[int] = set()
-    common, scaled = common_scale(inst.values[agent - 1] if inst.m else ())
+    common, scaled = inst.scaled(agent)
     worst = 0
     for count, bundle in enumerate(partition, start=1):
         if count > inst.n:
@@ -337,8 +313,7 @@ class AgentMms:
     ``upper``. A record built with ``witness`` None, as ``agent_mms``
     builds each one unless a supplied witness wins, gets it from ``deal()``
     on first read. ``exact`` is the MMS when the search found it, and then
-    equals ``upper``; otherwise None. ``scaled[c]`` is the agent's value of
-    code c times ``scale``, an integer: the scale the record was built on.
+    equals ``upper``; otherwise None.
     """
 
     agent: int
@@ -346,8 +321,6 @@ class AgentMms:
     upper: Fraction
     exact: Fraction | None
     witness: tuple[tuple[int, ...], ...] = BuiltOnRead(lambda record: record.deal())
-    scale: int = field(default=1, compare=False, repr=False)
-    scaled: tuple[int, ...] = field(default=(), compare=False, repr=False)
     deal: Callable[[], tuple[tuple[int, ...], ...]] | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -383,7 +356,6 @@ def mms_report_to_obj(report) -> list[dict]:
 __all__ = [
     "InstanceTooLarge",
     "exact_search_limit",
-    "common_scale",
     "lpt_schedule",
     "lpt_deal",
     "lpt_partition",

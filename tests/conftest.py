@@ -7,9 +7,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from fairdiv import Instance
+from fairdiv import Instance, InstanceTooLarge, mms_exact
 from fairdiv.allocator import PressureGreedyPolicy, run_online
-from fairdiv.core import ceil_div
+from fairdiv.core import FairdivError, ceil_div
 from fairdiv.harness import GeneratorConfig, generate_instance
 
 
@@ -183,3 +183,32 @@ def type_union_partition(values, n: int) -> tuple[int, list[list[int]]]:
     for bundle in bundles:
         bundle.sort()
     return sum(v * ceil_div(len(positions), n) for v, positions in by_value.items()), bundles
+
+
+def fraction_verify_certificate(inst: Instance, alloc, cert) -> bool:
+    """Reference for ``verify_certificate``: every check in Fractions on the
+    agent's values read item by item, with no integer table, and an "exact"
+    source re-derived by ``mms_exact`` on those Fractions. A witness that does
+    not partition the items raises, as ``witness_max_bundle`` does."""
+    if cert.mms_source == "trivial":
+        return inst.m == alloc.m == 0
+    if cert.mms_source not in ("exact", "witness"):
+        return False
+    agent = cert.agent
+    if isinstance(agent, bool) or not isinstance(agent, int) or not 1 <= agent <= inst.n or cert.mms_upper == 0:
+        return False
+    if alloc.m != inst.m or max(alloc.assignment, default=0) > inst.n:
+        return False
+    values = inst.agent_values(agent)
+    if len(cert.witness) > inst.n or sorted(j for bundle in cert.witness for j in bundle) != list(range(1, inst.m + 1)):
+        raise FairdivError("the witness does not partition the items")
+    if max(sum((values[j - 1] for j in bundle), Fraction(0)) for bundle in cert.witness) != cert.mms_upper:
+        return False
+    if cert.mms_source == "exact":
+        try:
+            if mms_exact(values, inst.n)[0] != cert.mms_upper:
+                return False
+        except InstanceTooLarge:
+            return False
+    d_a = sum((v for v, a in zip(values, alloc.assignment) if a == agent), Fraction(0))
+    return d_a == cert.d_A and cert.ratio_lower == cert.d_A / cert.mms_upper

@@ -9,8 +9,10 @@ from fairdiv import (
     Instance,
     RecursiveAdversary,
     TwoAgentAdversary,
+    GeneratorConfig,
     certify_ratio,
     check_O1_O2,
+    generate_instance,
     make_recursive_adversary,
     play_game,
     policy_zoo,
@@ -21,9 +23,10 @@ from fairdiv.adversary import (RatioCertificate, RecGameRecord, agent_mms, greed
                                mms_report, scaled_disutilities)
 from fairdiv.allocator import DumpToOnePolicy, ExternalPolicy, PressureGreedyPolicy, RoundRobinPolicy
 from fairdiv.core import FairdivError, ValueTables
+from fairdiv.harness import GRID_NAMES
 from fairdiv.mms import AgentMms, InstanceTooLarge, common_scale, exact_search_limit, mms_exact, witness_max_bundle
 
-from conftest import random_instance, type_union_partition
+from conftest import fraction_verify_certificate, random_instance, type_union_partition
 
 F = Fraction
 
@@ -327,14 +330,13 @@ def test_scaled_disutilities_match_bundle_disutility():
     instances = [random_instance(rng, rng.randint(1, 4), rng.randint(1, 30), rng.randint(1, 4))
                  for _ in range(40)] + [game.instance]
     for inst in instances:
-        report = mms_report(inst)
         for alloc in (Allocation(tuple(rng.randint(1, inst.n) for _ in range(inst.m))),
                       Allocation(tuple(rng.randint(1, inst.n) for _ in range(rng.randrange(inst.m + 1))))):
             want = [alloc.bundle_disutility(inst, agent) for agent in range(1, inst.n + 1)]
-            assert scaled_disutilities(inst, alloc, report) == want
+            assert scaled_disutilities(inst, alloc) == want
     inst = Instance(2, ((F(1), F(2)),))
     with pytest.raises(FairdivError, match="^allocation of 2 items for an instance of 1$"):
-        scaled_disutilities(inst, Allocation((1, 2)), mms_report(inst))
+        scaled_disutilities(inst, Allocation((1, 2)))
 
 
 @pytest.mark.parametrize("agent", [True, 1.0])
@@ -410,7 +412,8 @@ def _assert_agent_mms_matches_the_rescan(inst):
     for agent in range(1, inst.n + 1):
         record = agent_mms(inst, agent)
         assert record == _agent_mms_by_rescan(inst, agent)
-        assert (record.scale, list(record.scaled)) == common_scale(inst.values[agent - 1])  # not compared by ==
+        scale, table = inst.scaled(agent)  # the table the record was built on
+        assert (scale, list(table)) == common_scale(inst.values[agent - 1])
 
 
 def test_agent_mms_matches_the_rescan_on_random_instances():
@@ -447,3 +450,114 @@ def test_agent_mms_deals_at_most_n_items_one_a_bundle_without_a_search(monkeypat
         assert mms_report(inst) == records  # the witnesses too, dealt on read
     assert searches == []
     assert {inst.m == inst.n for inst in instances} == {True, False}
+
+
+# one integer table per agent: Instance.scaled --------------------------------
+
+def _verify_cases():
+    """``(inst, alloc, cert)``: every agent's certificate of the golden corpus's
+    pressure-greedy allocations and of random instances (n 2-4, m up to 30,
+    all three grids), and the golden games' and an n=4 game's certificates."""
+    from test_golden import CORPUS, GAMES
+
+    instances = [make() for make in CORPUS.values()]
+    rng = random.Random(151)
+    for grid in GRID_NAMES:
+        for _ in range(8):
+            m = rng.randint(1, 30)
+            k = rng.randint(1, min(m, 2 if grid == "adversarial-near-threshold" else 4))
+            config = GeneratorConfig(n=rng.randint(2, 4), m=m, k=k, D=Fraction(8), value_grid=grid,
+                                     seed=rng.randrange(10**6))
+            instances.append(generate_instance(config))
+    for inst in instances:
+        alloc, _ = run_online(inst, PressureGreedyPolicy())
+        yield from ((inst, alloc, cert) for cert in certify_ratio(inst, alloc))
+    games = [play_game(*make()) for make in GAMES.values()]
+    # budget exhausted: the certificate is agent 3's, on a 33k-bit scale
+    games.append(play_game(make_recursive_adversary(4, 1, pin_horizon=140), RoundRobinPolicy(), 140))
+    yield from ((game.instance, game.allocation, game.certificate) for game in games)
+
+
+def _tampered(inst, cert):
+    """The certificate with d_A, mms_upper or ratio_lower one unit of the agent's
+    scale off either way (never sound), then with one witness item moved to
+    another bundle, and for another agent."""
+    unit = Fraction(1, inst.scaled(cert.agent)[0])
+    moved = [replace(cert, **{field: getattr(cert, field) + sign * unit})
+             for field in ("d_A", "mms_upper", "ratio_lower") for sign in (1, -1)]
+    bundles = [list(b) for b in cert.witness] + [[] for _ in range(inst.n - len(cert.witness))]
+    source = next(b for b, bundle in enumerate(bundles) if bundle)
+    if inst.n > 1:
+        bundles[(source + 1) % inst.n].append(bundles[source].pop())
+    other = replace(cert, witness=tuple(map(tuple, bundles)))
+    return moved, [other, replace(cert, agent=cert.agent % inst.n + 1)]
+
+
+def test_integer_verify_agrees_with_the_fraction_reference():
+    sound = tampered = rejected = 0
+    for inst, alloc, cert in _verify_cases():
+        assert verify_certificate(inst, alloc, cert) is fraction_verify_certificate(inst, alloc, cert)
+        sound += verify_certificate(inst, alloc, cert)
+        if cert.mms_source == "trivial":
+            continue
+        moved, others = _tampered(inst, cert)
+        for bad in moved:
+            assert verify_certificate(inst, alloc, bad) is fraction_verify_certificate(inst, alloc, bad) is False
+        for bad in others:
+            verdict = verify_certificate(inst, alloc, bad)
+            assert verdict is fraction_verify_certificate(inst, alloc, bad)
+            tampered += 1
+            rejected += not verdict
+    assert sound > 100 and rejected > tampered // 2
+
+
+def test_common_scale_runs_once_per_agent_per_instance(monkeypatch):
+    # certify_ratio and then verify_certificate, each agent's table built once;
+    # mms_exact scales its own integer input, which is not an instance table
+    from fairdiv import core
+
+    game = play_game(make_recursive_adversary(3, 1, pin_horizon=200), RoundRobinPolicy(), 200)
+    small = Instance(3, tuple((F(j % 4 + 1, 3), F(2), F(j, 7)) for j in range(1, 9)))
+    for made in (game.instance, small):
+        inst = Instance.from_codes(3, made.values, made.codes)  # no table built yet
+        calls = []
+        monkeypatch.setattr(core, "common_scale", lambda values: calls.append(1) or common_scale(values))
+        alloc, _ = run_online(inst, RoundRobinPolicy())
+        certs = certify_ratio(inst, alloc)
+        assert all(verify_certificate(inst, alloc, cert) for cert in certs)
+        assert {cert.mms_source for cert in certs} == {"exact" if inst.m <= exact_search_limit(3) else "witness"}
+        assert len(calls) == inst.n
+        monkeypatch.undo()
+
+
+def test_instance_scaled_rejects_an_agent_outside_1_to_n():
+    inst = Instance(2, ((F(1), F(1, 2)), (F(2), F(3, 4)), (F(1), F(1, 4))))
+    assert inst.scaled(2) == (4, (2, 3, 1))
+    assert inst.scaled(2) is inst.scaled(2)  # built once, kept
+    assert Instance(2, ()).scaled(1) == (1, ())
+    for agent in (0, -1, 3, True, False, 1.0, "1", None):
+        with pytest.raises(FairdivError, match=r"^agent .* outside 1\.\.2$"):
+            inst.scaled(agent)
+
+
+@pytest.mark.parametrize("agent", [0, 3, True])
+def test_agent_mms_rejects_an_agent_outside_1_to_n(agent):
+    # agent 0 read agent 2's values through index -1, and agent 3 raised IndexError
+    for inst in (Instance(2, ((F(1), F(2)), (F(3), F(4)), (F(5), F(6)))), Instance(2, ())):
+        with pytest.raises(FairdivError, match="outside 1..2"):
+            agent_mms(inst, agent)
+
+
+@pytest.mark.parametrize("agent", [0, 3, True])
+def test_witness_max_bundle_rejects_an_agent_outside_1_to_n(agent):
+    inst = Instance(2, ((F(1), F(2)), (F(3), F(4)), (F(5), F(6))))
+    with pytest.raises(FairdivError, match="outside 1..2"):
+        witness_max_bundle(inst, agent, [[1, 2, 3]])
+
+
+@pytest.mark.parametrize("agent", [0, 3, True])
+def test_bundle_disutility_rejects_an_agent_outside_1_to_n(agent):
+    # agents 0 and 3 both read 0
+    inst = Instance(2, ((F(1), F(2)), (F(3), F(4)), (F(5), F(6))))
+    with pytest.raises(FairdivError, match="outside 1..2"):
+        Allocation((1, 2, 1)).bundle_disutility(inst, agent)

@@ -18,9 +18,10 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import RecursiveAdversary, check_O1_O2, make_recursive_adversary
+from fairdiv import RecursiveAdversary, check_O1_O2, make_recursive_adversary, play_game
 from fairdiv.adversary import (O1O2Report, RecGameRecord, WindowEvent, _add_to_heaviest, _build_certificate,
                                greedy_bin_packing, record_max_gap)
+from fairdiv.allocator import make_policy
 from fairdiv.core import FairdivError, Instance, ceil_div
 from fairdiv.mms import common_scale, lpt_partition
 
@@ -342,3 +343,20 @@ def test_check_O1_O2_matches_the_fraction_reference_on_corrupted_records():
             assert report == fraction_check_O1_O2(bad)
             failing += not (report.o1_ok and report.o2_ok)
     assert failing > 20
+
+
+def test_check_O1_O2_scales_each_value_object_once(monkeypatch):
+    # an exhausted game emits its 1000 own values from a few dozen objects; a
+    # record whose equal values are distinct objects gets the same report
+    from fairdiv import adversary
+
+    scaled = []
+    monkeypatch.setattr(adversary, "common_scale", lambda values: scaled.append(len(values)) or common_scale(values))
+    for policy in ("round-robin", "pressure-greedy"):
+        record = play_game(make_recursive_adversary(3, 1, 1000), make_policy(policy), 1000).record
+        copies = replace(record, own_values=tuple(Fraction(v.numerator, v.denominator) for v in record.own_values))
+        scaled.clear()
+        report = check_O1_O2(record)
+        assert report == check_O1_O2(copies) == fraction_check_O1_O2(record)
+        assert report.o1_ok and report.o2_ok and record.rounds == 1000
+        assert scaled[0] <= 30 and scaled[1] == 1000

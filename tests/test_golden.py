@@ -258,7 +258,7 @@ def _certify_with(inst, alloc, witnesses):
     report = [agent_mms(inst, agent, witnesses) for agent in range(1, inst.n + 1)]
     return [
         _build_certificate(r.agent, d_a, r.upper, r.witness, r.source)
-        for r, d_a in zip(report, scaled_disutilities(inst, alloc, report))
+        for r, d_a in zip(report, scaled_disutilities(inst, alloc))
     ]
 
 

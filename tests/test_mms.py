@@ -27,7 +27,7 @@ from fairdiv import (
 )
 from fairdiv.adversary import RatioCertificate
 from fairdiv.allocator import RoundRobinPolicy
-from fairdiv import mms as mms_module
+from fairdiv import core as core_module, mms as mms_module
 from fairdiv import adversary as adversary_module
 from fairdiv.cli import main
 from fairdiv.core import ceil_div, instance_to_json, load_allocation, load_instance
@@ -300,7 +300,7 @@ def test_common_scale_walks_a_divisibility_chain_as_the_lcm_path_scales(monkeypa
     it takes the lcm. All agree with the lcm reference."""
     rng = random.Random(113)
     lcms = []
-    monkeypatch.setattr(mms_module, "lcm", lambda *dens: lcms.append(dens) or math.lcm(*dens))
+    monkeypatch.setattr(core_module, "lcm", lambda *dens: lcms.append(dens) or math.lcm(*dens))
     chains = off_chain = 0
     for trial in range(300):
         dens = [rng.randint(1, 50)]
