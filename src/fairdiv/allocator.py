@@ -78,21 +78,18 @@ class PressureState:
 
     def step(self, types: tuple[int, ...], agent: int | None = None) -> int:
         """Apply one item's update to ``agent``, or by default to the argmin
-        pressure over the touched types (ties to the lowest index)."""
-        n = self.n
-        scaled = self.scaled
-        if agent is None:
-            winner = 0
-            best = scaled[0][types[0] - 1]
-            for i in range(1, n):
-                s = scaled[i][types[i] - 1]
-                if s < best:
-                    best = s
-                    winner = i
-        else:
-            winner = agent - 1
+        pressure over the touched types (ties to the lowest index), in one
+        pass: lowering every touched counter by one keeps their order."""
+        n, scaled = self.n, self.scaled
+        low, winner = scaled[0][types[0] - 1], 0  # above agent 1's counter once lowered
         for i in range(n):
-            scaled[i][types[i] - 1] -= 1
+            row = scaled[i]
+            u = types[i] - 1
+            h = row[u] = row[u] - 1
+            if h < low:
+                low, winner = h, i
+        if agent is not None:
+            winner = agent - 1
         scaled[winner][types[winner] - 1] += n
         return winner + 1
 
@@ -110,10 +107,11 @@ class RunTrace:
     ``live`` is what :func:`run_online` checked on a pressure-greedy
     policy's own engine as it ran, for
     :func:`fairdiv.stacking.allocator_to_stacking` to take in place of a
-    replay: the outcome of :func:`_pressure_checks`, the engine rows and the
-    raw code columns. It holds for the columns as the run left them, and is
-    None on any other trace, on a copy made by ``dataclasses.replace`` and
-    once the trace is fed again."""
+    replay: the outcome of :func:`_pressure_checks`, the engine rows, the raw
+    and effective code columns, which :meth:`to_jsonl` shares, and the
+    policy's ``to_effective`` lists. It holds for the columns as the run
+    left them, and is None on any other trace, on a copy made by
+    ``dataclasses.replace`` and once the trace is fed again."""
 
     n: int
     policy: str
@@ -198,15 +196,16 @@ class RunTrace:
         :func:`instance_to_json`. The rows of :meth:`pressure_rows` are counts
         in closed form; an item rewrites its n touched cells' text, row i's
         cell u being ``pieces[base[i] + 2*u]``."""
-        n, pressured, recorded = self.n, self.pressured, self.pressures
+        n, pressured, recorded, live = self.n, self.pressured, self.pressures, self.live
+        raw_columns, effective_columns = live[2:4] if live else (zip(*self.raw), zip(*self.effective))
         stride = 3 * n + 2
         parts = [""] * (stride * self.m)
         heads = ['{"agent":%d,"effective":[' % a for a in range(n + 1)]
         parts[::stride] = [heads[a] for a in self.agents]
         types = list(zip(*self.types))
         fields = (
-            (1, map(json_texts, self.effective_values), '],"item":', zip(*self.effective)),
-            (n + 2, map(json_texts, self.raw_values), '],"types":[', zip(*self.raw)),
+            (1, map(json_texts, self.effective_values), '],"item":', effective_columns),
+            (n + 2, map(json_texts, self.raw_values), '],"types":[', raw_columns),
             (2 * n + 2, (map(str, range(max(column) + 1)) for column in types), "]}\n", types),
         )
         for first, tables, end, columns in fields:
@@ -362,8 +361,9 @@ class Policy:
 class PressureGreedyPolicy(Policy):
     """Greedy over pressures, with values rounded up to powers of two.
 
-    ``table[i][c]`` is the (effective code, type) of agent i+1's raw value of
-    code c, filled once by the value-to-type rule :meth:`_value_type`;
+    ``to_effective[i][c]`` and ``to_type[i][c]`` are the effective code and
+    the type of agent i+1's raw value of code c, filled once by the
+    value-to-type rule :meth:`_value_type`;
     effective codes index ``effective.values[i]``, which only grows during a
     run. :class:`BiValuePolicy` swaps in its merge rule and keeps everything
     else.
@@ -382,7 +382,8 @@ class PressureGreedyPolicy(Policy):
     def _new_tables(self) -> None:
         """Fresh pressures and empty value tables."""
         self.state = PressureState(self.n) if self.n >= 2 else None
-        self.table: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        self.to_effective: list[list[int]] = [[] for _ in range(self.n)]
+        self.to_type: list[list[int]] = [[] for _ in range(self.n)]
         self._pow2_types: list[dict[int, int]] = [{} for _ in range(self.n)]  # effective code -> type
 
     def effective_values(self):
@@ -404,19 +405,20 @@ class PressureGreedyPolicy(Policy):
         """Effective codes and type indices of one item, whose new values the
         value rule classifies; a rule that starts the tables afresh has the
         item classified again in the new ones."""
-        table = self.table
+        to_effective, to_type = self.to_effective, self.to_type
         for agent, (values, c) in enumerate(zip(self.raw_values, codes), 1):
-            if c == len(table[agent - 1]):  # codes are dense: the agent's next new value
+            if c == len(to_effective[agent - 1]):  # codes are dense: the agent's next new value
                 entry = self._value_type(agent, values[c])
-                if table is not self.table:
+                if to_effective is not self.to_effective:
                     return self._classify(codes)
-                table[agent - 1].append(entry)
-        effective, types = zip(*map(getitem, table, codes))
-        return effective, types
+                to_effective[agent - 1].append(entry[0])
+                to_type[agent - 1].append(entry[1])
+        return tuple(map(getitem, to_effective, codes)), tuple(map(getitem, to_type, codes))
 
     def choose(self, codes) -> int:
         try:
-            self.effective_codes, self.types = zip(*map(getitem, self.table, codes))
+            self.effective_codes = tuple(map(getitem, self.to_effective, codes))
+            self.types = tuple(map(getitem, self.to_type, codes))
         except IndexError:  # a value new to some agent
             self.effective_codes, self.types = self._classify(codes)
         state = self.state
@@ -451,7 +453,7 @@ class BiValuePolicy(PressureGreedyPolicy):
     No rounding is applied. When an agent's second distinct value arrives it
     is merged into type 1 if the smaller-to-larger ratio exceeds
     (sqrt(3)-1)/2, else given type 2; a merge rewrites the first value's
-    table entry so that both report the larger of the pair. On a third
+    effective code so that both report the larger of the pair. On a third
     distinct value the rule sets ``fell_back`` and switches to the rounded
     rule: it clears the tables, rebuilds the pressures by replaying the
     realized history, the codes and agents of its ``trace``, through that
@@ -473,8 +475,8 @@ class BiValuePolicy(PressureGreedyPolicy):
             return super()._value_type(agent, value)
         if self.state is None:  # n == 1: effective values stay raw
             return self.effective.code(agent - 1, value), 1
-        table = self.table[agent - 1]
-        if len(table) == 2:  # a third value
+        effective = self.to_effective[agent - 1]
+        if len(effective) == 2:  # a third value
             trace = self.trace
             if trace is None:
                 raise FairdivError(f"agent {agent}: a third distinct value, and no trace to replay for the fallback")
@@ -485,11 +487,11 @@ class BiValuePolicy(PressureGreedyPolicy):
             self._max_scaled = max(self._max_scaled, *map(max, self.state.scaled))
             self._fallback_item = trace.m + 1
             return None  # the new tables classify the item again
-        if table:  # before a merge, the first value is its own effective value
-            first = self.effective.values[agent - 1][table[0][0]]
+        if effective:  # before a merge, the first value is its own effective value
+            first = self.effective.values[agent - 1][effective[0]]
             if bi_value_merges(first, value):
-                table[0] = merged = (self.effective.code(agent - 1, max(first, value)), 1)
-                return merged
+                effective[0] = merged = self.effective.code(agent - 1, max(first, value))
+                return merged, 1
         return self.effective.code(agent - 1, value), self.state.add_type(agent)
 
     def pressure_snapshot(self):
@@ -577,7 +579,7 @@ def run_online(inst: Instance, policy: Policy) -> tuple[Allocation, RunTrace]:
         trace.feed(policy, inst.codes, checks)
         outcome = checks.send(None)
         if outcome is not None:
-            trace.live = outcome, state.scaled, inst.columns
+            trace.live = outcome, state.scaled, inst.columns, tuple(zip(*trace.effective)), policy.to_effective
     return trace.allocation(), trace
 
 
@@ -711,18 +713,28 @@ def _pressure_checks(state: PressureState, off_pace=None):
     yield ((ok_closed, ok_pressure, ok_count, max_scaled, max(game_k, 1)), closed) if on_pace else None
 
 
-def _trace_check(trace: RunTrace, flags, raw_columns=None) -> TraceCheck:
+def _trace_check(trace: RunTrace, flags, live=None) -> TraceCheck:
     """The :class:`TraceCheck` of :func:`_pressure_checks`'s ``flags`` on
     ``trace``, whose rounding sandwich p/q <= r/s < 2p/q, times q and s, is
-    checked once per distinct (agent, raw code, effective code)."""
+    checked once per distinct (agent, raw code, effective code), from
+    :func:`_code_pairs`; ``live`` holds a live outcome's code columns and lists."""
     closed_form, pressure_bound, count_bound, max_scaled, k = flags
-    raw_columns = zip(*trace.raw) if raw_columns is None else raw_columns
-    columns = zip(trace.raw_values, trace.effective_values, raw_columns, zip(*trace.effective))
+    raw_columns, effective_columns, lists = live or (zip(*trace.raw), zip(*trace.effective), [None] * trace.n)
+    columns = zip(trace.raw_values, trace.effective_values, raw_columns, effective_columns, lists)
     sandwich = all(
         p.numerator * e.denominator <= e.numerator * p.denominator < 2 * p.numerator * e.denominator
-        for raw, eff, raw_codes, effective_codes in columns
-        for p, e in ((raw[r], eff[c]) for r, c in set(zip(raw_codes, effective_codes))))
+        for raw, eff, raw_codes, effective_codes, to_effective in columns
+        for p, e in ((raw[r], eff[c]) for r, c in _code_pairs(raw, raw_codes, effective_codes, to_effective)))
     return TraceCheck(closed_form, sandwich, pressure_bound, count_bound, max_scaled, k)
+
+
+def _code_pairs(raw, raw_codes, effective_codes, to_effective):
+    """One agent's distinct (raw code, effective code) pairs: a policy's list of
+    one effective code per raw code, if it maps the columns onto each other, else the columns'."""
+    if to_effective is not None and len(to_effective) == len(raw) and tuple(
+            map(to_effective.__getitem__, raw_codes)) == effective_codes:
+        return enumerate(to_effective)
+    return set(zip(raw_codes, effective_codes))
 
 
 __all__ = [

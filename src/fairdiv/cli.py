@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import stat
@@ -202,11 +203,17 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # no command leaves a reference cycle (argparse's formatter does: it parses first), so none is collected
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except (FairdivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

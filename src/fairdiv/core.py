@@ -44,18 +44,16 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 _CHUNK_DIGITS, _CHUNK_BITS = 512, 1024
 
 
-def _int_from_digits(text: str) -> int:
+def _int_from_digits(text: str, pow10=None) -> int:
     """``int(text)`` past the digit limit: the halves of the digits are joined
     by cached powers of ten, so the cost is that of big-int multiplication."""
-    pow10 = functools.cache(lambda w: 10**w)
-
-    def convert(digits: str) -> int:
-        if len(digits) <= _CHUNK_DIGITS:
-            return int(digits)
-        w = len(digits) // 2
-        return convert(digits[:-w]) * pow10(w) + convert(digits[-w:])
-
-    return -convert(text[1:]) if text.startswith("-") else convert(text)
+    if text.startswith("-"):
+        return -_int_from_digits(text[1:])
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    pow10 = pow10 or functools.cache(lambda w: 10**w)  # one cache per top-level call
+    w = len(text) // 2
+    return _int_from_digits(text[:-w], pow10) * pow10(w) + _int_from_digits(text[-w:], pow10)
 
 
 def _digits_from_int(x: int) -> str:
@@ -63,14 +61,16 @@ def _digits_from_int(x: int) -> str:
     Decimals by cached powers of two, in a local context wide enough for any int."""
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
     pow2 = functools.cache(lambda w: ctx.power(2, w))
+    return "-" + _digits_from_int(-x) if x < 0 else str(_join_bits(x, x.bit_length(), ctx, pow2))
 
-    def convert(y: int, bits: int) -> decimal.Decimal:
-        if bits <= _CHUNK_BITS:
-            return decimal.Decimal(y)
-        w = bits // 2
-        return ctx.add(ctx.multiply(convert(y >> w, bits - w), pow2(w)), convert(y & ((1 << w) - 1), w))
 
-    return "-" + _digits_from_int(-x) if x < 0 else str(convert(x, x.bit_length()))
+def _join_bits(y: int, bits: int, ctx: decimal.Context, pow2) -> decimal.Decimal:
+    # not nested in _digits_from_int: calling itself through a closure, it would be a reference cycle
+    if bits <= _CHUNK_BITS:
+        return decimal.Decimal(y)
+    w = bits // 2
+    high = _join_bits(y >> w, bits - w, ctx, pow2)
+    return ctx.add(ctx.multiply(high, pow2(w)), _join_bits(y & ((1 << w) - 1), w, ctx, pow2))
 
 
 def parse_rational(text) -> Fraction:
@@ -270,21 +270,29 @@ class Instance:
     def scaled(self, agent: int) -> tuple[int, tuple[int, ...]]:
         """``(scale, table)``, the :func:`common_scale` of agent 1..n's value table, built on
         first use and kept: ``table[c]`` is code c's value times ``scale``. Other agents raise."""
-        if not is_positive_int(agent) or agent > self.n:
-            raise FairdivError(f"agent {agent!r} outside 1..{self.n}")
+        i = self._index(agent, self.n, "agent")
         tables = self.__dict__.setdefault("_scaled", {})
         if agent not in tables:
-            scale, table = common_scale(self.values[agent - 1] if self.values else ())
+            scale, table = common_scale(self.values[i] if self.values else ())
             tables[agent] = scale, tuple(table)
         return tables[agent]
 
+    @staticmethod
+    def _index(x, top: int, what: str) -> int:
+        """``x - 1`` for an index x in 1..top; any other, a bool included, raises."""
+        if is_positive_int(x) and x <= top:
+            return x - 1
+        raise FairdivError(f"{what} {x!r} outside 1..{top}")
+
     def disutility(self, agent: int, item: int) -> Fraction:
         """d_i(j) with 1-based agent and item indices."""
-        return self.values[agent - 1][self.codes[item - 1][agent - 1]]
+        i = self._index(agent, self.n, "agent")
+        return self.values[i][self.codes[self._index(item, self.m, "item")][i]]
 
     def agent_values(self, agent: int) -> tuple[Fraction, ...]:
         """All of one agent's disutilities, in arrival order."""
-        return tuple(map(self.values[agent - 1].__getitem__, self.columns[agent - 1]))
+        i = self._index(agent, self.n, "agent")
+        return tuple(map(self.values[i].__getitem__, self.columns[i]))
 
     def total(self, agent: int) -> Fraction:
         return sum(self.agent_values(agent), Fraction(0))

@@ -186,7 +186,10 @@ def mms_exact(values, n: int) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
             if best == lower:
                 return
 
-    search(0, (0,) * n, 0)
+    try:
+        search(0, (0,) * n, 0)
+    finally:
+        del search  # it calls itself through its closure: unbound, no reference cycle is left
 
     partition = [[j - 1 for j in bundle] for bundle in greedy]
     if best_assign is not None:  # the search beat the greedy incumbent
@@ -274,7 +277,10 @@ def _fits(sizes, counts, n: int, cap: int) -> bool:
         failed[rest] = bins
         return False
 
-    return pack(counts, n)
+    try:
+        return pack(counts, n)
+    finally:
+        del fills, pack  # as mms_exact's search: each calls itself through its closure
 
 
 def witness_max_bundle(inst: Instance, agent: int, partition) -> Fraction:

@@ -553,10 +553,10 @@ def allocator_to_stacking(trace: RunTrace) -> ReductionResult:
                 if engine_row[u - 1] != row[u - 1]:
                     raise InvariantViolation("pressure multiset != cell value multiset")
 
-        (flags, closed), raw_columns = _replay(trace, state, off_pace), None
+        (flags, closed), live = _replay(trace, state, off_pace), None
     else:
-        (flags, closed), scaled, raw_columns = trace.live
-    trace_check = _trace_check(trace, flags, raw_columns)
+        (flags, closed), scaled, *live = trace.live
+    trace_check = _trace_check(trace, flags, live)
     k = trace_check.game_k  # the trace's largest type index
     game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
     av, bv = game._move_units(1, Fraction(1, n - 1), 1, n - 1)  # every move has this shape

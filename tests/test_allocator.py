@@ -96,7 +96,7 @@ def test_first_item_three_agents():
     raw = (Fraction(2), Fraction(3), Fraction(5))
     pol.start(3, [[v] for v in raw])
     agent = pol.choose((0, 0, 0))
-    assert pol.table == [[(0, 1)] for _ in raw]  # code 0 -> (effective code 0, type 1)
+    assert pol.to_effective == [[0] for _ in raw] and pol.to_type == [[1] for _ in raw]  # code 0 -> code 0, type 1
     assert pol.effective.values == [[round_up_pow2(v)] for v in raw]
     state = pol.state
     assert agent == 1  # all pressures zero, lowest index wins
@@ -400,8 +400,90 @@ def test_sandwich_reads_thousands_of_distinct_values_per_agent():
     assert min(map(len, trace.raw_values)) > 3500 and trace.live is not None
     check = validate_pressure_trace(trace)
     assert allocator_to_stacking(trace).check == check and check.rounding_sandwich
+    (flags, _), _, raw_columns, effective_columns, lists = trace.live
+    assert all(isinstance(allocator._code_pairs(*column), enumerate)  # the live run's lists are read
+               for column in zip(trace.raw_values, raw_columns, effective_columns, lists))
+    assert allocator._trace_check(trace, flags, trace.live[2:]) == allocator._trace_check(trace, flags)
     _set_effective(trace, m - 1, 1, _raw(trace, m - 1)[1] * 2)
     assert not validate_pressure_trace(trace).rounding_sandwich
+
+
+def _two_pass_step(scaled, types, agent=None):
+    """The pressure update as two passes: the argmin of the touched counters
+    (ties to the lowest index) unless ``agent`` is given, then the update."""
+    if agent is None:
+        touched = [row[u - 1] for row, u in zip(scaled, types)]
+        agent = touched.index(min(touched)) + 1
+    for row, u in zip(scaled, types):
+        row[u - 1] -= 1
+    scaled[agent - 1][types[agent - 1] - 1] += len(scaled)
+    return agent
+
+
+def test_step_matches_a_two_pass_reference():
+    rng = random.Random(3535)
+    ties = 0
+    for _ in range(300):
+        n, k = rng.randint(2, 6), rng.randint(1, 4)
+        state = PressureState(n)
+        state.scaled[:] = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]  # small, so ties are common
+        reference = [row[:] for row in state.scaled]
+        for _ in range(rng.randint(1, 30)):
+            types = tuple(rng.randint(1, k) for _ in range(n))
+            agent = rng.choice((None, rng.randint(1, n)))
+            touched = [row[u - 1] for row, u in zip(reference, types)]
+            ties += touched.count(min(touched)) > 1
+            assert state.step(types, agent) == _two_pass_step(reference, types, agent)
+            assert state.scaled == reference
+    assert ties > 500
+
+
+def _pressure_traces():
+    """Pressure-greedy traces, live ones among them, and bi-value traces with a
+    merge (whose first effective code changes mid-run) or a fallback."""
+    rng = random.Random(353)
+    for _ in range(60):
+        inst = random_instance(rng, n=rng.randint(2, 4), m=rng.randint(1, 30), k=rng.randint(1, 4))
+        for policy in (PressureGreedyPolicy(), BiValuePolicy()):
+            yield policy, run_online(inst, policy)[1]
+    merged = Instance(2, ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(7)), (Fraction(1), Fraction(1))))
+    for inst in (merged, _third_value_instance()):
+        policy = BiValuePolicy()
+        yield policy, run_online(inst, policy)[1]
+
+
+def test_code_pairs_match_the_columns_pairs():
+    # whichever path _code_pairs takes, it reads each column's distinct (raw, effective) pairs
+    paths = set()
+    for policy, trace in _pressure_traces():
+        for raw, raw_codes, effective_codes, to_effective in zip(
+                trace.raw_values, zip(*trace.raw), zip(*trace.effective), policy.to_effective):
+            pairs = allocator._code_pairs(raw, raw_codes, effective_codes, to_effective)
+            assert set(pairs) == set(zip(raw_codes, effective_codes))
+            paths.add((policy.name, type(pairs).__name__))
+        if trace.live is not None:
+            flags = trace.live[0][0]
+            assert allocator._trace_check(trace, flags, trace.live[2:]) == allocator._trace_check(trace, flags)
+    # live pressure-greedy traces read the policy's lists; a bi-value merge or fallback falls back
+    assert paths == {("pressure-greedy", "enumerate"), ("bi-value", "enumerate"), ("bi-value", "set")}
+
+
+def test_trace_check_falls_back_where_the_lists_disagree():
+    items = ((Fraction(1), Fraction(3)), (Fraction(4), Fraction(3)), (Fraction(1), Fraction(5)))
+    _, trace = run_online(Instance(2, items), PressureGreedyPolicy())
+    (flags, _), _, raw_columns, effective_columns, lists = trace.live
+    assert allocator._trace_check(trace, flags, (raw_columns, effective_columns, lists)).rounding_sandwich
+    # item 1 reports agent 1's effective value 4 for its raw 1: the lists no longer
+    # give the column, so the column's own pairs are read, and the sandwich fails
+    four = trace.effective_values[0].index(Fraction(4))
+    bad = ((four,) + effective_columns[0][1:],) + effective_columns[1:]
+    assert isinstance(allocator._code_pairs(trace.raw_values[0], raw_columns[0], bad[0], lists[0]), set)
+    assert not allocator._trace_check(trace, flags, (raw_columns, bad, lists)).rounding_sandwich
+    # lists off the run, beside the right columns, are not read either
+    wrong = [[four] * len(lists[0])] + lists[1:]
+    assert allocator._trace_check(trace, flags, (raw_columns, effective_columns, wrong)).rounding_sandwich
+    short = [lists[0][:1]] + lists[1:]
+    assert allocator._trace_check(trace, flags, (raw_columns, effective_columns, short)).rounding_sandwich
 
 
 def test_validate_catches_a_corrupted_effective_value():
@@ -833,13 +915,13 @@ def test_bi_value_registration():
     pol, tables = BiValuePolicy(), ValueTables(2)
     pol.start(2, tables.values)
     pol.choose(tables.encode((Fraction(2), Fraction(10))))
-    assert pol.table == [[(0, 1)], [(0, 1)]]
+    assert pol.to_effective == [[0], [0]] and pol.to_type == [[1], [1]]
     pol.choose(tables.encode((Fraction(1), Fraction(1))))
-    assert pol.table[0][1][1] == 1  # merged
-    assert pol.table[1][1][1] == 2  # separate
+    assert pol.to_type[0][1] == 1  # merged
+    assert pol.to_type[1][1] == 2  # separate
     # the merged type reports the larger value, for both of its raw values
     assert pol.effective.values == [[Fraction(2)], [Fraction(10), Fraction(1)]]
-    assert pol.table[0] == [(0, 1), (0, 1)]
+    assert pol.to_effective[0] == [0, 0] and pol.to_type[0] == [1, 1]
     assert pol.effective_codes == (0, 1)
 
 
@@ -912,7 +994,7 @@ def test_bi_value_fallback_matches_closed_form_replay():
                     receipts[i][u] = receipts[i].get(u, 0) + 1
         state = pol.state
         for i in range(n):
-            assert [(pol.effective.values[i][e], u) for e, u in pol.table[i]] == [
+            assert [(pol.effective.values[i][e], u) for e, u in zip(pol.to_effective[i], pol.to_type[i])] == [
                 (round_up_pow2(v), registries[i][round_up_pow2(v)]) for v in inst.values[i]
             ]
             for u in range(1, len(registries[i]) + 1):

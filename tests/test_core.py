@@ -188,6 +188,37 @@ def test_rationals_round_trip_at_and_past_the_digit_limit(digits):
     assert parse_rational("-" + text) == -x
 
 
+def _two_by_three():
+    return Instance(2, ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)), (Fraction(5), Fraction(6))))
+
+
+def test_disutility_rejects_agents_and_items_outside_the_instance():
+    inst = _two_by_three()
+    assert inst.disutility(2, 3) == 6 and inst.disutility(1, 1) == 1
+    # agent 0 would read agent 2's value, item 0 the last item's
+    for agent, item, message in ((0, 1, "agent 0 outside 1..2"), (3, 1, "agent 3 outside 1..2"),
+                                 (True, 1, "agent True outside 1..2"), (1, 0, "item 0 outside 1..3"),
+                                 (1, 4, "item 4 outside 1..3"), (1, False, "item False outside 1..3")):
+        with pytest.raises(FairdivError, match=message):
+            inst.disutility(agent, item)
+
+
+def test_agent_values_rejects_agents_outside_the_instance():
+    inst = _two_by_three()
+    assert inst.agent_values(2) == (2, 4, 6)
+    for agent in (0, -1, 3, True):
+        with pytest.raises(FairdivError, match=f"agent {agent!r} outside 1..2"):
+            inst.agent_values(agent)
+
+
+def test_total_rejects_agents_outside_the_instance():
+    inst = _two_by_three()
+    assert inst.total(1) == 9
+    for agent in (0, -1, 3, True):
+        with pytest.raises(FairdivError, match=f"agent {agent!r} outside 1..2"):
+            inst.total(agent)
+
+
 def test_allocation_roundtrip():
     alloc = Allocation((1, 2, 1))
     assert load_allocation(allocation_to_json(alloc)) == alloc
