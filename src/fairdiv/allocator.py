@@ -557,10 +557,10 @@ def make_policy(name: str) -> Policy:
     if name == "dump-to-one":
         return DumpToOnePolicy()
     if name.startswith("mixture:"):
-        try:
-            return SeededMixturePolicy(int(name.split(":", 1)[1]))
-        except ValueError:
-            raise FairdivError(f"policy {name!r}: mixture seed must be an integer") from None
+        seed = name.split(":", 1)[1]
+        if not seed.isdecimal():  # no sign: random.Random(-s) is random.Random(s)
+            raise FairdivError(f"policy {name!r}: mixture seed must be a non-negative integer in decimal digits")
+        return SeededMixturePolicy(int(seed))
     raise FairdivError(f"unknown policy {name!r}")
 
 

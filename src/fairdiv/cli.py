@@ -76,8 +76,9 @@ def cmd_gen(args) -> int:
         value_grid=args.grid,
         seed=args.seed,
     )
-    inst = generate_instance(cfg)
-    _write(args.out, instance_json_parts(inst) + [b"\n"])
+    parts = instance_json_parts(generate_instance(cfg))
+    parts.append(b"\n")  # not `+ [b"\n"]`, which copies the n*m + 2 parts
+    _write(args.out, parts)
     return 0
 
 
@@ -122,7 +123,9 @@ def cmd_adversary_run(args) -> int:
         raise FairdivError(f"--n {args.n} nests the recursive game too deep to run") from None
     ok = verify_certificate(result.instance, result.allocation, result.certificate)
     if args.out_instance:
-        _write(args.out_instance, instance_json_parts(result.instance) + [b"\n"])
+        parts = instance_json_parts(result.instance)
+        parts.append(b"\n")
+        _write(args.out_instance, parts)
     if args.out_allocation:
         _write(args.out_allocation, [allocation_to_json(result.allocation).encode(), b"\n"])
     cert_obj = result.certificate.to_obj()

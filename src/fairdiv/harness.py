@@ -34,6 +34,8 @@ NEAR_THRESHOLD_ABOVE = (Fraction(11, 30), Fraction(47, 128), Fraction(3, 8), Fra
 # The fractions in [0, 1) with denominator at most 6, in increasing order.
 _UNIT_GRID = tuple(sorted({Fraction(p, q) for q in range(1, 7) for p in range(q)}))
 
+_TOP_BITS = tuple(bytes(t >> s for t in range(256)) for s in range(8))  # [s]: each byte's top 8 - s bits
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -51,6 +53,8 @@ class GeneratorConfig:
             raise FairdivError(f"D must be >= 1, got {self.D}")
         if self.value_grid not in GRID_NAMES:
             raise FairdivError(f"unknown value grid {self.value_grid!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:  # Random(-s) is Random(s)
+            raise FairdivError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _agent_value_set(cfg: GeneratorConfig, rng: random.Random) -> list[Fraction]:
@@ -89,6 +93,21 @@ def _agent_value_set(cfg: GeneratorConfig, rng: random.Random) -> list[Fraction]
     return [base * r, base]
 
 
+def _draws(rng: random.Random, k: int, m: int) -> bytearray | list[int]:
+    """``[rng.randrange(k) for _ in range(m)]``, a bytearray for k < 256, with ``rng`` left in the same
+    state. randrange keeps the top k.bit_length() bits of a 32-bit word if they are below k; byte 4i+3
+    of ``getrandbits(32 * need)``, little-endian, is the top byte of the i-th next word, and ``need``,
+    the draws still missing, is never more words than the loop would take."""
+    if k >= 256:
+        return [rng.randrange(k) for _ in range(m)]
+    shift = 8 - k.bit_length()
+    top_bits, rejects = _TOP_BITS[shift], _TOP_BITS[0][k << shift :]  # rejects: top bytes of draws >= k
+    out = bytearray()
+    while need := m - len(out):
+        out += rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4].translate(top_bits, rejects)
+    return out
+
+
 def generate_instance(cfg: GeneratorConfig) -> Instance:
     """Deterministic-in-seed instance with exactly k values per agent, spread <= D.
 
@@ -102,17 +121,20 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
     per_agent = [_agent_value_set(cfg, rng) for _ in range(cfg.n)]
     tables, columns = [], []
     for values in per_agent:
-        draws = [rng.randrange(cfg.k) for _ in range(cfg.m)]
+        draws = _draws(rng, cfg.k, cfg.m)
         slots = rng.sample(range(cfg.m), cfg.k)
         order = list(range(cfg.k))
         rng.shuffle(order)
         for slot, d in zip(slots, order):
             draws[slot] = d
         # codes number the drawn values in order of first appearance
-        first = list(dict.fromkeys(draws))
-        code = dict(zip(first, range(cfg.k)))
+        if isinstance(draws, bytearray):
+            first = sorted(range(cfg.k), key=draws.find)
+            columns.append(draws.translate(bytes.maketrans(bytes(first), bytes(range(cfg.k)))))
+        else:
+            first = list(dict.fromkeys(draws))
+            columns.append(map(dict(zip(first, range(cfg.k))).__getitem__, draws))
         tables.append([values[d] for d in first])
-        columns.append(map(code.__getitem__, draws))
     return Instance.from_codes(cfg.n, tables, zip(*columns))
 
 

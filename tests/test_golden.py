@@ -38,6 +38,7 @@ from fairdiv import (
     Instance,
     TwoAgentAdversary,
     certify_ratio,
+    instance_digest,
     instance_to_json,
     load_instance,
     make_recursive_adversary,
@@ -359,6 +360,21 @@ def test_noncanonical_file_runs_like_its_canonical_twin():
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_golden_digest(key):
     assert _digest(key) == GOLDEN[key]
+
+
+# instance_digest of three generated instances, as (n, m, k, D, grid, seed):
+# two long ones and one with k past the generator's byte draws (k < 256).
+# The CI digests the same three as `fairdiv gen` writes them.
+GENERATED = {
+    (8, 100000, 4, 8, "powers-of-two", 7): "3d8444b53db12e9c57bbd30674d08abffe72626e475d6b776e0be75d21b32608",
+    (8, 100000, 2, 4, "adversarial-near-threshold", 7): "3c7d0ef950a8b81cb5dd11f1f4f5a93530618a6056b9d762905fab5fcbf3a168",
+    (4, 3000, 300, 40, "uniform-rational", 7): "8670e02081d18f85e4bd8793a6dfc97312a782fa94082076f61c395fecf56cdd",
+}
+
+
+@pytest.mark.parametrize("cfg", sorted(GENERATED), ids=lambda cfg: f"{cfg[4]}-k{cfg[2]}")
+def test_generated_instance_digest(cfg):
+    assert instance_digest(_generated(*cfg)) == GENERATED[cfg]
 
 
 def _stacking_lines_from_functions(res):

@@ -36,7 +36,7 @@ from fairdiv.allocator import PressureGreedyPolicy, make_policy
 from fairdiv.cli import main
 from fairdiv.core import instance_json_parts
 from fairdiv.mms import exact_search_limit, witness_max_bundle
-from fairdiv.harness import NEAR_THRESHOLD_ABOVE, NEAR_THRESHOLD_BELOW, policy_zoo
+from fairdiv.harness import GRID_NAMES, NEAR_THRESHOLD_ABOVE, NEAR_THRESHOLD_BELOW, _agent_value_set, _draws, policy_zoo
 
 from conftest import random_instance
 
@@ -74,6 +74,87 @@ def test_generator_infeasible_configs():
         generate_instance(
             GeneratorConfig(n=2, m=8, k=2, D=F(2), value_grid="adversarial-near-threshold", seed=0)
         )
+
+
+def test_draws_are_randrange_draws():
+    # batched below k = 256, looped from there: the same values as one
+    # randrange call each, and the generator left in the same state
+    for k in range(1, 301):
+        for m in (1, 2, 7, 100, 1000, 5000):
+            for seed in (0, 1, 2**40 + k):
+                looped, batched = random.Random(seed), random.Random(seed)
+                expected = [looped.randrange(k) for _ in range(m)]
+                assert list(_draws(batched, k, m)) == expected, (k, m, seed)
+                assert batched.getstate() == looped.getstate(), (k, m, seed)
+
+
+def _looped_generate_instance(cfg: GeneratorConfig) -> Instance:
+    """The generator with one randrange call per entry, verbatim: the reference
+    the batched draws must reproduce byte for byte."""
+    if cfg.m < cfg.k:
+        raise FairdivError(f"infeasible: m={cfg.m} < k={cfg.k} values per agent")
+    rng = random.Random(cfg.seed)
+    per_agent = [_agent_value_set(cfg, rng) for _ in range(cfg.n)]
+    tables, columns = [], []
+    for values in per_agent:
+        draws = [rng.randrange(cfg.k) for _ in range(cfg.m)]
+        slots = rng.sample(range(cfg.m), cfg.k)
+        order = list(range(cfg.k))
+        rng.shuffle(order)
+        for slot, d in zip(slots, order):
+            draws[slot] = d
+        # codes number the drawn values in order of first appearance
+        first = list(dict.fromkeys(draws))
+        code = dict(zip(first, range(cfg.k)))
+        tables.append([values[d] for d in first])
+        columns.append(map(code.__getitem__, draws))
+    return Instance.from_codes(cfg.n, tables, zip(*columns))
+
+
+def _generated_or_error(generate, cfg):
+    """The instance file with the value tables and codes (first-appearance
+    order, which the file does not show), or the error message."""
+    try:
+        inst = generate(cfg)
+    except FairdivError as exc:
+        return f"error: {exc}"
+    return instance_to_json(inst), inst.values, inst.codes
+
+
+def test_generator_matches_the_looped_reference():
+    # every grid, feasible or not, on both sides of the byte path's k < 256
+    rng = random.Random(2026)
+    cfgs = []
+    for _ in range(540):
+        m = rng.randint(1, 300)
+        D = max(F(1), F(rng.randint(1, 64), rng.randint(1, 4)))
+        cfgs.append(GeneratorConfig(n=rng.randint(1, 9), m=m, k=rng.randint(1, min(6, m + 1)), D=D,
+                                    value_grid=rng.choice(GRID_NAMES), seed=rng.randrange(2**32)))
+    for _ in range(40):
+        k = rng.randint(250, 300)
+        cfgs.append(GeneratorConfig(n=rng.randint(1, 3), m=k + rng.randrange(300), k=k, D=F(40),
+                                    value_grid="uniform-rational", seed=rng.randrange(2**32)))
+    outcomes = set()
+    for cfg in cfgs:
+        got = _generated_or_error(generate_instance, cfg)
+        assert got == _generated_or_error(_looped_generate_instance, cfg), cfg
+        outcomes.add((cfg.value_grid, isinstance(got, str)))
+    assert len(outcomes) == 2 * len(GRID_NAMES)  # each grid both drawn and refused
+
+
+def test_negative_and_bool_seeds_are_refused(tmp_path, capsys):
+    # random.Random(-s) would replay random.Random(s)
+    for seed in (-1, -7, True, False):
+        with pytest.raises(FairdivError, match="seed must be a non-negative integer"):
+            GeneratorConfig(n=2, m=6, k=2, D=F(4), seed=seed)
+    assert "seed must be" in _one_line_error(capsys, ["gen", "--n", "2", "--m", "6", "--k", "2", "--D", "4",
+                                                       "--seed", "-7"])
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(Instance(2, ((F(1), F(1)),))))
+    for policy in ("mixture:-5", "mixture:-1", "mixture:+5"):
+        err = _one_line_error(capsys, ["run", "--in", str(inst_path), "--policy", policy])
+        assert policy in err and "non-negative" in err
+    assert make_policy("mixture:0").name == "mixture-0"
 
 
 def _looped_powers_of_two(D, k, seed):
