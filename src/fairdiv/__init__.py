@@ -32,7 +32,6 @@ from .mms import (
 from .allocator import (
     BiValuePolicy,
     DumpToOnePolicy,
-    ExternalPolicy,
     Policy,
     PressureGreedyPolicy,
     PressureState,
@@ -75,7 +74,6 @@ from .harness import (
     GeneratorConfig,
     generate_instance,
     leq_two_plus_sqrt3,
-    policy_zoo,
     run_experiment,
 )
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import getitem, gt
 
 from .core import (
-    Allocation, FairdivError, Instance, ParseError, ValueTables, format_rational,
+    Allocation, FairdivError, Instance, InvariantViolation, ParseError, ValueTables, format_rational,
     is_positive_int, json_texts, parse_json, parse_jsonl, parse_rational,
 )
 
@@ -105,9 +105,9 @@ class RunTrace:
     as effective shares the raw tables. A ``pressured`` trace, of a policy
     with a pressure engine, has rows on every item; others, where recorded.
     ``live`` is what :func:`run_online` checked on a pressure-greedy
-    policy's own engine as it ran, for
-    :func:`fairdiv.stacking.allocator_to_stacking` to take in place of a
-    replay: the outcome of :func:`_pressure_checks`, the engine rows, the raw
+    policy's own engine as it ran, whose rows were the closed form after
+    every item, for :func:`fairdiv.stacking.allocator_to_stacking` to take
+    in place of a replay: the outcome of :func:`_pressure_checks`, the raw
     and effective code columns, which :meth:`to_jsonl` shares, and the
     policy's ``to_effective`` lists. It holds for the columns as the run
     left them, and is None on any other trace, on a copy made by
@@ -197,7 +197,9 @@ class RunTrace:
         in closed form; an item rewrites its n touched cells' text, row i's
         cell u being ``pieces[base[i] + 2*u]``."""
         n, pressured, recorded, live = self.n, self.pressured, self.pressures, self.live
-        raw_columns, effective_columns = live[2:4] if live else (zip(*self.raw), zip(*self.effective))
+        if not self.m:
+            return ""
+        raw_columns, effective_columns = live[1:3] if live else (zip(*self.raw), zip(*self.effective))
         stride = 3 * n + 2
         parts = [""] * (stride * self.m)
         heads = ['{"agent":%d,"effective":[' % a for a in range(n + 1)]
@@ -535,18 +537,6 @@ class SeededMixturePolicy(Policy):
         return self.rng.randrange(self.n) + 1
 
 
-class ExternalPolicy(Policy):
-    """Adapter for a caller-supplied choice function of the raw vector stream."""
-
-    name = "external"
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def choose(self, codes) -> int:
-        return self.fn(tuple(map(getitem, self.raw_values, codes)))
-
-
 def make_policy(name: str) -> Policy:
     if name == "pressure-greedy":
         return PressureGreedyPolicy()
@@ -574,12 +564,12 @@ def run_online(inst: Instance, policy: Policy) -> tuple[Allocation, RunTrace]:
     if policy.name != "pressure-greedy" or state is None:
         trace.feed(policy, inst.codes)
     else:
-        checks = _pressure_checks(state)
+        checks = _pressure_checks(state.n, state.scaled)
         next(checks)
         trace.feed(policy, inst.codes, checks)
-        outcome = checks.send(None)
+        outcome = next(checks, None)
         if outcome is not None:
-            trace.live = outcome, state.scaled, inst.columns, tuple(zip(*trace.effective)), policy.to_effective
+            trace.live = outcome, inst.columns, tuple(zip(*trace.effective)), policy.to_effective
     return trace.allocation(), trace
 
 
@@ -605,30 +595,29 @@ class TraceCheck:
 
 
 def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
-    """Replay a rounded-greedy trace on :class:`PressureState` and check every
+    """Replay a rounded-greedy trace on its closed form and check every
     stated invariant.
 
-    Each item goes through ``PressureState.step(types, agent)``, after which
-    the engine's rows must equal the closed form (n-1)*H_i^u =
-    n*|A_i ^ M_i^u| - N_i^u, counted apart (n per receipt, -1 per sighting).
-    Only the receiving counter rises while k only grows, so it alone is
-    checked against the pressure bound H <= 2k, k the largest type index so
-    far, and the receipt-count bound |A_i ^ M_i^u| <= ceil(N_i^u / n) - 1 + 2k,
+    Each item updates the closed form (n-1)*H_i^u = n*|A_i ^ M_i^u| -
+    N_i^u, counted apart (n per receipt, -1 per sighting). Only the
+    receiving counter rises while k only grows, so it alone is checked
+    against the pressure bound H <= 2k, k the largest type index so far,
+    and the receipt-count bound |A_i ^ M_i^u| <= ceil(N_i^u / n) - 1 + 2k,
     in integers n*|A_i ^ M_i^u| - N_i^u < 2kn. The rounding sandwich raw <=
     effective < 2*raw is checked once per distinct (agent, raw code,
     effective code), on numerators and denominators. A recorded snapshot
-    must equal the engine's (n-1)*H rows, or the closed form fails. An item
-    whose agent or type indices are out of range raises :class:`FairdivError`.
+    must equal the closed-form (n-1)*H rows, or the closed form fails. An
+    item whose agent or type indices are out of range raises
+    :class:`FairdivError`.
     """
     if trace.n < 2:
         raise FairdivError("validate_pressure_trace requires n >= 2")
-    return _trace_check(trace, _replay(trace, PressureState(trace.n), lambda *off: None)[0])
+    return _trace_check(trace, _replay(trace)[0])
 
 
-def _replay(trace: RunTrace, state: PressureState, off_pace):
-    """The outcome of :func:`_pressure_checks` on ``state``, a fresh engine,
-    sent every item of ``trace``."""
-    checks = _pressure_checks(state, off_pace)
+def _replay(trace: RunTrace, strict: bool = False):
+    """The outcome of :func:`_pressure_checks` sent every item of ``trace``."""
+    checks = _pressure_checks(trace.n, strict=strict)
     next(checks)
     send, recorded = checks.send, trace.pressures
     for item, (types, agent) in enumerate(zip(trace.types, trace.agents), 1):
@@ -636,29 +625,28 @@ def _replay(trace: RunTrace, state: PressureState, off_pace):
     return send(None)
 
 
-def _pressure_checks(state: PressureState, off_pace=None):
-    """:func:`validate_pressure_trace`'s per-item checks on ``state``'s rows,
-    as a generator: send each item's ``(types, agent, recorded rows or
+def _pressure_checks(n: int, engine=None, strict: bool = False):
+    """:func:`validate_pressure_trace`'s per-item checks on the closed-form
+    rows, as a generator: send each item's ``(types, agent, recorded rows or
     None)``, which returns whether the item kept pace, then None for the
     outcome, the flags ``(closed_form, pressure_bound, count_bound, max
     scaled pressure, k)`` and the closed-form rows.
 
-    With ``off_pace`` the item steps ``state`` here, a replay; without,
-    ``state`` is a run's own engine, which has taken it. A type opens on
-    the item that first shows it for its agent. ``low`` is the
-    least touched closed-form value once lowered; the item is off pace if
-    the engine's rows are not the closed form or its receiving counter is
-    not ``low + n`` (with rows equal, the agent did not hold the least
-    pressure). A replay then calls ``off_pace(types, agent, low, closed)``
-    and goes on, and raises :class:`FairdivError` on an item whose agent or
-    type indices are out of range. A run's check reports either as off
-    pace, is sent no more items, and has the outcome None, for a replay to
-    decide.
+    A type opens on the item that first shows it for its agent. ``low`` is
+    the least touched closed-form value once lowered, so the agent held the
+    least pressure iff its counter is ``low + n``. ``engine`` is a run's own
+    rows, which have taken the item: the item is off pace if an index is out
+    of range, the engine's rows are not the closed form or the agent did not
+    hold the least pressure, and the check is then sent no more items and
+    ends, so its outcome, ``next(checks, None)``, is None, for a replay to
+    decide. A replay, without ``engine``, raises :class:`FairdivError` on an
+    item whose agent or type indices are out of range, and with ``strict``
+    raises :class:`InvariantViolation` on an agent that did not hold the
+    least pressure.
     """
-    n, scaled = state.n, state.scaled
     closed: list[list[int]] = [[] for _ in range(n)]  # n*|A_i ^ M_i^u| - N_i^u
     shared = frozenset()  # the type indices every agent has open
-    ok_closed = ok_pressure = ok_count = on_pace = True
+    ok_closed = ok_pressure = ok_count = True
     max_scaled = game_k = pressure_cap = count_cap = item = 0
     sent = yield
     while sent is not None:
@@ -666,20 +654,14 @@ def _pressure_checks(state: PressureState, off_pace=None):
         item += 1
         if not shared.issuperset(types) or len(types) != n or not 1 <= agent <= n:
             if not 1 <= agent <= n or len(types) != n or min(types) < 1:
-                if off_pace is not None:
+                if engine is None:
                     raise FairdivError(f"item {item}: agent or type indices out of range for n={n}")
-                on_pace = False
-                sent = yield False
-                continue
+                break
             if any(map(gt, types, map(len, closed))):  # a type opens
                 _open_types(closed, types)
-                if off_pace is not None:
-                    _open_types(scaled, types)
                 shared = frozenset(range(1, min(map(len, closed)) + 1))
                 game_k = max(game_k, *types)
                 pressure_cap, count_cap = 2 * game_k * (n - 1), 2 * game_k * n
-        if off_pace is not None:
-            state.step(types, agent)
         a = agent - 1
         own, u = closed[a], types[a] - 1
         low = own[u]
@@ -688,29 +670,23 @@ def _pressure_checks(state: PressureState, off_pace=None):
             if x < low:
                 low = x
         c = own[u] = own[u] + n
-        diverged = scaled != closed
-        if diverged:
-            ok_closed = False
-            if off_pace is None:  # a run's engine, perhaps narrower than the types it reports
-                on_pace = False
-                sent = yield False
-                continue
-        h = scaled[a][u]
-        if h > max_scaled:  # the earlier maximum met a cap no larger than this one
-            max_scaled = h
-            if h > pressure_cap:
+        if c != low + n or engine is not None and engine != closed:
+            if engine is not None:
+                break
+            if strict:
+                raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
+        if c > max_scaled:  # the earlier maximum met a cap no larger than this one
+            max_scaled = c
+            if c > pressure_cap:
                 ok_pressure = False
         if c >= count_cap:  # r <= ceil(N/n) - 1 + 2k fails
             ok_count = False
-        if rows is not None and rows != tuple(map(tuple, scaled)):  # state.snapshot(), inline
+        if rows is not None and rows != tuple(map(tuple, closed)):
             ok_closed = False
-        if diverged or h != low + n:
-            if off_pace is None:
-                on_pace = False
-            else:
-                off_pace(types, agent, low, closed)
-        sent = yield on_pace
-    yield ((ok_closed, ok_pressure, ok_count, max_scaled, max(game_k, 1)), closed) if on_pace else None
+        sent = yield True
+    else:
+        yield (ok_closed, ok_pressure, ok_count, max_scaled, max(game_k, 1)), closed
+    yield False  # off pace
 
 
 def _trace_check(trace: RunTrace, flags, live=None) -> TraceCheck:
@@ -749,7 +725,6 @@ __all__ = [
     "RoundRobinPolicy",
     "DumpToOnePolicy",
     "SeededMixturePolicy",
-    "ExternalPolicy",
     "make_policy",
     "run_online",
     "TraceCheck",

@@ -13,11 +13,9 @@ from .adversary import certify_ratio, mms_report, scaled_disutilities  # certify
 from .allocator import (
     BiValuePolicy,
     DumpToOnePolicy,
-    Policy,
     PressureGreedyPolicy,
     RoundRobinPolicy,
     RunTrace,
-    SeededMixturePolicy,
     run_online,
     validate_pressure_trace,
 )
@@ -136,14 +134,6 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
             columns.append(map(dict(zip(first, range(cfg.k))).__getitem__, draws))
         tables.append([values[d] for d in first])
     return Instance.from_codes(cfg.n, tables, zip(*columns))
-
-
-ZOO_MIXTURE_SEEDS = (11, 23, 37, 41, 53)
-
-
-def policy_zoo() -> list[Policy]:
-    fixed = [PressureGreedyPolicy(), BiValuePolicy(), RoundRobinPolicy(), DumpToOnePolicy()]
-    return fixed + [SeededMixturePolicy(s) for s in ZOO_MIXTURE_SEEDS]
 
 
 # Experiment reports ---------------------------------------------------------
@@ -356,7 +346,6 @@ __all__ = [
     "NEAR_THRESHOLD_ABOVE",
     "GeneratorConfig",
     "generate_instance",
-    "policy_zoo",
     "AgentOutcome",
     "RunReport",
     "ExperimentReport",

@@ -24,8 +24,9 @@ sequence of moves: the nk pressure counters map to the nk cells so that the
 multiset of pressures always equals the multiset of cell values. A move
 changes each touched cell as the closed form changes its counter, so the
 moves are checked on counter values by :func:`validate_pressure_trace`'s
-checks, made on the run's own engine or in one replay, which
-``ReductionResult.check`` keeps, with the final grid. The moves' cell
+checks, made in one replay of the closed form or, as the run went, against
+the run's own engine; ``ReductionResult.check`` keeps them, with the final
+grid, the sorted closed form. The moves' cell
 positions are walked on a fresh grid through :meth:`GridGame.apply_cells` only when
 ``ReductionResult.steps`` is read or :func:`stacking_trace_to_jsonl` writes
 the grid after each move; :func:`replay_stacking_trace` reads that file
@@ -45,7 +46,7 @@ from operator import add
 from .core import (
     FairdivError, InvariantViolation, at_line, format_rational, parse_json, parse_jsonl, parse_rational,
 )
-from .allocator import PressureState, RunTrace, TraceCheck, _replay, _trace_check
+from .allocator import RunTrace, TraceCheck, _replay, _trace_check
 
 HALF = Fraction(1, 2)
 
@@ -300,14 +301,6 @@ def contiguify(op: StackingOperation) -> StackingOperation:
     )
 
 
-def is_contiguous(op: StackingOperation) -> bool:
-    support = sorted(list(op.A) + list(op.B))
-    for (l1, r1), (l2, r2) in zip(support, support[1:]):
-        if r1 != l2:
-            return False
-    return True
-
-
 # Grid engine ---------------------------------------------------------------
 
 class GridGame:
@@ -479,11 +472,6 @@ def _cell_runs(cells) -> list[tuple[int, int]]:
     return [(cells[l], cells[r - 1] + 1) for l, r in _runs([c - i for i, c in enumerate(cells)])]
 
 
-def cells_to_intervals(game_q: int, cells) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Merge sorted cell indices into maximal (left, right] intervals."""
-    return tuple((-HALF + Fraction(l, game_q), -HALF + Fraction(r, game_q)) for l, r in _cell_runs(cells))
-
-
 # Allocator reduction --------------------------------------------------------
 
 @dataclass
@@ -518,55 +506,33 @@ def allocator_to_stacking(trace: RunTrace) -> ReductionResult:
 
     Scaled, that is the closed form's update, n-1 up for the chosen counter
     and 1 down for the others, so each counter's cell carries the counter's
-    closed-form value, and the moves are checked on those values inside the
-    one replay of :func:`validate_pressure_trace`, whose :class:`TraceCheck`
-    is ``check``. :class:`InvariantViolation` is raised unless: the move's
-    shape, whose raise cancels its lowers, holds (checked once); the least
-    touched closed-form value, the leftmost touched cell's, is the chosen
-    counter's engine pressure before each step; each touched counter's
-    engine pressure after it is its closed form; and, after the replay, the
-    sorted closed form padded with zero cells, the final grid, equals the
-    sorted pressures with zero integral, which also catches a counter that
-    changed while untouched. These raise what checks on walked cell
-    positions raise, at the same step, unless one step finds the engine off
-    the closed form on two touched counters. ``steps`` walks the cell
-    positions on first read.
+    closed-form value, and the moves are checked on those values in one
+    replay of the closed form, :func:`validate_pressure_trace`'s, whose
+    :class:`TraceCheck` is ``check``. :class:`InvariantViolation` is raised
+    unless the move's shape, whose raise cancels its lowers, holds (checked
+    once) and, at each item, the least touched closed-form value, the
+    leftmost touched cell's, is the chosen counter's before the step. The
+    sorted closed form padded with zero cells is the final grid, whose
+    integral must be zero. ``steps`` walks the cell positions on first read.
 
-    A trace's ``live`` outcome, the same checks made on a pressure-greedy
-    run's own engine as :func:`run_online` ran it, stands in for the replay.
+    A trace's ``live`` outcome, the same checks made as :func:`run_online`
+    ran a pressure-greedy policy, whose own engine had the closed form's
+    rows after every item, stands in for the replay.
     """
     n = trace.n
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
     if trace.live is None:
-        state = PressureState(n)
-        scaled = state.scaled
-
-        def off_pace(types, agent, low, closed):
-            a = agent - 1
-            if scaled[a][types[a] - 1] != low + n:  # its pressure before the step, n-1 below, is not low + 1
-                raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
-            # a lowered cell now carries its counter's closed form; the raised one carries low + n,
-            # which is the chosen counter's closed form unless it was above the minimum, and then
-            # the counter it displaced from the leftmost touched cell gets a value not its own
-            for row, engine_row, u in zip(closed, scaled, types):
-                if engine_row[u - 1] != row[u - 1]:
-                    raise InvariantViolation("pressure multiset != cell value multiset")
-
-        (flags, closed), live = _replay(trace, state, off_pace), None
+        (flags, closed), live = _replay(trace, strict=True), None
     else:
-        (flags, closed), scaled, *live = trace.live
+        (flags, closed), *live = trace.live
     trace_check = _trace_check(trace, flags, live)
     k = trace_check.game_k  # the trace's largest type index
     game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
     av, bv = game._move_units(1, Fraction(1, n - 1), 1, n - 1)  # every move has this shape
     if (av, bv) != (n - 1, 1):  # the raise cancels the lowers, and a lower drops a value by one
         raise InvariantViolation("grid state lost sortedness or zero integral")
-    free = [0] * (game.Q - sum(map(len, closed)))
-    values = sorted(chain(free, *closed))
-    if values != sorted(chain(free, *scaled)):
-        raise InvariantViolation("pressure multiset != cell value multiset")
-    game.values = values
+    game.values = sorted(chain([0] * (game.Q - sum(map(len, closed))), *closed))
     if not game.integral_is_zero():
         raise InvariantViolation("grid state lost sortedness or zero integral")
     return ReductionResult(n, k, game, trace_check, list(zip(trace.types, trace.agents)))
@@ -682,9 +648,7 @@ __all__ = [
     "BoundReport",
     "check_bound",
     "contiguify",
-    "is_contiguous",
     "GridGame",
-    "cells_to_intervals",
     "ReductionResult",
     "allocator_to_stacking",
     "stacking_trace_to_jsonl",

@@ -6,11 +6,16 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import getitem
 
 from fairdiv import Instance, InstanceTooLarge, mms_exact
-from fairdiv.allocator import PressureGreedyPolicy, run_online
+from fairdiv import allocator
+from fairdiv.allocator import (
+    BiValuePolicy, DumpToOnePolicy, Policy, PressureGreedyPolicy, RoundRobinPolicy, SeededMixturePolicy, run_online,
+)
 from fairdiv.core import FairdivError, ceil_div
 from fairdiv.harness import GeneratorConfig, generate_instance
+from fairdiv.stacking import HALF, StackingOperation, _cell_runs
 
 
 def brute_force_mms(values, n: int) -> Fraction:
@@ -66,6 +71,59 @@ def late_opening_trace(rng: random.Random):
         for m, k in ((260, 1), (300, 4))
     )
     return n, run_online(Instance(n, early.items + late.items), PressureGreedyPolicy())[1]
+
+
+class ExternalPolicy(Policy):
+    """Adapter for a caller-supplied choice function of the raw vector stream."""
+
+    name = "external"
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def choose(self, codes) -> int:
+        return self.fn(tuple(map(getitem, self.raw_values, codes)))
+
+
+ZOO_MIXTURE_SEEDS = (11, 23, 37, 41, 53)
+
+
+def policy_zoo() -> list[Policy]:
+    fixed = [PressureGreedyPolicy(), BiValuePolicy(), RoundRobinPolicy(), DumpToOnePolicy()]
+    return fixed + [SeededMixturePolicy(s) for s in ZOO_MIXTURE_SEEDS]
+
+
+def is_contiguous(op: StackingOperation) -> bool:
+    support = sorted(list(op.A) + list(op.B))
+    for (l1, r1), (l2, r2) in zip(support, support[1:]):
+        if r1 != l2:
+            return False
+    return True
+
+
+def cells_to_intervals(game_q: int, cells) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Merge sorted cell indices into maximal (left, right] intervals."""
+    return tuple((-HALF + Fraction(l, game_q), -HALF + Fraction(r, game_q)) for l, r in _cell_runs(cells))
+
+
+def spy_checks(monkeypatch) -> list[list[bool]]:
+    """Patch the per-item checks that :func:`run_online` makes on a run's
+    engine to record, per run, what each item's check returned."""
+    real, runs = allocator._pressure_checks, []
+
+    def checks(*args):
+        inner, replies = real(*args), []
+        runs.append(replies)
+        sent = yield next(inner)
+        while sent is not None:
+            replies.append(inner.send(sent))
+            sent = yield replies[-1]
+        outcome = next(inner, None)
+        if outcome is not None:
+            yield outcome
+
+    monkeypatch.setattr(allocator, "_pressure_checks", checks)
+    return runs
 
 
 class OracleRec3:

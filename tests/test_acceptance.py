@@ -41,11 +41,9 @@ from fairdiv import (
 )
 from fairdiv.allocator import BiValuePolicy, DumpToOnePolicy, PressureGreedyPolicy
 from fairdiv.core import ceil_div
-from fairdiv.harness import policy_zoo
 from fairdiv.mms import exact_search_limit
-from fairdiv.stacking import cells_to_intervals, is_contiguous
 
-from conftest import OracleRec3, per_type_sums, random_instance
+from conftest import OracleRec3, cells_to_intervals, is_contiguous, per_type_sums, policy_zoo, random_instance
 
 F = Fraction
 H = F(1, 2)
@@ -207,9 +205,9 @@ def test_criterion_4_reduction_consistency():
         D = F(2) ** (k - 1) if grid == "powers-of-two" else F(rng.randint(max(2, k), 12))
         inst = generate_instance(GeneratorConfig(n=n, m=m, k=k, D=D, value_grid=grid, seed=rng.randrange(10**6)))
         _, trace = run_online(inst, PressureGreedyPolicy())
-        # inside: each move's n touched cells are checked against their pressures, on
-        # the run's engine or a replay's, and the end checks the whole grid against the
-        # sorted pressures
+        # inside: the run's engine is checked against the closed form after every
+        # item, each move against the closed form, and the final grid is the sorted
+        # closed form
         res = allocator_to_stacking(trace)
         check = validate_pressure_trace(trace)
         assert res.check == check  # the run's live check, which the reduction takes, agrees with the replay

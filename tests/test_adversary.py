@@ -15,18 +15,17 @@ from fairdiv import (
     generate_instance,
     make_recursive_adversary,
     play_game,
-    policy_zoo,
     run_online,
     verify_certificate,
 )
 from fairdiv.adversary import (RatioCertificate, RecGameRecord, agent_mms, greedy_bin_packing, lpt_partition,
                                mms_report, scaled_disutilities)
-from fairdiv.allocator import DumpToOnePolicy, ExternalPolicy, PressureGreedyPolicy, RoundRobinPolicy
+from fairdiv.allocator import DumpToOnePolicy, PressureGreedyPolicy, RoundRobinPolicy
 from fairdiv.core import FairdivError, ValueTables
 from fairdiv.harness import GRID_NAMES
 from fairdiv.mms import AgentMms, InstanceTooLarge, common_scale, exact_search_limit, mms_exact, witness_max_bundle
 
-from conftest import fraction_verify_certificate, random_instance, type_union_partition
+from conftest import ExternalPolicy, fraction_verify_certificate, policy_zoo, random_instance, type_union_partition
 
 F = Fraction
 

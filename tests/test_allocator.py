@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import replace
+import tracemalloc
 from fractions import Fraction
 from operator import getitem, gt
 
@@ -26,7 +26,6 @@ from fairdiv.adversary import make_recursive_adversary, play_game
 from fairdiv.allocator import (
     BiValuePolicy,
     DumpToOnePolicy,
-    ExternalPolicy,
     Policy,
     PressureGreedyPolicy,
     RoundRobinPolicy,
@@ -39,7 +38,7 @@ from fairdiv.core import ValueTables, instance_to_json, load_instance
 from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance, run_experiment
 from fairdiv.mms import mms_exact
 
-from conftest import late_opening_trace, random_instance
+from conftest import ExternalPolicy, late_opening_trace, random_instance, spy_checks
 from test_golden import CORPUS
 
 
@@ -286,6 +285,19 @@ def test_to_jsonl_matches_json_dumps_of_each_record():
     assert trace_from_jsonl(text, n=2).to_jsonl() == text
 
 
+def test_to_jsonl_of_no_items_costs_no_memory_per_agent():
+    # a trace of no items writes nothing before it lays out a head per agent
+    n = 10**6
+    for trace in (run_online(Instance(n, ()), DumpToOnePolicy())[1], RunTrace(n, "pressure-greedy", pressured=True)):
+        tracemalloc.start()
+        try:
+            text = trace.to_jsonl()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "" and peak < 1 << 16, peak
+
+
 def _live_rows(inst, policy):
     """A trace of ``inst`` fed item by item to ``policy``, and the rows the
     policy's own engine holds after every feed (None without one)."""
@@ -400,10 +412,10 @@ def test_sandwich_reads_thousands_of_distinct_values_per_agent():
     assert min(map(len, trace.raw_values)) > 3500 and trace.live is not None
     check = validate_pressure_trace(trace)
     assert allocator_to_stacking(trace).check == check and check.rounding_sandwich
-    (flags, _), _, raw_columns, effective_columns, lists = trace.live
+    (flags, _), raw_columns, effective_columns, lists = trace.live
     assert all(isinstance(allocator._code_pairs(*column), enumerate)  # the live run's lists are read
                for column in zip(trace.raw_values, raw_columns, effective_columns, lists))
-    assert allocator._trace_check(trace, flags, trace.live[2:]) == allocator._trace_check(trace, flags)
+    assert allocator._trace_check(trace, flags, trace.live[1:]) == allocator._trace_check(trace, flags)
     _set_effective(trace, m - 1, 1, _raw(trace, m - 1)[1] * 2)
     assert not validate_pressure_trace(trace).rounding_sandwich
 
@@ -463,7 +475,7 @@ def test_code_pairs_match_the_columns_pairs():
             paths.add((policy.name, type(pairs).__name__))
         if trace.live is not None:
             flags = trace.live[0][0]
-            assert allocator._trace_check(trace, flags, trace.live[2:]) == allocator._trace_check(trace, flags)
+            assert allocator._trace_check(trace, flags, trace.live[1:]) == allocator._trace_check(trace, flags)
     # live pressure-greedy traces read the policy's lists; a bi-value merge or fallback falls back
     assert paths == {("pressure-greedy", "enumerate"), ("bi-value", "enumerate"), ("bi-value", "set")}
 
@@ -471,7 +483,7 @@ def test_code_pairs_match_the_columns_pairs():
 def test_trace_check_falls_back_where_the_lists_disagree():
     items = ((Fraction(1), Fraction(3)), (Fraction(4), Fraction(3)), (Fraction(1), Fraction(5)))
     _, trace = run_online(Instance(2, items), PressureGreedyPolicy())
-    (flags, _), _, raw_columns, effective_columns, lists = trace.live
+    (flags, _), raw_columns, effective_columns, lists = trace.live
     assert allocator._trace_check(trace, flags, (raw_columns, effective_columns, lists)).rounding_sandwich
     # item 1 reports agent 1's effective value 4 for its raw 1: the lists no longer
     # give the column, so the column's own pairs are read, and the sandwich fails
@@ -707,11 +719,11 @@ def test_replay_opens_types_only_on_steps_that_show_a_new_one(monkeypatch):
     expected = _full_rescan_check(trace)
     check = validate_pressure_trace(trace)
     assert {key: getattr(check, key) for key in expected} == expected
-    assert len(calls) == 2 * opening == 6  # engine and closed-form rows, on three steps
+    assert len(calls) == opening == 3  # the closed-form rows, on three steps
     want = _reduction_on_its_own_replay(trace, 8)
     del calls[:]
     res = allocator_to_stacking(trace)  # the reduction rides on the same replay
-    assert len(calls) == 2 * opening
+    assert len(calls) == opening
     assert (res.steps, res.k, res.game.values) == want
     assert {key: getattr(res.check, key) for key in expected} == expected
 
@@ -720,8 +732,8 @@ def _skew_engine(monkeypatch):
     """Patch ``PressureState.step`` to add ``plan["delta"]`` on its
     ``plan["at"]``-th call to one counter, by ``plan["kind"]``: the chosen
     one, a lowered one (the next agent's) or an untouched open one (picked
-    by ``plan["pick"]``). Returns ``(plan, calls)``; ``calls`` records every
-    call and is cleared with a new plan."""
+    by ``plan["pick"]``), and set ``plan["skewed"]`` if there was one.
+    Returns ``(plan, calls)``; ``calls`` records every call."""
     real, plan, calls = PressureState.step, {}, []
 
     def step(self, types, agent=None):
@@ -735,6 +747,7 @@ def _skew_engine(monkeypatch):
             if counters:
                 i, u = counters[plan["pick"] % len(counters)]
                 self.scaled[i][u] += plan["delta"]
+                plan["skewed"] = True
         return winner
 
     monkeypatch.setattr(PressureState, "step", step)
@@ -742,53 +755,53 @@ def _skew_engine(monkeypatch):
 
 
 def _skew_corpus(rng):
-    """``(n, trace)``: small pressure-greedy traces, and long ones whose
-    counters are touched seldom; copies, without the run's live check, so
-    that the reduction replays them."""
+    """Small instances, and long ones whose counters are touched seldom."""
     for _ in range(300):
-        n, m, k = rng.randint(2, 5), rng.randint(1, 50), rng.randint(1, 4)
-        yield n, replace(run_online(random_instance(rng, n, m, k), PressureGreedyPolicy())[1])
+        yield random_instance(rng, rng.randint(2, 5), rng.randint(1, 50), rng.randint(1, 4))
     for _ in range(4):
-        cfg = GeneratorConfig(n=8, m=300, k=4, D=Fraction(8), seed=rng.randrange(10**6))
-        yield 8, replace(run_online(generate_instance(cfg), PressureGreedyPolicy())[1])
+        yield generate_instance(GeneratorConfig(n=8, m=300, k=4, D=Fraction(8), seed=rng.randrange(10**6)))
 
 
-def test_reduction_matches_the_positional_reference_under_engine_skews(monkeypatch):
-    # one ±1 on the engine, on the chosen counter, a lowered one or an
-    # untouched one: the checks on counters raise what the checks on cell
-    # positions raise, after as many engine steps
+def _reduction_outcome(reduce, trace, n):
+    """``("reduced", (steps, k, grid values))``, or the type and message of what ``reduce`` raised."""
+    try:
+        return "reduced", reduce(trace, n)
+    except FairdivError as exc:
+        return type(exc), str(exc)
+
+
+def test_live_check_stops_on_the_item_that_skews_the_engine(monkeypatch):
+    # one ±1 on a run's engine, on the chosen counter, a lowered one or an
+    # untouched one, takes its rows off the closed form: the run's check
+    # stops on that item and keeps no outcome, and the reduction, which then
+    # replays the trace, does what a reduction on a replay of its own does
     def reduction(trace, n):
         res = allocator_to_stacking(trace)
         return res.steps, res.k, res.game.values
 
-    def positional(trace, n):
-        return _reduction_on_its_own_replay(trace, n, rescan=False)
-
     rng = random.Random(59)
-    corpus = list(_skew_corpus(rng))
-    plan, calls = _skew_engine(monkeypatch)
     seen = {}
-    for n, trace in corpus:
-        plan.update(at=rng.randint(1, trace.m), kind=rng.choice(("chosen", "lowered", "untouched")),
-                    delta=rng.choice((-1, 1)), pick=rng.randrange(64))
-        outcomes = []
-        for reduce in (reduction, positional):
-            calls.clear()
-            try:
-                outcome = "reduced", reduce(trace, n)
-            except FairdivError as exc:
-                outcome = type(exc), str(exc)
-            outcomes.append((outcome, len(calls)))
-        assert outcomes[0] == outcomes[1], (plan, n, trace.m)
-        ((kind, detail), count), _ = outcomes
-        key = (plan["kind"], "reduced" if kind == "reduced" else detail, count == plan["at"])
+    for inst in _skew_corpus(rng):
+        with monkeypatch.context() as patch:
+            plan, calls = _skew_engine(patch)
+            replies = spy_checks(patch)
+            plan.update(at=rng.randint(1, inst.m), kind=rng.choice(("chosen", "lowered", "untouched")),
+                        delta=rng.choice((-1, 1)), pick=rng.randrange(64))
+            _, trace = run_online(inst, PressureGreedyPolicy())
+        assert len(calls) == inst.m
+        skewed = plan.get("skewed", False)
+        if skewed:
+            assert trace.live is None and replies == [[True] * (plan["at"] - 1) + [False]], plan
+        else:  # no untouched counter was open
+            assert trace.live is not None and replies == [[True] * inst.m], plan
+        outcome = _reduction_outcome(reduction, trace, inst.n)
+        assert outcome == _reduction_outcome(_reduction_on_its_own_replay, trace, inst.n), (plan, inst.n, inst.m)
+        key = (plan["kind"], skewed, "reduced" if outcome[0] == "reduced" else outcome[1])
         seen[key] = seen.get(key, 0) + 1
-    # the chosen counter and a lowered one are caught on the move of the skewed step
-    assert seen.get(("chosen", "leftmost touched cell does not carry the minimum pressure", True), 0) >= 20, seen
-    assert seen.get(("lowered", "pressure multiset != cell value multiset", True), 0) >= 20, seen
-    # an untouched one when it is next touched, or by the end check
-    assert seen.get(("untouched", "leftmost touched cell does not carry the minimum pressure", False), 0) >= 5, seen
-    assert seen.get(("untouched", "pressure multiset != cell value multiset", False), 0) >= 20, seen
+    # each kind is caught; the trace of a skew that changed a later choice fails the reduction
+    for kind in ("chosen", "lowered", "untouched"):
+        assert seen.get((kind, True, "reduced"), 0) >= 20, seen
+        assert seen.get((kind, True, "leftmost touched cell does not carry the minimum pressure"), 0) >= 10, seen
 
 
 def test_run_path_walks_no_cell_positions(tmp_path, monkeypatch):

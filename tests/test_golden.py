@@ -49,14 +49,14 @@ from fairdiv import (
     run_online,
 )
 from fairdiv.adversary import _build_certificate, agent_mms, scaled_disutilities
-from fairdiv.allocator import BiValuePolicy, ExternalPolicy, PressureGreedyPolicy, make_policy
+from fairdiv.allocator import BiValuePolicy, PressureGreedyPolicy, make_policy
 from fairdiv.cli import main
 from fairdiv.core import format_rational
 from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance
 from fairdiv.mms import exact_search_limit
-from fairdiv.stacking import _walk, allocator_to_stacking, cells_to_intervals, stacking_trace_to_jsonl
+from fairdiv.stacking import _walk, allocator_to_stacking, stacking_trace_to_jsonl
 
-from conftest import random_instance
+from conftest import ExternalPolicy, cells_to_intervals, random_instance
 
 
 def _generated(n, m, k, D, grid, seed):

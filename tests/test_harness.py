@@ -36,9 +36,9 @@ from fairdiv.allocator import PressureGreedyPolicy, make_policy
 from fairdiv.cli import main
 from fairdiv.core import instance_json_parts
 from fairdiv.mms import exact_search_limit, witness_max_bundle
-from fairdiv.harness import GRID_NAMES, NEAR_THRESHOLD_ABOVE, NEAR_THRESHOLD_BELOW, _agent_value_set, _draws, policy_zoo
+from fairdiv.harness import GRID_NAMES, NEAR_THRESHOLD_ABOVE, NEAR_THRESHOLD_BELOW, _agent_value_set, _draws
 
-from conftest import random_instance
+from conftest import policy_zoo, random_instance
 
 F = Fraction
 

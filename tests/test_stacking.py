@@ -22,9 +22,9 @@ from fairdiv import (
 from fairdiv.allocator import PressureGreedyPolicy, PressureState, RunTrace, validate_pressure_trace
 from fairdiv.core import FairdivError, instance_to_json
 from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance, run_experiment
-from fairdiv.stacking import BoundReport, cells_to_intervals, is_contiguous, stacking_trace_to_jsonl
+from fairdiv.stacking import BoundReport, stacking_trace_to_jsonl
 
-from conftest import late_opening_trace, random_instance
+from conftest import cells_to_intervals, is_contiguous, late_opening_trace, random_instance, spy_checks
 
 H = Fraction(1, 2)
 
@@ -286,31 +286,34 @@ def _skew_at_step(monkeypatch, at, counter):
     return winners
 
 
-def _late_switch_trace():
+def _late_switch_instance():
     """n=3: agent 1's first item rounds to 4 and the other eleven to 1, so its
-    type-1 counter is touched at step 1 only. A copy, without the run's live
-    check, so that the reduction replays it."""
+    type-1 counter is touched at step 1 only."""
     one = (Fraction(1),) * 3
-    return replace(run_online(Instance(3, ((Fraction(4),) + one[1:],) + (one,) * 11), PressureGreedyPolicy())[1])
+    return Instance(3, ((Fraction(4),) + one[1:],) + (one,) * 11)
 
 
-def test_reduction_end_check_catches_an_untouched_counter(monkeypatch):
-    trace = _late_switch_trace()
-    winners = _skew_at_step(monkeypatch, 6, lambda types, winner: (0, 0))
-    with pytest.raises(InvariantViolation) as raised:
-        allocator_to_stacking(trace)
-    assert str(raised.value) == "pressure multiset != cell value multiset"
-    assert len(winners) == trace.m  # no per-move check saw it: the end of the replay did
+@pytest.mark.parametrize("counter", ["untouched", "lowered"])
+def test_live_check_stops_on_the_step_that_skews_a_counter(monkeypatch, counter):
+    # the run's check compares the engine's rows with the closed form after
+    # every item, so a counter skewed at step 6 is caught there, touched or
+    # not; the trace is then replayed, as a reduction on a replay of its own
+    from test_allocator import _reduction_on_its_own_replay
 
-
-def test_reduction_move_check_catches_a_lowered_counter(monkeypatch):
-    trace = _late_switch_trace()
-    lowered = lambda types, winner: next((i, u - 1) for i, u in enumerate(types) if i != winner - 1)
-    winners = _skew_at_step(monkeypatch, 6, lowered)
-    with pytest.raises(InvariantViolation) as raised:
-        allocator_to_stacking(trace)
-    assert str(raised.value) == "pressure multiset != cell value multiset"
-    assert len(winners) == 6  # caught on the move of the skewed step
+    inst = _late_switch_instance()
+    counters = {
+        "untouched": lambda types, winner: (0, 0),
+        "lowered": lambda types, winner: next((i, u - 1) for i, u in enumerate(types) if i != winner - 1),
+    }
+    with monkeypatch.context() as patch:
+        winners = _skew_at_step(patch, 6, counters[counter])
+        replies = spy_checks(patch)
+        _, trace = run_online(inst, PressureGreedyPolicy())
+    assert len(winners) == inst.m and trace.live is None
+    assert replies == [[True] * 5 + [False]]
+    res = allocator_to_stacking(trace)
+    assert (res.steps, res.k, res.game.values) == _reduction_on_its_own_replay(trace, inst.n)
+    assert res.check == validate_pressure_trace(trace)
 
 
 def test_reduction_rejects_out_of_range_indices():
@@ -483,6 +486,25 @@ def test_live_check_holds_for_the_trace_as_the_run_left_it():
     assert trace.live is None
 
 
+def test_replays_step_no_pressure_engine(monkeypatch):
+    # validation and the reduction of a copy, which has no live outcome,
+    # replay the closed form alone
+    calls = []
+    for name in ("step", "add_type"):
+        real = getattr(PressureState, name)
+        monkeypatch.setattr(PressureState, name, lambda self, *args, real=real: calls.append(1) or real(self, *args))
+    rng = random.Random(157)
+    runs = [run_online(random_instance(rng, n=rng.randint(2, 5), m=rng.randint(1, 40), k=rng.randint(1, 3)),
+                       PressureGreedyPolicy())[1] for _ in range(20)] + [late_opening_trace(rng)[1]]
+    assert calls  # the runs stepped their own engines
+    calls.clear()
+    for trace in map(replace, runs):
+        assert trace.live is None
+        res = allocator_to_stacking(trace)
+        assert res.check == validate_pressure_trace(trace) and res.check.passed
+    assert calls == []
+
+
 class _LateGreedy(PressureGreedyPolicy):
     """Pressure-greedy that hands one item to the next agent, its engine unaware."""
 
@@ -525,7 +547,7 @@ class _WideGreedy(PressureGreedyPolicy):
 
 def test_live_check_replays_a_run_wider_than_its_engine(monkeypatch):
     # the engine has no row for the reported type, so the run's check stops
-    # and the reduction replays on a fresh engine, which opens it
+    # and the reduction replays the closed form, which opens it
     seen = _reductions_of_run_experiment(monkeypatch)
     rng = random.Random(149)
     for _ in range(20):
