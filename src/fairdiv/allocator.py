@@ -104,14 +104,10 @@ class RunTrace:
     c, and ``effective_values`` likewise; a policy that reports raw values
     as effective shares the raw tables. A ``pressured`` trace, of a policy
     with a pressure engine, has rows on every item; others, where recorded.
-    ``live`` is what :func:`run_online` checked on a pressure-greedy
-    policy's own engine as it ran, whose rows were the closed form after
-    every item, for :func:`fairdiv.stacking.allocator_to_stacking` to take
-    in place of a replay: the outcome of :func:`_pressure_checks`, the raw
-    and effective code columns, which :meth:`to_jsonl` shares, and the
-    policy's ``to_effective`` lists. It holds for the columns as the run
-    left them, and is None on any other trace, on a copy made by
-    ``dataclasses.replace`` and once the trace is fed again."""
+    ``to_effective`` is the policy's list of one effective code per raw
+    code, per agent, which :meth:`begin` takes from a policy that keeps
+    one; the rounding sandwich reads it only where it maps the columns, and
+    a copy made by ``dataclasses.replace`` has None."""
 
     n: int
     policy: str
@@ -123,15 +119,16 @@ class RunTrace:
     effective: list[tuple[int, ...]] = field(default_factory=list)
     types: list[tuple[int, ...]] = field(default_factory=list)
     pressures: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
-    live: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    to_effective: Sequence[Sequence[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def begin(cls, policy: Policy, n: int, raw_values) -> RunTrace:
         """Start ``policy`` on n agents and an empty trace whose raw codes index ``raw_values``."""
         policy.start(n, raw_values)
-        policy.trace = cls(n, policy.name, raw_values=raw_values, effective_values=policy.effective_values(),
-                           pressured=policy.state is not None)
-        return policy.trace
+        trace = policy.trace = cls(n, policy.name, raw_values=raw_values, effective_values=policy.effective_values(),
+                                   pressured=policy.state is not None)
+        trace.to_effective = getattr(policy, "to_effective", None)
+        return trace
 
     @property
     def m(self) -> int:
@@ -140,17 +137,14 @@ class RunTrace:
     def allocation(self) -> Allocation:
         return Allocation(tuple(self.agents))
 
-    def feed(self, policy: Policy, rows, checks=None) -> int:
+    def feed(self, policy: Policy, rows) -> int:
         """Offer the items ``rows``, each as its codes into ``raw_values``, to
         ``policy`` in order, check each choice and record it; returns the last
         agent. While :meth:`Policy.choose` runs, the columns hold the items
-        before its item. ``checks`` (:func:`_pressure_checks`) is sent each
-        item once the policy's engine has taken it, until it reports the
-        run off pace."""
+        before its item."""
         n, agents, pressures, own = self.n, self.agents, self.pressures, self.effective_values is not self.raw_values
         choose, snapshot, ones = policy.choose, policy.pressure_snapshot, (1,) * n
         add_agent, add_raw, add_effective, add_types = agents.append, self.raw.append, self.effective.append, self.types.append
-        self.live = None
         agent = 0
         for item, codes in enumerate(rows, len(agents) + 1):
             agent = choose(codes)
@@ -167,8 +161,6 @@ class RunTrace:
             recorded = snapshot()
             if recorded is not None:
                 pressures[item] = recorded
-            if checks is not None and not checks.send((types, agent, recorded)):
-                checks = None
         return agent
 
     def pressure_rows(self):
@@ -196,18 +188,17 @@ class RunTrace:
         :func:`instance_to_json`. The rows of :meth:`pressure_rows` are counts
         in closed form; an item rewrites its n touched cells' text, row i's
         cell u being ``pieces[base[i] + 2*u]``."""
-        n, pressured, recorded, live = self.n, self.pressured, self.pressures, self.live
+        n, pressured, recorded = self.n, self.pressured, self.pressures
         if not self.m:
             return ""
-        raw_columns, effective_columns = live[1:3] if live else (zip(*self.raw), zip(*self.effective))
         stride = 3 * n + 2
         parts = [""] * (stride * self.m)
         heads = ['{"agent":%d,"effective":[' % a for a in range(n + 1)]
         parts[::stride] = [heads[a] for a in self.agents]
         types = list(zip(*self.types))
         fields = (
-            (1, map(json_texts, self.effective_values), '],"item":', effective_columns),
-            (n + 2, map(json_texts, self.raw_values), '],"types":[', raw_columns),
+            (1, map(json_texts, self.effective_values), '],"item":', zip(*self.effective)),
+            (n + 2, map(json_texts, self.raw_values), '],"types":[', zip(*self.raw)),
             (2 * n + 2, (map(str, range(max(column) + 1)) for column in types), "]}\n", types),
         )
         for first, tables, end, columns in fields:
@@ -550,26 +541,17 @@ def make_policy(name: str) -> Policy:
         seed = name.split(":", 1)[1]
         if not seed.isdecimal():  # no sign: random.Random(-s) is random.Random(s)
             raise FairdivError(f"policy {name!r}: mixture seed must be a non-negative integer in decimal digits")
-        return SeededMixturePolicy(int(seed))
+        try:
+            return SeededMixturePolicy(int(seed))
+        except ValueError:  # past int()'s digit limit
+            raise FairdivError(f"policy 'mixture:<{len(seed)} digits>': mixture seed is too long") from None
     raise FairdivError(f"unknown policy {name!r}")
 
 
 def run_online(inst: Instance, policy: Policy) -> tuple[Allocation, RunTrace]:
-    """Feed the instance's items, as their codes, in arrival order through a
-    policy. A pressure-greedy run on n >= 2 agents is checked on the
-    policy's own engine as it goes, and a run that kept pace keeps the
-    outcome in its trace's ``live``."""
+    """Feed the instance's items, as their codes, in arrival order through a policy."""
     trace = RunTrace.begin(policy, inst.n, inst.values)
-    state = policy.state
-    if policy.name != "pressure-greedy" or state is None:
-        trace.feed(policy, inst.codes)
-    else:
-        checks = _pressure_checks(state.n, state.scaled)
-        next(checks)
-        trace.feed(policy, inst.codes, checks)
-        outcome = next(checks, None)
-        if outcome is not None:
-            trace.live = outcome, inst.columns, tuple(zip(*trace.effective)), policy.to_effective
+    trace.feed(policy, inst.codes)
     return trace.allocation(), trace
 
 
@@ -612,51 +594,29 @@ def validate_pressure_trace(trace: RunTrace) -> TraceCheck:
     """
     if trace.n < 2:
         raise FairdivError("validate_pressure_trace requires n >= 2")
-    return _trace_check(trace, _replay(trace)[0])
+    return _replay(trace)[0]
 
 
-def _replay(trace: RunTrace, strict: bool = False):
-    """The outcome of :func:`_pressure_checks` sent every item of ``trace``."""
-    checks = _pressure_checks(trace.n, strict=strict)
-    next(checks)
-    send, recorded = checks.send, trace.pressures
-    for item, (types, agent) in enumerate(zip(trace.types, trace.agents), 1):
-        send((types, agent, recorded.get(item)))
-    return send(None)
-
-
-def _pressure_checks(n: int, engine=None, strict: bool = False):
-    """:func:`validate_pressure_trace`'s per-item checks on the closed-form
-    rows, as a generator: send each item's ``(types, agent, recorded rows or
-    None)``, which returns whether the item kept pace, then None for the
-    outcome, the flags ``(closed_form, pressure_bound, count_bound, max
-    scaled pressure, k)`` and the closed-form rows.
+def _replay(trace: RunTrace, strict: bool = False) -> tuple[TraceCheck, list[list[int]]]:
+    """:func:`validate_pressure_trace`'s :class:`TraceCheck` of ``trace`` and
+    the closed-form rows after its last item, from one replay.
 
     A type opens on the item that first shows it for its agent. ``low`` is
     the least touched closed-form value once lowered, so the agent held the
-    least pressure iff its counter is ``low + n``. ``engine`` is a run's own
-    rows, which have taken the item: the item is off pace if an index is out
-    of range, the engine's rows are not the closed form or the agent did not
-    hold the least pressure, and the check is then sent no more items and
-    ends, so its outcome, ``next(checks, None)``, is None, for a replay to
-    decide. A replay, without ``engine``, raises :class:`FairdivError` on an
-    item whose agent or type indices are out of range, and with ``strict``
-    raises :class:`InvariantViolation` on an agent that did not hold the
-    least pressure.
+    least pressure iff its counter is ``low + n``; with ``strict`` an agent
+    that did not raises :class:`InvariantViolation`. The rounding sandwich
+    p/q <= r/s < 2p/q, times q and s, is checked once per distinct (agent,
+    raw code, effective code), from :func:`_code_pairs`.
     """
+    n, recorded = trace.n, trace.pressures
     closed: list[list[int]] = [[] for _ in range(n)]  # n*|A_i ^ M_i^u| - N_i^u
     shared = frozenset()  # the type indices every agent has open
     ok_closed = ok_pressure = ok_count = True
-    max_scaled = game_k = pressure_cap = count_cap = item = 0
-    sent = yield
-    while sent is not None:
-        types, agent, rows = sent
-        item += 1
+    max_scaled = game_k = pressure_cap = count_cap = 0
+    for item, (types, agent) in enumerate(zip(trace.types, trace.agents), 1):
         if not shared.issuperset(types) or len(types) != n or not 1 <= agent <= n:
             if not 1 <= agent <= n or len(types) != n or min(types) < 1:
-                if engine is None:
-                    raise FairdivError(f"item {item}: agent or type indices out of range for n={n}")
-                break
+                raise FairdivError(f"item {item}: agent or type indices out of range for n={n}")
             if any(map(gt, types, map(len, closed))):  # a type opens
                 _open_types(closed, types)
                 shared = frozenset(range(1, min(map(len, closed)) + 1))
@@ -670,38 +630,24 @@ def _pressure_checks(n: int, engine=None, strict: bool = False):
             if x < low:
                 low = x
         c = own[u] = own[u] + n
-        if c != low + n or engine is not None and engine != closed:
-            if engine is not None:
-                break
-            if strict:
-                raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
+        if strict and c != low + n:
+            raise InvariantViolation("leftmost touched cell does not carry the minimum pressure")
         if c > max_scaled:  # the earlier maximum met a cap no larger than this one
             max_scaled = c
             if c > pressure_cap:
                 ok_pressure = False
         if c >= count_cap:  # r <= ceil(N/n) - 1 + 2k fails
             ok_count = False
+        rows = recorded.get(item)
         if rows is not None and rows != tuple(map(tuple, closed)):
             ok_closed = False
-        sent = yield True
-    else:
-        yield (ok_closed, ok_pressure, ok_count, max_scaled, max(game_k, 1)), closed
-    yield False  # off pace
-
-
-def _trace_check(trace: RunTrace, flags, live=None) -> TraceCheck:
-    """The :class:`TraceCheck` of :func:`_pressure_checks`'s ``flags`` on
-    ``trace``, whose rounding sandwich p/q <= r/s < 2p/q, times q and s, is
-    checked once per distinct (agent, raw code, effective code), from
-    :func:`_code_pairs`; ``live`` holds a live outcome's code columns and lists."""
-    closed_form, pressure_bound, count_bound, max_scaled, k = flags
-    raw_columns, effective_columns, lists = live or (zip(*trace.raw), zip(*trace.effective), [None] * trace.n)
-    columns = zip(trace.raw_values, trace.effective_values, raw_columns, effective_columns, lists)
+    lists = trace.to_effective or [None] * n
+    columns = zip(trace.raw_values, trace.effective_values, zip(*trace.raw), zip(*trace.effective), lists)
     sandwich = all(
         p.numerator * e.denominator <= e.numerator * p.denominator < 2 * p.numerator * e.denominator
         for raw, eff, raw_codes, effective_codes, to_effective in columns
         for p, e in ((raw[r], eff[c]) for r, c in _code_pairs(raw, raw_codes, effective_codes, to_effective)))
-    return TraceCheck(closed_form, sandwich, pressure_bound, count_bound, max_scaled, k)
+    return TraceCheck(ok_closed, sandwich, ok_pressure, ok_count, max_scaled, max(game_k, 1)), closed
 
 
 def _code_pairs(raw, raw_codes, effective_codes, to_effective):

@@ -289,8 +289,7 @@ def run_experiment(inst: Instance, policies=None) -> ExperimentReport:
         max_pressure = policy.max_pressure_seen()
         stacking_margin = None
         if policy.name == "pressure-greedy" and inst.n >= 2:
-            # the run's own engine checks the trace too, else the reduction's replay does;
-            # validation replays it only if that fails
+            # the reduction's replay checks the trace; validation replays it only if that fails
             try:
                 reduction = allocator_to_stacking(trace)
             except FairdivError:

@@ -23,10 +23,9 @@ Two engines implement the same dynamics:
 sequence of moves: the nk pressure counters map to the nk cells so that the
 multiset of pressures always equals the multiset of cell values. A move
 changes each touched cell as the closed form changes its counter, so the
-moves are checked on counter values by :func:`validate_pressure_trace`'s
-checks, made in one replay of the closed form or, as the run went, against
-the run's own engine; ``ReductionResult.check`` keeps them, with the final
-grid, the sorted closed form. The moves' cell
+moves are checked on counter values in :func:`validate_pressure_trace`'s
+one replay of the closed form; ``ReductionResult.check`` keeps its
+verdict, with the final grid, the sorted closed form. The moves' cell
 positions are walked on a fresh grid through :meth:`GridGame.apply_cells` only when
 ``ReductionResult.steps`` is read or :func:`stacking_trace_to_jsonl` writes
 the grid after each move; :func:`replay_stacking_trace` reads that file
@@ -46,7 +45,7 @@ from operator import add
 from .core import (
     FairdivError, InvariantViolation, at_line, format_rational, parse_json, parse_jsonl, parse_rational,
 )
-from .allocator import RunTrace, TraceCheck, _replay, _trace_check
+from .allocator import RunTrace, TraceCheck, _replay
 
 HALF = Fraction(1, 2)
 
@@ -514,19 +513,11 @@ def allocator_to_stacking(trace: RunTrace) -> ReductionResult:
     leftmost touched cell's, is the chosen counter's before the step. The
     sorted closed form padded with zero cells is the final grid, whose
     integral must be zero. ``steps`` walks the cell positions on first read.
-
-    A trace's ``live`` outcome, the same checks made as :func:`run_online`
-    ran a pressure-greedy policy, whose own engine had the closed form's
-    rows after every item, stands in for the replay.
     """
     n = trace.n
     if n < 2:
         raise FairdivError("allocator_to_stacking requires n >= 2")
-    if trace.live is None:
-        (flags, closed), live = _replay(trace, strict=True), None
-    else:
-        (flags, closed), *live = trace.live
-    trace_check = _trace_check(trace, flags, live)
+    trace_check, closed = _replay(trace, strict=True)
     k = trace_check.game_k  # the trace's largest type index
     game = GridGame(k=k, cells_per_unit=n, scale=n - 1)
     av, bv = game._move_units(1, Fraction(1, n - 1), 1, n - 1)  # every move has this shape

@@ -9,7 +9,6 @@ from itertools import product
 from operator import getitem
 
 from fairdiv import Instance, InstanceTooLarge, mms_exact
-from fairdiv import allocator
 from fairdiv.allocator import (
     BiValuePolicy, DumpToOnePolicy, Policy, PressureGreedyPolicy, RoundRobinPolicy, SeededMixturePolicy, run_online,
 )
@@ -104,26 +103,6 @@ def is_contiguous(op: StackingOperation) -> bool:
 def cells_to_intervals(game_q: int, cells) -> tuple[tuple[Fraction, Fraction], ...]:
     """Merge sorted cell indices into maximal (left, right] intervals."""
     return tuple((-HALF + Fraction(l, game_q), -HALF + Fraction(r, game_q)) for l, r in _cell_runs(cells))
-
-
-def spy_checks(monkeypatch) -> list[list[bool]]:
-    """Patch the per-item checks that :func:`run_online` makes on a run's
-    engine to record, per run, what each item's check returned."""
-    real, runs = allocator._pressure_checks, []
-
-    def checks(*args):
-        inner, replies = real(*args), []
-        runs.append(replies)
-        sent = yield next(inner)
-        while sent is not None:
-            replies.append(inner.send(sent))
-            sent = yield replies[-1]
-        outcome = next(inner, None)
-        if outcome is not None:
-            yield outcome
-
-    monkeypatch.setattr(allocator, "_pressure_checks", checks)
-    return runs
 
 
 class OracleRec3:

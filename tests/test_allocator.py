@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from operator import getitem, gt
 
@@ -38,7 +39,7 @@ from fairdiv.core import ValueTables, instance_to_json, load_instance
 from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance, run_experiment
 from fairdiv.mms import mms_exact
 
-from conftest import ExternalPolicy, late_opening_trace, random_instance, spy_checks
+from conftest import ExternalPolicy, late_opening_trace, random_instance
 from test_golden import CORPUS
 
 
@@ -353,6 +354,32 @@ def test_rebuilt_rows_match_the_live_rows_on_random_instances():
     assert {inst.n for inst in instances} == {1, 2, 3, 4}
 
 
+def test_engine_matches_the_closed_form_of_every_prefix():
+    # no run compares its engine with the closed form, so this does: after
+    # every item fed, pressure-greedy's engine holds the rows of a closed-form
+    # replay of the trace so far
+    rng = random.Random(163)
+    instances = [make() for make in CORPUS.values()]
+    for trial in range(90):
+        n, k, grid = rng.randint(2, 8), rng.randint(1, 4), GRID_NAMES[trial % 3]
+        if grid == "adversarial-near-threshold":
+            k = min(k, 2)
+        D = Fraction(2 ** rng.randint(k - 1, 6)) if grid == "powers-of-two" else Fraction(rng.randint(3, 40), 3) + 3
+        cfg = GeneratorConfig(n=n, m=rng.randint(k, 60), k=k, D=D, value_grid=grid, seed=trial)
+        instances.append(generate_instance(cfg))
+    steps = 0
+    for inst in instances:
+        if inst.n < 2:
+            continue
+        policy = PressureGreedyPolicy()
+        trace = RunTrace.begin(policy, inst.n, inst.values)
+        for codes in inst.codes:
+            trace.feed(policy, [codes])
+            assert policy.state.scaled == allocator._replay(trace, strict=True)[1], (inst.n, trace.m)
+            steps += 1
+    assert steps >= 2500 and {inst.n for inst in instances} >= set(range(2, 9))
+
+
 def test_file_traces_are_written_back_byte_for_byte():
     inst = random_instance(random.Random(53), n=3, m=30, k=3)
     bi_value, texts = BiValuePolicy(), {}
@@ -401,21 +428,30 @@ def _set_effective(trace, j, i, value):
     trace.effective[j] = tuple(codes)
 
 
-def test_sandwich_reads_thousands_of_distinct_values_per_agent():
-    # each raw code shows on about one item: the run's live check and a
-    # replay read the same (raw, effective) pairs, and one effective value
+def test_sandwich_reads_thousands_of_distinct_values_per_agent(monkeypatch):
+    # each raw code shows on about one item: the run's lists and a copy's
+    # columns give the same (raw, effective) pairs, and one effective value
     # off its raw one fails the sandwich
     rng = random.Random(151)
     m = 4000
     items = tuple(tuple(Fraction(rng.randint(1, 10**6), rng.randint(1, 1000)) for _ in range(3)) for _ in range(m))
     _, trace = run_online(Instance(3, items), PressureGreedyPolicy())
-    assert min(map(len, trace.raw_values)) > 3500 and trace.live is not None
+    copy = replace(trace)
+    assert min(map(len, trace.raw_values)) > 3500 and copy.to_effective is None
+    paths, code_pairs = [], allocator._code_pairs
+
+    def spied(*args):
+        pairs = code_pairs(*args)
+        paths.append(type(pairs))
+        return pairs
+
+    monkeypatch.setattr(allocator, "_code_pairs", spied)
     check = validate_pressure_trace(trace)
     assert allocator_to_stacking(trace).check == check and check.rounding_sandwich
-    (flags, _), raw_columns, effective_columns, lists = trace.live
-    assert all(isinstance(allocator._code_pairs(*column), enumerate)  # the live run's lists are read
-               for column in zip(trace.raw_values, raw_columns, effective_columns, lists))
-    assert allocator._trace_check(trace, flags, trace.live[1:]) == allocator._trace_check(trace, flags)
+    assert paths == [enumerate] * 6  # the run's lists are read
+    del paths[:]
+    assert validate_pressure_trace(copy) == check and allocator_to_stacking(copy).check == check
+    assert paths == [set] * 6  # the copy's columns are read
     _set_effective(trace, m - 1, 1, _raw(trace, m - 1)[1] * 2)
     assert not validate_pressure_trace(trace).rounding_sandwich
 
@@ -451,8 +487,8 @@ def test_step_matches_a_two_pass_reference():
 
 
 def _pressure_traces():
-    """Pressure-greedy traces, live ones among them, and bi-value traces with a
-    merge (whose first effective code changes mid-run) or a fallback."""
+    """Pressure-greedy and bi-value traces, bi-value ones with a merge (whose
+    first effective code changes mid-run) or a fallback among them."""
     rng = random.Random(353)
     for _ in range(60):
         inst = random_instance(rng, n=rng.randint(2, 4), m=rng.randint(1, 30), k=rng.randint(1, 4))
@@ -473,29 +509,29 @@ def test_code_pairs_match_the_columns_pairs():
             pairs = allocator._code_pairs(raw, raw_codes, effective_codes, to_effective)
             assert set(pairs) == set(zip(raw_codes, effective_codes))
             paths.add((policy.name, type(pairs).__name__))
-        if trace.live is not None:
-            flags = trace.live[0][0]
-            assert allocator._trace_check(trace, flags, trace.live[1:]) == allocator._trace_check(trace, flags)
-    # live pressure-greedy traces read the policy's lists; a bi-value merge or fallback falls back
+        assert validate_pressure_trace(trace) == validate_pressure_trace(replace(trace))  # a copy has no lists
+    # pressure-greedy traces read the policy's lists; a bi-value merge or fallback falls back
     assert paths == {("pressure-greedy", "enumerate"), ("bi-value", "enumerate"), ("bi-value", "set")}
 
 
 def test_trace_check_falls_back_where_the_lists_disagree():
     items = ((Fraction(1), Fraction(3)), (Fraction(4), Fraction(3)), (Fraction(1), Fraction(5)))
     _, trace = run_online(Instance(2, items), PressureGreedyPolicy())
-    (flags, _), raw_columns, effective_columns, lists = trace.live
-    assert allocator._trace_check(trace, flags, (raw_columns, effective_columns, lists)).rounding_sandwich
+    lists = trace.to_effective
+    assert validate_pressure_trace(trace).rounding_sandwich
     # item 1 reports agent 1's effective value 4 for its raw 1: the lists no longer
     # give the column, so the column's own pairs are read, and the sandwich fails
     four = trace.effective_values[0].index(Fraction(4))
-    bad = ((four,) + effective_columns[0][1:],) + effective_columns[1:]
-    assert isinstance(allocator._code_pairs(trace.raw_values[0], raw_columns[0], bad[0], lists[0]), set)
-    assert not allocator._trace_check(trace, flags, (raw_columns, bad, lists)).rounding_sandwich
+    bad = replace(trace, effective=list(trace.effective))
+    bad.effective[0] = (four,) + bad.effective[0][1:]
+    bad.to_effective = lists
+    raw_column, (column, *_) = next(zip(*bad.raw)), zip(*bad.effective)
+    assert isinstance(allocator._code_pairs(bad.raw_values[0], raw_column, column, lists[0]), set)
+    assert not validate_pressure_trace(bad).rounding_sandwich
     # lists off the run, beside the right columns, are not read either
-    wrong = [[four] * len(lists[0])] + lists[1:]
-    assert allocator._trace_check(trace, flags, (raw_columns, effective_columns, wrong)).rounding_sandwich
-    short = [lists[0][:1]] + lists[1:]
-    assert allocator._trace_check(trace, flags, (raw_columns, effective_columns, short)).rounding_sandwich
+    for wrong in ([[four] * len(lists[0])] + lists[1:], [lists[0][:1]] + lists[1:]):
+        trace.to_effective = wrong
+        assert validate_pressure_trace(trace).rounding_sandwich
 
 
 def test_validate_catches_a_corrupted_effective_value():
@@ -770,11 +806,10 @@ def _reduction_outcome(reduce, trace, n):
         return type(exc), str(exc)
 
 
-def test_live_check_stops_on_the_item_that_skews_the_engine(monkeypatch):
+def test_reduction_matches_the_positional_reference_under_engine_skews(monkeypatch):
     # one ±1 on a run's engine, on the chosen counter, a lowered one or an
-    # untouched one, takes its rows off the closed form: the run's check
-    # stops on that item and keeps no outcome, and the reduction, which then
-    # replays the trace, does what a reduction on a replay of its own does
+    # untouched one, takes its rows off the closed form; the reduction,
+    # which replays the trace, does what a reduction on a replay of its own does
     def reduction(trace, n):
         res = allocator_to_stacking(trace)
         return res.steps, res.k, res.game.values
@@ -784,16 +819,11 @@ def test_live_check_stops_on_the_item_that_skews_the_engine(monkeypatch):
     for inst in _skew_corpus(rng):
         with monkeypatch.context() as patch:
             plan, calls = _skew_engine(patch)
-            replies = spy_checks(patch)
             plan.update(at=rng.randint(1, inst.m), kind=rng.choice(("chosen", "lowered", "untouched")),
                         delta=rng.choice((-1, 1)), pick=rng.randrange(64))
             _, trace = run_online(inst, PressureGreedyPolicy())
         assert len(calls) == inst.m
-        skewed = plan.get("skewed", False)
-        if skewed:
-            assert trace.live is None and replies == [[True] * (plan["at"] - 1) + [False]], plan
-        else:  # no untouched counter was open
-            assert trace.live is not None and replies == [[True] * inst.m], plan
+        skewed = plan.get("skewed", False)  # False where no untouched counter was open
         outcome = _reduction_outcome(reduction, trace, inst.n)
         assert outcome == _reduction_outcome(_reduction_on_its_own_replay, trace, inst.n), (plan, inst.n, inst.m)
         key = (plan["kind"], skewed, "reduced" if outcome[0] == "reduced" else outcome[1])

@@ -553,6 +553,10 @@ def test_cli_bad_mixture_seed_is_a_usage_error(tmp_path, capsys):
     inst_path.write_text(instance_to_json(Instance(2, ((F(1), F(1)),))))
     err = _one_line_error(capsys, ["run", "--in", str(inst_path), "--policy", "mixture:abc"])
     assert "mixture:abc" in err
+    # past int()'s digit limit
+    long_seed = "mixture:" + "7" * 5000
+    for argv in (["run", "--in", str(inst_path)], ["adversary", "run", "--n", "2", "--eps", "1"]):
+        assert "<5000 digits>': mixture seed is too long" in _one_line_error(capsys, argv + ["--policy", long_seed])
 
 
 def test_cli_stacking_replay_malformed_line(tmp_path, capsys):

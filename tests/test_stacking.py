@@ -21,10 +21,10 @@ from fairdiv import (
 )
 from fairdiv.allocator import PressureGreedyPolicy, PressureState, RunTrace, validate_pressure_trace
 from fairdiv.core import FairdivError, instance_to_json
-from fairdiv.harness import GRID_NAMES, GeneratorConfig, generate_instance, run_experiment
+from fairdiv.harness import run_experiment
 from fairdiv.stacking import BoundReport, stacking_trace_to_jsonl
 
-from conftest import cells_to_intervals, is_contiguous, late_opening_trace, random_instance, spy_checks
+from conftest import cells_to_intervals, is_contiguous, late_opening_trace, random_instance
 
 H = Fraction(1, 2)
 
@@ -294,10 +294,10 @@ def _late_switch_instance():
 
 
 @pytest.mark.parametrize("counter", ["untouched", "lowered"])
-def test_live_check_stops_on_the_step_that_skews_a_counter(monkeypatch, counter):
-    # the run's check compares the engine's rows with the closed form after
-    # every item, so a counter skewed at step 6 is caught there, touched or
-    # not; the trace is then replayed, as a reduction on a replay of its own
+def test_reduction_of_a_run_skewed_at_one_step(monkeypatch, counter):
+    # a counter of the run's engine skewed at step 6, touched or not, leaves
+    # the trace to the replay, which reduces it as a reduction on a replay
+    # of its own does
     from test_allocator import _reduction_on_its_own_replay
 
     inst = _late_switch_instance()
@@ -307,10 +307,8 @@ def test_live_check_stops_on_the_step_that_skews_a_counter(monkeypatch, counter)
     }
     with monkeypatch.context() as patch:
         winners = _skew_at_step(patch, 6, counters[counter])
-        replies = spy_checks(patch)
         _, trace = run_online(inst, PressureGreedyPolicy())
-    assert len(winners) == inst.m and trace.live is None
-    assert replies == [[True] * 5 + [False]]
+    assert len(winners) == inst.m
     res = allocator_to_stacking(trace)
     assert (res.steps, res.k, res.game.values) == _reduction_on_its_own_replay(trace, inst.n)
     assert res.check == validate_pressure_trace(trace)
@@ -421,23 +419,22 @@ def test_cli_run_converts_the_grid_once(tmp_path, monkeypatch):
             "--report", str(tmp_path / "r.json")]
     assert main(argv) == 0
     assert len(calls) == 0  # the margin is read off the integer grid
-    # the policy steps the engine once per item, and the trace invariants and
-    # the reduction are checked on that engine as the run goes
+    # the policy steps the engine once per item; the trace invariants and the
+    # reduction are checked on a replay of the closed form, which steps none
     assert len(steps) == inst.m
 
 
 def _reductions_of_run_experiment(monkeypatch):
-    """The ``[trace, live outcome, result]`` of each reduction
-    ``run_experiment`` makes; the result stays None when the reduction
-    raises."""
+    """The ``[trace, result]`` of each reduction ``run_experiment`` makes;
+    the result stays None when the reduction raises."""
     from fairdiv import harness
 
     seen, reduce = [], harness.allocator_to_stacking
 
     def recorded(trace):
-        seen.append([trace, trace.live, None])
-        seen[-1][2] = reduce(trace)
-        return seen[-1][2]
+        seen.append([trace, None])
+        seen[-1][1] = reduce(trace)
+        return seen[-1][1]
 
     monkeypatch.setattr(harness, "allocator_to_stacking", recorded)
     return seen
@@ -447,48 +444,21 @@ def _reduced(res):
     return res.check, res.k, res.game.values, res.moves, res.steps
 
 
-def test_live_check_matches_the_replay(monkeypatch):
-    # run_experiment checks a pressure-greedy run on the policy's own engine;
-    # the reduction it returns is the one a replay of the trace returns
-    from test_golden import CORPUS
-
-    seen = _reductions_of_run_experiment(monkeypatch)
-    rng = random.Random(131)
-    instances = [make() for make in CORPUS.values()]
-    for trial in range(150):
-        n, k, grid = rng.randint(2, 8), rng.randint(1, 4), GRID_NAMES[trial % 3]
-        if grid == "adversarial-near-threshold":
-            k = min(k, 2)
-        D = Fraction(2 ** rng.randint(k - 1, 6)) if grid == "powers-of-two" else Fraction(rng.randint(3, 40), 3) + 3
-        cfg = GeneratorConfig(n=n, m=rng.randint(k, 300), k=k, D=D, value_grid=grid, seed=trial)
-        instances.append(generate_instance(cfg))
-    live = 0
-    for inst in instances:
-        seen.clear()
-        run_experiment(inst, [PressureGreedyPolicy()])
-        if inst.n < 2 or inst.m == 0:
-            assert seen == []
-            continue
-        ((trace, outcome, result),) = seen
-        assert outcome is not None  # no replay was made
-        assert _reduced(result) == _reduced(allocator_to_stacking(replace(trace)))  # a copy replays
-        live += 1
-    assert live >= 150 and {inst.n for inst in instances} >= set(range(2, 9))
-
-
-def test_live_check_holds_for_the_trace_as_the_run_left_it():
+def test_reduction_sees_a_trace_edited_in_place():
+    # item 11 handed to the next agent in place fails the reduction, as it
+    # fails on a copy: no verdict is kept from the run
     inst = random_instance(random.Random(139), n=3, m=20, k=2)
-    policy = PressureGreedyPolicy()
-    _, trace = run_online(inst, policy)
-    copy = replace(trace)
-    assert trace.live is not None and copy.live is None and copy == trace
-    trace.feed(policy, inst.codes[:1])
-    assert trace.live is None
+    _, trace = run_online(inst, PressureGreedyPolicy())
+    assert allocator_to_stacking(trace).check.passed
+    trace.agents[10] = trace.agents[10] % 3 + 1
+    for edited in (replace(trace), trace):
+        with pytest.raises(InvariantViolation, match="leftmost touched cell"):
+            allocator_to_stacking(edited)
 
 
 def test_replays_step_no_pressure_engine(monkeypatch):
-    # validation and the reduction of a copy, which has no live outcome,
-    # replay the closed form alone
+    # validation and the reduction, of a run's trace or of a copy, replay
+    # the closed form alone
     calls = []
     for name in ("step", "add_type"):
         real = getattr(PressureState, name)
@@ -498,8 +468,7 @@ def test_replays_step_no_pressure_engine(monkeypatch):
                        PressureGreedyPolicy())[1] for _ in range(20)] + [late_opening_trace(rng)[1]]
     assert calls  # the runs stepped their own engines
     calls.clear()
-    for trace in map(replace, runs):
-        assert trace.live is None
+    for trace in runs + list(map(replace, runs)):
         res = allocator_to_stacking(trace)
         assert res.check == validate_pressure_trace(trace) and res.check.passed
     assert calls == []
@@ -516,7 +485,7 @@ class _LateGreedy(PressureGreedyPolicy):
         return winner % self.n + 1 if len(self.trace.agents) + 1 == self.at else winner
 
 
-def test_live_check_replays_a_run_that_is_off(monkeypatch):
+def test_run_experiment_replays_a_run_that_is_off(monkeypatch):
     seen = _reductions_of_run_experiment(monkeypatch)
     rng = random.Random(137)
     outcomes = set()
@@ -524,8 +493,7 @@ def test_live_check_replays_a_run_that_is_off(monkeypatch):
         inst = random_instance(rng, n=rng.randint(2, 5), m=rng.randint(2, 40), k=rng.randint(1, 3))
         seen.clear()
         run = run_experiment(inst, [_LateGreedy(rng.randint(1, inst.m))]).runs[0]
-        ((trace, outcome, result),) = seen
-        assert outcome is None  # the engine left the closed form: the trace was replayed
+        ((trace, result),) = seen
         try:
             want = _reduced(allocator_to_stacking(trace))
         except FairdivError:
@@ -545,17 +513,16 @@ class _WideGreedy(PressureGreedyPolicy):
         return winner
 
 
-def test_live_check_replays_a_run_wider_than_its_engine(monkeypatch):
-    # the engine has no row for the reported type, so the run's check stops
-    # and the reduction replays the closed form, which opens it
+def test_run_experiment_replays_a_run_wider_than_its_engine(monkeypatch):
+    # the engine has no row for the reported type; the reduction replays the
+    # closed form, which opens it
     seen = _reductions_of_run_experiment(monkeypatch)
     rng = random.Random(149)
     for _ in range(20):
         inst = random_instance(rng, n=rng.randint(2, 5), m=rng.randint(1, 30), k=rng.randint(1, 3))
         seen.clear()
         run = run_experiment(inst, [_WideGreedy()]).runs[0]
-        ((trace, outcome, result),) = seen
-        assert outcome is None
+        ((trace, result),) = seen
         assert _reduced(result) == _reduced(allocator_to_stacking(replace(trace)))
         assert run.checks["stacking-consistency"]
 
